@@ -26,6 +26,7 @@ from .engine import (
     build_tail_expression,
     lambda_direct,
     lambda_eval,
+    lambda_eval_many,
     lstar_eval,
     poles,
     residue,
@@ -52,6 +53,7 @@ __all__ = [
     "inversion_defect",
     "lambda_direct",
     "lambda_eval",
+    "lambda_eval_many",
     "load_theta_from_file",
     "lstar_eval",
     "make_builtin_theta",

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -315,19 +316,11 @@ def cmd_table(args) -> int:
     params = _params_from_args(args)
     expr = engine.build_expression(thetas)
 
-    rows = []
-    idx = [0] * nslots
-    for flat in range(total):
-        rem = flat
-        for i in range(nslots - 1, -1, -1):
-            idx[i] = rem % len(axes[i])
-            rem //= len(axes[i])
-        point = tuple(axes[i][idx[i]] for i in range(nslots))
-        try:
-            value, err = engine.lambda_eval(expr, point, params)
-            rows.append((point, value, err, 0))
-        except PoleSignal:
-            rows.append((point, 0j, 0.0, 1))
+    points = list(itertools.product(*axes))
+    rows = [
+        (point, 0j, 0.0, 1) if isinstance(result, PoleSignal) else (point, *result, 0)
+        for point, result in zip(points, engine.lambda_eval_many(expr, points, params))
+    ]
     header = []
     for i in range(nslots):
         header += [f"s{i + 1}_re", f"s{i + 1}_im"]

@@ -12,6 +12,10 @@ mapped through the inversion law (dualized, reversed, exponents reflected
 to w_i - s_i) and both halves are expanded into boundary words against the
 tangential base point at infinity; products of the two halves' numeric
 words are rewritten as single words via the shuffle identity.
+
+Evaluation lowers an expression once into a NumericPlan of float arrays
+and runs batches of points through it (lambda_eval_many); lambda_eval is
+the one-point call of that path.
 """
 
 from __future__ import annotations
@@ -19,9 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from .ratfun import (
+    POLE_EPS,
     AffineForm,
     PoleSignal,
     RationalCombination,
@@ -33,6 +41,7 @@ from .quadrature import (
     EvalParams,
     doubling_edges,
     tail_word_integral,
+    tail_word_integrals,
     truncation_horizon,
     word_integral_on_interval,
 )
@@ -64,6 +73,98 @@ class LambdaExpression:
     @property
     def nslots(self) -> int:
         return len(self.thetas)
+
+    @cached_property
+    def plan(self) -> "NumericPlan":
+        """The expression lowered to flat float arrays, built on first use."""
+        return NumericPlan.lower(self)
+
+
+def _affine(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Affine rows (const, coeffs...) at points of shape (n, r): (n, rows).
+
+    Sums slot by slot, in the order AffineForm.__call__ does, so letter
+    exponents, and with them every word integral and refinement decision,
+    are bit-identical to evaluating each point on its own.
+    """
+    out = np.repeat(rows[None, :, 0].astype(complex), len(points), axis=0)
+    for j in range(points.shape[1]):
+        out += points[:, j, None] * rows[:, j + 1]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class NumericPlan:
+    """A LambdaExpression as arrays, for evaluation at batches of points.
+
+    Every affine quantity of the expression is one float row (const,
+    coeffs...) of `rows`, so a single array operation per slot evaluates
+    all of them at every point: first the pole forms the guard checks,
+    then the tangent denominator forms, then the constant 1, then the
+    exponent of each distinct letter.  Tangent factors are sums of parts
+    coeff / prod(forms); each part lists the columns of its forms, padded
+    with the column of the constant 1.
+    """
+
+    words: tuple[Word, ...]  # distinct words
+    word_cols: tuple[np.ndarray, ...]  # per word, its letters' exponent columns
+    rows: np.ndarray
+    blockers: tuple[AffineForm, ...]  # the forms of the leading rows
+    guard_norms: np.ndarray  # gradient norm of each guard form
+    term_word: np.ndarray  # word id of each term
+    term_tangent: np.ndarray  # tangent id of each term
+    coeffs: np.ndarray  # coefficient of each term
+    part_coeffs: np.ndarray  # complex coefficient of each tangent part
+    part_cols: np.ndarray  # (parts, max forms per part) form columns
+    part_tangent: np.ndarray  # (parts, tangents): 1 where a part belongs
+
+    @staticmethod
+    def lower(expr: LambdaExpression) -> "NumericPlan":
+        word_ids: dict[Word, int] = {}
+        tangent_ids: dict[int, int] = {}
+        tangents: list[RationalCombination] = []
+        for term in expr.terms:
+            word_ids.setdefault(term.word, len(word_ids))
+            if id(term.tangent) not in tangent_ids:
+                tangent_ids[id(term.tangent)] = len(tangents)
+                tangents.append(term.tangent)
+        guard = tuple(h for h in expr.pole_forms if not h.is_constant())
+        form_ids: dict[AffineForm, int] = {}
+        parts = [
+            (complex(c), [len(guard) + form_ids.setdefault(f, len(form_ids)) for f in forms], t)
+            for t, rc in enumerate(tangents)
+            for c, forms in rc.terms
+        ]
+        one = len(guard) + len(form_ids)
+        letter_ids: dict[Letter, int] = {}
+        word_cols = tuple(
+            np.array([one + 1 + letter_ids.setdefault(l, len(letter_ids)) for l in w], dtype=int)
+            for w in word_ids
+        )
+        width = max((len(cols) for _, cols, _ in parts), default=0)
+        part_cols = np.full((len(parts), width), one, dtype=int)
+        part_tangent = np.zeros((len(parts), len(tangents)))
+        for i, (_, cols, t) in enumerate(parts):
+            part_cols[i, : len(cols)] = cols
+            part_tangent[i, t] = 1.0
+        blockers = guard + tuple(form_ids)
+        affine = blockers + (AffineForm.constant(1, expr.nslots),)
+        affine += tuple(l.exponent for l in letter_ids)
+        return NumericPlan(
+            words=tuple(word_ids),
+            word_cols=word_cols,
+            rows=np.array([(float(f.const), *f.coeffs) for f in affine], dtype=float),
+            blockers=blockers,
+            guard_norms=np.array([h.grad_norm() for h in guard]),
+            term_word=np.array([word_ids[t.word] for t in expr.terms], dtype=int),
+            term_tangent=np.array(
+                [tangent_ids[id(t.tangent)] for t in expr.terms], dtype=int
+            ),
+            coeffs=np.array([float(t.coeff) for t in expr.terms]),
+            part_coeffs=np.array([c for c, _, _ in parts], dtype=complex),
+            part_cols=part_cols,
+            part_tangent=part_tangent,
+        )
 
 
 def _check_tuple(thetas: Sequence[ThetaFunction]) -> tuple[ThetaFunction, ...]:
@@ -151,12 +252,6 @@ def _as_point(s, nslots: int) -> tuple[complex, ...]:
     return point
 
 
-def guard_poles(expr: LambdaExpression, point, guard: float) -> None:
-    for h in expr.pole_forms:
-        if h.distance(point) < guard:
-            raise PoleSignal(h)
-
-
 def nearest_pole(expr: LambdaExpression, point) -> tuple[AffineForm | None, float]:
     best, dist = None, math.inf
     for h in expr.pole_forms:
@@ -166,25 +261,72 @@ def nearest_pole(expr: LambdaExpression, point) -> tuple[AffineForm | None, floa
     return best, dist
 
 
+# points evaluated together; bounds the arrays one batch holds
+BATCH_CHUNK = 256
+
+
+def _eval_chunk(
+    plan: NumericPlan, points: list[tuple[complex, ...]], params: EvalParams
+) -> list[tuple[complex, float] | PoleSignal]:
+    n = len(points)
+    vals = _affine(np.array(points, dtype=complex), plan.rows)
+    g, b = plan.guard_norms.size, len(plan.blockers)
+    # guard columns come first, so a guard hit is reported before a tangent form
+    blocked = np.hstack(
+        (
+            np.abs(vals[:, :g]) / plan.guard_norms < params.pole_guard,
+            np.abs(vals[:, g:b]) < POLE_EPS,
+        )
+    )
+    out: list = [None] * n
+    for i in np.flatnonzero(blocked.any(axis=1)):
+        out[i] = PoleSignal(plan.blockers[blocked[i].argmax()])
+    live = [i for i in range(n) if out[i] is None]
+    if not live:
+        return out
+
+    vals = vals[live]
+    tangents = (plan.part_coeffs / vals[:, plan.part_cols].prod(axis=2)) @ plan.part_tangent
+    shape = (len(live), len(plan.words))
+    wvals, werrs = np.empty(shape, dtype=complex), np.empty(shape)
+    for k, (word, cols) in enumerate(zip(plan.words, plan.word_cols)):
+        wvals[:, k], werrs[:, k] = tail_word_integrals(word, vals[:, cols], params)
+    rvals = tangents[:, plan.term_tangent]
+    values = (plan.coeffs * wvals[:, plan.term_word] * rvals).sum(axis=1)
+    errs = (np.abs(plan.coeffs) * np.abs(rvals) * werrs[:, plan.term_word]).sum(axis=1)
+    for i, v, e in zip(live, values, errs):
+        out[i] = (complex(v), float(e))
+    return out
+
+
+def lambda_eval_many(
+    expr: LambdaExpression, points: Sequence, params: EvalParams | None = None
+) -> list[tuple[complex, float] | PoleSignal]:
+    """Value and error estimate at each point, in order.
+
+    A point within pole_guard of a pole hyperplane gets the PoleSignal that
+    lambda_eval would raise there instead of a value.  Numeric failures
+    (QuadratureError, TruncationError) raise for the whole call.  Points
+    are evaluated BATCH_CHUNK at a time; within a chunk every word is
+    integrated once over all points that share its truncation horizon.
+    """
+    params = params or EvalParams()
+    points = [_as_point(s, expr.nslots) for s in points]
+    plan = expr.plan
+    out: list[tuple[complex, float] | PoleSignal] = []
+    for lo in range(0, len(points), BATCH_CHUNK):
+        out.extend(_eval_chunk(plan, points[lo : lo + BATCH_CHUNK], params))
+    return out
+
+
 def lambda_eval(
     expr: LambdaExpression, s, params: EvalParams | None = None
 ) -> tuple[complex, float]:
     """Value and error estimate at a point off the pole hyperplanes."""
-    params = params or EvalParams()
-    point = _as_point(s, expr.nslots)
-    guard_poles(expr, point, params.pole_guard)
-    cache: dict[Word, tuple[complex, float]] = {}
-    total = 0.0 + 0.0j
-    err = 0.0
-    for term in expr.terms:
-        if term.word not in cache:
-            cache[term.word] = tail_word_integral(term.word, point, params)
-        wval, werr = cache[term.word]
-        rval = complex(term.tangent(point))
-        cf = float(term.coeff)
-        total += cf * wval * rval
-        err += abs(cf) * abs(rval) * werr
-    return total, err
+    (result,) = lambda_eval_many(expr, (s,), params)
+    if isinstance(result, PoleSignal):
+        raise result
+    return result
 
 
 def lstar_eval(
@@ -249,11 +391,10 @@ def functional_sign(thetas: Sequence[ThetaFunction]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _zero_envelope(letter: Letter, s) -> tuple[float, float, bool]:
+def _zero_envelope(letter: Letter) -> tuple[float, float, bool]:
     """(C, gamma, exp_small): |phi(t)| <= C t^(Re e - 1 - gamma) for t <= 1/2,
     with exp_small marking additional superpolynomial decay at 0."""
     th = letter.theta
-    e_re = complex(letter.exponent(s)).real
     if letter.part == "mono":
         return abs(float(letter.coeff)), 0.0, False
     if letter.part == "poly":
@@ -267,7 +408,6 @@ def _zero_envelope(letter: Letter, s) -> tuple[float, float, bool]:
     if letter.part == "tail":
         c += th.poly_height()
     exp_small = not dual.poly_part
-    _ = e_re
     return max(c, 1e-300), gamma, exp_small
 
 
@@ -284,7 +424,7 @@ def _choose_delta(word: Word, s, params: EvalParams) -> float:
     sigma_min = math.inf
     protected = False
     for letter in word:
-        c, gamma, exp_small = _zero_envelope(letter, s)
+        c, gamma, exp_small = _zero_envelope(letter)
         e_re = complex(letter.exponent(s)).real
         run += e_re - gamma
         cprod *= c
@@ -425,9 +565,3 @@ def build_tail_expression(thetas: Sequence[ThetaFunction]) -> LambdaExpression:
                     terms.append(LambdaTerm(c * mult, ending, rc))
     return LambdaExpression(thetas, tuple(terms), _collect_poles(terms))
 
-
-def eval_expression(
-    expr: LambdaExpression, s, params: EvalParams | None = None
-) -> tuple[complex, float]:
-    """Alias of lambda_eval usable with tail expressions as well."""
-    return lambda_eval(expr, s, params)

@@ -22,7 +22,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gamma as complex_gamma
 
 from .arith import factorial
-from .ratfun import AffineForm
+from .ratfun import AffineForm, PoleSignal
 from .theta import GrowthBound, TailSeries, ThetaFunction, make_builtin_theta
 from .words import Letter
 from .quadrature import EvalParams, tail_word_integral
@@ -317,9 +317,20 @@ def _xi_expression():
     return engine.build_expression((make_builtin_theta("riemann"),))
 
 
+def _values(expr, points, params: EvalParams | None) -> list[complex]:
+    """Values of expr at the points in one batch; a point on a pole raises
+    its PoleSignal, the first in order."""
+    out = []
+    for result in engine.lambda_eval_many(expr, points, params):
+        if isinstance(result, PoleSignal):
+            raise result
+        out.append(result[0])
+    return out
+
+
 def xi_value(s: complex, params: EvalParams | None = None) -> complex:
     """Completed zeta value from the length-1 engine."""
-    return engine.lambda_eval(_xi_expression(), (s,), params)[0]
+    return _values(_xi_expression(), [(s,)], params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +361,15 @@ def _lattice_points(z: complex, lam_max: float) -> np.ndarray:
     return np.sort(np.array(lams))
 
 
+# large enough that xi_via_eisenstein's 3 * quad_order abscissae stay cached
+# from one call to the next
+@lru_cache(maxsize=1024)
 def lattice_theta(z: complex, name: str | None = None) -> ThetaFunction:
     """Theta function of the unimodular lattice form |m + n z|^2 / Im(z).
 
     Self-dual of weight 1; its completed Mellin transform is twice the
-    completed real-analytic Eisenstein series at z.
+    completed real-analytic Eisenstein series at z.  Memoized, so repeated
+    z share one theta and its cached node values.
     """
     z = complex(z)
     if z.imag <= 0:
@@ -427,7 +442,8 @@ def real_eisenstein(
     expr = engine.build_expression((th,))
     value, _ = engine.lambda_eval(expr, (s,), params)
     completed = 0.5 * value
-    einf = xi_value(2 * s, params) * y**s + xi_value(2 * s - 1, params) * y ** (1 - s)
+    xi_a, xi_b = _values(_xi_expression(), [(2 * s,), (2 * s - 1,)], params)
+    einf = xi_a * y**s + xi_b * y ** (1 - s)
     return completed, completed - einf, einf
 
 
@@ -446,8 +462,7 @@ def xi_via_eisenstein(
     if sigma.real <= 1.0:
         raise ValueError("needs Re(s1+s2) > 1 for the lattice sum")
     xs, ws = leggauss(params.quad_order)
-    xi_a = xi_value(2 * sigma, params)
-    xi_b = xi_value(2 * sigma - 1, params)
+    xi_a, xi_b = _values(_xi_expression(), [(2 * sigma,), (2 * sigma - 1,)], params)
 
     def integrand(ys: np.ndarray) -> np.ndarray:
         out = np.empty(ys.shape, dtype=complex)
@@ -558,17 +573,18 @@ def mzv_reconstruction_check(params: EvalParams | None = None) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def richardson_limit(f: Callable[[float], complex], eps: float, levels: int = 4) -> complex:
-    """Extrapolate f(eps), f(eps/2), ... to eps -> 0 assuming a power series."""
+def richardson_limit(values: Sequence[complex]) -> complex:
+    """Extrapolate values f(eps), f(eps/2), f(eps/4), ... to eps -> 0,
+    assuming f is a power series in eps."""
     rows: list[list[complex]] = []
-    for i in range(levels + 1):
-        row = [complex(f(eps / 2**i))]
+    for i, value in enumerate(values):
+        row = [complex(value)]
         for j in range(1, i + 1):
             row.append(
                 (2**j * row[j - 1] - rows[i - 1][j - 1]) / (2**j - 1)
             )
         rows.append(row)
-    return rows[levels][levels]
+    return rows[-1][-1]
 
 
 def residue_numeric(
@@ -576,14 +592,11 @@ def residue_numeric(
 ) -> complex:
     """Residue along h at a point of h by a Richardson-extrapolated limit of
     h(s + eps v) * Lambda(s + eps v) along the normal direction v."""
-    params = params or EvalParams()
     point = tuple(complex(x) for x in point)
     grad = np.array(h.coeffs, dtype=float)
     v = grad / float(grad @ grad)
-
-    def g(e: float) -> complex:
-        shifted = tuple(p + e * vi for p, vi in zip(point, v))
-        value, _ = engine.lambda_eval(expr, shifted, params)
-        return complex(h(shifted)) * value
-
-    return richardson_limit(g, eps, levels=4)
+    shifted = [
+        tuple(p + eps / 2**i * vi for p, vi in zip(point, v)) for i in range(5)
+    ]
+    values = _values(expr, shifted, params)
+    return richardson_limit([complex(h(pt)) * val for pt, val in zip(shifted, values)])

@@ -10,7 +10,9 @@ is never silently consumed.
 
 Theta values at mesh nodes are independent of the slot variables, so they
 are cached on the (interned) mesh and shared across words and evaluation
-points.
+points.  Word integrals run over batches of points: the batched functions
+take the letters' exponents as an array with one row per point, and every
+point keeps its own horizon, refinement depth and error estimate.
 """
 
 from __future__ import annotations
@@ -109,18 +111,25 @@ class PanelMesh:
                     self._values[key] = vals
         return vals
 
-    def cumulative(self, f: np.ndarray) -> tuple[np.ndarray, complex]:
-        """Cumulative integral of the interpolant of f from the mesh start.
+    def _panel_integrals(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        segs = f.reshape(*f.shape[:-1], -1, self.order)
+        return segs, (segs @ self.gl_weights) * (self.widths / 2.0)
 
-        Returns node values of t -> int_{edges[0]}^t f and the full integral.
-        """
-        segs = f.reshape(-1, self.order)
-        panel_ints = (segs @ self.gl_weights) * (self.widths / 2.0)
-        carries = np.concatenate(([0.0], np.cumsum(panel_ints)[:-1]))
-        inner = carries[:, None] + (self.widths[:, None] / 2.0) * (
-            segs @ self.int_matrix.T
-        )
-        return inner.ravel(), complex(carries[-1] + panel_ints[-1])
+    def integral(self, f: np.ndarray) -> np.ndarray:
+        """Integral of the interpolant of f over the mesh, along the last
+        axis; leading axes (one per evaluation point) are carried through."""
+        # cumsum, not sum: panels add up one by one, as in cumulative
+        return np.cumsum(self._panel_integrals(f)[1], axis=-1)[..., -1]
+
+    def cumulative(self, f: np.ndarray) -> np.ndarray:
+        """Node values of t -> int_{edges[0]}^t f for the interpolant of f,
+        along the last axis like integral."""
+        segs, panel_ints = self._panel_integrals(f)
+        carries = np.zeros_like(panel_ints)
+        np.cumsum(panel_ints[..., :-1], axis=-1, out=carries[..., 1:])
+        half = self.widths / 2.0
+        inner = carries[..., None] + half[:, None] * (segs @ self.int_matrix.T)
+        return inner.reshape(f.shape)
 
 
 @lru_cache(maxsize=256)
@@ -147,56 +156,72 @@ def doubling_edges(start: float, stop: float) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _letter_envelope(letter: Letter, s: Sequence[complex]) -> tuple[float, float]:
-    """(B, g) with |phi(t)| <= B * t^g for t >= 1."""
-    e_re = complex(letter.exponent(s)).real
+# candidate truncation horizons 2, 4, ..., MAX_HORIZON and their logarithms
+_HORIZONS = 2.0 ** np.arange(1, int(math.log2(MAX_HORIZON)) + 1)
+_LOG_HORIZONS = np.array([math.log(t) for t in _HORIZONS])
+
+
+def letter_exponents(word: Word, s: Sequence[complex]) -> np.ndarray:
+    """The word's letter exponents at one point, as a (1, len(word)) row."""
+    return np.array([[complex(letter.exponent(s)) for letter in word]], dtype=complex)
+
+
+def _letter_envelope(letter: Letter) -> tuple[float, float]:
+    """(B, d) with |phi(t)| <= B * t^(Re e - 1 + d) for t >= 1."""
     th = letter.theta
     if letter.part == "mono":
-        return abs(float(letter.coeff)), e_re - 1.0
+        return abs(float(letter.coeff)), 0.0
     if letter.part == "poly":
-        return th.poly_height(), e_re - 1.0 + th.poly_degree()
+        return th.poly_height(), th.poly_degree()
     if letter.part == "tail":
-        return th.tail_envelope(), e_re - 1.0 + max(th.tail.power_range[1], 0.0)
+        return th.tail_envelope(), max(th.tail.power_range[1], 0.0)
     b = th.poly_height() + th.tail_envelope()
-    deg = max(th.poly_degree(), th.tail.power_range[1], 0.0)
-    return b, e_re - 1.0 + deg
+    return b, max(th.poly_degree(), th.tail.power_range[1], 0.0)
 
 
-def truncation_horizon(word: Word, s: Sequence[complex], params: EvalParams) -> float:
+def truncation_horizons(word: Word, exps: np.ndarray, params: EvalParams) -> np.ndarray:
     """Smallest power-of-two horizon whose certified tail bound is below
-    abs_tol * horizon_safety.  The word must end in a tail letter."""
+    abs_tol * horizon_safety, at each point.  exps[i, j] is the exponent of
+    letter j at point i.  The word must end in a tail letter."""
+    n = exps.shape[0]
     if not word:
-        return 2.0
+        return np.full(n, 2.0)
     last = word[-1]
     if last.part != "tail":
         raise QuadratureError("truncation horizon requires a final tail letter")
     th = last.theta
     mu1 = th.tail.min_mu()
     if not math.isfinite(mu1):
-        return 2.0
+        return np.full(n, 2.0)
     p = th.kernel_power
     decay_k = th.tail_envelope()
     if decay_k == 0.0:
-        return 2.0
+        return np.full(n, 2.0)
+    e_re = exps.real
     log_prefac = 0.0
-    growth_exp = 0.0
-    for letter in word[:-1]:
-        b, g = _letter_envelope(letter, s)
+    growth_exp = np.zeros(n)
+    for j, letter in enumerate(word[:-1]):
+        b, deg = _letter_envelope(letter)
         log_prefac += math.log(max(b, 1e-300))
-        growth_exp += max(g + 1.0, 0.0)
-    e_re = complex(last.exponent(s)).real
-    alpha = growth_exp + e_re - 1.0 + max(th.tail.power_range[1], 0.0)
+        growth_exp += np.maximum(e_re[:, j] - 1.0 + deg + 1.0, 0.0)
+    alpha = growth_exp + e_re[:, -1] - 1.0 + max(th.tail.power_range[1], 0.0)
     log_target = math.log(params.abs_tol * params.horizon_safety)
     log_head = math.log(2.0) + log_prefac + math.log(decay_k) - math.log(mu1 * p)
-    t_high = 2.0
-    while t_high <= MAX_HORIZON:
-        tp = t_high**p
-        if mu1 * p * tp >= max(2.0 * (alpha + 1.0 - p), 1.0):
-            log_bound = log_head + (alpha + 1.0 - p) * math.log(t_high) - mu1 * tp
-            if log_bound <= log_target:
-                return t_high
-        t_high *= 2.0
-    raise QuadratureError("no horizon satisfies the truncation bound")
+    # every candidate horizon at every point at once; each point takes the
+    # smallest candidate that fits
+    tp = _HORIZONS**p
+    rate = (alpha + 1.0 - p)[:, None]
+    log_bound = log_head + rate * _LOG_HORIZONS - mu1 * tp
+    fits = (mu1 * p * tp >= np.maximum(2.0 * rate, 1.0)) & (log_bound <= log_target)
+    if not fits.any(axis=1).all():
+        raise QuadratureError("no horizon satisfies the truncation bound")
+    return _HORIZONS[fits.argmax(axis=1)]
+
+
+def truncation_horizon(word: Word, s: Sequence[complex], params: EvalParams) -> float:
+    """The truncation horizon of the word at one point s (see
+    truncation_horizons)."""
+    return float(truncation_horizons(word, letter_exponents(word, s), params)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -204,51 +229,92 @@ def truncation_horizon(word: Word, s: Sequence[complex], params: EvalParams) -> 
 # ---------------------------------------------------------------------------
 
 
-def _letter_phi(
-    letter: Letter, s: Sequence[complex], m: PanelMesh, max_terms: int
-) -> np.ndarray:
-    e = complex(letter.exponent(s))
-    power = m.nodes ** (e - 1.0)
+def _letter_phi(letter: Letter, e: np.ndarray, m: PanelMesh, max_terms: int) -> np.ndarray:
+    power = m.nodes ** (e[:, None] - 1.0)
     if letter.part == "mono":
         return float(letter.coeff) * power
     return m.theta_values(letter.theta, letter.part, max_terms) * power
 
 
+# complex node values one letter array may hold; larger batches of points
+# are integrated in row blocks, so deep refinements stay within memory
+ROW_BUDGET = 1 << 17
+
+
 def integrate_word_on_mesh(
-    word: Word, s: Sequence[complex], m: PanelMesh, params: EvalParams
-) -> complex:
-    """Iterated integral of the word over the mesh interval (exact panels)."""
+    word: Word, exps: np.ndarray, m: PanelMesh, params: EvalParams
+) -> np.ndarray:
+    """Iterated integral of the word over the mesh interval (exact panels).
+
+    exps[i, j] is the exponent of letter j at point i; returns one integral
+    per point.
+    """
+    n = exps.shape[0]
     if not word:
-        return 1.0 + 0.0j
-    inner = np.ones(m.nodes.shape, dtype=complex)
-    total = 1.0 + 0.0j
-    for letter in word:
-        f = _letter_phi(letter, s, m, params.max_terms) * inner
-        inner, total = m.cumulative(f)
-    return total
+        return np.ones(n, dtype=complex)
+    step = max(1, ROW_BUDGET // m.nodes.size)
+    if n > step:
+        blocks = [exps[lo : lo + step] for lo in range(0, n, step)]
+        return np.concatenate([integrate_word_on_mesh(word, b, m, params) for b in blocks])
+    inner = 1.0
+    for j, letter in enumerate(word[:-1]):
+        inner = m.cumulative(_letter_phi(letter, exps[:, j], m, params.max_terms) * inner)
+    f = _letter_phi(word[-1], exps[:, -1], m, params.max_terms) * inner
+    return m.integral(f)
 
 
 def _refine_until(
     word: Word,
-    s: Sequence[complex],
+    exps: np.ndarray,
     edges: tuple[float, ...],
     params: EvalParams,
     slack: float,
-) -> tuple[complex, float]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refine the mesh until each point's estimate |v1 - v0| + slack meets
+    abs_tol; a point leaves at the first level where its own estimate does."""
+    n = exps.shape[0]
+    values = np.empty(n, dtype=complex)
+    errs = np.empty(n)
+    rows = np.arange(n)
     m0 = mesh(edges, params.quad_order)
-    v0 = integrate_word_on_mesh(word, s, m0, params)
-    est = math.inf
+    v0 = integrate_word_on_mesh(word, exps, m0, params)
+    est = np.full(n, math.inf)
     for _ in range(params.max_refine):
         m1 = m0.refined()
-        v1 = integrate_word_on_mesh(word, s, m1, params)
-        est = abs(v1 - v0) + slack
-        if est <= params.abs_tol:
-            return v1, est
-        m0, v0 = m1, v1
+        v1 = integrate_word_on_mesh(word, exps[rows], m1, params)
+        est = np.abs(v1 - v0) + slack
+        done = est <= params.abs_tol
+        values[rows[done]] = v1[done]
+        errs[rows[done]] = est[done]
+        rows, v0, est, m0 = rows[~done], v1[~done], est[~done], m1
+        if not rows.size:
+            return values, errs
     raise QuadratureError(
-        f"estimate {est:.3e} above {params.abs_tol:.1e} after "
+        f"estimate {est[0]:.3e} above {params.abs_tol:.1e} after "
         f"{params.max_refine} refinements"
     )
+
+
+def tail_word_integrals(
+    word: Word, exps: np.ndarray, params: EvalParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """tail_word_integral at many points at once.
+
+    exps[i, j] is the exponent of letter j at point i.  Each point keeps
+    its own truncation horizon; points sharing one are integrated together.
+    """
+    n = exps.shape[0]
+    if not word:
+        return np.ones(n, dtype=complex), np.zeros(n)
+    horizons = truncation_horizons(word, exps, params)
+    values = np.empty(n, dtype=complex)
+    errs = np.empty(n)
+    slack = params.abs_tol * params.horizon_safety
+    for t_max in sorted(set(horizons.tolist())):
+        rows = np.flatnonzero(horizons == t_max)
+        edges = doubling_edges(1.0, t_max)
+        values[rows], errs[rows] = _refine_until(word, exps[rows], edges, params, slack)
+    return values, errs
 
 
 def tail_word_integral(
@@ -260,11 +326,8 @@ def tail_word_integral(
     agreement with the certified truncation slack.
     """
     params = params or EvalParams()
-    if not word:
-        return 1.0 + 0.0j, 0.0
-    t_max = truncation_horizon(word, s, params)
-    edges = doubling_edges(1.0, t_max)
-    return _refine_until(word, s, edges, params, params.abs_tol * params.horizon_safety)
+    values, errs = tail_word_integrals(word, letter_exponents(word, s), params)
+    return complex(values[0]), float(errs[0])
 
 
 def word_integral_on_interval(
@@ -278,7 +341,8 @@ def word_integral_on_interval(
     params = params or EvalParams()
     if not word:
         return 1.0 + 0.0j, 0.0
-    return _refine_until(word, s, edges, params, slack)
+    values, errs = _refine_until(word, letter_exponents(word, s), edges, params, slack)
+    return complex(values[0]), float(errs[0])
 
 
 def composition_split(

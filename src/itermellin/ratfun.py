@@ -45,6 +45,16 @@ class AffineForm:
     const: Fraction
     coeffs: tuple[int, ...]
 
+    def __hash__(self) -> int:
+        # forms key many dicts during compilation; hashing the Fraction
+        # each time dominated compile time, so the hash is kept per instance
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.const, self.coeffs))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     @staticmethod
     def make(const, coeffs: Sequence[int]) -> "AffineForm":
         return AffineForm(Fraction(const), tuple(int(c) for c in coeffs))

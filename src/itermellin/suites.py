@@ -43,9 +43,9 @@ _EXPR_CACHE: dict[tuple, engine.LambdaExpression] = {}
 
 
 def _expr(thetas: Sequence[ThetaFunction]) -> engine.LambdaExpression:
-    key = tuple(th.name for th in thetas)
+    key = tuple(thetas)
     if key not in _EXPR_CACHE:
-        _EXPR_CACHE[key] = engine.build_expression(tuple(thetas))
+        _EXPR_CACHE[key] = engine.build_expression(key)
     return _EXPR_CACHE[key]
 
 

@@ -241,19 +241,11 @@ class ThetaFunction:
             validate_inversion(self)
 
     # -- identity ---------------------------------------------------------
+    # Equality and hashing are by object identity: mesh node values and
+    # compiled expressions are cached per theta, and two thetas sharing a
+    # name (a file theta called "riemann", say) must never share them.
     def __repr__(self):
         return f"ThetaFunction({self.name!r}, w={self.weight}, sign={self.sign:+d})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ThetaFunction)
-            and self.name == other.name
-            and self.weight == other.weight
-            and self.sign == other.sign
-        )
-
-    def __hash__(self):
-        return hash((self.name, self.weight, self.sign))
 
     # -- dual wiring ------------------------------------------------------
     @property

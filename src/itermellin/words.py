@@ -36,6 +36,15 @@ class Letter:
         if self.part not in PARTS:
             raise ValueError(f"unknown part {self.part!r}")
 
+    def __hash__(self) -> int:
+        # words are dict keys throughout compilation; see AffineForm.__hash__
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.theta, self.part, self.exponent, self.coeff))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     def with_part(self, part: str) -> "Letter":
         return Letter(self.theta, part, self.exponent)
 
@@ -127,14 +136,6 @@ def shuffle(u: Word, v: Word) -> WordSum:
     left = shuffle(u[1:], v).map_words(lambda w: WordSum.single((u[0],) + w))
     right = shuffle(u, v[1:]).map_words(lambda w: WordSum.single((v[0],) + w))
     return left + right
-
-
-def shuffle_sums(a: WordSum, b: WordSum) -> WordSum:
-    out = WordSum()
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            out = out + shuffle(u, v).scale(cu * cv)
-    return out
 
 
 def regularize(word: Word) -> WordSum:

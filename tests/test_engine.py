@@ -331,6 +331,29 @@ class TestTailExpression:
                 assert term.word[-1].part == "tail"
 
 
+class TestThetaIdentity:
+    """A file theta named like a builtin must not share its cached values."""
+
+    DOUBLE_RIEMANN = (
+        "name riemann\nweight 1\nsign +1\ndual self\n"
+        "kernel gauss scale 3.141592653589793\npoly 2 0\nfreq default\n"
+        "coeffs" + " 4" * 12 + "\ngrowth 4 0\n"
+    )
+
+    @pytest.mark.parametrize("file_first,order", [(True, 22), (False, 23)])
+    def test_file_theta_named_riemann(self, file_first, order):
+        # a quadrature order no other test uses gives meshes with empty caches
+        params = EvalParams(quad_order=order)
+        doubled = build_expression((parse_theta_text(self.DOUBLE_RIEMANN),))
+        builtin = build_expression((theta("riemann"),))
+        exprs = (doubled, builtin) if file_first else (builtin, doubled)
+        values = [lambda_eval(e, (2.0,), params)[0] for e in exprs]
+        if not file_first:
+            values.reverse()
+        assert abs(values[0] - math.pi / 3) < 1e-9
+        assert abs(values[1] - math.pi / 6) < 1e-9
+
+
 class TestConcurrency:
     def test_parallel_evaluations_are_deterministic(self):
         import concurrent.futures

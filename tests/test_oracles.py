@@ -233,4 +233,5 @@ class TestMzvReconstruction:
 class TestRichardson:
     def test_limit_of_polynomial(self):
         f = lambda e: 3.0 + 2 * e + 5 * e**2 + e**3
-        assert abs(oracles.richardson_limit(f, 0.1, 3) - 3.0) < 1e-12
+        values = [f(0.1 / 2**i) for i in range(4)]
+        assert abs(oracles.richardson_limit(values) - 3.0) < 1e-12

@@ -11,7 +11,9 @@ from itermellin.quadrature import (
     QuadratureError,
     composition_split,
     doubling_edges,
+    letter_exponents,
     tail_word_integral,
+    tail_word_integrals,
     truncation_horizon,
     word_integral_on_interval,
 )
@@ -173,6 +175,20 @@ class TestIteratedWords:
         word = (Letter(rie, "tail", slot(0, 1)),)
         with pytest.raises(QuadratureError):
             tail_word_integral(word, (2.0,), EvalParams(abs_tol=1e-16, max_refine=1, quad_order=4))
+
+
+class TestBatchedWords:
+    def test_rows_match_one_point_calls_exactly(self):
+        """Each point of a batch is integrated bit for bit as on its own, so
+        horizons, refinement depths and failures never depend on batching."""
+        rie = make_builtin_theta("riemann")
+        j3 = make_builtin_theta("jacobi3")
+        word = (Letter(j3, "full", slot(0, 2)), Letter(rie, "tail", slot(1, 2)))
+        points = [(2.0, 1.5), (0.3 + 2.1j, -1.2 + 0.4j), (1.1 - 3j, 2.5 + 1j), (2.0, 1.5)]
+        exps = np.vstack([letter_exponents(word, s) for s in points])
+        values, errs = tail_word_integrals(word, exps, EvalParams())
+        for s, v, e in zip(points, values, errs):
+            assert (complex(v), float(e)) == tail_word_integral(word, s, EvalParams())
 
 
 class TestMesh:
