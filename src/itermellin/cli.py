@@ -168,9 +168,8 @@ def cmd_eval(args) -> int:
     near, dist = engine.nearest_pole(expr, point)
     if near is not None and dist < 1e-3:
         warnings.append(f"within {dist:.2e} of pole hyperplane {near} = 0")
-    value, err = engine.lambda_eval(expr, point, params)
-    if args.lstar:
-        value, err = engine.lstar_eval(expr, point, params)
+    evaluate = engine.lstar_eval if args.lstar else engine.lambda_eval
+    value, err = evaluate(expr, point, params)
     if args.format == "json":
         _emit(
             _json_dumps(

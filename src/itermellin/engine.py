@@ -15,7 +15,9 @@ words are rewritten as single words via the shuffle identity.
 
 Evaluation lowers an expression once into a NumericPlan of float arrays
 and runs batches of points through it (lambda_eval_many); lambda_eval is
-the one-point call of that path.
+the one-point call of that path.  All words of a batch go to the
+quadrature in one call, which integrates them mesh by mesh, sharing letter
+powers and word prefixes across words.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .words import Letter, Word, regularize, shuffle
 from .quadrature import (
     EvalParams,
     doubling_edges,
+    integrate_words,
     tail_word_integral,
-    tail_word_integrals,
     truncation_horizon,
     word_integral_on_interval,
 )
@@ -100,10 +102,11 @@ class NumericPlan:
     Every affine quantity of the expression is one float row (const,
     coeffs...) of `rows`, so a single array operation per slot evaluates
     all of them at every point: first the pole forms the guard checks,
-    then the tangent denominator forms, then the constant 1, then the
-    exponent of each distinct letter.  Tangent factors are sums of parts
-    coeff / prod(forms); each part lists the columns of its forms, padded
-    with the column of the constant 1.
+    then the tangent denominator forms, then the constant 1, then each
+    distinct letter exponent (letters with one exponent share its node
+    powers).  Tangent factors are sums of parts coeff / prod(forms); each
+    part lists the columns of its forms, padded with the column of the
+    constant 1.
     """
 
     words: tuple[Word, ...]  # distinct words
@@ -136,9 +139,12 @@ class NumericPlan:
             for c, forms in rc.terms
         ]
         one = len(guard) + len(form_ids)
-        letter_ids: dict[Letter, int] = {}
+        exponent_ids: dict[AffineForm, int] = {}
         word_cols = tuple(
-            np.array([one + 1 + letter_ids.setdefault(l, len(letter_ids)) for l in w], dtype=int)
+            np.array(
+                [one + 1 + exponent_ids.setdefault(l.exponent, len(exponent_ids)) for l in w],
+                dtype=int,
+            )
             for w in word_ids
         )
         width = max((len(cols) for _, cols, _ in parts), default=0)
@@ -149,7 +155,7 @@ class NumericPlan:
             part_tangent[i, t] = 1.0
         blockers = guard + tuple(form_ids)
         affine = blockers + (AffineForm.constant(1, expr.nslots),)
-        affine += tuple(l.exponent for l in letter_ids)
+        affine += tuple(exponent_ids)
         return NumericPlan(
             words=tuple(word_ids),
             word_cols=word_cols,
@@ -287,10 +293,7 @@ def _eval_chunk(
 
     vals = vals[live]
     tangents = (plan.part_coeffs / vals[:, plan.part_cols].prod(axis=2)) @ plan.part_tangent
-    shape = (len(live), len(plan.words))
-    wvals, werrs = np.empty(shape, dtype=complex), np.empty(shape)
-    for k, (word, cols) in enumerate(zip(plan.words, plan.word_cols)):
-        wvals[:, k], werrs[:, k] = tail_word_integrals(word, vals[:, cols], params)
+    wvals, werrs = integrate_words(plan.words, plan.word_cols, vals, params)
     rvals = tangents[:, plan.term_tangent]
     values = (plan.coeffs * wvals[:, plan.term_word] * rvals).sum(axis=1)
     errs = (np.abs(plan.coeffs) * np.abs(rvals) * werrs[:, plan.term_word]).sum(axis=1)
@@ -307,8 +310,8 @@ def lambda_eval_many(
     A point within pole_guard of a pole hyperplane gets the PoleSignal that
     lambda_eval would raise there instead of a value.  Numeric failures
     (QuadratureError, TruncationError) raise for the whole call.  Points
-    are evaluated BATCH_CHUNK at a time; within a chunk every word is
-    integrated once over all points that share its truncation horizon.
+    are evaluated BATCH_CHUNK at a time; the words of a chunk are
+    integrated together, mesh by mesh (quadrature.integrate_words).
     """
     params = params or EvalParams()
     points = [_as_point(s, expr.nslots) for s in points]

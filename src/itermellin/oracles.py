@@ -437,14 +437,22 @@ def real_eisenstein(
     """
     params = params or EvalParams()
     z, s = complex(z), complex(s)
-    y = z.imag
-    th = lattice_theta(z)
-    expr = engine.build_expression((th,))
-    value, _ = engine.lambda_eval(expr, (s,), params)
-    completed = 0.5 * value
-    xi_a, xi_b = _values(_xi_expression(), [(2 * s,), (2 * s - 1,)], params)
-    einf = xi_a * y**s + xi_b * y ** (1 - s)
+    completed = _lattice_eisenstein(z, s, params)
+    einf = _zeta_part(z.imag, s, _values(_xi_expression(), [(2 * s,), (2 * s - 1,)], params))
     return completed, completed - einf, einf
+
+
+def _lattice_eisenstein(z: complex, s: complex, params: EvalParams) -> complex:
+    """E at z: half the completed Mellin transform of the lattice theta."""
+    expr = engine.build_expression((lattice_theta(z),))
+    value, _ = engine.lambda_eval(expr, (s,), params)
+    return 0.5 * value
+
+
+def _zeta_part(y: float, s: complex, xi_pair) -> complex:
+    """Einf at height y from the completed zeta values xi(2s), xi(2s - 1)."""
+    xi_a, xi_b = xi_pair
+    return xi_a * y**s + xi_b * y ** (1 - s)
 
 
 def xi_via_eisenstein(
@@ -467,7 +475,10 @@ def xi_via_eisenstein(
     def integrand(ys: np.ndarray) -> np.ndarray:
         out = np.empty(ys.shape, dtype=complex)
         for i, y in enumerate(ys):
-            e0 = real_eisenstein(1j * y, sigma, params)[1]
+            # E0 = E - Einf as real_eisenstein forms it, with the xi pair
+            # evaluated once above instead of at every abscissa
+            z = complex(1j * y)
+            e0 = _lattice_eisenstein(z, sigma, params) - _zeta_part(z.imag, sigma, (xi_a, xi_b))
             out[i] = e0 * y ** (s2 - s1 - 1.0)
         return out
 

@@ -10,9 +10,12 @@ is never silently consumed.
 
 Theta values at mesh nodes are independent of the slot variables, so they
 are cached on the (interned) mesh and shared across words and evaluation
-points.  Word integrals run over batches of points: the batched functions
-take the letters' exponents as an array with one row per point, and every
-point keeps its own horizon, refinement depth and error estimate.
+points.  Word integrals run over batches of words and points, mesh by mesh
+(integrate_words): on one mesh, a truncation horizon at one refinement
+level, each letter exponent's node powers are formed once and each shared
+word prefix is integrated once, over every point that needs it.  Every
+word keeps, at every point, its own horizon, refinement depth and error
+estimate, bit for bit as in a one-word, one-point call.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
+from .theta import TruncationError
 from .words import Letter, Word
 
 REF_TOL = 1e-15  # theta accuracy at mesh nodes; below every engine tolerance
@@ -128,7 +132,11 @@ class PanelMesh:
         carries = np.zeros_like(panel_ints)
         np.cumsum(panel_ints[..., :-1], axis=-1, out=carries[..., 1:])
         half = self.widths / 2.0
-        inner = carries[..., None] + half[:, None] * (segs @ self.int_matrix.T)
+        # in place, operands in the order of
+        # carries + half * (segs @ int_matrix.T), which fixes the rounding
+        inner = segs @ self.int_matrix.T
+        np.multiply(half[:, None], inner, out=inner)
+        np.add(carries[..., None], inner, out=inner)
         return inner.reshape(f.shape)
 
 
@@ -229,70 +237,265 @@ def truncation_horizon(word: Word, s: Sequence[complex], params: EvalParams) -> 
 # ---------------------------------------------------------------------------
 
 
-def _letter_phi(letter: Letter, e: np.ndarray, m: PanelMesh, max_terms: int) -> np.ndarray:
-    power = m.nodes ** (e[:, None] - 1.0)
-    if letter.part == "mono":
-        return float(letter.coeff) * power
-    return m.theta_values(letter.theta, letter.part, max_terms) * power
-
-
 # complex node values one letter array may hold; larger batches of points
 # are integrated in row blocks, so deep refinements stay within memory
 ROW_BUDGET = 1 << 17
 
 
-def integrate_word_on_mesh(
-    word: Word, exps: np.ndarray, m: PanelMesh, params: EvalParams
-) -> np.ndarray:
-    """Iterated integral of the word over the mesh interval (exact panels).
+class _Prefix:
+    """A word prefix on one mesh: the rows of the words that share it, the
+    words that end with it, and the prefixes one letter longer, by (letter,
+    column)."""
 
-    exps[i, j] is the exponent of letter j at point i; returns one integral
-    per point.
+    __slots__ = ("rows", "ends", "after")
+
+    def __init__(self):
+        self.rows: list = []  # one row array per word sharing the prefix
+        self.ends: list = []  # (word index, rows) of the words ending here
+        self.after: dict = {}
+
+
+def _union(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.unique(np.concatenate(arrays))
+
+
+def _take(values, have: np.ndarray | None, rows: np.ndarray):
+    """values, one entry per point of have, at rows, a subset of have."""
+    if have is None or have.size == rows.size:
+        return values
+    return values[np.searchsorted(have, rows)]
+
+
+def _phi(letter: Letter, power: np.ndarray, nodal: dict, out) -> np.ndarray:
+    """The letter's integrand at the nodes: its node values times power."""
+    if letter.part == "mono":
+        return np.multiply(float(letter.coeff), power, out=out)
+    return np.multiply(nodal[letter.theta, letter.part], power, out=out)
+
+
+def _integrate_prefixes(m: PanelMesh, exps: np.ndarray, nodal: dict, jobs, pieces: dict) -> None:
+    """Integrate the words of jobs, (word index, word, columns, rows), on
+    mesh m, appending each word's integrals at its rows to pieces[index].
+
+    The prefixes are walked depth first.  A column's node powers are formed
+    at its first use, over the rows of every word that needs them, and
+    dropped after its last use; a prefix's inner integral is dropped as soon
+    as the last of its longer prefixes has used it.
+    """
+    if len(jobs) == 1:
+        # nothing to share: the word's letters in turn, without the prefix tree
+        ((k, word, cols, rows),) = jobs
+        f = 1.0
+        for j, (letter, c) in enumerate(zip(word, cols.tolist())):
+            if j:
+                f = m.cumulative(f)
+            power = m.nodes ** (exps[rows, c][:, None] - 1.0)
+            f = np.multiply(_phi(letter, power, nodal, power), f, out=power)
+        pieces[k].append(m.integral(f))
+        return
+    root = _Prefix()
+    col_rows: dict = {}
+    for k, word, cols, rows in jobs:
+        node = root
+        for key in zip(word, cols.tolist()):
+            child = node.after.get(key)
+            if child is None:
+                child = node.after[key] = _Prefix()
+            child.rows.append(rows)
+            col_rows.setdefault(key[1], []).append(rows)
+            node = child
+        node.ends.append((k, rows))
+    uses = {c: len(v) for c, v in col_rows.items()}
+    powers: dict = {}
+    # frames: [longer prefixes still to integrate, inner integral, its rows]
+    stack = [[list(root.after.items()), 1.0, None]]
+    while stack:
+        todo, inner, inner_rows = stack[-1]
+        (letter, c), node = todo.pop()
+        if not todo:
+            stack.pop()
+        rows = _union(node.rows)
+        if c not in powers:
+            have = _union(col_rows[c])
+            powers[c] = (have, m.nodes ** (exps[have, c][:, None] - 1.0))
+        have, power = powers[c]
+        power = _take(power, have, rows)
+        uses[c] -= len(node.rows)
+        # the last user of a column's powers may overwrite them
+        out = power if not uses[c] and power is powers.pop(c)[1] else None
+        f = _phi(letter, power, nodal, out)
+        del power
+        np.multiply(f, _take(inner, inner_rows, rows), out=f)
+        del inner
+        for k, r in node.ends:
+            pieces[k].append(m.integral(_take(f, rows, r)))
+        if node.after:
+            more = _union([r for g in node.after.values() for r in g.rows])
+            stack.append([list(node.after.items()), m.cumulative(_take(f, rows, more)), more])
+        del f
+
+
+def integrate_word_on_mesh(
+    words: Sequence[Word],
+    cols: Sequence[np.ndarray],
+    exps: np.ndarray,
+    rows: Sequence[np.ndarray],
+    m: PanelMesh,
+    params: EvalParams,
+) -> list:
+    """Iterated integrals of words over one mesh (exact panels).
+
+    Word k is integrated at the points rows[k] (ascending), where its letter
+    j has the exponent exps[i, cols[k][j]] at point i.  Each exponent
+    column's node powers t^(e-1) are formed once, over every point that
+    needs them, and each distinct prefix (letters and columns) is
+    integrated once, over the points of all words that share it; the
+    prefixes are walked depth first, so one inner array per depth is live.
+    Entry k of the result is word k's integrals at rows[k], or the
+    TruncationError raised for the node values of its first letter that
+    has none.
+    """
+    out: list = [None] * len(words)
+    nodal: dict = {}
+    for k, word in enumerate(words):
+        for letter in word:
+            if letter.part == "mono":
+                continue
+            key = (letter.theta, letter.part)
+            if key not in nodal:
+                try:
+                    nodal[key] = m.theta_values(letter.theta, letter.part, params.max_terms)
+                except TruncationError as exc:
+                    nodal[key] = exc
+            if isinstance(nodal[key], TruncationError):
+                out[k] = nodal[key]
+                break
+    live = [k for k in range(len(words)) if out[k] is None]
+    if not live:
+        return out
+    pieces: dict[int, list] = {k: [] for k in live}
+    step = max(1, ROW_BUDGET // m.nodes.size)
+    bounds = [None]  # one block of every row
+    if sum(rows[k].size for k in live) > step:
+        every = _union([rows[k] for k in live])
+        bounds = [(every[lo], every[min(lo + step, every.size) - 1])
+                  for lo in range(0, every.size, step)]
+    for bound in bounds:
+        jobs = []
+        for k in live:
+            r = rows[k]
+            if bound is not None:
+                r = r[np.searchsorted(r, bound[0]) : np.searchsorted(r, bound[1], "right")]
+            if r.size:
+                jobs.append((k, words[k], cols[k], r))
+        _integrate_prefixes(m, exps, nodal, jobs, pieces)
+    for k in live:
+        out[k] = pieces[k][0] if len(pieces[k]) == 1 else np.concatenate(pieces[k])
+    return out
+
+
+class _Job:
+    """A word at the points that share its mesh, while it is refined."""
+
+    __slots__ = ("k", "rows", "v0", "est")
+
+    def __init__(self, k: int, rows: np.ndarray):
+        self.k = k
+        self.rows = rows
+        self.v0 = None
+        self.est = np.full(rows.size, math.inf)
+
+
+def integrate_words(
+    words: Sequence[Word],
+    cols: Sequence[np.ndarray],
+    exps: np.ndarray,
+    params: EvalParams,
+    edges: tuple[float, ...] | None = None,
+    slack: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Iterated integrals of many words at many points, refined to tolerance.
+
+    exps[i, c] is exponent column c at point i, and cols[k][j] the column
+    of letter j of words[k]; returns values and error estimates of shape
+    (points, words).  Without edges every word runs over [1, inf), cut at
+    its truncation horizon at each point, and the certified truncation
+    bound abs_tol * horizon_safety is its slack; with edges every word runs
+    over that mesh with the given slack.  Each (word, mesh) job is refined
+    until each point's estimate |v1 - v0| + slack meets abs_tol; a point
+    leaves at the first level where its own estimate does.
+
+    Jobs run mesh by mesh, by horizon and then refinement level, so that all
+    words on one mesh share their node powers and prefixes
+    (integrate_word_on_mesh).  A failure raises for the whole call: that of
+    the lowest-index failing word, at its smallest failing horizon.
     """
     n = exps.shape[0]
-    if not word:
-        return np.ones(n, dtype=complex)
-    step = max(1, ROW_BUDGET // m.nodes.size)
-    if n > step:
-        blocks = [exps[lo : lo + step] for lo in range(0, n, step)]
-        return np.concatenate([integrate_word_on_mesh(word, b, m, params) for b in blocks])
-    inner = 1.0
-    for j, letter in enumerate(word[:-1]):
-        inner = m.cumulative(_letter_phi(letter, exps[:, j], m, params.max_terms) * inner)
-    f = _letter_phi(word[-1], exps[:, -1], m, params.max_terms) * inner
-    return m.integral(f)
-
-
-def _refine_until(
-    word: Word,
-    exps: np.ndarray,
-    edges: tuple[float, ...],
-    params: EvalParams,
-    slack: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refine the mesh until each point's estimate |v1 - v0| + slack meets
-    abs_tol; a point leaves at the first level where its own estimate does."""
-    n = exps.shape[0]
-    values = np.empty(n, dtype=complex)
-    errs = np.empty(n)
-    rows = np.arange(n)
-    m0 = mesh(edges, params.quad_order)
-    v0 = integrate_word_on_mesh(word, exps, m0, params)
-    est = np.full(n, math.inf)
-    for _ in range(params.max_refine):
-        m1 = m0.refined()
-        v1 = integrate_word_on_mesh(word, exps[rows], m1, params)
-        est = np.abs(v1 - v0) + slack
-        done = est <= params.abs_tol
-        values[rows[done]] = v1[done]
-        errs[rows[done]] = est[done]
-        rows, v0, est, m0 = rows[~done], v1[~done], est[~done], m1
-        if not rows.size:
-            return values, errs
-    raise QuadratureError(
-        f"estimate {est[0]:.3e} above {params.abs_tol:.1e} after "
-        f"{params.max_refine} refinements"
-    )
+    # one row per word, returned transposed
+    values = np.ones((len(words), n), dtype=complex)
+    errs = np.zeros((len(words), n))
+    failed: dict[tuple, Exception] = {}  # (word, edges) -> its failure
+    meshes: dict[tuple[float, ...], list[_Job]] = {}
+    if edges is None:
+        slack = params.abs_tol * params.horizon_safety
+    for k, word in enumerate(words):
+        if not word:
+            continue
+        if edges is not None:
+            meshes.setdefault(edges, []).append(_Job(k, np.arange(n)))
+            continue
+        try:
+            horizons = truncation_horizons(word, exps[:, cols[k]], params)
+        except (QuadratureError, TruncationError) as exc:
+            failed[k, ()] = exc  # before any of the word's meshes
+            continue
+        for t_max in sorted(set(horizons.tolist())):
+            job = _Job(k, np.flatnonzero(horizons == t_max))
+            meshes.setdefault(doubling_edges(1.0, t_max), []).append(job)
+    for key in sorted(meshes):
+        jobs = meshes[key]
+        m = mesh(key, params.quad_order)
+        for level in range(params.max_refine + 1):
+            if failed:
+                # a later word's or horizon's failure could not be the one raised
+                first = min(failed)
+                jobs = [job for job in jobs if (job.k, key) < first]
+            if not jobs:
+                break
+            if level:
+                m = m.refined()
+            results = integrate_word_on_mesh(
+                [words[job.k] for job in jobs],
+                [cols[job.k] for job in jobs],
+                exps,
+                [job.rows for job in jobs],
+                m,
+                params,
+            )
+            kept = []
+            for job, v1 in zip(jobs, results):
+                if isinstance(v1, TruncationError):
+                    failed[job.k, key] = v1
+                    continue
+                if level:
+                    est = np.abs(v1 - job.v0) + slack
+                    done = est <= params.abs_tol
+                    values[job.k][job.rows[done]] = v1[done]
+                    errs[job.k][job.rows[done]] = est[done]
+                    job.rows, v1, job.est = job.rows[~done], v1[~done], est[~done]
+                job.v0 = v1
+                if job.rows.size:
+                    kept.append(job)
+            jobs = kept
+        else:
+            for job in jobs:
+                failed[job.k, key] = QuadratureError(
+                    f"estimate {job.est[0]:.3e} above {params.abs_tol:.1e} after "
+                    f"{params.max_refine} refinements"
+                )
+    if failed:
+        raise failed[min(failed)]
+    return values.T, errs.T
 
 
 def tail_word_integrals(
@@ -301,20 +504,10 @@ def tail_word_integrals(
     """tail_word_integral at many points at once.
 
     exps[i, j] is the exponent of letter j at point i.  Each point keeps
-    its own truncation horizon; points sharing one are integrated together.
+    its own truncation horizon, refinement depth and error estimate.
     """
-    n = exps.shape[0]
-    if not word:
-        return np.ones(n, dtype=complex), np.zeros(n)
-    horizons = truncation_horizons(word, exps, params)
-    values = np.empty(n, dtype=complex)
-    errs = np.empty(n)
-    slack = params.abs_tol * params.horizon_safety
-    for t_max in sorted(set(horizons.tolist())):
-        rows = np.flatnonzero(horizons == t_max)
-        edges = doubling_edges(1.0, t_max)
-        values[rows], errs[rows] = _refine_until(word, exps[rows], edges, params, slack)
-    return values, errs
+    values, errs = integrate_words((word,), (np.arange(len(word)),), exps, params)
+    return values[:, 0], errs[:, 0]
 
 
 def tail_word_integral(
@@ -339,10 +532,10 @@ def word_integral_on_interval(
 ) -> tuple[complex, float]:
     """Iterated integral over a finite mesh, refined to tolerance."""
     params = params or EvalParams()
-    if not word:
-        return 1.0 + 0.0j, 0.0
-    values, errs = _refine_until(word, letter_exponents(word, s), edges, params, slack)
-    return complex(values[0]), float(errs[0])
+    values, errs = integrate_words(
+        (word,), (np.arange(len(word)),), letter_exponents(word, s), params, edges, slack
+    )
+    return complex(values[0, 0]), float(errs[0, 0])
 
 
 def composition_split(

@@ -336,13 +336,13 @@ def tangent_word_integral(word) -> RationalCombination:
             return RationalCombination.zero()
         choices.append(opts)
 
-    total = RationalCombination.zero()
+    terms: list[tuple[Fraction, tuple[AffineForm, ...]]] = []
     stack: list[tuple[int, Fraction, list[AffineForm]]] = [(0, Fraction(1), [])]
     while stack:
         depth, coeff, forms = stack.pop()
         if depth == len(choices):
-            total = total + simplex_monomial(forms).scale(coeff)
+            terms.extend(simplex_monomial(forms).scale(coeff).terms)
             continue
         for c, f in choices[depth]:
             stack.append((depth + 1, coeff * c, forms + [f]))
-    return total.merged()
+    return RationalCombination(tuple(terms)).merged()

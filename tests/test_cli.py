@@ -28,6 +28,27 @@ class TestEval:
         payload = json.loads(out)
         assert math.isfinite(payload["re"]) and payload["warnings"] == []
 
+    def test_lstar_evaluates_once(self, capsys, monkeypatch):
+        from itermellin import engine
+        from itermellin.theta import make_builtin_theta
+
+        calls = []
+        many = engine.lambda_eval_many
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return many(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "lambda_eval_many", counted)
+        code, out, _ = run(
+            capsys, "eval", "--theta", "delta", "--s", "6", "--lstar", "--format", "json"
+        )
+        assert code == 0 and len(calls) == 1
+        expr = engine.build_expression((make_builtin_theta("delta"),))
+        value, err = engine.lstar_eval(expr, (6,))
+        payload = json.loads(out)
+        assert (payload["re"], payload["im"], payload["err"]) == (value.real, value.imag, err)
+
     def test_pole_exit_code(self, capsys):
         code, _, err = run(capsys, "eval", "--theta", "riemann", "--s", "1")
         assert code == 3

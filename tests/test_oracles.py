@@ -205,6 +205,13 @@ class TestXiViaEisenstein:
         with pytest.raises(ValueError):
             oracles.xi_via_eisenstein(0.2, 0.2, P)
 
+    def test_pinned_value(self):
+        # recorded when E0 was still formed by real_eisenstein at each
+        # abscissa; reusing the xi pair must not move it
+        value = oracles.xi_via_eisenstein(0.8 + 0.3j, 0.9 - 0.2j, P)
+        pinned = 0.1253513720111739 - 0.3211220146728492j
+        assert abs(value - pinned) <= 1e-14 * abs(pinned)
+
 
 class TestEichler:
     def test_22_value(self):

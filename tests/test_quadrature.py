@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc, gamma as gamma_fn
 
+from itermellin import quadrature
+from itermellin.cli import main
+from itermellin.engine import build_expression
 from itermellin.quadrature import (
     EvalParams,
     QuadratureError,
     composition_split,
     doubling_edges,
+    integrate_words,
     letter_exponents,
     tail_word_integral,
     tail_word_integrals,
@@ -18,7 +22,7 @@ from itermellin.quadrature import (
     word_integral_on_interval,
 )
 from itermellin.ratfun import AffineForm
-from itermellin.theta import make_builtin_theta
+from itermellin.theta import TruncationError, make_builtin_theta
 from itermellin.words import Letter
 
 
@@ -189,6 +193,93 @@ class TestBatchedWords:
         values, errs = tail_word_integrals(word, exps, EvalParams())
         for s, v, e in zip(points, values, errs):
             assert (complex(v), float(e)) == tail_word_integral(word, s, EvalParams())
+
+
+def exponent_columns(words, points):
+    """The words' distinct letter exponents at the points, one column each,
+    formed as letter_exponents forms them, and each word's columns."""
+    forms: dict = {}
+    cols = [np.array([forms.setdefault(l.exponent, len(forms)) for l in w], dtype=int)
+            for w in words]
+    exps = np.array([[complex(f(s)) for f in forms] for s in points], dtype=complex)
+    return cols, exps
+
+
+class TestMeshMajor:
+    """integrate_words runs all words of a chunk mesh by mesh, sharing node
+    powers and prefixes; each word at each point must still come out bit
+    for bit as a one-word, one-point call, with the same failure."""
+
+    def assert_one_word_calls(self, words, points, params):
+        cols, exps = exponent_columns(words, points)
+        values, errs = integrate_words(words, cols, exps, params)
+        for k, word in enumerate(words):
+            for i, s in enumerate(points):
+                one = tail_word_integral(word, s, params)
+                assert (complex(values[i, k]), float(errs[i, k])) == one
+
+    def test_riemann_r4(self):
+        words = build_expression((make_builtin_theta("riemann"),) * 4).plan.words
+        points = [(2.0, 1.5, 0.5 + 1j, -1.25 + 0.5j), (0.3 + 2.1j, -1.2 + 0.4j, 1.7 - 2.2j, 2.5)]
+        self.assert_one_word_calls(words, points, EvalParams())
+
+    @pytest.mark.parametrize("row_budget", [quadrature.ROW_BUDGET, 1])
+    def test_mixed_horizons_and_refinement_exits(self, monkeypatch, row_budget):
+        monkeypatch.setattr(quadrature, "ROW_BUDGET", row_budget)
+        names = ("theta_plus", "riemann", "jacobi3")
+        words = build_expression(tuple(make_builtin_theta(n) for n in names)).plan.words
+        points = [(-1.6 + 0.3j, -0.8 + 0.6j, 0.8 - 2.6j), (2.0 - 0.1j, 0.8 - 2.1j, 0.8 + 2.2j),
+                  (-5.5 + 4.5j, 3.2 - 6.1j, -2.5 + 5.5j), (1.3 + 2.5j, -0.6 + 1.8j, -0.3 + 2.6j)]
+        # a coarse node set, so that words leave refinement at different levels
+        params = EvalParams(quad_order=8)
+        self.assert_one_word_calls(words, points, params)
+        meshes = []
+        on_mesh = quadrature.integrate_word_on_mesh
+        monkeypatch.setattr(quadrature, "integrate_word_on_mesh",
+                            lambda *a: meshes.append(a[4]) or on_mesh(*a))
+        horizons, depths = set(), set()
+        for word in filter(None, words):
+            for s in points:
+                meshes.clear()
+                tail_word_integral(word, s, params)
+                horizons.add(meshes[0].edges[-1])
+                depths.add(len(meshes) - 1)
+        assert len(horizons) >= 2 and len(depths) >= 2
+
+    def test_failure_of_the_first_failing_word(self):
+        """Mesh by mesh, word b's node values fail on the first mesh, long
+        before word a fails refinement; either order raises the failure of
+        the first word, as one-word calls in turn would."""
+        rie = make_builtin_theta("riemann")
+        e4 = make_builtin_theta("eisenstein", 4)
+        j3 = make_builtin_theta("jacobi3")
+        a = (Letter(rie, "full", slot(0, 2)), Letter(j3, "tail", slot(1, 2)))
+        b = (Letter(e4, "tail", slot(1, 2)),)
+        c = (Letter(j3, "tail", slot(1, 2)),)
+        params = EvalParams(abs_tol=1e-16, max_refine=1, quad_order=4, max_terms=4)
+        points = [(2.0, 1.5), (1.1 - 3j, 2.5 + 1j)]
+        cases = [((a, b), QuadratureError), ((b, a), TruncationError),
+                 ((a, c), QuadratureError), ((c, a), QuadratureError)]
+        messages = []
+        for words, error in cases:
+            with pytest.raises(error) as one:
+                tail_word_integrals(words[0], np.vstack([letter_exponents(words[0], s)
+                                                         for s in points]), params)
+            cols, exps = exponent_columns(words, points)
+            with pytest.raises(error) as many:
+                integrate_words(words, cols, exps, params)
+            assert str(many.value) == str(one.value)
+            messages.append(str(one.value))
+        assert messages[2] != messages[3]
+
+    def test_radius8_request_fails_as_before(self, capsys):
+        code = main(["eval", "--theta", "theta-,jacobi:3,jacobi:2,theta-",
+                     "--s=-6.465977-5.167086i,-5.273694+2.386160i,"
+                     "-6.910034+3.441692i,-7.555115+0.577172i"])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "numeric failure: estimate 4.810e-09 above 1.0e-10 after 8 refinements\n"
+        )
 
 
 class TestMesh:

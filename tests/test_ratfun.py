@@ -113,6 +113,54 @@ class TestTangentWordIntegral:
         assert tangent_word_integral(word).is_zero()
 
 
+def incremental_tangent_word_integral(word) -> RationalCombination:
+    """The former tangent_word_integral, merging after every monomial."""
+    choices = []
+    for letter in word:
+        if letter.part == "mono":
+            choices.append([(letter.coeff, letter.exponent)])
+        else:
+            choices.append([(c, letter.exponent.shift(e)) for c, e in letter.theta.poly_part])
+    total = RationalCombination.zero()
+    stack = [(0, Fraction(1), [])]
+    while stack:
+        depth, coeff, forms = stack.pop()
+        if depth == len(choices):
+            total = total + simplex_monomial(forms).scale(coeff)
+            continue
+        for c, f in choices[depth]:
+            stack.append((depth + 1, coeff * c, forms + [f]))
+    return total.merged()
+
+
+def as_pairs(rc: RationalCombination) -> set:
+    return {(c, tuple(sorted((f.const, f.coeffs) for f in forms))) for c, forms in rc.terms}
+
+
+class TestTangentMergedOnce:
+    @pytest.mark.parametrize(
+        "names",
+        [("riemann",) * r for r in range(1, 5)] + [(("eisenstein", 4), ("delta",))],
+    )
+    def test_same_combination_as_incremental_merge(self, names, monkeypatch):
+        from itermellin import engine
+
+        thetas = tuple(
+            make_builtin_theta(n) if isinstance(n, str) else make_builtin_theta(*n)
+            for n in names
+        )
+        words = []
+        monkeypatch.setattr(
+            engine, "tangent_word_integral", lambda w: words.append(w) or tangent_word_integral(w)
+        )
+        engine.build_expression(thetas)
+        assert words
+        for word in words:
+            got = tangent_word_integral(word)
+            assert as_pairs(got) == as_pairs(incremental_tangent_word_integral(word))
+            assert len(got.terms) == len(as_pairs(got))
+
+
 class TestEvalAndPoles:
     def test_eval_examples(self):
         rc = simplex_monomial([s(1, 2), s(0, 2)])
