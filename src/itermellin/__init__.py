@@ -8,7 +8,6 @@ from .theta import (
     ThetaFunction,
     TruncationError,
     ValidationError,
-    apply_top,
     convolve,
     d_w,
     differentiate,
@@ -44,7 +43,6 @@ __all__ = [
     "ThetaFunction",
     "TruncationError",
     "ValidationError",
-    "apply_top",
     "build_expression",
     "build_tail_expression",
     "convolve",

@@ -185,20 +185,27 @@ def _check_tuple(thetas: Sequence[ThetaFunction]) -> tuple[ThetaFunction, ...]:
     return thetas
 
 
-def _expand_boundary(letters: tuple[Letter, ...]):
+def _expand_boundary(
+    letters: tuple[Letter, ...], tangents: dict[Word, RationalCombination]
+):
     """Expand an R-factor into (sign, numeric word, tangent rc) triples.
 
     For each cut i, the first i letters are regularized into numeric words
     and the remaining letters contribute the reversed polynomial word
-    integrated over the tangent space at infinity.
+    integrated over the tangent space at infinity.  The same reversed
+    suffixes recur across cuts and halves, so `tangents` memoizes their
+    integrals over one compile.
     """
     m = len(letters)
+    poly = [l.with_part("poly") for l in letters]
     out = []
     for i in range(m, -1, -1):
-        tangent_word = tuple(l.with_part("poly") for l in reversed(letters[i:]))
+        tangent_word = tuple(reversed(poly[i:]))
         if any(not l.theta.poly_part for l in tangent_word):
             continue
-        rc = tangent_word_integral(tangent_word)
+        rc = tangents.get(tangent_word)
+        if rc is None:
+            rc = tangents[tangent_word] = tangent_word_integral(tangent_word)
         if rc.is_zero():
             continue
         sign = (-1) ** (m - i)
@@ -208,12 +215,10 @@ def _expand_boundary(letters: tuple[Letter, ...]):
 
 
 def _collect_poles(terms) -> tuple[AffineForm, ...]:
-    seen: dict[tuple, AffineForm] = {}
-    for term in terms:
-        for f in term.tangent.denominator_forms():
-            canon = f.canonical()
-            seen.setdefault((canon.const, canon.coeffs), canon)
-    return tuple(sorted(seen.values(), key=str))
+    """Canonical pole forms of the terms' tangents, each distinct form once."""
+    tangents = {id(term.tangent): term.tangent for term in terms}
+    forms = {f for rc in tangents.values() for _, fs in rc.terms for f in fs}
+    return tuple(sorted({f.canonical() for f in forms}, key=str))
 
 
 def build_expression(thetas: Sequence[ThetaFunction]) -> LambdaExpression:
@@ -221,11 +226,12 @@ def build_expression(thetas: Sequence[ThetaFunction]) -> LambdaExpression:
     thetas = _check_tuple(thetas)
     r = len(thetas)
     slots = [AffineForm.slot(i, r) for i in range(r)]
+    tangents: dict[Word, RationalCombination] = {}
+    # keyed by the ids of factors that `tangents` keeps alive
+    products: dict[tuple[int, int], RationalCombination] = {}
     terms: list[LambdaTerm] = []
     for k in range(r + 1):
-        eps = Fraction(1)
-        for th in thetas[:k]:
-            eps *= th.sign
+        eps = functional_sign(thetas[:k])
         left = tuple(
             Letter(
                 thetas[j].dual,
@@ -235,12 +241,19 @@ def build_expression(thetas: Sequence[ThetaFunction]) -> LambdaExpression:
             for j in range(k - 1, -1, -1)
         )
         right = tuple(Letter(thetas[j], "full", slots[j]) for j in range(k, r))
-        for c1, w1, rc1 in _expand_boundary(left):
-            for c2, w2, rc2 in _expand_boundary(right):
+        rights = _expand_boundary(right, tangents)
+        for c1, w1, rc1 in _expand_boundary(left, tangents):
+            for c2, w2, rc2 in rights:
                 coeff = eps * c1 * c2
-                tangent = rc1 * rc2
+                key = (id(rc1), id(rc2))
+                if key not in products:
+                    products[key] = rc1 * rc2
+                # each pair of words keeps its own tangent object: the plan
+                # lowers each object to its own parts, and that layout fixes
+                # the rounding of the tangent sums
+                tangent = RationalCombination(products[key].terms)
                 for word, mult in shuffle(w1, w2).terms.items():
-                    terms.append(LambdaTerm(coeff * mult, word, tangent))
+                    terms.append(LambdaTerm(Fraction(coeff * mult), word, tangent))
     return LambdaExpression(thetas, tuple(terms), _collect_poles(terms))
 
 

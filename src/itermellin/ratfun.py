@@ -231,14 +231,6 @@ class RationalCombination:
             tuple((c, keys[k]) for k, c in acc.items() if c != 0)
         )
 
-    def denominator_forms(self) -> list[AffineForm]:
-        seen: dict[tuple, AffineForm] = {}
-        for _, forms in self.terms:
-            for f in forms:
-                canon = f.canonical()
-                seen.setdefault((canon.const, canon.coeffs), f)
-        return list(seen.values())
-
     def __call__(self, point: Sequence):
         """Evaluate exactly, casting to complex only at the end.
 

@@ -877,26 +877,6 @@ def pointwise_product(t1: ThetaFunction, t2: ThetaFunction) -> ThetaFunction:
     return result
 
 
-def apply_top(op: str, theta: ThetaFunction, *args) -> ThetaFunction:
-    """Dispatch for the registered transforms.
-
-    op in {mul_monomial, rescale, differentiate, d_w, pointwise_product};
-    extra positional arguments as the individual functions require.
-    """
-    table = {
-        "mul_monomial": mul_monomial,
-        "rescale": rescale,
-        "differentiate": differentiate,
-        "d_w": d_w,
-        "pointwise_product": pointwise_product,
-    }
-    try:
-        fn = table[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}") from None
-    return fn(theta, *args)
-
-
 # ---------------------------------------------------------------------------
 # tail convolution
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from typing import Iterator
 
 from .ratfun import AffineForm
@@ -65,12 +67,7 @@ class WordSum:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Word, int] | None = None):
-        self.terms: dict[Word, int] = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    self.terms[w] = self.terms.get(w, 0) + c
-            self.terms = {w: c for w, c in self.terms.items() if c}
+        self.terms: dict[Word, int] = {w: c for w, c in (terms or {}).items() if c}
 
     @staticmethod
     def zero() -> "WordSum":
@@ -105,10 +102,11 @@ class WordSum:
         return sum(abs(c) for c in self.terms.values())
 
     def map_words(self, fn) -> "WordSum":
-        out = WordSum()
+        out: dict[Word, int] = {}
         for w, c in self.terms.items():
-            out = out + fn(w).scale(c)
-        return out
+            for w2, c2 in fn(w).terms.items():
+                out[w2] = out.get(w2, 0) + c * c2
+        return WordSum(out)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -126,42 +124,58 @@ def _word_key(word: Word):
     return tuple((l.theta.name, l.part, str(l.exponent)) for l in word)
 
 
+@lru_cache(maxsize=None)
+def _interleavings(p: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """Index patterns into u + v of every interleaving of |u| = p, |v| = q.
+
+    Ordered by the positions of u's letters, lexicographically: the
+    interleavings that take u's next letter first come first.
+    """
+    out = []
+    for upos in combinations(range(p + q), p):
+        ui, vi = iter(range(p)), iter(range(p, p + q))
+        out.append(tuple(next(ui) if k in upos else next(vi) for k in range(p + q)))
+    return tuple(out)
+
+
 def shuffle(u: Word, v: Word) -> WordSum:
-    """Sum over all interleavings of u and v preserving internal orders."""
-    u, v = tuple(u), tuple(v)
-    if not u:
-        return WordSum.single(v)
-    if not v:
-        return WordSum.single(u)
-    left = shuffle(u[1:], v).map_words(lambda w: WordSum.single((u[0],) + w))
-    right = shuffle(u, v[1:]).map_words(lambda w: WordSum.single((v[0],) + w))
-    return left + right
+    """Sum over all interleavings of u and v preserving internal orders.
+
+    Words arising from several interleavings (repeated letters) merge at
+    their first position.
+    """
+    uv = tuple(u) + tuple(v)
+    out: dict[Word, int] = {}
+    for pattern in _interleavings(len(u), len(uv) - len(u)):
+        word = tuple(map(uv.__getitem__, pattern))
+        out[word] = out.get(word, 0) + 1
+    return WordSum(out)
 
 
 def regularize(word: Word) -> WordSum:
     """Regularization of a word of full letters.
 
-    Recursively: reg(L1..Ln) = L1 . reg(L2..Ln) - Ln_poly . reg(L1..L(n-1)),
-    with reg(L) = L_tail and reg of the empty word the empty word.  Every
+    reg(L1..Ln) = L1 . reg(L2..Ln) - Ln_poly . reg(L1..L(n-1)), with
+    reg(L) = L_tail and reg of the empty word the empty word.  Every
     output word ends in a tail letter; non-final letters are full or poly.
+    The two halves start with a full and a poly letter, so no words merge;
+    each contiguous subword is regularized once, shortest first.
     """
     word = tuple(word)
     if any(l.part != "full" for l in word):
         raise ValueError("regularize expects full letters")
-    return _regularize(word)
-
-
-def _regularize(word: Word) -> WordSum:
     if not word:
         return WordSum.single(())
-    if len(word) == 1:
-        return WordSum.single((word[0].with_part("tail"),))
-    head, last = word[0], word[-1]
-    left = _regularize(word[1:]).map_words(lambda w: WordSum.single((head,) + w))
-    right = _regularize(word[:-1]).map_words(
-        lambda w: WordSum.single((last.with_part("poly"),) + w)
-    )
-    return left - right
+    poly = [l.with_part("poly") for l in word]
+    # level[i]: (word, coeff) pairs of reg(word[i : i + length])
+    level = [[((l.with_part("tail"),), 1)] for l in word]
+    for length in range(2, len(word) + 1):
+        level = [
+            [((word[i],) + w, c) for w, c in level[i + 1]]
+            + [((poly[i + length - 1],) + w, -c) for w, c in level[i]]
+            for i in range(len(word) - length + 1)
+        ]
+    return WordSum(dict(level[0]))
 
 
 def regularize_closed(word: Word) -> WordSum:
@@ -189,20 +203,14 @@ def expand_full(ws: WordSum) -> WordSum:
     """Replace every full letter by its poly + tail decomposition."""
 
     def expand_word(word: Word) -> WordSum:
-        out = WordSum.single(())
+        out: dict[Word, int] = {(): 1}
         for letter in word:
             if letter.part == "full":
-                branch = WordSum.single((letter.with_part("poly"),)) + WordSum.single(
-                    (letter.with_part("tail"),)
-                )
+                branch = (letter.with_part("poly"), letter.with_part("tail"))
             else:
-                branch = WordSum.single((letter,))
-            acc = WordSum()
-            for w, c in out.terms.items():
-                for b, cb in branch.terms.items():
-                    acc = acc + WordSum.single(w + b, c * cb)
-            out = acc
-        return out
+                branch = (letter,)
+            out = {w + (b,): c for w, c in out.items() for b in branch}
+        return WordSum(out)
 
     return ws.map_words(expand_word)
 

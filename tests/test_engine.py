@@ -18,8 +18,10 @@ from itermellin.engine import (
     residue,
 )
 from itermellin.quadrature import EvalParams
-from itermellin.ratfun import AffineForm, PoleSignal
+from itermellin.cli import parse_theta_token
+from itermellin.ratfun import AffineForm, PoleSignal, tangent_word_integral
 from itermellin.theta import make_builtin_theta, parse_theta_text, rescale
+from itermellin.words import Letter, WordSum
 
 PI = math.pi
 P = EvalParams()
@@ -329,6 +331,136 @@ class TestTailExpression:
         for term in td.terms:
             if term.word:
                 assert term.word[-1].part == "tail"
+
+
+# The compile as it was before each piece of symbolic work was done once:
+# recursive shuffle and regularization over WordSum's rebuilding map_words,
+# and the right half expanded again for every left expansion.
+
+
+def ref_map_words(ws, fn):
+    out = WordSum()
+    for w, c in ws.terms.items():
+        out = out + fn(w).scale(c)
+    return out
+
+
+def ref_shuffle(u, v):
+    u, v = tuple(u), tuple(v)
+    if not u:
+        return WordSum.single(v)
+    if not v:
+        return WordSum.single(u)
+    left = ref_map_words(ref_shuffle(u[1:], v), lambda w: WordSum.single((u[0],) + w))
+    right = ref_map_words(ref_shuffle(u, v[1:]), lambda w: WordSum.single((v[0],) + w))
+    return left + right
+
+
+def ref_regularize(word):
+    if not word:
+        return WordSum.single(())
+    if len(word) == 1:
+        return WordSum.single((word[0].with_part("tail"),))
+    head, last = word[0], word[-1]
+    left = ref_map_words(ref_regularize(word[1:]), lambda w: WordSum.single((head,) + w))
+    right = ref_map_words(
+        ref_regularize(word[:-1]), lambda w: WordSum.single((last.with_part("poly"),) + w)
+    )
+    return left - right
+
+
+def ref_expand_boundary(letters):
+    m = len(letters)
+    out = []
+    for i in range(m, -1, -1):
+        tangent_word = tuple(l.with_part("poly") for l in reversed(letters[i:]))
+        if any(not l.theta.poly_part for l in tangent_word):
+            continue
+        rc = tangent_word_integral(tangent_word)
+        if rc.is_zero():
+            continue
+        for word, c in ref_regularize(letters[:i]).terms.items():
+            out.append(((-1) ** (m - i) * c, word, rc))
+    return out
+
+
+def ref_poles(terms):
+    seen = {}
+    for term in terms:
+        for _, forms in term.tangent.terms:
+            for f in forms:
+                canon = f.canonical()
+                seen.setdefault((canon.const, canon.coeffs), canon)
+    return tuple(sorted(seen.values(), key=str))
+
+
+def ref_build_expression(thetas):
+    r = len(thetas)
+    slots = [AffineForm.slot(i, r) for i in range(r)]
+    terms = []
+    for k in range(r + 1):
+        eps = Fraction(1)
+        for th in thetas[:k]:
+            eps *= th.sign
+        left = tuple(
+            Letter(thetas[j].dual, "full", AffineForm.constant(thetas[j].weight, r) - slots[j])
+            for j in range(k - 1, -1, -1)
+        )
+        right = tuple(Letter(thetas[j], "full", slots[j]) for j in range(k, r))
+        for c1, w1, rc1 in ref_expand_boundary(left):
+            for c2, w2, rc2 in ref_expand_boundary(right):
+                tangent = rc1 * rc2
+                for word, mult in ref_shuffle(w1, w2).terms.items():
+                    terms.append(engine.LambdaTerm(eps * c1 * c2 * mult, word, tangent))
+    return terms, ref_poles(terms)
+
+
+BENCHMARK_POOL = (
+    "riemann", "eisenstein:4", "eisenstein:6", "delta", "theta+", "theta-",
+    "jacobi:2", "jacobi:3", "jacobi:4",
+)
+
+
+def compile_cases():
+    pool = [parse_theta_token(t) for t in BENCHMARK_POOL]
+    rng = np.random.default_rng(2024)
+    cases = [(theta("riemann"),) * r for r in range(1, 6)]
+    cases += [(a, b) for a in pool for b in pool]
+    for r, count in ((3, 20), (4, 5)):
+        cases += [tuple(pool[i] for i in rng.integers(0, len(pool), r)) for _ in range(count)]
+    return cases
+
+
+def term_rows(terms):
+    """(coefficient, word, tangent terms) of each term, and which terms share
+    one tangent object (the plan's tangent layout follows that sharing)."""
+    first = {}
+    rows = [(t.coeff, t.word, t.tangent.terms) for t in terms]
+    return rows, [first.setdefault(id(t.tangent), i) for i, t in enumerate(terms)]
+
+
+class TestCompileOnce:
+    """The compile gives the reference's terms, in order, and its pole forms."""
+
+    def test_build_expression(self):
+        for thetas in compile_cases():
+            expr = build_expression(thetas)
+            want_terms, want_poles = ref_build_expression(thetas)
+            assert term_rows(expr.terms) == term_rows(want_terms), thetas
+            assert expr.pole_forms == want_poles, thetas
+
+    @pytest.mark.parametrize(
+        "names",
+        [("riemann",) * r for r in (1, 2, 3)]
+        + [("theta+", "jacobi:2"), ("jacobi:4", "riemann", "theta-")],
+    )
+    def test_build_tail_expression(self, names, monkeypatch):
+        thetas = tuple(parse_theta_token(n) for n in names)
+        expr = build_tail_expression(thetas)
+        monkeypatch.setattr(engine, "shuffle", ref_shuffle)
+        want = build_tail_expression(thetas)
+        assert term_rows(expr.terms) == term_rows(want.terms)
+        assert expr.pole_forms == ref_poles(want.terms)
 
 
 class TestThetaIdentity:

@@ -11,7 +11,6 @@ from itermellin.theta import (
     KernelMismatchError,
     TruncationError,
     ValidationError,
-    apply_top,
     convolve,
     d_w,
     differentiate,
@@ -219,12 +218,6 @@ class TestTransforms:
     def test_product_kernel_mismatch(self):
         with pytest.raises(KernelMismatchError):
             pointwise_product(theta("riemann"), theta("eisenstein", 4))
-
-    def test_apply_top_dispatch(self):
-        rie = theta("riemann")
-        assert apply_top("rescale", rie, 2).name == "(riemann@2)"
-        with pytest.raises(ValueError):
-            apply_top("nonsense", rie)
 
 
 class TestConvolution:

@@ -69,6 +69,21 @@ class TestShuffle:
                 rhs = rhs + shuffle(u, word).scale(c)
             assert lhs == rhs
 
+    def test_repeated_letters_merge(self):
+        a, b = letters(2)
+        assert shuffle((a,), (a,)) == WordSum({(a, a): 2})
+        assert shuffle((a, b), (a,)) == WordSum({(a, b, a): 1, (a, a, b): 2})
+
+    def test_multiplicities_sum_to_binomial(self):
+        from itermellin.arith import binomial
+
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            # two slots and two thetas: letters repeat often
+            u = random_word(rng, int(rng.integers(0, 4)), nslots=2)
+            v = random_word(rng, int(rng.integers(0, 4)), nslots=2)
+            assert shuffle(u, v).total_terms() == binomial(len(u) + len(v), len(u))
+
 
 class TestRegularize:
     def test_single_letter(self):
@@ -99,7 +114,7 @@ class TestRegularize:
         )
         assert got == want
 
-    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6])
     def test_recursion_matches_closed_form(self, length):
         rng = np.random.default_rng(length)
         for _ in range(5):
