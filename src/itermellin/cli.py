@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -375,7 +376,10 @@ def cmd_list_thetas(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps
+    no state between calls, since every default is immutable."""
     ap = argparse.ArgumentParser(
         prog="itermellin",
         description="Evaluate multiple completed L-functions built from theta functions.",

@@ -437,16 +437,24 @@ def real_eisenstein(
     """
     params = params or EvalParams()
     z, s = complex(z), complex(s)
-    completed = _lattice_eisenstein(z, s, params)
+    completed = _lattice_eisenstein(engine.build_expression((lattice_theta(z),)), s, params)
     einf = _zeta_part(z.imag, s, _values(_xi_expression(), [(2 * s,), (2 * s - 1,)], params))
     return completed, completed - einf, einf
 
 
-def _lattice_eisenstein(z: complex, s: complex, params: EvalParams) -> complex:
-    """E at z: half the completed Mellin transform of the lattice theta."""
-    expr = engine.build_expression((lattice_theta(z),))
+def _lattice_eisenstein(expr: engine.LambdaExpression, s: complex, params: EvalParams) -> complex:
+    """E at z from the compiled lattice theta of z: half its completed
+    Mellin transform."""
     value, _ = engine.lambda_eval(expr, (s,), params)
     return 0.5 * value
+
+
+# next to the memoized theta: xi_via_eisenstein's 3 * quad_order abscissae
+# are the same in every call, so each compiles once; real_eisenstein's z are
+# arbitrary and compile afresh, and keep no expression alive
+@lru_cache(maxsize=256)
+def _lattice_expression(z: complex) -> engine.LambdaExpression:
+    return engine.build_expression((lattice_theta(z),))
 
 
 def _zeta_part(y: float, s: complex, xi_pair) -> complex:
@@ -478,7 +486,9 @@ def xi_via_eisenstein(
             # E0 = E - Einf as real_eisenstein forms it, with the xi pair
             # evaluated once above instead of at every abscissa
             z = complex(1j * y)
-            e0 = _lattice_eisenstein(z, sigma, params) - _zeta_part(z.imag, sigma, (xi_a, xi_b))
+            e0 = _lattice_eisenstein(_lattice_expression(z), sigma, params) - _zeta_part(
+                z.imag, sigma, (xi_a, xi_b)
+            )
             out[i] = e0 * y ** (s2 - s1 - 1.0)
         return out
 

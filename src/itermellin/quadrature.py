@@ -10,12 +10,19 @@ is never silently consumed.
 
 Theta values at mesh nodes are independent of the slot variables, so they
 are cached on the (interned) mesh and shared across words and evaluation
-points.  Word integrals run over batches of words and points, mesh by mesh
-(integrate_words): on one mesh, a truncation horizon at one refinement
-level, each letter exponent's node powers are formed once and each shared
-word prefix is integrated once, over every point that needs it.  Every
-word keeps, at every point, its own horizon, refinement depth and error
-estimate, bit for bit as in a one-word, one-point call.
+points, as are the logarithms of the nodes.  Word integrals run over
+batches of words and points (integrate_words): the truncation horizons of
+all words at all points come from one array pass (word_horizons), then
+the words run mesh by mesh.  On one mesh, a truncation horizon at one
+refinement level, each letter exponent's node powers are formed once, as
+exp(e * log t) from the cached logarithms (PanelMesh.powers), and each
+shared word prefix is integrated once, over every point that needs it;
+the integration matrix acts on the real and imaginary parts of the panels
+as real matrix products (PanelMesh.cumulative).  Each of these equals the
+plain expression bit for bit (nodes ** e, the complex matrix product, the
+one-word horizon), so every word keeps, at every point, its own horizon,
+refinement depth and error estimate, bit for bit as in a one-word,
+one-point call.
 """
 
 from __future__ import annotations
@@ -88,14 +95,25 @@ class PanelMesh:
         x, w, s_matrix = _gl_data(order)
         self.gl_weights = w
         self.int_matrix = s_matrix
-        lows = np.array(edges[:-1])
-        highs = np.array(edges[1:])
-        self.widths = highs - lows
-        self.nodes = (
-            0.5 * (x[None, :] + 1.0) * self.widths[:, None] + lows[:, None]
-        ).ravel()
+        self._lows = np.array(edges[:-1])
+        self._widths = np.array(edges[1:]) - self._lows
+        self._scaled_gl = 0.5 * (x[None, :] + 1.0)
+        self.half_widths = self._widths / 2.0
+        # the real part of the complex logarithm, as numpy's complex power
+        # takes it; the real np.log differs from it in the last bit at some
+        # nodes.  Copied out, so the complex array is not kept.
+        logs = self.nodes.astype(complex)
+        np.log(logs, out=logs)
+        self.log_nodes = logs.real.copy()
         self._values: dict = {}
         self._lock = threading.Lock()
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The Gauss nodes of every panel, in order.  Formed from the edges
+        on each use (theta values on a cache miss, integer powers), so that
+        an interned mesh keeps only their logarithms."""
+        return (self._scaled_gl * self._widths[:, None] + self._lows[:, None]).ravel()
 
     def refined(self) -> "PanelMesh":
         out = [self.edges[0]]
@@ -115,9 +133,24 @@ class PanelMesh:
                     self._values[key] = vals
         return vals
 
+    def powers(self, e: np.ndarray, exact: np.ndarray | None) -> np.ndarray:
+        """Node powers t^e, one row per entry of e, bit for bit as
+        nodes ** e[:, None] when exact is repeated_products(e), or None
+        where that has no entry set.
+
+        numpy raises to every other exponent as exp(e * log t), formed here
+        from the cached logarithms, which saves the logarithm of every node
+        for every exponent; the rows exact marks take nodes ** e.
+        """
+        out = e[:, None] * self.log_nodes
+        np.exp(out, out=out)
+        if exact is not None:
+            out[exact] = self.nodes ** e[exact, None]
+        return out
+
     def _panel_integrals(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         segs = f.reshape(*f.shape[:-1], -1, self.order)
-        return segs, (segs @ self.gl_weights) * (self.widths / 2.0)
+        return segs, (segs @ self.gl_weights) * self.half_widths
 
     def integral(self, f: np.ndarray) -> np.ndarray:
         """Integral of the interpolant of f over the mesh, along the last
@@ -131,11 +164,13 @@ class PanelMesh:
         segs, panel_ints = self._panel_integrals(f)
         carries = np.zeros_like(panel_ints)
         np.cumsum(panel_ints[..., :-1], axis=-1, out=carries[..., 1:])
-        half = self.widths / 2.0
         # in place, operands in the order of
-        # carries + half * (segs @ int_matrix.T), which fixes the rounding
-        inner = segs @ self.int_matrix.T
-        np.multiply(half[:, None], inner, out=inner)
+        # carries + half_widths * (segs @ int_matrix.T), which fixes the rounding;
+        # the real matrix acts on the real and imaginary parts as one real
+        # matmul per panel, bit for bit the complex product and faster
+        inner = np.matmul(self.int_matrix, segs.view(float).reshape(-1, self.order, 2))
+        inner = inner.view(complex).reshape(segs.shape)
+        np.multiply(self.half_widths[:, None], inner, out=inner)
         np.add(carries[..., None], inner, out=inner)
         return inner.reshape(f.shape)
 
@@ -164,6 +199,13 @@ def doubling_edges(start: float, stop: float) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
+# array entries one block may hold: complex node values of one letter, or
+# candidate horizons of words at points; larger batches of points are
+# integrated in row blocks, and of words bounded in word blocks, so deep
+# refinements and long expressions stay within memory
+ROW_BUDGET = 1 << 17
+
+
 # candidate truncation horizons 2, 4, ..., MAX_HORIZON and their logarithms
 _HORIZONS = 2.0 ** np.arange(1, int(math.log2(MAX_HORIZON)) + 1)
 _LOG_HORIZONS = np.array([math.log(t) for t in _HORIZONS])
@@ -187,43 +229,99 @@ def _letter_envelope(letter: Letter) -> tuple[float, float]:
     return b, max(th.poly_degree(), th.tail.power_range[1], 0.0)
 
 
-def truncation_horizons(word: Word, exps: np.ndarray, params: EvalParams) -> np.ndarray:
-    """Smallest power-of-two horizon whose certified tail bound is below
-    abs_tol * horizon_safety, at each point.  exps[i, j] is the exponent of
-    letter j at point i.  The word must end in a tail letter."""
-    n = exps.shape[0]
-    if not word:
-        return np.full(n, 2.0)
+def _word_envelope(word: Word):
+    """The point-free constants of the word's truncation bound: (log of
+    the bound's prefactor, the last letter's power bound, mu1 and p, the
+    prefix letters' degrees), or None when every point takes the horizon
+    2."""
     last = word[-1]
     if last.part != "tail":
         raise QuadratureError("truncation horizon requires a final tail letter")
     th = last.theta
     mu1 = th.tail.min_mu()
     if not math.isfinite(mu1):
-        return np.full(n, 2.0)
+        return None
     p = th.kernel_power
     decay_k = th.tail_envelope()
     if decay_k == 0.0:
-        return np.full(n, 2.0)
-    e_re = exps.real
+        return None
     log_prefac = 0.0
-    growth_exp = np.zeros(n)
-    for j, letter in enumerate(word[:-1]):
+    degs = []
+    for letter in word[:-1]:
         b, deg = _letter_envelope(letter)
         log_prefac += math.log(max(b, 1e-300))
-        growth_exp += np.maximum(e_re[:, j] - 1.0 + deg + 1.0, 0.0)
-    alpha = growth_exp + e_re[:, -1] - 1.0 + max(th.tail.power_range[1], 0.0)
-    log_target = math.log(params.abs_tol * params.horizon_safety)
+        degs.append(deg)
     log_head = math.log(2.0) + log_prefac + math.log(decay_k) - math.log(mu1 * p)
-    # every candidate horizon at every point at once; each point takes the
-    # smallest candidate that fits
-    tp = _HORIZONS**p
-    rate = (alpha + 1.0 - p)[:, None]
-    log_bound = log_head + rate * _LOG_HORIZONS - mu1 * tp
-    fits = (mu1 * p * tp >= np.maximum(2.0 * rate, 1.0)) & (log_bound <= log_target)
-    if not fits.any(axis=1).all():
-        raise QuadratureError("no horizon satisfies the truncation bound")
-    return _HORIZONS[fits.argmax(axis=1)]
+    return log_head, max(th.tail.power_range[1], 0.0), mu1, p, degs
+
+
+def word_horizons(
+    words: Sequence[Word], cols: Sequence[np.ndarray], exps: np.ndarray, params: EvalParams
+) -> list:
+    """Truncation horizons of many words at many points: entry k is the
+    smallest power-of-two horizon, at each point, whose certified tail
+    bound for words[k] is below abs_tol * horizon_safety, or the
+    QuadratureError or TruncationError that word raises.  exps[i, c] is
+    exponent column c at point i, and cols[k][j] the column of letter j of
+    words[k], which must end in a tail letter.
+
+    Each word's envelope constants are formed once; then one array pass
+    over blocks of words finds every horizon, in the float operations, and
+    their order, of a word on its own.
+    """
+    n = exps.shape[0]
+    out: list = [None] * len(words)
+    bounded = []  # (word index, envelope constants)
+    for k, word in enumerate(words):
+        try:
+            env = _word_envelope(word) if word else None
+        except (QuadratureError, TruncationError) as exc:
+            out[k] = exc
+            continue
+        if env is None:
+            out[k] = np.full(n, 2.0)
+        else:
+            bounded.append((k, env))
+    e_re = exps.real
+    log_target = math.log(params.abs_tol * params.horizon_safety)
+    step = max(1, ROW_BUDGET // _HORIZONS.size // max(n, 1))
+    for lo in range(0, len(bounded), step):
+        block = bounded[lo : lo + step]
+        log_head, shift, mu1, p = np.array([env[:4] for _, env in block]).T
+        growth_exp = np.zeros((n, len(block)))
+        width = max(len(env[4]) for _, env in block)
+        if width:
+            # prefix letters padded with degree -inf: max(-inf, 0.0) adds 0.0
+            pad = [width - len(env[4]) for _, env in block]
+            degs = np.array([env[4] + [-math.inf] * g for (_, env), g in zip(block, pad)])
+            pcols = np.array([cols[k][:-1].tolist() + [0] * g for (k, _), g in zip(block, pad)])
+            for j in range(width):
+                growth_exp += np.maximum(e_re[:, pcols[:, j]] - 1.0 + degs[:, j] + 1.0, 0.0)
+        last = e_re[:, [cols[k][-1] for k, _ in block]]
+        alpha = growth_exp + last - 1.0 + shift
+        # every candidate horizon of every word at every point at once: axes
+        # (point, word, horizon); each takes the smallest candidate that fits
+        tp = _HORIZONS ** p[:, None]  # exact: powers of two below 2^53
+        rate = (alpha + 1.0 - p)[:, :, None]
+        log_bound = log_head[:, None] + rate * _LOG_HORIZONS - mu1[:, None] * tp
+        fits = ((mu1 * p)[:, None] * tp >= np.maximum(2.0 * rate, 1.0)) & (
+            log_bound <= log_target
+        )
+        horizons = _HORIZONS[fits.argmax(axis=2)]
+        for i, ok in enumerate(fits.any(axis=2).all(axis=0).tolist()):
+            out[block[i][0]] = horizons[:, i] if ok else QuadratureError(
+                "no horizon satisfies the truncation bound"
+            )
+    return out
+
+
+def truncation_horizons(word: Word, exps: np.ndarray, params: EvalParams) -> np.ndarray:
+    """word_horizons of one word; exps[i, j] is the exponent of letter j at
+    point i."""
+    (horizons,) = word_horizons((word,), (np.arange(len(word)),), exps, params)
+    if isinstance(horizons, Exception):
+        raise horizons
+    return horizons
 
 
 def truncation_horizon(word: Word, s: Sequence[complex], params: EvalParams) -> float:
@@ -235,11 +333,6 @@ def truncation_horizon(word: Word, s: Sequence[complex], params: EvalParams) -> 
 # ---------------------------------------------------------------------------
 # word integrals
 # ---------------------------------------------------------------------------
-
-
-# complex node values one letter array may hold; larger batches of points
-# are integrated in row blocks, so deep refinements stay within memory
-ROW_BUDGET = 1 << 17
 
 
 class _Prefix:
@@ -266,6 +359,28 @@ def _take(values, have: np.ndarray | None, rows: np.ndarray):
     return values[np.searchsorted(have, rows)]
 
 
+def repeated_products(e: np.ndarray) -> np.ndarray:
+    """Where numpy raises to the complex power e by repeated multiplication
+    rather than as exp(e * log t): at the real integers n, |n| < 100."""
+    return (e.imag == 0.0) & (np.abs(e.real) < 100.0) & (e.real == np.trunc(e.real))
+
+
+def _exact_columns(exps: np.ndarray) -> list:
+    """Per exponent column, the points where node powers t^(e-1) are
+    repeated products, or None where there are none; found once per
+    batch, so that one-point calls pay nothing for it on each mesh."""
+    if not (exps.imag == 0.0).any():
+        return [None] * exps.shape[1]
+    mask = repeated_products(exps - 1.0)
+    return [mask[:, c] if any_ else None for c, any_ in enumerate(mask.any(axis=0).tolist())]
+
+
+def _node_powers(m: PanelMesh, exps: np.ndarray, exact: list, rows, c: int) -> np.ndarray:
+    """Node powers t^(e-1) of exponent column c at the points rows."""
+    mask = exact[c]
+    return m.powers(exps[rows, c] - 1.0, None if mask is None else mask[rows])
+
+
 def _phi(letter: Letter, power: np.ndarray, nodal: dict, out) -> np.ndarray:
     """The letter's integrand at the nodes: its node values times power."""
     if letter.part == "mono":
@@ -273,7 +388,9 @@ def _phi(letter: Letter, power: np.ndarray, nodal: dict, out) -> np.ndarray:
     return np.multiply(nodal[letter.theta, letter.part], power, out=out)
 
 
-def _integrate_prefixes(m: PanelMesh, exps: np.ndarray, nodal: dict, jobs, pieces: dict) -> None:
+def _integrate_prefixes(
+    m: PanelMesh, exps: np.ndarray, exact: list, nodal: dict, jobs, pieces: dict
+) -> None:
     """Integrate the words of jobs, (word index, word, columns, rows), on
     mesh m, appending each word's integrals at its rows to pieces[index].
 
@@ -289,7 +406,7 @@ def _integrate_prefixes(m: PanelMesh, exps: np.ndarray, nodal: dict, jobs, piece
         for j, (letter, c) in enumerate(zip(word, cols.tolist())):
             if j:
                 f = m.cumulative(f)
-            power = m.nodes ** (exps[rows, c][:, None] - 1.0)
+            power = _node_powers(m, exps, exact, rows, c)
             f = np.multiply(_phi(letter, power, nodal, power), f, out=power)
         pieces[k].append(m.integral(f))
         return
@@ -317,7 +434,7 @@ def _integrate_prefixes(m: PanelMesh, exps: np.ndarray, nodal: dict, jobs, piece
         rows = _union(node.rows)
         if c not in powers:
             have = _union(col_rows[c])
-            powers[c] = (have, m.nodes ** (exps[have, c][:, None] - 1.0))
+            powers[c] = (have, _node_powers(m, exps, exact, have, c))
         have, power = powers[c]
         power = _take(power, have, rows)
         uses[c] -= len(node.rows)
@@ -342,11 +459,13 @@ def integrate_word_on_mesh(
     rows: Sequence[np.ndarray],
     m: PanelMesh,
     params: EvalParams,
+    exact: list,
 ) -> list:
     """Iterated integrals of words over one mesh (exact panels).
 
     Word k is integrated at the points rows[k] (ascending), where its letter
-    j has the exponent exps[i, cols[k][j]] at point i.  Each exponent
+    j has the exponent exps[i, cols[k][j]] at point i; exact is
+    _exact_columns(exps).  Each exponent
     column's node powers t^(e-1) are formed once, over every point that
     needs them, and each distinct prefix (letters and columns) is
     integrated once, over the points of all words that share it; the
@@ -374,7 +493,7 @@ def integrate_word_on_mesh(
     if not live:
         return out
     pieces: dict[int, list] = {k: [] for k in live}
-    step = max(1, ROW_BUDGET // m.nodes.size)
+    step = max(1, ROW_BUDGET // m.log_nodes.size)
     bounds = [None]  # one block of every row
     if sum(rows[k].size for k in live) > step:
         every = _union([rows[k] for k in live])
@@ -388,7 +507,7 @@ def integrate_word_on_mesh(
                 r = r[np.searchsorted(r, bound[0]) : np.searchsorted(r, bound[1], "right")]
             if r.size:
                 jobs.append((k, words[k], cols[k], r))
-        _integrate_prefixes(m, exps, nodal, jobs, pieces)
+        _integrate_prefixes(m, exps, exact, nodal, jobs, pieces)
     for k in live:
         out[k] = pieces[k][0] if len(pieces[k]) == 1 else np.concatenate(pieces[k])
     return out
@@ -438,16 +557,17 @@ def integrate_words(
     meshes: dict[tuple[float, ...], list[_Job]] = {}
     if edges is None:
         slack = params.abs_tol * params.horizon_safety
+        every_horizon = word_horizons(words, cols, exps, params)
+    exact = _exact_columns(exps)
     for k, word in enumerate(words):
         if not word:
             continue
         if edges is not None:
             meshes.setdefault(edges, []).append(_Job(k, np.arange(n)))
             continue
-        try:
-            horizons = truncation_horizons(word, exps[:, cols[k]], params)
-        except (QuadratureError, TruncationError) as exc:
-            failed[k, ()] = exc  # before any of the word's meshes
+        horizons = every_horizon[k]
+        if isinstance(horizons, Exception):
+            failed[k, ()] = horizons  # before any of the word's meshes
             continue
         for t_max in sorted(set(horizons.tolist())):
             job = _Job(k, np.flatnonzero(horizons == t_max))
@@ -471,6 +591,7 @@ def integrate_words(
                 [job.rows for job in jobs],
                 m,
                 params,
+                exact,
             )
             kept = []
             for job, v1 in zip(jobs, results):

@@ -380,23 +380,21 @@ def suite_qsums(seed: int, trials: int, params: EvalParams) -> list[CaseResult]:
     td = engine.build_tail_expression((rie, rie))
     e1, e2 = _expr((rie,)), _expr((rie,) * 2)
 
+    # each distinct sum once; Q(1,1) and Q(2,1) serve two cases each
+    q = {ks: oracles.q_sum(ks, 1e-8) for ks in ((1, 1), (1, 2), (2, 1), (3, 1))}
     d22, _ = engine.lambda_eval(td, (2.0, 2.0), params)
-    out.append(
-        _case("qsums", "pi^2 D(2,2) = Q(1,1)", abs(PI**2 * d22 - oracles.q_sum((1, 1), 1e-8)), 1e-7)
-    )
+    out.append(_case("qsums", "pi^2 D(2,2) = Q(1,1)", abs(PI**2 * d22 - q[1, 1]), 1e-7))
     d24, _ = engine.lambda_eval(td, (2.0, 4.0), params)
-    q12 = oracles.q_sum((1, 2), 1e-8)
-    q21 = oracles.q_sum((2, 1), 1e-8)
-    out.append(_case("qsums", "pi^3 D(2,4) = Q(1,2)+Q(2,1)", abs(PI**3 * d24 - q12 - q21), 1e-7))
+    out.append(
+        _case("qsums", "pi^3 D(2,4) = Q(1,2)+Q(2,1)", abs(PI**3 * d24 - q[1, 2] - q[2, 1]), 1e-7)
+    )
     d42, _ = engine.lambda_eval(td, (4.0, 2.0), params)
-    out.append(_case("qsums", "pi^3 D(4,2) = Q(2,1)", abs(PI**3 * d42 - q21), 1e-7))
+    out.append(_case("qsums", "pi^3 D(4,2) = Q(2,1)", abs(PI**3 * d42 - q[2, 1]), 1e-7))
 
     for ell in (1, 2, 3):
         lhs, _ = engine.lambda_eval(e2, (2.0 * ell, 2.0), params)
         lhs = PI ** (ell + 1) / factorial(ell - 1) * lhs
-        rhs = oracles.q_sum((ell, 1), 1e-8) + (1 - ell) / 2.0 * oracles.q_sum(
-            (ell + 1,), 1e-10
-        )
+        rhs = q[ell, 1] + (1 - ell) / 2.0 * oracles.q_sum((ell + 1,), 1e-10)
         out.append(_case("qsums", f"xi(2l,2) identity, l={ell}", abs(lhs - rhs), 1e-7))
 
     # symbolic reduction coefficients against the closed binomial formula

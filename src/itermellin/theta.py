@@ -237,6 +237,7 @@ class ThetaFunction:
         self.critical_range = critical_range
         self._dual: "ThetaFunction" = self
         self._tail_envelope: float | None = None
+        self._poly_bounds: tuple[float, float] | None = None
         if validate and self.inversion_ok:
             validate_inversion(self)
 
@@ -340,11 +341,21 @@ class ThetaFunction:
                 ) * math.exp(mu1)
         return self._tail_envelope
 
+    def _poly_envelope(self) -> tuple[float, float]:
+        """(height, degree) of the polynomial part, formed on first use:
+        every truncation horizon reads them."""
+        if self._poly_bounds is None:
+            self._poly_bounds = (
+                float(sum(abs(c) for c, _ in self.poly_part)),
+                float(max((e for _, e in self.poly_part), default=0)),
+            )
+        return self._poly_bounds
+
     def poly_height(self) -> float:
-        return float(sum(abs(c) for c, _ in self.poly_part))
+        return self._poly_envelope()[0]
 
     def poly_degree(self) -> float:
-        return float(max((e for _, e in self.poly_part), default=0))
+        return self._poly_envelope()[1]
 
     def tail_partial_sum(self, t: float, n_groups: int) -> float:
         """Partial tail sum over the first n_groups groups (for bound tests)."""

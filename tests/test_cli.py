@@ -347,3 +347,45 @@ class TestOutputFile:
         assert code == 0 and out == ""
         payload = json.loads(target.read_text())
         assert abs(payload["re"] - math.pi / 6) < 1e-10
+
+
+class TestParserReuse:
+    def test_no_state_between_calls(self, tmp_path, capsys):
+        """main parses every call with one parser per process; a call's
+        options must not carry into the next, so a run of calls gives what
+        a fresh parser per call gives."""
+        from itermellin import cli
+
+        assert cli.build_parser() is cli.build_parser()
+        calls = [
+            ["eval", "--theta", "delta", "--s", "6", "--tol", "1e-6", "--order", "16",
+             "--format", "json", "--out", str(tmp_path / "a.json")],
+            ["eval", "--theta", "delta", "--s", "6"],
+            ["table", "--theta", "riemann", "--grid=2:3:0.5", "--format", "csv"],
+            ["poles", "--theta", "riemann,riemann", "--format", "json",
+             "--out", str(tmp_path / "b.json")],
+            ["eval", "--theta", "delta", "--s", "6", "--format", "json"],
+            ["eval", "--theta", "delta"],
+            ["verify", "--suite", "shuffle", "--trials", "1", "--format", "json"],
+            ["list-thetas"],
+        ]
+
+        def outcomes(fresh):
+            got = []
+            for argv in calls:
+                if fresh:
+                    cli.build_parser.cache_clear()
+                code = main(argv)
+                captured = capsys.readouterr()
+                files = {p.name: p.read_text() for p in sorted(tmp_path.iterdir())}
+                for p in tmp_path.iterdir():
+                    p.unlink()
+                got.append((code, captured.out, captured.err, files))
+            return got
+
+        shared, fresh = outcomes(False), outcomes(True)
+        assert shared == fresh
+        assert [g[0] for g in shared] == [0, 0, 0, 0, 0, 2, 0, 0]
+        # --out, --format, --tol and --order of one call stay with it
+        assert shared[1][1].startswith("Lambda(delta; 6)") and not shared[1][3]
+        assert json.loads(shared[4][1])["err"] != json.loads(shared[0][3]["a.json"])["err"]

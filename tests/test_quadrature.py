@@ -282,6 +282,125 @@ class TestMeshMajor:
         )
 
 
+def reference_horizons(word, exps, params):
+    """The certified truncation horizons of one word at many points, one
+    word at a time, as word_horizons must reproduce them bit for bit."""
+    n = exps.shape[0]
+    if not word:
+        return np.full(n, 2.0)
+    last = word[-1]
+    if last.part != "tail":
+        raise QuadratureError("truncation horizon requires a final tail letter")
+    th = last.theta
+    mu1 = th.tail.min_mu()
+    if not math.isfinite(mu1):
+        return np.full(n, 2.0)
+    p = th.kernel_power
+    decay_k = th.tail_envelope()
+    if decay_k == 0.0:
+        return np.full(n, 2.0)
+    e_re = exps.real
+    log_prefac = 0.0
+    growth_exp = np.zeros(n)
+    for j, letter in enumerate(word[:-1]):
+        b, deg = quadrature._letter_envelope(letter)
+        log_prefac += math.log(max(b, 1e-300))
+        growth_exp += np.maximum(e_re[:, j] - 1.0 + deg + 1.0, 0.0)
+    alpha = growth_exp + e_re[:, -1] - 1.0 + max(th.tail.power_range[1], 0.0)
+    log_target = math.log(params.abs_tol * params.horizon_safety)
+    log_head = math.log(2.0) + log_prefac + math.log(decay_k) - math.log(mu1 * p)
+    horizons = 2.0 ** np.arange(1, 25)
+    tp = horizons**p
+    rate = (alpha + 1.0 - p)[:, None]
+    log_bound = log_head + rate * np.log(horizons) - mu1 * tp
+    fits = (mu1 * p * tp >= np.maximum(2.0 * rate, 1.0)) & (log_bound <= log_target)
+    if not fits.any(axis=1).all():
+        raise QuadratureError("no horizon satisfies the truncation bound")
+    return horizons[fits.argmax(axis=1)]
+
+
+class TestBitIdentity:
+    """Node powers, panel sums and horizons are formed by faster means
+    than the plain expressions; each must equal its plain expression bit
+    for bit, or values, horizons and refinement depths would move."""
+
+    @staticmethod
+    def meshes():
+        for t_max in (4.0, 64.0, 1024.0):
+            m = quadrature.mesh(doubling_edges(1.0, t_max), 32)
+            for _ in range(3):
+                yield m
+                m = m.refined()
+
+    def test_powers(self):
+        rng = np.random.default_rng(5)
+        special = [0.0, 1.0, -1.0, 2.0, 99.0, -99.0, 100.0, -100.0, 0.5, -7.5, 2.0 + 1e-15]
+        for m in self.meshes():
+            e = np.concatenate((
+                rng.normal(0.0, 4.0, 12) + 1j * rng.normal(0.0, 4.0, 12),
+                rng.integers(-40, 40, 6) + 0.5,
+                np.array(special) + 0j,
+                [3.0 + 2.0j, -1.0 - 0.5j, 1j],
+            ))
+            rng.shuffle(e)
+            exact = quadrature.repeated_products(e)
+            assert sorted(e[exact].real) == [-99.0, -1.0, 0.0, 1.0, 2.0, 99.0]
+            got = m.powers(e, exact)
+            assert got.shape == (e.size, m.nodes.size)
+            assert np.array_equal(got, m.nodes ** e[:, None])
+            other = e[~exact]
+            assert np.array_equal(m.powers(other, None), m.nodes ** other[:, None])
+            assert np.array_equal(m.powers(other[:1], None), m.nodes ** other[:1, None])
+
+    @pytest.mark.parametrize("rows", [None, 1, 3, 256])
+    def test_cumulative_and_integral(self, rows):
+        rng = np.random.default_rng(7)
+        for m in self.meshes():
+            shape = (m.nodes.size,) if rows is None else (rows, m.nodes.size)
+            f = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * np.exp(
+                rng.normal(0.0, 6.0, size=shape))
+            segs = f.reshape(*f.shape[:-1], -1, m.order)
+            half = np.diff(m.edges) / 2.0
+            panel_ints = (segs @ m.gl_weights) * half
+            carries = np.zeros_like(panel_ints)
+            np.cumsum(panel_ints[..., :-1], axis=-1, out=carries[..., 1:])
+            want = (carries[..., None] + half[:, None] * (segs @ m.int_matrix.T)).reshape(shape)
+            assert np.array_equal(m.cumulative(f), want)
+            assert np.array_equal(m.integral(f), np.cumsum(panel_ints, axis=-1)[..., -1])
+
+    @pytest.mark.parametrize("row_budget", [quadrature.ROW_BUDGET, 1])
+    @pytest.mark.parametrize("names", [("riemann",) * 4, ("theta_plus", "riemann", "jacobi3")])
+    def test_horizons(self, monkeypatch, names, row_budget):
+        """All words of an expression at once, in one word block or one
+        word per block, against each word on its own; the huge second
+        slot leaves some words with no valid horizon."""
+        monkeypatch.setattr(quadrature, "ROW_BUDGET", row_budget)
+        r = len(names)
+        words = list(build_expression(tuple(make_builtin_theta(n) for n in names)).plan.words)
+        rie = make_builtin_theta("riemann")
+        words.insert(3, (Letter(rie, "tail", slot(0, r)), Letter(rie, "full", slot(1, r))))
+        points = [(2.0,) * r, (0.3 + 2.1j, -1.2 + 0.4j, 1.7 - 2.2j, 2.5)[:r],
+                  (-5.5 + 4.5j, 3.2 - 6.1j, -2.5 + 5.5j, 0.5)[:r],
+                  (0.5 - 1j, 1e14, -1.5 + 2j, 1.5)[:r]]
+        cols, exps = exponent_columns(words, points)
+        params = EvalParams()
+        batch = quadrature.word_horizons(words, cols, exps, params)
+        failed = 0
+        for k, word in enumerate(words):
+            if isinstance(batch[k], QuadratureError):
+                failed += 1
+                for one_word in (reference_horizons, quadrature.truncation_horizons):
+                    with pytest.raises(QuadratureError) as one:
+                        one_word(word, exps[:, cols[k]], params)
+                    assert str(one.value) == str(batch[k])
+            else:
+                assert np.array_equal(batch[k], reference_horizons(word, exps[:, cols[k]], params))
+                assert np.array_equal(
+                    batch[k], quadrature.truncation_horizons(word, exps[:, cols[k]], params))
+        assert 1 < failed < len(words)
+        assert "final tail letter" in str(batch[3])
+
+
 class TestMesh:
     def test_doubling_edges(self):
         assert doubling_edges(1.0, 5.0) == (1.0, 2.0, 4.0, 8.0)
