@@ -27,6 +27,7 @@ one-point call.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -335,194 +336,310 @@ def truncation_horizon(word: Word, s: Sequence[complex], params: EvalParams) -> 
 # ---------------------------------------------------------------------------
 
 
-class _Prefix:
-    """A word prefix on one mesh: the rows of the words that share it, the
-    words that end with it, and the prefixes one letter longer, by (letter,
-    column)."""
-
-    __slots__ = ("rows", "ends", "after")
-
-    def __init__(self):
-        self.rows: list = []  # one row array per word sharing the prefix
-        self.ends: list = []  # (word index, rows) of the words ending here
-        self.after: dict = {}
-
-
-def _union(arrays: list[np.ndarray]) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.unique(np.concatenate(arrays))
-
-
-def _take(values, have: np.ndarray | None, rows: np.ndarray):
-    """values, one entry per point of have, at rows, a subset of have."""
-    if have is None or have.size == rows.size:
-        return values
-    return values[np.searchsorted(have, rows)]
-
-
 def repeated_products(e: np.ndarray) -> np.ndarray:
     """Where numpy raises to the complex power e by repeated multiplication
     rather than as exp(e * log t): at the real integers n, |n| < 100."""
     return (e.imag == 0.0) & (np.abs(e.real) < 100.0) & (e.real == np.trunc(e.real))
 
 
-def _exact_columns(exps: np.ndarray) -> list:
-    """Per exponent column, the points where node powers t^(e-1) are
-    repeated products, or None where there are none; found once per
-    batch, so that one-point calls pay nothing for it on each mesh."""
-    if not (exps.imag == 0.0).any():
-        return [None] * exps.shape[1]
-    mask = repeated_products(exps - 1.0)
-    return [mask[:, c] if any_ else None for c, any_ in enumerate(mask.any(axis=0).tolist())]
+def _exact_columns(exps: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
+    """Where node powers t^(e-1) of a letter exponent column c (one of
+    cols) at point i are repeated products, as a mask of exps' shape, or
+    None where there are none; found once per batch, so that most calls
+    pay nothing for it on each mesh."""
+    letters = exps[:, cols]
+    if not (letters.imag == 0.0).any():
+        return None
+    mask = np.zeros(exps.shape, dtype=bool)
+    mask[:, cols] = repeated_products(letters - 1.0)
+    return mask if mask.any() else None
 
 
-def _node_powers(m: PanelMesh, exps: np.ndarray, exact: list, rows, c: int) -> np.ndarray:
-    """Node powers t^(e-1) of exponent column c at the points rows."""
-    mask = exact[c]
-    return m.powers(exps[rows, c] - 1.0, None if mask is None else mask[rows])
+# array entries one stacked block of prefixes may hold: blocks this size
+# stay in cache through the passes over them
+BLOCK_BUDGET = 1 << 15
 
 
-def _phi(letter: Letter, power: np.ndarray, nodal: dict, out) -> np.ndarray:
-    """The letter's integrand at the nodes: its node values times power."""
-    if letter.part == "mono":
-        return np.multiply(float(letter.coeff), power, out=out)
-    return np.multiply(nodal[letter.theta, letter.part], power, out=out)
+class _Trie:
+    """The letters of a batch of words, for the prefix tries of its meshes.
 
-
-def _integrate_prefixes(
-    m: PanelMesh, exps: np.ndarray, exact: list, nodal: dict, jobs, pieces: dict
-) -> None:
-    """Integrate the words of jobs, (word index, word, columns, rows), on
-    mesh m, appending each word's integrals at its rows to pieces[index].
-
-    The prefixes are walked depth first.  A column's node powers are formed
-    at its first use, over the rows of every word that needs them, and
-    dropped after its last use; a prefix's inner integral is dropped as soon
-    as the last of its longer prefixes has used it.
+    Letter j of word k is pairs[k][j], an id of its (letter, column) pair:
+    pairs with one kind and column have one integrand at the nodes.
+    kinds[pair_kind[q]] is (theta, part), or (None, coefficient) for a
+    monomial letter, and pair_col[q] the column.  word_kinds[k] lists the
+    kinds of word k in the order its letters first use them.
     """
-    if len(jobs) == 1:
-        # nothing to share: the word's letters in turn, without the prefix tree
-        ((k, word, cols, rows),) = jobs
-        f = 1.0
-        for j, (letter, c) in enumerate(zip(word, cols.tolist())):
-            if j:
-                f = m.cumulative(f)
-            power = _node_powers(m, exps, exact, rows, c)
-            f = np.multiply(_phi(letter, power, nodal, power), f, out=power)
-        pieces[k].append(m.integral(f))
-        return
-    root = _Prefix()
-    col_rows: dict = {}
-    for k, word, cols, rows in jobs:
-        node = root
-        for key in zip(word, cols.tolist()):
-            child = node.after.get(key)
-            if child is None:
-                child = node.after[key] = _Prefix()
-            child.rows.append(rows)
-            col_rows.setdefault(key[1], []).append(rows)
-            node = child
-        node.ends.append((k, rows))
-    uses = {c: len(v) for c, v in col_rows.items()}
-    powers: dict = {}
-    # frames: [longer prefixes still to integrate, inner integral, its rows]
-    stack = [[list(root.after.items()), 1.0, None]]
-    while stack:
-        todo, inner, inner_rows = stack[-1]
-        (letter, c), node = todo.pop()
-        if not todo:
-            stack.pop()
-        rows = _union(node.rows)
-        if c not in powers:
-            have = _union(col_rows[c])
-            powers[c] = (have, _node_powers(m, exps, exact, have, c))
-        have, power = powers[c]
-        power = _take(power, have, rows)
-        uses[c] -= len(node.rows)
-        # the last user of a column's powers may overwrite them
-        out = power if not uses[c] and power is powers.pop(c)[1] else None
-        f = _phi(letter, power, nodal, out)
-        del power
-        np.multiply(f, _take(inner, inner_rows, rows), out=f)
-        del inner
-        for k, r in node.ends:
-            pieces[k].append(m.integral(_take(f, rows, r)))
-        if node.after:
-            more = _union([r for g in node.after.values() for r in g.rows])
-            stack.append([list(node.after.items()), m.cumulative(_take(f, rows, more)), more])
-        del f
+
+    def __init__(self, words: Sequence[Word], cols: Sequence[np.ndarray]):
+        pair_ids: dict = {}  # (letter, column) -> pair id
+        kind_ids: dict = {}
+        self.pair_kind: list[int] = []
+        self.pair_col: list[int] = []
+        self.pairs: list[tuple[int, ...]] = []
+        self.word_kinds: list[tuple[int, ...]] = []
+        for word, wcols in zip(words, cols):
+            path = []
+            for key in zip(word, wcols.tolist()):
+                q = pair_ids.get(key)
+                if q is None:
+                    letter = key[0]
+                    kind = ((None, float(letter.coeff)) if letter.part == "mono"
+                            else (letter.theta, letter.part))
+                    q = pair_ids[key] = len(self.pair_col)
+                    self.pair_kind.append(kind_ids.setdefault(kind, len(kind_ids)))
+                    self.pair_col.append(key[1])
+                path.append(q)
+            self.pairs.append(tuple(path))
+            self.word_kinds.append(tuple(dict.fromkeys(self.pair_kind[q] for q in path)))
+        self.kinds = list(kind_ids)
+        self.cols = np.array(sorted(set(self.pair_col)), dtype=int)
+        self._last = None
+
+    def prefixes(self, ks: np.ndarray) -> "_Prefixes":
+        """The _Prefixes of the words ks; the last one is kept, since the
+        words on a mesh repeat from one refinement level to the next."""
+        if self._last is None or self._last.ks is not ks:
+            self._last = _Prefixes(self, ks)
+        return self._last
+
+
+class _Prefixes:
+    """The distinct prefixes of the words ks of a trie, numbered by length,
+    and within one length in the lexicographic order of their pairs, so the
+    children of each prefix are consecutive and in the order of their
+    parents.
+
+    Prefixes of length d + 1 are bounds[d] to bounds[d + 1] - 1.  Prefix p
+    extends prefix parent[p] (-1 for the empty prefix) by a letter of kind
+    kind[p] and exponent column cols[cp[p]], and extended[p] is whether a
+    longer prefix extends it.  The words (positions in ks) ending at the
+    prefixes are end_job, ordered by their prefixes, end_pos.  kinds lists
+    the words' letter kinds in the order their letters first use them.
+    """
+
+    def __init__(self, trie: _Trie, ks: np.ndarray):
+        self.ks = ks
+        ks = ks.tolist()
+        levels: list[dict] = []  # per length: (parent, pair) -> prefix, counted per length
+        extended: list[list] = []
+        ends = [0] * len(ks)
+        for j in sorted(range(len(ks)), key=lambda j: trie.pairs[ks[j]]):
+            p = -1
+            for d, q in enumerate(trie.pairs[ks[j]]):
+                if d == len(levels):
+                    levels.append({})
+                    extended.append([])
+                level = levels[d]
+                child = level.get((p, q))
+                if child is None:
+                    child = level[p, q] = len(level)
+                    extended[d].append(False)
+                    if d:
+                        extended[d - 1][p] = True
+                p = child
+            ends[j] = (d, p)
+        self.bounds = [0]
+        parent, pairs = [], []
+        for d, level in enumerate(levels):
+            base = self.bounds[-2] if d else 0
+            parent.extend(p + base if d else -1 for p, _ in level)
+            pairs.extend(q for _, q in level)
+            self.bounds.append(self.bounds[-1] + len(level))
+        self.parent = np.array(parent)
+        self.extended = np.array(list(itertools.chain.from_iterable(extended)))
+        col_ids: dict = {}
+        self.cp = np.array([col_ids.setdefault(trie.pair_col[q], len(col_ids)) for q in pairs])
+        self.cols = np.array(list(col_ids))
+        kind_ids: dict = {}
+        self.kind = np.array([kind_ids.setdefault(trie.pair_kind[q], len(kind_ids)) for q in pairs])
+        self.kinds = list(kind_ids)
+        end_pos = [self.bounds[d] + p for d, p in ends]
+        # no two words end at one prefix (the words are distinct)
+        self.distinct_ends = len(set(end_pos)) == len(end_pos)
+        end_pos = np.array(end_pos)
+        self.end_job = end_pos.argsort(kind="stable")
+        self.end_pos = end_pos[self.end_job]
+
+
+def _node_values(trie: _Trie, ks: list, m: PanelMesh, params: EvalParams):
+    """The integrand factor of every letter kind of the words ks on mesh
+    m, by kind: its node values, or a monomial's coefficient; and the
+    TruncationError of each word (by position in ks) with a letter without
+    node values, that of its first such letter.
+
+    The kinds are evaluated in the order the words' letters first use
+    them; after a failure, only the kinds a word uses before its first
+    failing letter, so the same node values are formed as word by word.
+    """
+    nodal: dict = {}
+    kinds = trie.word_kinds[ks[0]] if len(ks) == 1 else dict.fromkeys(
+        itertools.chain.from_iterable(trie.word_kinds[k] for k in ks))
+    for kind in kinds:
+        if not _node_value(trie, kind, m, params, nodal):
+            break
+    else:
+        return nodal, {}
+    errors = {}
+    for j, k in enumerate(ks):
+        for kind in (trie.pair_kind[q] for q in trie.pairs[k]):
+            if kind not in nodal:
+                _node_value(trie, kind, m, params, nodal)
+            if isinstance(nodal[kind], TruncationError):
+                errors[j] = nodal[kind]
+                break
+    return nodal, errors
+
+
+def _node_value(trie: _Trie, kind: int, m: PanelMesh, params: EvalParams, nodal: dict) -> bool:
+    """Enter kind's integrand factor, or the TruncationError of its node
+    values, into nodal; whether it has one."""
+    theta, part = trie.kinds[kind]
+    if theta is None:
+        nodal[kind] = part
+        return True
+    try:
+        nodal[kind] = m.theta_values(theta, part, params.max_terms)
+        return True
+    except TruncationError as exc:
+        nodal[kind] = exc
+        return False
+
+
+class _PrefixPass:
+    """The prefixes of pre on mesh m at one block of points: the integral
+    of each word goes to its row of out.
+
+    powers[c] holds the node powers of column pre.cols[c] at the points,
+    and nodal each letter kind's factor.  The prefixes of one length are
+    integrated in stacked blocks of at most BLOCK_BUDGET entries, each
+    followed at once by the blocks of the prefixes one letter longer that
+    extend it, so that one block per length is live.
+    """
+
+    def __init__(self, m: PanelMesh, pre: _Prefixes, nodal: dict, powers: np.ndarray,
+                 out: np.ndarray):
+        self.m, self.pre, self.nodal, self.powers, self.out = m, pre, nodal, powers, out
+        self.cap = max(1, BLOCK_BUDGET // (powers.shape[1] * powers.shape[2]))
+        if self.cap > 1:
+            # each kind's factor as a row, for the blocks of several prefixes
+            self.table = np.empty((len(pre.kinds), powers.shape[2]), dtype=complex)
+            for i, kind in enumerate(pre.kinds):
+                self.table[i] = nodal[kind]
+        self.run(0, 0, pre.bounds[1], None, None)
+
+    def run(self, d: int, lo: int, hi: int, inner, inner_at) -> None:
+        """Integrate the prefixes lo to hi - 1, of length d + 1, whose
+        parents' inner integrals are inner, one row per parent, the
+        prefixes inner_at; then the longer prefixes that extend them."""
+        pre, m, powers, bounds = self.pre, self.m, self.powers, self.pre.bounds
+        for a in range(lo, hi, self.cap):
+            b = min(a + self.cap, hi)
+            # the letters' integrands at the nodes, times the parents' inner
+            # integrals; operands in the order of a prefix on its own
+            if b - a == 1:
+                f = np.multiply(self.nodal[pre.kinds[pre.kind[a]]], powers[pre.cp[a]])[None]
+            else:
+                f = powers[pre.cp[a:b]]
+                np.multiply(self.table[pre.kind[a:b], None, :], f, out=f)
+            if not d:
+                np.multiply(f, 1.0, out=f)
+            elif a == lo and b == hi == lo + inner_at.size:
+                np.multiply(f, inner, out=f)  # one prefix per parent
+            else:
+                np.multiply(f, inner[inner_at.searchsorted(pre.parent[a:b])], out=f)
+            i0, i1 = pre.end_pos.searchsorted((a, b))
+            if i1 > i0:
+                ends = f if i1 - i0 == b - a and pre.distinct_ends else f[pre.end_pos[i0:i1] - a]
+                self.out[pre.end_job[i0:i1]] = m.integral(ends)
+                del ends
+            if d + 2 == len(bounds):
+                continue
+            # the longer prefixes extending this block are consecutive
+            nxt = pre.parent[bounds[d + 1] : bounds[d + 2]]
+            lo2 = bounds[d + 1] + nxt.searchsorted(a)
+            hi2 = bounds[d + 1] + nxt.searchsorted(b)
+            if hi2 > lo2:
+                extended = pre.extended[a:b]
+                if not extended.all():
+                    f = f[extended]
+                inner_next = m.cumulative(f)
+                del f
+                self.run(d + 1, lo2, hi2, inner_next, a + np.flatnonzero(extended))
 
 
 def integrate_word_on_mesh(
-    words: Sequence[Word],
-    cols: Sequence[np.ndarray],
+    trie: _Trie,
+    ks: np.ndarray,
     exps: np.ndarray,
-    rows: Sequence[np.ndarray],
+    rows: np.ndarray,
     m: PanelMesh,
     params: EvalParams,
-    exact: list,
-) -> list:
-    """Iterated integrals of words over one mesh (exact panels).
+    exact: np.ndarray | None,
+) -> tuple[np.ndarray, dict]:
+    """Iterated integrals of the words ks of trie over one mesh (exact
+    panels), at the points rows (ascending).
 
-    Word k is integrated at the points rows[k] (ascending), where its letter
-    j has the exponent exps[i, cols[k][j]] at point i; exact is
-    _exact_columns(exps).  Each exponent
-    column's node powers t^(e-1) are formed once, over every point that
-    needs them, and each distinct prefix (letters and columns) is
-    integrated once, over the points of all words that share it; the
-    prefixes are walked depth first, so one inner array per depth is live.
-    Entry k of the result is word k's integrals at rows[k], or the
-    TruncationError raised for the node values of its first letter that
-    has none.
+    Letter j of word k has the exponent exps[i, c] at point i, where c is
+    its column in the trie; exact is _exact_columns(exps).  Returns the
+    integrals, one row per word and one column per point, and the
+    TruncationError of each word (by position in ks) with a letter whose
+    node values fail, from the first such letter; its row is left unset.
+
+    The prefixes run length by length: each exponent column's node powers
+    t^(e-1) are formed once, over all of rows, and the prefixes of one
+    length are integrated together, as one stacked (prefixes, points,
+    nodes) array, at all of rows, whether or not every word they lead to
+    needs every point.  Every entry is formed by the operations, in the
+    order, of one word integrated at one point on its own, so it equals
+    that bit for bit.
     """
-    out: list = [None] * len(words)
-    nodal: dict = {}
-    for k, word in enumerate(words):
-        for letter in word:
-            if letter.part == "mono":
-                continue
-            key = (letter.theta, letter.part)
-            if key not in nodal:
-                try:
-                    nodal[key] = m.theta_values(letter.theta, letter.part, params.max_terms)
-                except TruncationError as exc:
-                    nodal[key] = exc
-            if isinstance(nodal[key], TruncationError):
-                out[k] = nodal[key]
-                break
-    live = [k for k in range(len(words)) if out[k] is None]
-    if not live:
-        return out
-    pieces: dict[int, list] = {k: [] for k in live}
+    nodal, errors = _node_values(trie, ks.tolist(), m, params)
+    out = values = np.empty((ks.size, rows.size), dtype=complex)
+    live = ks
+    if errors:
+        keep = np.ones(ks.size, dtype=bool)
+        keep[list(errors)] = False
+        live, values = ks[keep], np.empty((int(keep.sum()), rows.size), dtype=complex)
+    if live.size > 1:
+        pre = trie.prefixes(live)
     step = max(1, ROW_BUDGET // m.log_nodes.size)
-    bounds = [None]  # one block of every row
-    if sum(rows[k].size for k in live) > step:
-        every = _union([rows[k] for k in live])
-        bounds = [(every[lo], every[min(lo + step, every.size) - 1])
-                  for lo in range(0, every.size, step)]
-    for bound in bounds:
-        jobs = []
-        for k in live:
-            r = rows[k]
-            if bound is not None:
-                r = r[np.searchsorted(r, bound[0]) : np.searchsorted(r, bound[1], "right")]
-            if r.size:
-                jobs.append((k, words[k], cols[k], r))
-        _integrate_prefixes(m, exps, exact, nodal, jobs, pieces)
-    for k in live:
-        out[k] = pieces[k][0] if len(pieces[k]) == 1 else np.concatenate(pieces[k])
-    return out
+    for lo in range(0, rows.size if live.size else 0, step):
+        block = rows[lo : lo + step]
+        if live.size == 1:
+            # one word: its letters in turn, without the prefix trie
+            _integrate_word(m, trie, int(live[0]), nodal, exps, block, exact, values[:, lo : lo + step])
+            continue
+        at = pre.cols[:, None], block
+        e = exps.T[at] - 1.0
+        mask = None if exact is None else exact.T[at]
+        if mask is not None and not mask.any():
+            mask = None
+        powers = m.powers(e.ravel(), None if mask is None else mask.ravel())
+        _PrefixPass(m, pre, nodal, powers.reshape(e.shape + (-1,)), values[:, lo : lo + step])
+    if errors:
+        out[keep] = values
+    return out, errors
 
 
-class _Job:
-    """A word at the points that share its mesh, while it is refined."""
+def _integrate_word(m: PanelMesh, trie: _Trie, k: int, nodal: dict, exps: np.ndarray,
+                    rows: np.ndarray, exact: np.ndarray | None, out: np.ndarray) -> None:
+    """Integrate word k of trie alone on mesh m at the points rows, into
+    out[0]: the stacked pass for a chain of one prefix per length."""
+    f = 1.0
+    for j, q in enumerate(trie.pairs[k]):
+        if j:
+            f = m.cumulative(f)
+        c = trie.pair_col[q]
+        mask = None if exact is None else exact[rows, c]
+        power = m.powers(exps[rows, c] - 1.0, mask if mask is not None and mask.any() else None)
+        power = np.multiply(nodal[trie.pair_kind[q]], power, out=power)
+        f = np.multiply(power, f, out=power)
+    out[0] = m.integral(f)
 
-    __slots__ = ("k", "rows", "v0", "est")
 
-    def __init__(self, k: int, rows: np.ndarray):
-        self.k = k
-        self.rows = rows
-        self.v0 = None
-        self.est = np.full(rows.size, math.inf)
+def _kept(keep, *arrays) -> list:
+    """Each array (None stays None) at the index keep."""
+    return [None if a is None else a[keep] for a in arrays]
 
 
 def integrate_words(
@@ -554,64 +671,80 @@ def integrate_words(
     values = np.ones((len(words), n), dtype=complex)
     errs = np.zeros((len(words), n))
     failed: dict[tuple, Exception] = {}  # (word, edges) -> its failure
-    meshes: dict[tuple[float, ...], list[_Job]] = {}
-    if edges is None:
+    # mesh edges -> (words, (words, points) mask of the points they run at)
+    meshes: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
+    nonempty = [k for k, word in enumerate(words) if word]
+    if edges is not None:
+        meshes[edges] = np.array(nonempty, dtype=int), np.ones((len(nonempty), n), dtype=bool)
+    elif nonempty:
         slack = params.abs_tol * params.horizon_safety
         every_horizon = word_horizons(words, cols, exps, params)
-    exact = _exact_columns(exps)
-    for k, word in enumerate(words):
-        if not word:
-            continue
-        if edges is not None:
-            meshes.setdefault(edges, []).append(_Job(k, np.arange(n)))
-            continue
-        horizons = every_horizon[k]
-        if isinstance(horizons, Exception):
-            failed[k, ()] = horizons  # before any of the word's meshes
-            continue
-        for t_max in sorted(set(horizons.tolist())):
-            job = _Job(k, np.flatnonzero(horizons == t_max))
-            meshes.setdefault(doubling_edges(1.0, t_max), []).append(job)
+        ks = []
+        for k in nonempty:
+            if isinstance(every_horizon[k], Exception):
+                failed[k, ()] = every_horizon[k]  # before any of the word's meshes
+            else:
+                ks.append(k)
+        if ks:
+            horizons = np.array([every_horizon[k] for k in ks])
+            ks = np.array(ks)
+            for t_max in sorted(set(horizons.ravel().tolist())):
+                at = horizons == t_max
+                some = at.any(axis=1)
+                meshes[doubling_edges(1.0, t_max)] = ks[some], at[some]
+    trie = _Trie(words, cols)
+    exact = _exact_columns(exps, trie.cols)
     for key in sorted(meshes):
-        jobs = meshes[key]
+        # the jobs' words, the points some job still runs at, and whether
+        # each job runs at each of them
+        ks, member = meshes[key]
+        rows = np.flatnonzero(member.any(axis=0))
+        if rows.size < n:
+            member = member[:, rows]
         m = mesh(key, params.quad_order)
+        v0 = est = None  # the last level's values, and their estimates
         for level in range(params.max_refine + 1):
             if failed:
                 # a later word's or horizon's failure could not be the one raised
-                first = min(failed)
-                jobs = [job for job in jobs if (job.k, key) < first]
-            if not jobs:
+                first_k, first_key = min(failed)
+                keep = (ks < first_k) | ((ks == first_k) & (key < first_key))
+                ks, member, v0, est = _kept(keep, ks, member, v0, est)
+            if not ks.size:
                 break
             if level:
                 m = m.refined()
-            results = integrate_word_on_mesh(
-                [words[job.k] for job in jobs],
-                [cols[job.k] for job in jobs],
-                exps,
-                [job.rows for job in jobs],
-                m,
-                params,
-                exact,
-            )
-            kept = []
-            for job, v1 in zip(jobs, results):
-                if isinstance(v1, TruncationError):
-                    failed[job.k, key] = v1
-                    continue
-                if level:
-                    est = np.abs(v1 - job.v0) + slack
-                    done = est <= params.abs_tol
-                    values[job.k][job.rows[done]] = v1[done]
-                    errs[job.k][job.rows[done]] = est[done]
-                    job.rows, v1, job.est = job.rows[~done], v1[~done], est[~done]
-                job.v0 = v1
-                if job.rows.size:
-                    kept.append(job)
-            jobs = kept
+            v1, errors = integrate_word_on_mesh(trie, ks, exps, rows, m, params, exact)
+            if errors:
+                for j, exc in errors.items():
+                    failed[int(ks[j]), key] = exc
+                keep = np.ones(ks.size, dtype=bool)
+                keep[list(errors)] = False
+                ks, member, v0, est, v1 = _kept(keep, ks, member, v0, est, v1)
+            if level:
+                est = np.abs(v1 - v0)
+                est += slack
+                done = est <= params.abs_tol
+                done &= member
+                jj, ii = done.nonzero()
+                at = ks[jj], rows[ii]
+                values[at] = v1[jj, ii]
+                errs[at] = est[jj, ii]
+                member &= ~done
+                if not member.any():
+                    break
+                left = member.any(axis=1)
+                if not left.all():
+                    ks, member, est, v1 = _kept(left, ks, member, est, v1)
+                left = member.any(axis=0)
+                if not left.all():
+                    rows = rows[left]
+                    member, est, v1 = _kept((slice(None), left), member, est, v1)
+            v0 = v1
         else:
-            for job in jobs:
-                failed[job.k, key] = QuadratureError(
-                    f"estimate {job.est[0]:.3e} above {params.abs_tol:.1e} after "
+            for j, k in enumerate(ks.tolist()):
+                e = math.inf if est is None else est[j][member[j]][0]
+                failed[k, key] = QuadratureError(
+                    f"estimate {e:.3e} above {params.abs_tol:.1e} after "
                     f"{params.max_refine} refinements"
                 )
     if failed:
