@@ -83,12 +83,18 @@ def parse_theta_token(token: str) -> ThetaFunction:
         raise CliError(str(exc)) from exc
 
 
+# longest theta tuple accepted (riemann at r = 6 integrates 1939 distinct words)
+MAX_TUPLE = 6
+
+
 def parse_theta_tuple(text: str) -> tuple[ThetaFunction, ...]:
     tokens = [t for t in text.split(",") if t.strip()]
     if not tokens:
         raise CliError("empty theta tuple")
-    if len(tokens) > 4:
-        raise CliError("theta tuples of length > 4 are not supported")
+    if len(tokens) > MAX_TUPLE:
+        raise CliError(
+            f"theta tuple of length {len(tokens)}: at most {MAX_TUPLE} thetas are supported"
+        )
     return tuple(parse_theta_token(t) for t in tokens)
 
 

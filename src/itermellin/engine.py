@@ -43,7 +43,7 @@ from .quadrature import (
     EvalParams,
     doubling_edges,
     integrate_words,
-    tail_word_integral,
+    tail_word_integral,  # no longer called here; perfbench/tracer.py wraps this binding
     truncation_horizon,
     word_integral_on_interval,
 )
@@ -124,19 +124,21 @@ class NumericPlan:
     @staticmethod
     def lower(expr: LambdaExpression) -> "NumericPlan":
         word_ids: dict[Word, int] = {}
-        tangent_ids: dict[int, int] = {}
-        tangents: list[RationalCombination] = []
+        # equal tangents are evaluated once, whichever objects hold them;
+        # terms share few objects, so each object's terms are hashed once
+        tangent_ids: dict[tuple, int] = {}
+        term_tangent: dict[int, int] = {}  # id of a tangent object -> tangent id
         for term in expr.terms:
             word_ids.setdefault(term.word, len(word_ids))
-            if id(term.tangent) not in tangent_ids:
-                tangent_ids[id(term.tangent)] = len(tangents)
-                tangents.append(term.tangent)
+            if id(term.tangent) not in term_tangent:
+                term_tangent[id(term.tangent)] = tangent_ids.setdefault(
+                    term.tangent.terms, len(tangent_ids))
         guard = tuple(h for h in expr.pole_forms if not h.is_constant())
         form_ids: dict[AffineForm, int] = {}
         parts = [
             (complex(c), [len(guard) + form_ids.setdefault(f, len(form_ids)) for f in forms], t)
-            for t, rc in enumerate(tangents)
-            for c, forms in rc.terms
+            for t, terms in enumerate(tangent_ids)
+            for c, forms in terms
         ]
         one = len(guard) + len(form_ids)
         exponent_ids: dict[AffineForm, int] = {}
@@ -149,7 +151,7 @@ class NumericPlan:
         )
         width = max((len(cols) for _, cols, _ in parts), default=0)
         part_cols = np.full((len(parts), width), one, dtype=int)
-        part_tangent = np.zeros((len(parts), len(tangents)))
+        part_tangent = np.zeros((len(parts), len(tangent_ids)))
         for i, (_, cols, t) in enumerate(parts):
             part_cols[i, : len(cols)] = cols
             part_tangent[i, t] = 1.0
@@ -163,9 +165,7 @@ class NumericPlan:
             blockers=blockers,
             guard_norms=np.array([h.grad_norm() for h in guard]),
             term_word=np.array([word_ids[t.word] for t in expr.terms], dtype=int),
-            term_tangent=np.array(
-                [tangent_ids[id(t.tangent)] for t in expr.terms], dtype=int
-            ),
+            term_tangent=np.array([term_tangent[id(t.tangent)] for t in expr.terms], dtype=int),
             coeffs=np.array([float(t.coeff) for t in expr.terms]),
             part_coeffs=np.array([c for c, _, _ in parts], dtype=complex),
             part_cols=part_cols,
@@ -248,10 +248,7 @@ def build_expression(thetas: Sequence[ThetaFunction]) -> LambdaExpression:
                 key = (id(rc1), id(rc2))
                 if key not in products:
                     products[key] = rc1 * rc2
-                # each pair of words keeps its own tangent object: the plan
-                # lowers each object to its own parts, and that layout fixes
-                # the rounding of the tangent sums
-                tangent = RationalCombination(products[key].terms)
+                tangent = products[key]
                 for word, mult in shuffle(w1, w2).terms.items():
                     terms.append(LambdaTerm(Fraction(coeff * mult), word, tangent))
     return LambdaExpression(thetas, tuple(terms), _collect_poles(terms))
@@ -370,15 +367,23 @@ def residue(
     point = _as_point(s, expr.nslots)
     if h.distance(point) > 1e-8:
         raise ValueError(f"point does not lie on the hyperplane {h} = 0")
-    cache: dict[Word, tuple[complex, float]] = {}
+    hits = [(term, res) for term in expr.terms if (res := term.tangent.residue(h, point)) != 0]
+    # the distinct words, integrated together as integrate_words does for
+    # lambda_eval; each value is that of the word on its own
+    word_ids: dict[Word, int] = {}
+    exponent_ids: dict[AffineForm, int] = {}
+    cols = []
+    for term, _ in hits:
+        if term.word not in word_ids:
+            word_ids[term.word] = len(word_ids)
+            cols.append(np.array(
+                [exponent_ids.setdefault(l.exponent, len(exponent_ids)) for l in term.word],
+                dtype=int))
+    exps = np.array([[complex(f(point)) for f in exponent_ids]], dtype=complex)
+    values = integrate_words(tuple(word_ids), cols, exps, params)[0][0].tolist() if hits else []
     total = 0.0 + 0.0j
-    for term in expr.terms:
-        res = term.tangent.residue(h, point)
-        if res == 0:
-            continue
-        if term.word not in cache:
-            cache[term.word] = tail_word_integral(term.word, point, params)
-        total += float(term.coeff) * cache[term.word][0] * res
+    for term, res in hits:
+        total += float(term.coeff) * values[word_ids[term.word]] * res
     return total
 
 

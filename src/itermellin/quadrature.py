@@ -13,14 +13,22 @@ are cached on the (interned) mesh and shared across words and evaluation
 points, as are the logarithms of the nodes.  Word integrals run over
 batches of words and points (integrate_words): the truncation horizons of
 all words at all points come from one array pass (word_horizons), then
-the words run mesh by mesh.  On one mesh, a truncation horizon at one
-refinement level, each letter exponent's node powers are formed once, as
-exp(e * log t) from the cached logarithms (PanelMesh.powers), and each
-shared word prefix is integrated once, over every point that needs it;
-the integration matrix acts on the real and imaginary parts of the panels
-as real matrix products (PanelMesh.cumulative).  Each of these equals the
-plain expression bit for bit (nodes ** e, the complex matrix product, the
-one-word horizon), so every word keeps, at every point, its own horizon,
+the words run mesh by mesh, a mesh being a truncation horizon at one
+refinement level, with the refinement state of every (word, point) pair
+on it held in arrays.  On one mesh (integrate_word_on_mesh) each letter
+exponent's node powers are formed once, as exp(e * log t) from the cached
+logarithms (PanelMesh.powers), and the words' distinct prefixes form a
+trie (_Prefixes) that is integrated one prefix length at a time: all
+prefixes of one length are one stacked (prefixes, points, nodes) array,
+formed by a gather of their letters' node powers, one multiply by the
+letters' node values and one by a gather of their parents' inner
+integrals, then integrated by one PanelMesh.integral for the words that
+end there and one PanelMesh.cumulative for the prefixes that go on, in
+blocks of at most BLOCK_BUDGET entries.  The integration matrix acts on
+the real and imaginary parts of the panels as real matrix products.  Each
+of these equals the plain expression bit for bit (nodes ** e, the complex
+matrix product, a word integrated alone at one point, the one-word
+horizon), so every word keeps, at every point, its own horizon,
 refinement depth and error estimate, bit for bit as in a one-word,
 one-point call.
 """
@@ -360,37 +368,35 @@ def _exact_columns(exps: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
 BLOCK_BUDGET = 1 << 15
 
 
-class _Trie:
-    """The letters of a batch of words, for the prefix tries of its meshes.
-
-    Letter j of word k is pairs[k][j], an id of its (letter, column) pair:
-    pairs with one kind and column have one integrand at the nodes.
-    kinds[pair_kind[q]] is (theta, part), or (None, coefficient) for a
-    monomial letter, and pair_col[q] the column.  word_kinds[k] lists the
-    kinds of word k in the order its letters first use them.
+class _Letters:
+    """The letters of a batch of words, as ids of (letter, column) pairs:
+    pairs[k][j] is letter j of word k.  The letters of one pair have one
+    integrand at the nodes; kinds[pair_kind[q]] is (theta, part), or
+    (None, coefficient) for a monomial letter, and pair_col[q] the column.
     """
 
     def __init__(self, words: Sequence[Word], cols: Sequence[np.ndarray]):
-        pair_ids: dict = {}  # (letter, column) -> pair id
+        by_id: dict = {}  # (id(letter), column) -> pair: letters recur as objects
+        by_value: dict = {}  # (letter, column) -> pair
         kind_ids: dict = {}
         self.pair_kind: list[int] = []
         self.pair_col: list[int] = []
         self.pairs: list[tuple[int, ...]] = []
-        self.word_kinds: list[tuple[int, ...]] = []
         for word, wcols in zip(words, cols):
             path = []
-            for key in zip(word, wcols.tolist()):
-                q = pair_ids.get(key)
+            for letter, c in zip(word, wcols.tolist()):
+                q = by_id.get((id(letter), c))
                 if q is None:
-                    letter = key[0]
-                    kind = ((None, float(letter.coeff)) if letter.part == "mono"
-                            else (letter.theta, letter.part))
-                    q = pair_ids[key] = len(self.pair_col)
-                    self.pair_kind.append(kind_ids.setdefault(kind, len(kind_ids)))
-                    self.pair_col.append(key[1])
+                    q = by_value.get((letter, c))
+                    if q is None:
+                        q = by_value[letter, c] = len(self.pair_col)
+                        kind = ((None, float(letter.coeff)) if letter.part == "mono"
+                                else (letter.theta, letter.part))
+                        self.pair_kind.append(kind_ids.setdefault(kind, len(kind_ids)))
+                        self.pair_col.append(c)
+                    by_id[id(letter), c] = q
                 path.append(q)
             self.pairs.append(tuple(path))
-            self.word_kinds.append(tuple(dict.fromkeys(self.pair_kind[q] for q in path)))
         self.kinds = list(kind_ids)
         self.cols = np.array(sorted(set(self.pair_col)), dtype=int)
         self._last = None
@@ -404,28 +410,27 @@ class _Trie:
 
 
 class _Prefixes:
-    """The distinct prefixes of the words ks of a trie, numbered by length,
-    and within one length in the lexicographic order of their pairs, so the
-    children of each prefix are consecutive and in the order of their
-    parents.
+    """The prefix trie of the words ks of a batch: their distinct prefixes
+    (pair sequences), numbered by length, and within one length in the
+    lexicographic order of their pairs, so that the children of each prefix
+    are consecutive and in the order of their parents.
 
     Prefixes of length d + 1 are bounds[d] to bounds[d + 1] - 1.  Prefix p
     extends prefix parent[p] (-1 for the empty prefix) by a letter of kind
-    kind[p] and exponent column cols[cp[p]], and extended[p] is whether a
-    longer prefix extends it.  The words (positions in ks) ending at the
-    prefixes are end_job, ordered by their prefixes, end_pos.  kinds lists
-    the words' letter kinds in the order their letters first use them.
+    kinds[kind[p]] and exponent column cols[cp[p]], and extended[p] is
+    whether a longer prefix extends it.  The words (positions in ks) ending
+    at the prefixes are end_job, ordered by their prefixes, end_pos.
     """
 
-    def __init__(self, trie: _Trie, ks: np.ndarray):
+    def __init__(self, letters: _Letters, ks: np.ndarray):
         self.ks = ks
         ks = ks.tolist()
         levels: list[dict] = []  # per length: (parent, pair) -> prefix, counted per length
         extended: list[list] = []
         ends = [0] * len(ks)
-        for j in sorted(range(len(ks)), key=lambda j: trie.pairs[ks[j]]):
+        for j in sorted(range(len(ks)), key=lambda j: letters.pairs[ks[j]]):
             p = -1
-            for d, q in enumerate(trie.pairs[ks[j]]):
+            for d, q in enumerate(letters.pairs[ks[j]]):
                 if d == len(levels):
                     levels.append({})
                     extended.append([])
@@ -448,20 +453,20 @@ class _Prefixes:
         self.parent = np.array(parent)
         self.extended = np.array(list(itertools.chain.from_iterable(extended)))
         col_ids: dict = {}
-        self.cp = np.array([col_ids.setdefault(trie.pair_col[q], len(col_ids)) for q in pairs])
+        self.cp = np.array([col_ids.setdefault(letters.pair_col[q], len(col_ids)) for q in pairs])
         self.cols = np.array(list(col_ids))
         kind_ids: dict = {}
-        self.kind = np.array([kind_ids.setdefault(trie.pair_kind[q], len(kind_ids)) for q in pairs])
+        self.kind = np.array([kind_ids.setdefault(letters.pair_kind[q], len(kind_ids)) for q in pairs])
         self.kinds = list(kind_ids)
         end_pos = [self.bounds[d] + p for d, p in ends]
-        # no two words end at one prefix (the words are distinct)
+        # whether each prefix ends one word at most (it does for distinct words)
         self.distinct_ends = len(set(end_pos)) == len(end_pos)
         end_pos = np.array(end_pos)
         self.end_job = end_pos.argsort(kind="stable")
         self.end_pos = end_pos[self.end_job]
 
 
-def _node_values(trie: _Trie, ks: list, m: PanelMesh, params: EvalParams):
+def _node_values(letters: _Letters, ks: list, m: PanelMesh, params: EvalParams):
     """The integrand factor of every letter kind of the words ks on mesh
     m, by kind: its node values, or a monomial's coefficient; and the
     TruncationError of each word (by position in ks) with a letter without
@@ -472,28 +477,28 @@ def _node_values(trie: _Trie, ks: list, m: PanelMesh, params: EvalParams):
     failing letter, so the same node values are formed as word by word.
     """
     nodal: dict = {}
-    kinds = trie.word_kinds[ks[0]] if len(ks) == 1 else dict.fromkeys(
-        itertools.chain.from_iterable(trie.word_kinds[k] for k in ks))
-    for kind in kinds:
-        if not _node_value(trie, kind, m, params, nodal):
+    # pairs, then kinds, in the order the words' letters first use them
+    pairs = dict.fromkeys(itertools.chain.from_iterable(letters.pairs[k] for k in ks))
+    for kind in dict.fromkeys(letters.pair_kind[q] for q in pairs):
+        if not _node_value(letters, kind, m, params, nodal):
             break
     else:
         return nodal, {}
     errors = {}
     for j, k in enumerate(ks):
-        for kind in (trie.pair_kind[q] for q in trie.pairs[k]):
+        for kind in (letters.pair_kind[q] for q in letters.pairs[k]):
             if kind not in nodal:
-                _node_value(trie, kind, m, params, nodal)
+                _node_value(letters, kind, m, params, nodal)
             if isinstance(nodal[kind], TruncationError):
                 errors[j] = nodal[kind]
                 break
     return nodal, errors
 
 
-def _node_value(trie: _Trie, kind: int, m: PanelMesh, params: EvalParams, nodal: dict) -> bool:
+def _node_value(letters: _Letters, kind: int, m: PanelMesh, params: EvalParams, nodal: dict) -> bool:
     """Enter kind's integrand factor, or the TruncationError of its node
     values, into nodal; whether it has one."""
-    theta, part = trie.kinds[kind]
+    theta, part = letters.kinds[kind]
     if theta is None:
         nodal[kind] = part
         return True
@@ -542,7 +547,7 @@ class _PrefixPass:
                 f = powers[pre.cp[a:b]]
                 np.multiply(self.table[pre.kind[a:b], None, :], f, out=f)
             if not d:
-                np.multiply(f, 1.0, out=f)
+                np.multiply(f, 1.0, out=f)  # the empty prefix's, as for a word alone
             elif a == lo and b == hi == lo + inner_at.size:
                 np.multiply(f, inner, out=f)  # one prefix per parent
             else:
@@ -568,7 +573,7 @@ class _PrefixPass:
 
 
 def integrate_word_on_mesh(
-    trie: _Trie,
+    letters: _Letters,
     ks: np.ndarray,
     exps: np.ndarray,
     rows: np.ndarray,
@@ -576,11 +581,12 @@ def integrate_word_on_mesh(
     params: EvalParams,
     exact: np.ndarray | None,
 ) -> tuple[np.ndarray, dict]:
-    """Iterated integrals of the words ks of trie over one mesh (exact
+    """Iterated integrals of the words ks of a batch over one mesh (exact
     panels), at the points rows (ascending).
 
     Letter j of word k has the exponent exps[i, c] at point i, where c is
-    its column in the trie; exact is _exact_columns(exps).  Returns the
+    its column letters.pair_col[letters.pairs[k][j]]; exact is
+    _exact_columns(exps, letters.cols).  Returns the
     integrals, one row per word and one column per point, and the
     TruncationError of each word (by position in ks) with a letter whose
     node values fail, from the first such letter; its row is left unset.
@@ -593,21 +599,22 @@ def integrate_word_on_mesh(
     order, of one word integrated at one point on its own, so it equals
     that bit for bit.
     """
-    nodal, errors = _node_values(trie, ks.tolist(), m, params)
+    nodal, errors = _node_values(letters, ks.tolist(), m, params)
     out = values = np.empty((ks.size, rows.size), dtype=complex)
-    live = ks
     if errors:
-        keep = np.ones(ks.size, dtype=bool)
-        keep[list(errors)] = False
-        live, values = ks[keep], np.empty((int(keep.sum()), rows.size), dtype=complex)
-    if live.size > 1:
-        pre = trie.prefixes(live)
+        live = np.ones(ks.size, dtype=bool)
+        live[list(errors)] = False
+        if not live.any():
+            return out, errors
+        ks, values = ks[live], np.empty((int(live.sum()), rows.size), dtype=complex)
+    if ks.size > 1:
+        pre = letters.prefixes(ks)
     step = max(1, ROW_BUDGET // m.log_nodes.size)
-    for lo in range(0, rows.size if live.size else 0, step):
+    for lo in range(0, rows.size, step):
         block = rows[lo : lo + step]
-        if live.size == 1:
-            # one word: its letters in turn, without the prefix trie
-            _integrate_word(m, trie, int(live[0]), nodal, exps, block, exact, values[:, lo : lo + step])
+        if ks.size == 1:
+            # one word: its letters in turn, without a prefix trie
+            _integrate_word(m, letters, int(ks[0]), nodal, exps, block, exact, values[:, lo : lo + step])
             continue
         at = pre.cols[:, None], block
         e = exps.T[at] - 1.0
@@ -617,22 +624,22 @@ def integrate_word_on_mesh(
         powers = m.powers(e.ravel(), None if mask is None else mask.ravel())
         _PrefixPass(m, pre, nodal, powers.reshape(e.shape + (-1,)), values[:, lo : lo + step])
     if errors:
-        out[keep] = values
+        out[live] = values
     return out, errors
 
 
-def _integrate_word(m: PanelMesh, trie: _Trie, k: int, nodal: dict, exps: np.ndarray,
+def _integrate_word(m: PanelMesh, letters: _Letters, k: int, nodal: dict, exps: np.ndarray,
                     rows: np.ndarray, exact: np.ndarray | None, out: np.ndarray) -> None:
-    """Integrate word k of trie alone on mesh m at the points rows, into
-    out[0]: the stacked pass for a chain of one prefix per length."""
+    """Integrate word k of a batch alone on mesh m at the points rows, into
+    out[0]: the pass of _PrefixPass for a chain of one prefix per length."""
     f = 1.0
-    for j, q in enumerate(trie.pairs[k]):
+    for j, q in enumerate(letters.pairs[k]):
         if j:
             f = m.cumulative(f)
-        c = trie.pair_col[q]
+        c = letters.pair_col[q]
         mask = None if exact is None else exact[rows, c]
         power = m.powers(exps[rows, c] - 1.0, mask if mask is not None and mask.any() else None)
-        power = np.multiply(nodal[trie.pair_kind[q]], power, out=power)
+        power = np.multiply(nodal[letters.pair_kind[q]], power, out=power)
         f = np.multiply(power, f, out=power)
     out[0] = m.integral(f)
 
@@ -692,8 +699,8 @@ def integrate_words(
                 at = horizons == t_max
                 some = at.any(axis=1)
                 meshes[doubling_edges(1.0, t_max)] = ks[some], at[some]
-    trie = _Trie(words, cols)
-    exact = _exact_columns(exps, trie.cols)
+    letters = _Letters(words, cols)
+    exact = _exact_columns(exps, letters.cols)
     for key in sorted(meshes):
         # the jobs' words, the points some job still runs at, and whether
         # each job runs at each of them
@@ -713,7 +720,7 @@ def integrate_words(
                 break
             if level:
                 m = m.refined()
-            v1, errors = integrate_word_on_mesh(trie, ks, exps, rows, m, params, exact)
+            v1, errors = integrate_word_on_mesh(letters, ks, exps, rows, m, params, exact)
             if errors:
                 for j, exc in errors.items():
                     failed[int(ks[j]), key] = exc
@@ -790,33 +797,3 @@ def word_integral_on_interval(
         (word,), (np.arange(len(word)),), letter_exponents(word, s), params, edges, slack
     )
     return complex(values[0, 0]), float(errs[0, 0])
-
-
-def composition_split(
-    word: Word, s: Sequence[complex], cut: float, params: EvalParams | None = None
-) -> complex:
-    """Evaluate the [1, inf) word integral via a path split at cut.
-
-    Sum over k of (integral over [1, cut] of the first k letters) times
-    (integral over [cut, inf) of the rest); used as an independent
-    cross-check of the direct evaluation.
-    """
-    params = params or EvalParams()
-    if cut <= 1.0:
-        raise ValueError("cut must exceed 1")
-    total = 0.0 + 0.0j
-    lower_edges = tuple(np.linspace(1.0, cut, 5))
-    for k in range(len(word) + 1):
-        prefix, suffix = word[:k], word[k:]
-        if prefix:
-            left, _ = word_integral_on_interval(prefix, s, lower_edges, params)
-        else:
-            left = 1.0 + 0.0j
-        if suffix:
-            t_max = max(truncation_horizon(suffix, s, params), 2.0 * cut)
-            upper = doubling_edges(cut, t_max)
-            right, _ = word_integral_on_interval(suffix, s, upper, params)
-        else:
-            right = 1.0 + 0.0j
-        total += left * right
-    return total

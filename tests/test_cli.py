@@ -60,6 +60,15 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "--theta", "nope", "--s", "1")
         assert code == 2
 
+    def test_tuple_length_cap(self, capsys):
+        code, out, _ = run(capsys, "poles", "--theta", ",".join(["riemann"] * 6),
+                           "--format", "json")
+        assert code == 0 and json.loads(out)
+        code, _, err = run(capsys, "eval", "--theta", ",".join(["riemann"] * 7),
+                           "--s", ",".join(["2"] * 7))
+        assert code == 2
+        assert "theta tuple of length 7: at most 6 thetas are supported" in err
+
     def test_complex_token(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--theta", "riemann", "--s", "0.5+1.0i", "--format", "json"

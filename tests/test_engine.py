@@ -13,11 +13,12 @@ from itermellin.engine import (
     build_tail_expression,
     lambda_direct,
     lambda_eval,
+    lambda_eval_many,
     lstar_eval,
     poles,
     residue,
 )
-from itermellin.quadrature import EvalParams
+from itermellin.quadrature import EvalParams, tail_word_integral
 from itermellin.cli import parse_theta_token
 from itermellin.ratfun import AffineForm, PoleSignal, tangent_word_integral
 from itermellin.theta import make_builtin_theta, parse_theta_text, rescale
@@ -129,6 +130,20 @@ class TestFunctionalEquation:
             rhs, _ = lambda_eval(expr, refl, P)
             assert abs(lhs - rhs) < 1e-9
 
+    def test_riemann_r5_within_error_bars(self):
+        rng = np.random.default_rng(55)
+        thetas = (theta("riemann"),) * 5
+        expr = build_expression(thetas)
+        checked = 0
+        while checked < 2:
+            pt = tuple(complex(rng.uniform(-2, 3), rng.uniform(-2, 2)) for _ in range(5))
+            refl = engine.reflected_point(thetas, pt)
+            if any(min(h.distance(pt), h.distance(refl)) < 0.1 for h in expr.pole_forms):
+                continue
+            (lhs, lhs_err), (rhs, rhs_err) = lambda_eval_many(expr, [pt, refl], P)
+            assert abs(lhs - rhs) <= lhs_err + rhs_err
+            checked += 1
+
     def test_mixed_tuple(self):
         g4, delta = theta("eisenstein", 4), theta("delta")
         a = build_expression((g4, delta))
@@ -185,6 +200,19 @@ class TestResidues:
         assert abs(res - closed) < 1e-11
         num = oracles.residue_numeric(e3, h, pt, P)
         assert abs(res - num) < 1e-7
+
+    def test_words_integrated_together_as_one_by_one(self):
+        """The words with a residue are integrated in one batch, each to
+        its one-word value, and the terms summed in order as before."""
+        e3 = build_expression((theta("riemann"),) * 3)
+        h = AffineForm.make(0, (0, 1, 1))
+        pt = (0.5 + 1.5j, 1.5 - 0.5j, -1.5 + 0.5j)
+        total = 0j
+        for term in e3.terms:
+            res = term.tangent.residue(h, pt)
+            if res != 0:
+                total += float(term.coeff) * tail_word_integral(term.word, pt, P)[0] * res
+        assert residue(e3, h, pt, P) == total
 
     def test_point_off_hyperplane_rejected(self):
         e2 = build_expression((theta("riemann"),) * 2)
@@ -432,11 +460,9 @@ def compile_cases():
 
 
 def term_rows(terms):
-    """(coefficient, word, tangent terms) of each term, and which terms share
-    one tangent object (the plan's tangent layout follows that sharing)."""
-    first = {}
-    rows = [(t.coeff, t.word, t.tangent.terms) for t in terms]
-    return rows, [first.setdefault(id(t.tangent), i) for i, t in enumerate(terms)]
+    """(coefficient, word, tangent terms) of each term; the plan evaluates
+    equal tangents once, whichever objects hold them."""
+    return [(t.coeff, t.word, t.tangent.terms) for t in terms]
 
 
 class TestCompileOnce:
@@ -461,6 +487,20 @@ class TestCompileOnce:
         want = build_tail_expression(thetas)
         assert term_rows(expr.terms) == term_rows(want.terms)
         assert expr.pole_forms == ref_poles(want.terms)
+
+
+class TestNumericPlan:
+    def test_equal_tangents_lowered_once(self):
+        """Terms share tangents by value: riemann r = 4 has 143 terms but
+        15 distinct tangents, each lowered to its own parts once."""
+        expr = build_expression((theta("riemann"),) * 4)
+        plan = expr.plan
+        distinct = {t.tangent.terms for t in expr.terms}
+        assert len(expr.terms) == 143 and len(distinct) == 15
+        assert plan.part_tangent.shape == (sum(len(t) for t in distinct), 15)
+        for term, t in zip(expr.terms, plan.term_tangent):
+            parts = plan.part_tangent[:, t].astype(bool)
+            assert plan.part_coeffs[parts].tolist() == [complex(c) for c, _ in term.tangent.terms]
 
 
 class TestThetaIdentity:

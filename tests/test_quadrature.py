@@ -12,7 +12,6 @@ from itermellin.engine import build_expression
 from itermellin.quadrature import (
     EvalParams,
     QuadratureError,
-    composition_split,
     doubling_edges,
     integrate_words,
     letter_exponents,
@@ -43,6 +42,34 @@ def make_single_exp(rate: float):
     return ThetaFunction(
         f"exp{rate}", Fraction(1), +1, 1, [], tail, inversion_ok=False, validate=False
     )
+
+
+def composition_split(word, s, cut: float, params: EvalParams | None = None) -> complex:
+    """Evaluate the [1, inf) word integral via a path split at cut.
+
+    Sum over k of (integral over [1, cut] of the first k letters) times
+    (integral over [cut, inf) of the rest); an independent cross-check of
+    the direct evaluation.
+    """
+    params = params or EvalParams()
+    if cut <= 1.0:
+        raise ValueError("cut must exceed 1")
+    total = 0.0 + 0.0j
+    lower_edges = tuple(np.linspace(1.0, cut, 5))
+    for k in range(len(word) + 1):
+        prefix, suffix = word[:k], word[k:]
+        if prefix:
+            left, _ = word_integral_on_interval(prefix, s, lower_edges, params)
+        else:
+            left = 1.0 + 0.0j
+        if suffix:
+            t_max = max(truncation_horizon(suffix, s, params), 2.0 * cut)
+            upper = doubling_edges(cut, t_max)
+            right, _ = word_integral_on_interval(suffix, s, upper, params)
+        else:
+            right = 1.0 + 0.0j
+        total += left * right
+    return total
 
 
 class TestHorizon:
@@ -233,6 +260,7 @@ class TestMeshMajor:
         # a coarse node set, so that words leave refinement at different levels
         params = EvalParams(quad_order=8)
         self.assert_one_word_calls(words, points, params)
+        assert_as_reference(words, points, params)
         meshes = []
         on_mesh = quadrature.integrate_word_on_mesh
         monkeypatch.setattr(quadrature, "integrate_word_on_mesh",
@@ -244,7 +272,7 @@ class TestMeshMajor:
                 tail_word_integral(word, s, params)
                 horizons.add(meshes[0].edges[-1])
                 depths.add(len(meshes) - 1)
-        assert len(horizons) >= 2 and len(depths) >= 2
+        assert horizons == {4.0, 8.0, 16.0, 32.0} and depths == {1, 2}
 
     def test_failure_of_the_first_failing_word(self):
         """Mesh by mesh, word b's node values fail on the first mesh, long
@@ -280,6 +308,281 @@ class TestMeshMajor:
         assert capsys.readouterr().err == (
             "numeric failure: estimate 4.810e-09 above 1.0e-10 after 8 refinements\n"
         )
+
+
+# ---------------------------------------------------------------------------
+# the depth-first prefix walk that the length-by-length pass replaced, kept
+# as the reference that integrate_words must equal bit for bit
+# ---------------------------------------------------------------------------
+
+
+class RefPrefix:
+    """A word prefix on one mesh: the rows of the words that share it, the
+    words that end with it, and the prefixes one letter longer."""
+
+    def __init__(self):
+        self.rows, self.ends, self.after = [], [], {}
+
+
+def ref_union(arrays):
+    return arrays[0] if len(arrays) == 1 else np.unique(np.concatenate(arrays))
+
+
+def ref_take(values, have, rows):
+    if have is None or have.size == rows.size:
+        return values
+    return values[np.searchsorted(have, rows)]
+
+
+def ref_exact_columns(exps):
+    if not (exps.imag == 0.0).any():
+        return [None] * exps.shape[1]
+    mask = quadrature.repeated_products(exps - 1.0)
+    return [mask[:, c] if any_ else None for c, any_ in enumerate(mask.any(axis=0).tolist())]
+
+
+def ref_node_powers(m, exps, exact, rows, c):
+    mask = exact[c]
+    return m.powers(exps[rows, c] - 1.0, None if mask is None else mask[rows])
+
+
+def ref_phi(letter, power, nodal, out):
+    if letter.part == "mono":
+        return np.multiply(float(letter.coeff), power, out=out)
+    return np.multiply(nodal[letter.theta, letter.part], power, out=out)
+
+
+def ref_integrate_prefixes(m, exps, exact, nodal, jobs, pieces):
+    if len(jobs) == 1:
+        ((k, word, cols, rows),) = jobs
+        f = 1.0
+        for j, (letter, c) in enumerate(zip(word, cols.tolist())):
+            if j:
+                f = m.cumulative(f)
+            power = ref_node_powers(m, exps, exact, rows, c)
+            f = np.multiply(ref_phi(letter, power, nodal, power), f, out=power)
+        pieces[k].append(m.integral(f))
+        return
+    root = RefPrefix()
+    col_rows = {}
+    for k, word, cols, rows in jobs:
+        node = root
+        for key in zip(word, cols.tolist()):
+            child = node.after.get(key)
+            if child is None:
+                child = node.after[key] = RefPrefix()
+            child.rows.append(rows)
+            col_rows.setdefault(key[1], []).append(rows)
+            node = child
+        node.ends.append((k, rows))
+    uses = {c: len(v) for c, v in col_rows.items()}
+    powers = {}
+    stack = [[list(root.after.items()), 1.0, None]]
+    while stack:
+        todo, inner, inner_rows = stack[-1]
+        (letter, c), node = todo.pop()
+        if not todo:
+            stack.pop()
+        rows = ref_union(node.rows)
+        if c not in powers:
+            have = ref_union(col_rows[c])
+            powers[c] = (have, ref_node_powers(m, exps, exact, have, c))
+        have, power = powers[c]
+        power = ref_take(power, have, rows)
+        uses[c] -= len(node.rows)
+        out = power if not uses[c] and power is powers.pop(c)[1] else None
+        f = ref_phi(letter, power, nodal, out)
+        del power
+        np.multiply(f, ref_take(inner, inner_rows, rows), out=f)
+        del inner
+        for k, r in node.ends:
+            pieces[k].append(m.integral(ref_take(f, rows, r)))
+        if node.after:
+            more = ref_union([r for g in node.after.values() for r in g.rows])
+            stack.append([list(node.after.items()), m.cumulative(ref_take(f, rows, more)), more])
+        del f
+
+
+def ref_integrate_word_on_mesh(words, cols, exps, rows, m, params, exact):
+    out = [None] * len(words)
+    nodal = {}
+    for k, word in enumerate(words):
+        for letter in word:
+            if letter.part == "mono":
+                continue
+            key = (letter.theta, letter.part)
+            if key not in nodal:
+                try:
+                    nodal[key] = m.theta_values(letter.theta, letter.part, params.max_terms)
+                except TruncationError as exc:
+                    nodal[key] = exc
+            if isinstance(nodal[key], TruncationError):
+                out[k] = nodal[key]
+                break
+    live = [k for k in range(len(words)) if out[k] is None]
+    if not live:
+        return out
+    pieces = {k: [] for k in live}
+    step = max(1, quadrature.ROW_BUDGET // m.log_nodes.size)
+    bounds = [None]
+    if sum(rows[k].size for k in live) > step:
+        every = ref_union([rows[k] for k in live])
+        bounds = [(every[lo], every[min(lo + step, every.size) - 1])
+                  for lo in range(0, every.size, step)]
+    for bound in bounds:
+        jobs = []
+        for k in live:
+            r = rows[k]
+            if bound is not None:
+                r = r[np.searchsorted(r, bound[0]) : np.searchsorted(r, bound[1], "right")]
+            if r.size:
+                jobs.append((k, words[k], cols[k], r))
+        ref_integrate_prefixes(m, exps, exact, nodal, jobs, pieces)
+    for k in live:
+        out[k] = pieces[k][0] if len(pieces[k]) == 1 else np.concatenate(pieces[k])
+    return out
+
+
+class RefJob:
+    def __init__(self, k, rows):
+        self.k, self.rows, self.v0 = k, rows, None
+        self.est = np.full(rows.size, math.inf)
+
+
+def ref_integrate_words(words, cols, exps, params):
+    """integrate_words (no edges) over the depth-first walk, job by job."""
+    n = exps.shape[0]
+    values = np.ones((len(words), n), dtype=complex)
+    errs = np.zeros((len(words), n))
+    failed, meshes = {}, {}
+    slack = params.abs_tol * params.horizon_safety
+    every_horizon = quadrature.word_horizons(words, cols, exps, params)
+    exact = ref_exact_columns(exps)
+    for k, word in enumerate(words):
+        if not word:
+            continue
+        horizons = every_horizon[k]
+        if isinstance(horizons, Exception):
+            failed[k, ()] = horizons
+            continue
+        for t_max in sorted(set(horizons.tolist())):
+            job = RefJob(k, np.flatnonzero(horizons == t_max))
+            meshes.setdefault(doubling_edges(1.0, t_max), []).append(job)
+    for key in sorted(meshes):
+        jobs = meshes[key]
+        m = quadrature.mesh(key, params.quad_order)
+        for level in range(params.max_refine + 1):
+            if failed:
+                first = min(failed)
+                jobs = [job for job in jobs if (job.k, key) < first]
+            if not jobs:
+                break
+            if level:
+                m = m.refined()
+            results = ref_integrate_word_on_mesh(
+                [words[job.k] for job in jobs], [cols[job.k] for job in jobs], exps,
+                [job.rows for job in jobs], m, params, exact)
+            kept = []
+            for job, v1 in zip(jobs, results):
+                if isinstance(v1, TruncationError):
+                    failed[job.k, key] = v1
+                    continue
+                if level:
+                    est = np.abs(v1 - job.v0) + slack
+                    done = est <= params.abs_tol
+                    values[job.k][job.rows[done]] = v1[done]
+                    errs[job.k][job.rows[done]] = est[done]
+                    job.rows, v1, job.est = job.rows[~done], v1[~done], est[~done]
+                job.v0 = v1
+                if job.rows.size:
+                    kept.append(job)
+            jobs = kept
+        else:
+            for job in jobs:
+                failed[job.k, key] = QuadratureError(
+                    f"estimate {job.est[0]:.3e} above {params.abs_tol:.1e} after "
+                    f"{params.max_refine} refinements")
+    if failed:
+        raise failed[min(failed)]
+    return values.T, errs.T
+
+
+def assert_as_reference(words, points, params):
+    """integrate_words equals the depth-first walk bit for bit: values and
+    estimates, or the failure's type and message."""
+    cols, exps = exponent_columns(words, points)
+    try:
+        want = ref_integrate_words(words, cols, exps, params)
+    except (QuadratureError, TruncationError) as exc:
+        with pytest.raises(type(exc)) as got:
+            integrate_words(words, cols, exps, params)
+        assert str(got.value) == str(exc)
+        return exc
+    got = integrate_words(words, cols, exps, params)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    return got
+
+
+def plan_words(*names):
+    """The distinct words of the plan of a theta tuple; "eisenstein:4" names
+    the weight."""
+    thetas = []
+    for name in names:
+        family, _, weight = name.partition(":")
+        thetas.append(make_builtin_theta(family, int(weight)) if weight else make_builtin_theta(name))
+    return build_expression(tuple(thetas)).plan.words
+
+
+class TestLengthPass:
+    """The prefixes of one length integrate as one stacked block; every word
+    at every point must come out bit for bit as in the depth-first walk."""
+
+    @pytest.mark.parametrize("r", [4, 5])
+    def test_riemann(self, r):
+        points = [(2.0, 1.5, 0.5 + 1j, -1.25 + 0.5j, 0.3 - 0.7j),
+                  (0.3 + 2.1j, -1.2 + 0.4j, 1.7 - 2.2j, 2.5, 1.1 + 0.5j)]
+        assert_as_reference(plan_words(*["riemann"] * r), [p[:r] for p in points], EvalParams())
+
+    def test_eisenstein_delta_grid(self):
+        """A 4 x 4 grid whose words take different horizons at different
+        points, so the words on one mesh run at different points."""
+        words = plan_words("eisenstein:4", "delta")
+        points = [(complex(a, 0.5), complex(b, -1.0)) for a in (-2.5, -0.5, 1.5, 3.5)
+                  for b in (-1.0, 2.0, 5.0, 8.0)]
+        cols, exps = exponent_columns(words, points)
+        by_mesh = {}
+        for h in quadrature.word_horizons(words, cols, exps, EvalParams()):
+            for t in set(h.tolist()):
+                by_mesh.setdefault(t, set()).add(tuple(np.flatnonzero(h == t)))
+        assert any(len(rows) > 1 for rows in by_mesh.values())
+        assert_as_reference(words, points, EvalParams())
+
+    @pytest.mark.parametrize("block_budget,row_budget", [(1, 1 << 17), (700, 1 << 17), (3000, 200)])
+    def test_block_budget_split(self, monkeypatch, block_budget, row_budget):
+        """Blocks of one prefix, of a few prefixes, and of a few prefixes at
+        a few points, so that blocks split the prefixes of one length and
+        the longer prefixes extending them."""
+        monkeypatch.setattr(quadrature, "BLOCK_BUDGET", block_budget)
+        monkeypatch.setattr(quadrature, "ROW_BUDGET", row_budget)
+        points = [(2.0, 1.5, 0.5 + 1j, -1.25 + 0.5j), (0.3 + 2.1j, -1.2 + 0.4j, 1.7 - 2.2j, 2.5),
+                  (1.1 - 0.3j, 0.4 + 0.4j, 2.2, -0.5 + 1.5j)]
+        assert_as_reference(plan_words(*["riemann"] * 4), points, EvalParams())
+
+    def test_failure_order(self):
+        """A node-value failure on the first mesh and a refinement failure
+        later: either order raises the failure of the first failing word."""
+        rie = make_builtin_theta("riemann")
+        e4 = make_builtin_theta("eisenstein", 4)
+        j3 = make_builtin_theta("jacobi3")
+        a = (Letter(rie, "full", slot(0, 2)), Letter(j3, "tail", slot(1, 2)))
+        b = (Letter(e4, "tail", slot(1, 2)),)
+        c = (Letter(e4, "full", slot(0, 2)), Letter(rie, "tail", slot(1, 2)))
+        params = EvalParams(abs_tol=1e-16, max_refine=1, quad_order=4, max_terms=4)
+        points = [(2.0, 1.5), (1.1 - 3j, 2.5 + 1j)]
+        for words, error in [((a, b), QuadratureError), ((b, a), TruncationError),
+                             ((a, c, b), QuadratureError), ((c, b, a), TruncationError)]:
+            assert isinstance(assert_as_reference(words, points, params), error)
 
 
 def reference_horizons(word, exps, params):
