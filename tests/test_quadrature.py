@@ -8,7 +8,7 @@ from scipy.special import gammaincc, gamma as gamma_fn
 
 from itermellin import quadrature
 from itermellin.cli import main
-from itermellin.engine import build_expression
+from itermellin.engine import build_expression, build_tail_expression
 from itermellin.quadrature import (
     EvalParams,
     QuadratureError,
@@ -543,6 +543,15 @@ class TestLengthPass:
         points = [(2.0, 1.5, 0.5 + 1j, -1.25 + 0.5j, 0.3 - 0.7j),
                   (0.3 + 2.1j, -1.2 + 0.4j, 1.7 - 2.2j, 2.5, 1.1 + 0.5j)]
         assert_as_reference(plan_words(*["riemann"] * r), [p[:r] for p in points], EvalParams())
+
+    def test_monomial_letters(self):
+        """Tail-transform words carry monomial letters, whose factor is a
+        coefficient rather than node values."""
+        thetas = tuple(make_builtin_theta(n) for n in ("jacobi3", "riemann", "theta_plus"))
+        words = build_tail_expression(thetas).plan.words
+        assert any(letter.part == "mono" for word in words for letter in word)
+        assert_as_reference(words, [(2.5 + 0.5j, 3.0, 2.2 - 0.3j), (3.1, 2.6 + 1j, 2.9)],
+                            EvalParams())
 
     def test_eisenstein_delta_grid(self):
         """A 4 x 4 grid whose words take different horizons at different
