@@ -166,6 +166,25 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g} {sign} {abs(z.imag):.12g}i"
 
 
+def _row_header(nslots: int) -> list[str]:
+    """Field names of a result row: each slot's parts, the value's, the
+    error estimate and the pole flag."""
+    slots = [f"s{i + 1}_{part}" for i in range(nslots) for part in ("re", "im")]
+    return slots + ["re", "im", "err", "pole"]
+
+
+def _row_fields(point, value: complex, err: float, pole: int) -> list:
+    """The fields of one result row, in the order of _row_header."""
+    return [x for si in point for x in (si.real, si.imag)] + [value.real, value.imag, err, pole]
+
+
+def _csv(nslots: int, rows) -> str:
+    """The header and one line per (point, value, err, pole) row, as CSV."""
+    lines = [",".join(_row_header(nslots))]
+    lines += [",".join(repr(x) for x in _row_fields(*row)) for row in rows]
+    return "\n".join(lines)
+
+
 def cmd_eval(args) -> int:
     thetas = parse_theta_tuple(args.theta)
     point = parse_point(args.s, len(thetas))
@@ -185,15 +204,7 @@ def cmd_eval(args) -> int:
             args.out,
         )
     elif args.format == "csv":
-        cols = []
-        for i, si in enumerate(point):
-            cols += [f"s{i + 1}_re", f"s{i + 1}_im"]
-        header = ",".join(cols + ["re", "im", "err", "pole"])
-        row = ",".join(
-            [repr(x) for si in point for x in (si.real, si.imag)]
-            + [repr(value.real), repr(value.imag), repr(err), "0"]
-        )
-        _emit(header + "\n" + row, args.out)
+        _emit(_csv(len(point), [(point, value, err, 0)]), args.out)
     else:
         names = ",".join(th.name for th in thetas)
         pt = ", ".join(_fmt_complex(si) for si in point)
@@ -327,32 +338,12 @@ def cmd_table(args) -> int:
         (point, 0j, 0.0, 1) if isinstance(result, PoleSignal) else (point, *result, 0)
         for point, result in zip(points, engine.lambda_eval_many(expr, points, params))
     ]
-    header = []
-    for i in range(nslots):
-        header += [f"s{i + 1}_re", f"s{i + 1}_im"]
-    header += ["re", "im", "err", "pole"]
     if args.format == "json":
-        payload = [
-            dict(
-                zip(
-                    header,
-                    [x for si in point for x in (si.real, si.imag)]
-                    + [value.real, value.imag, err, pole],
-                )
-            )
-            for point, value, err, pole in rows
-        ]
+        header = _row_header(nslots)
+        payload = [dict(zip(header, _row_fields(*row))) for row in rows]
         _emit(_json_dumps({"rows": payload}), args.out)
     else:
-        lines = [",".join(header)]
-        for point, value, err, pole in rows:
-            lines.append(
-                ",".join(
-                    [repr(x) for si in point for x in (si.real, si.imag)]
-                    + [repr(value.real), repr(value.imag), repr(err), str(pole)]
-                )
-            )
-        _emit("\n".join(lines), args.out)
+        _emit(_csv(nslots, rows), args.out)
     return EXIT_OK
 
 

@@ -9,28 +9,30 @@ reported error estimate is the difference against one mesh refinement and
 is never silently consumed.
 
 Theta values at mesh nodes are independent of the slot variables, so they
-are cached on the (interned) mesh and shared across words and evaluation
-points, as are the logarithms of the nodes.  Word integrals run over
-batches of words and points (integrate_words): the truncation horizons of
-all words at all points come from one array pass (word_horizons), then
-the words run mesh by mesh, a mesh being a truncation horizon at one
-refinement level, with the refinement state of every (word, point) pair
-on it held in arrays.  On one mesh (integrate_word_on_mesh) each letter
-exponent's node powers are formed once, as exp(e * log t) from the cached
-logarithms (PanelMesh.powers), and the words' distinct prefixes form a
-trie (_Prefixes) that is integrated one prefix length at a time: all
-prefixes of one length are one stacked (prefixes, points, nodes) array,
-formed by a gather of their letters' node powers, one multiply by the
-letters' node values and one by a gather of their parents' inner
-integrals, then integrated by one PanelMesh.integral for the words that
-end there and one PanelMesh.cumulative for the prefixes that go on, in
-blocks of at most BLOCK_BUDGET entries.  The integration matrix acts on
-the real and imaginary parts of the panels as real matrix products.  Each
-of these equals the plain expression bit for bit (nodes ** e, the complex
-matrix product, a word integrated alone at one point, the one-word
-horizon), so every word keeps, at every point, its own horizon,
-refinement depth and error estimate, bit for bit as in a one-word,
-one-point call.
+are cached on the (interned) mesh, for as long as their theta lives, and
+shared across words and evaluation points, as are the logarithms of the
+nodes.  Word integrals run over batches of words and points
+(integrate_words): the truncation horizons of all words at all points come
+from one array pass (word_horizons), then the words run mesh by mesh, a
+mesh being a truncation horizon at one refinement level, with the
+refinement state of every (word, point) pair on it held in arrays.  On one
+mesh (integrate_word_on_mesh) each letter exponent's node powers are
+formed once, as exp(e * log t) from the cached logarithms
+(PanelMesh.powers), and the words' distinct prefixes form a trie
+(_Prefixes) that is integrated one prefix length at a time: all prefixes
+of one length are one stacked (prefixes, points, nodes) array, formed by a
+gather of their letters' node powers, one multiply by the letters' node
+values and one by a gather of their parents' inner integrals, then
+integrated by one PanelMesh.integral for the words that end there and one
+PanelMesh.cumulative for the prefixes that go on, in blocks of at most
+BLOCK_BUDGET entries.  The integration matrix acts on the real and
+imaginary parts of the panels as real matrix products.  Each of these
+equals the plain expression bit for bit (nodes ** e, the complex matrix
+product, a word integrated alone at one point, the one-word horizon), so
+every word keeps, at every point, its own horizon, refinement depth and
+error estimate, bit for bit as in a one-word, one-point call.  A batch
+fails if any of its jobs fails, and raises the first failure met, where it
+is met, without integrating further meshes.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -94,7 +97,7 @@ def _gl_data(order: int):
 
 
 class PanelMesh:
-    """Interned panel mesh with per-theta node value cache."""
+    """Interned panel mesh with a node value cache per live theta."""
 
     def __init__(self, edges: tuple[float, ...], order: int):
         if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
@@ -114,7 +117,9 @@ class PanelMesh:
         logs = self.nodes.astype(complex)
         np.log(logs, out=logs)
         self.log_nodes = logs.real.copy()
-        self._values: dict = {}
+        # theta -> {part: node values}; weak, so a theta dropped everywhere
+        # else takes its node values with it
+        self._values: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._lock = threading.Lock()
 
     @property
@@ -132,14 +137,13 @@ class PanelMesh:
         return mesh(tuple(out), self.order)
 
     def theta_values(self, theta, part: str, max_terms: int) -> np.ndarray:
-        key = (theta, part)
-        vals = self._values.get(key)
+        vals = self._values.get(theta, {}).get(part)
         if vals is None:
             with self._lock:
-                vals = self._values.get(key)
+                parts = self._values.setdefault(theta, {})
+                vals = parts.get(part)
                 if vals is None:
-                    vals = theta.eval_array(self.nodes, part, REF_TOL, max_terms)
-                    self._values[key] = vals
+                    vals = parts[part] = theta.eval_array(self.nodes, part, REF_TOL, max_terms)
         return vals
 
     def powers(self, e: np.ndarray, exact: np.ndarray | None) -> np.ndarray:
@@ -466,48 +470,19 @@ class _Prefixes:
         self.end_pos = end_pos[self.end_job]
 
 
-def _node_values(letters: _Letters, ks: list, m: PanelMesh, params: EvalParams):
+def _node_values(letters: _Letters, ks: list, m: PanelMesh, params: EvalParams) -> dict:
     """The integrand factor of every letter kind of the words ks on mesh
-    m, by kind: its node values, or a monomial's coefficient; and the
-    TruncationError of each word (by position in ks) with a letter without
-    node values, that of its first such letter.
-
-    The kinds are evaluated in the order the words' letters first use
-    them; after a failure, only the kinds a word uses before its first
-    failing letter, so the same node values are formed as word by word.
+    m, by kind: its node values, or a monomial's coefficient.  The kinds
+    are evaluated in the order the words' letters first use them, and the
+    TruncationError of the first whose node values fail propagates.
     """
     nodal: dict = {}
     # pairs, then kinds, in the order the words' letters first use them
     pairs = dict.fromkeys(itertools.chain.from_iterable(letters.pairs[k] for k in ks))
     for kind in dict.fromkeys(letters.pair_kind[q] for q in pairs):
-        if not _node_value(letters, kind, m, params, nodal):
-            break
-    else:
-        return nodal, {}
-    errors = {}
-    for j, k in enumerate(ks):
-        for kind in (letters.pair_kind[q] for q in letters.pairs[k]):
-            if kind not in nodal:
-                _node_value(letters, kind, m, params, nodal)
-            if isinstance(nodal[kind], TruncationError):
-                errors[j] = nodal[kind]
-                break
-    return nodal, errors
-
-
-def _node_value(letters: _Letters, kind: int, m: PanelMesh, params: EvalParams, nodal: dict) -> bool:
-    """Enter kind's integrand factor, or the TruncationError of its node
-    values, into nodal; whether it has one."""
-    theta, part = letters.kinds[kind]
-    if theta is None:
-        nodal[kind] = part
-        return True
-    try:
-        nodal[kind] = m.theta_values(theta, part, params.max_terms)
-        return True
-    except TruncationError as exc:
-        nodal[kind] = exc
-        return False
+        theta, part = letters.kinds[kind]
+        nodal[kind] = part if theta is None else m.theta_values(theta, part, params.max_terms)
+    return nodal
 
 
 class _PrefixPass:
@@ -580,16 +555,15 @@ def integrate_word_on_mesh(
     m: PanelMesh,
     params: EvalParams,
     exact: np.ndarray | None,
-) -> tuple[np.ndarray, dict]:
+) -> np.ndarray:
     """Iterated integrals of the words ks of a batch over one mesh (exact
-    panels), at the points rows (ascending).
+    panels), at the points rows (ascending), one row per word and one
+    column per point.
 
     Letter j of word k has the exponent exps[i, c] at point i, where c is
     its column letters.pair_col[letters.pairs[k][j]]; exact is
-    _exact_columns(exps, letters.cols).  Returns the
-    integrals, one row per word and one column per point, and the
-    TruncationError of each word (by position in ks) with a letter whose
-    node values fail, from the first such letter; its row is left unset.
+    _exact_columns(exps, letters.cols).  The TruncationError of the first
+    letter kind whose node values fail propagates (see _node_values).
 
     The prefixes run length by length: each exponent column's node powers
     t^(e-1) are formed once, over all of rows, and the prefixes of one
@@ -599,14 +573,8 @@ def integrate_word_on_mesh(
     order, of one word integrated at one point on its own, so it equals
     that bit for bit.
     """
-    nodal, errors = _node_values(letters, ks.tolist(), m, params)
-    out = values = np.empty((ks.size, rows.size), dtype=complex)
-    if errors:
-        live = np.ones(ks.size, dtype=bool)
-        live[list(errors)] = False
-        if not live.any():
-            return out, errors
-        ks, values = ks[live], np.empty((int(live.sum()), rows.size), dtype=complex)
+    nodal = _node_values(letters, ks.tolist(), m, params)
+    values = np.empty((ks.size, rows.size), dtype=complex)
     if ks.size > 1:
         pre = letters.prefixes(ks)
     step = max(1, ROW_BUDGET // m.log_nodes.size)
@@ -623,9 +591,7 @@ def integrate_word_on_mesh(
             mask = None
         powers = m.powers(e.ravel(), None if mask is None else mask.ravel())
         _PrefixPass(m, pre, nodal, powers.reshape(e.shape + (-1,)), values[:, lo : lo + step])
-    if errors:
-        out[live] = values
-    return out, errors
+    return values
 
 
 def _integrate_word(m: PanelMesh, letters: _Letters, k: int, nodal: dict, exps: np.ndarray,
@@ -645,8 +611,8 @@ def _integrate_word(m: PanelMesh, letters: _Letters, k: int, nodal: dict, exps: 
 
 
 def _kept(keep, *arrays) -> list:
-    """Each array (None stays None) at the index keep."""
-    return [None if a is None else a[keep] for a in arrays]
+    """Each array at the index keep."""
+    return [a[keep] for a in arrays]
 
 
 def integrate_words(
@@ -670,35 +636,32 @@ def integrate_words(
 
     Jobs run mesh by mesh, by horizon and then refinement level, so that all
     words on one mesh share their node powers and prefixes
-    (integrate_word_on_mesh).  A failure raises for the whole call: that of
-    the lowest-index failing word, at its smallest failing horizon.
+    (integrate_word_on_mesh).  The call fails if any job fails, with the
+    first failure met: the horizon failure of the lowest-index word that
+    has one, else the TruncationError of the first node values that fail,
+    else, on the first mesh whose refinement runs out, the QuadratureError
+    of its lowest-index word still unresolved.
     """
     n = exps.shape[0]
     # one row per word, returned transposed
     values = np.ones((len(words), n), dtype=complex)
     errs = np.zeros((len(words), n))
-    failed: dict[tuple, Exception] = {}  # (word, edges) -> its failure
     # mesh edges -> (words, (words, points) mask of the points they run at)
     meshes: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
-    nonempty = [k for k, word in enumerate(words) if word]
-    if edges is not None:
-        meshes[edges] = np.array(nonempty, dtype=int), np.ones((len(nonempty), n), dtype=bool)
-    elif nonempty:
+    ks = np.array([k for k, word in enumerate(words) if word], dtype=int)
+    if ks.size and edges is not None:
+        meshes[edges] = ks, np.ones((ks.size, n), dtype=bool)
+    elif ks.size:
         slack = params.abs_tol * params.horizon_safety
         every_horizon = word_horizons(words, cols, exps, params)
-        ks = []
-        for k in nonempty:
+        for k in ks.tolist():
             if isinstance(every_horizon[k], Exception):
-                failed[k, ()] = every_horizon[k]  # before any of the word's meshes
-            else:
-                ks.append(k)
-        if ks:
-            horizons = np.array([every_horizon[k] for k in ks])
-            ks = np.array(ks)
-            for t_max in sorted(set(horizons.ravel().tolist())):
-                at = horizons == t_max
-                some = at.any(axis=1)
-                meshes[doubling_edges(1.0, t_max)] = ks[some], at[some]
+                raise every_horizon[k]
+        horizons = np.array([every_horizon[k] for k in ks.tolist()])
+        for t_max in sorted(set(horizons.ravel().tolist())):
+            at = horizons == t_max
+            some = at.any(axis=1)
+            meshes[doubling_edges(1.0, t_max)] = ks[some], at[some]
     letters = _Letters(words, cols)
     exact = _exact_columns(exps, letters.cols)
     for key in sorted(meshes):
@@ -711,22 +674,9 @@ def integrate_words(
         m = mesh(key, params.quad_order)
         v0 = est = None  # the last level's values, and their estimates
         for level in range(params.max_refine + 1):
-            if failed:
-                # a later word's or horizon's failure could not be the one raised
-                first_k, first_key = min(failed)
-                keep = (ks < first_k) | ((ks == first_k) & (key < first_key))
-                ks, member, v0, est = _kept(keep, ks, member, v0, est)
-            if not ks.size:
-                break
             if level:
                 m = m.refined()
-            v1, errors = integrate_word_on_mesh(letters, ks, exps, rows, m, params, exact)
-            if errors:
-                for j, exc in errors.items():
-                    failed[int(ks[j]), key] = exc
-                keep = np.ones(ks.size, dtype=bool)
-                keep[list(errors)] = False
-                ks, member, v0, est, v1 = _kept(keep, ks, member, v0, est, v1)
+            v1 = integrate_word_on_mesh(letters, ks, exps, rows, m, params, exact)
             if level:
                 est = np.abs(v1 - v0)
                 est += slack
@@ -748,14 +698,11 @@ def integrate_words(
                     member, est, v1 = _kept((slice(None), left), member, est, v1)
             v0 = v1
         else:
-            for j, k in enumerate(ks.tolist()):
-                e = math.inf if est is None else est[j][member[j]][0]
-                failed[k, key] = QuadratureError(
-                    f"estimate {e:.3e} above {params.abs_tol:.1e} after "
-                    f"{params.max_refine} refinements"
-                )
-    if failed:
-        raise failed[min(failed)]
+            e = math.inf if est is None else est[0][member[0]][0]
+            raise QuadratureError(
+                f"estimate {e:.3e} above {params.abs_tol:.1e} after "
+                f"{params.max_refine} refinements"
+            )
     return values.T, errs.T
 
 

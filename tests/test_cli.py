@@ -269,6 +269,17 @@ class TestTable:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_eval_csv_is_a_one_cell_table(self, capsys):
+        code, one, _ = run(capsys, "eval", "--theta", "riemann,jacobi3", "--s=2+0.5i,1.5-0.25i",
+                           "--format", "csv")
+        assert code == 0
+        code, cell, _ = run(capsys, "table", "--theta", "riemann,jacobi3",
+                            "--grid=2:2:1/0.5:0.5:1;1.5:1.5:1/-0.25:-0.25:1", "--format", "csv")
+        assert code == 0
+        assert one == cell
+        assert one.splitlines()[0] == "s1_re,s1_im,s2_re,s2_im,re,im,err,pole"
+        assert one.splitlines()[1].startswith("2.0,0.5,1.5,-0.25,")
+
 
 class TestNumericFailure:
     def test_unreachable_tolerance_exits_4(self, capsys):

@@ -1,12 +1,14 @@
 """Panel quadrature of iterated integrals over [1, infinity)."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.special import gammaincc, gamma as gamma_fn
 
-from itermellin import quadrature
+from itermellin import oracles, quadrature
 from itermellin.cli import main
 from itermellin.engine import build_expression, build_tail_expression
 from itermellin.quadrature import (
@@ -232,10 +234,25 @@ def exponent_columns(words, points):
     return cols, exps
 
 
+def failing_words():
+    """Words a and c, whose refinement fails on their mesh of horizon 16,
+    word b, whose node values fail on its mesh of horizon 8, and the
+    params and points at which they do."""
+    rie = make_builtin_theta("riemann")
+    e4 = make_builtin_theta("eisenstein", 4)
+    j3 = make_builtin_theta("jacobi3")
+    a = (Letter(rie, "full", slot(0, 2)), Letter(j3, "tail", slot(1, 2)))
+    b = (Letter(e4, "tail", slot(1, 2)),)
+    c = (Letter(j3, "tail", slot(1, 2)),)
+    params = EvalParams(abs_tol=1e-16, max_refine=1, quad_order=4, max_terms=4)
+    return a, b, c, params, [(2.0, 1.5), (1.1 - 3j, 2.5 + 1j)]
+
+
 class TestMeshMajor:
     """integrate_words runs all words of a chunk mesh by mesh, sharing node
     powers and prefixes; each word at each point must still come out bit
-    for bit as a one-word, one-point call, with the same failure."""
+    for bit as a one-word, one-point call, and a failing word fails as on
+    its own."""
 
     def assert_one_word_calls(self, words, points, params):
         cols, exps = exponent_columns(words, points)
@@ -275,30 +292,42 @@ class TestMeshMajor:
         assert horizons == {4.0, 8.0, 16.0, 32.0} and depths == {1, 2}
 
     def test_failure_of_the_first_failing_word(self):
-        """Mesh by mesh, word b's node values fail on the first mesh, long
-        before word a fails refinement; either order raises the failure of
-        the first word, as one-word calls in turn would."""
-        rie = make_builtin_theta("riemann")
-        e4 = make_builtin_theta("eisenstein", 4)
-        j3 = make_builtin_theta("jacobi3")
-        a = (Letter(rie, "full", slot(0, 2)), Letter(j3, "tail", slot(1, 2)))
-        b = (Letter(e4, "tail", slot(1, 2)),)
-        c = (Letter(j3, "tail", slot(1, 2)),)
-        params = EvalParams(abs_tol=1e-16, max_refine=1, quad_order=4, max_terms=4)
-        points = [(2.0, 1.5), (1.1 - 3j, 2.5 + 1j)]
-        cases = [((a, b), QuadratureError), ((b, a), TruncationError),
-                 ((a, c), QuadratureError), ((c, a), QuadratureError)]
+        """Word b's node values fail on its mesh of horizon 8, the first,
+        and word a fails refinement later, on its mesh of horizon 16;
+        either order raises b's failure, the first met.  Words a and c
+        fail refinement on one mesh, where the first of them is raised."""
+        a, b, c, params, points = failing_words()
+        cases = [((a, b), b), ((b, a), b), ((a, c), a), ((c, a), c)]
         messages = []
-        for words, error in cases:
-            with pytest.raises(error) as one:
-                tail_word_integrals(words[0], np.vstack([letter_exponents(words[0], s)
-                                                         for s in points]), params)
+        for words, first in cases:
             cols, exps = exponent_columns(words, points)
-            with pytest.raises(error) as many:
+            horizons = quadrature.word_horizons(words, cols, exps, params)
+            assert [h.tolist() for h in horizons] == [
+                [8.0, 8.0] if w is b else [16.0, 16.0] for w in words]
+            with pytest.raises((QuadratureError, TruncationError)) as one:
+                tail_word_integrals(first, np.vstack([letter_exponents(first, s)
+                                                      for s in points]), params)
+            assert one.type is (TruncationError if first is b else QuadratureError)
+            with pytest.raises(one.type) as many:
                 integrate_words(words, cols, exps, params)
             assert str(many.value) == str(one.value)
             messages.append(str(one.value))
-        assert messages[2] != messages[3]
+        assert messages[0] == messages[1] and messages[2] != messages[3]
+
+    def test_stops_at_the_first_failure(self, monkeypatch):
+        """Word 0 runs on a mesh of horizon 16, word 1 on one of horizon 8,
+        where its node values fail: the call raises there and integrates
+        on no larger mesh."""
+        a, b, _, params, points = failing_words()
+        cols, exps = exponent_columns((a, b), points)
+        meshes = []
+        on_mesh = quadrature.integrate_word_on_mesh
+        monkeypatch.setattr(quadrature, "integrate_word_on_mesh",
+                            lambda *args: meshes.append(args[4]) or on_mesh(*args))
+        with pytest.raises((QuadratureError, TruncationError)) as failure:
+            integrate_words((a, b), cols, exps, params)
+        assert [m.edges[-1] for m in meshes] == [8.0]
+        assert failure.type is TruncationError
 
     def test_radius8_request_fails_as_before(self, capsys):
         code = main(["eval", "--theta", "theta-,jacobi:3,jacobi:2,theta-",
@@ -306,7 +335,7 @@ class TestMeshMajor:
                      "-6.910034+3.441692i,-7.555115+0.577172i"])
         assert code == 4
         assert capsys.readouterr().err == (
-            "numeric failure: estimate 4.810e-09 above 1.0e-10 after 8 refinements\n"
+            "numeric failure: estimate 9.413e-10 above 1.0e-10 after 8 refinements\n"
         )
 
 
@@ -404,43 +433,28 @@ def ref_integrate_prefixes(m, exps, exact, nodal, jobs, pieces):
 
 
 def ref_integrate_word_on_mesh(words, cols, exps, rows, m, params, exact):
-    out = [None] * len(words)
     nodal = {}
-    for k, word in enumerate(words):
+    for word in words:
         for letter in word:
-            if letter.part == "mono":
-                continue
             key = (letter.theta, letter.part)
-            if key not in nodal:
-                try:
-                    nodal[key] = m.theta_values(letter.theta, letter.part, params.max_terms)
-                except TruncationError as exc:
-                    nodal[key] = exc
-            if isinstance(nodal[key], TruncationError):
-                out[k] = nodal[key]
-                break
-    live = [k for k in range(len(words)) if out[k] is None]
-    if not live:
-        return out
-    pieces = {k: [] for k in live}
+            if letter.part != "mono" and key not in nodal:
+                nodal[key] = m.theta_values(letter.theta, letter.part, params.max_terms)
+    pieces = {k: [] for k in range(len(words))}
     step = max(1, quadrature.ROW_BUDGET // m.log_nodes.size)
     bounds = [None]
-    if sum(rows[k].size for k in live) > step:
-        every = ref_union([rows[k] for k in live])
+    if sum(r.size for r in rows) > step:
+        every = ref_union(rows)
         bounds = [(every[lo], every[min(lo + step, every.size) - 1])
                   for lo in range(0, every.size, step)]
     for bound in bounds:
         jobs = []
-        for k in live:
-            r = rows[k]
+        for k, r in enumerate(rows):
             if bound is not None:
                 r = r[np.searchsorted(r, bound[0]) : np.searchsorted(r, bound[1], "right")]
             if r.size:
                 jobs.append((k, words[k], cols[k], r))
         ref_integrate_prefixes(m, exps, exact, nodal, jobs, pieces)
-    for k in live:
-        out[k] = pieces[k][0] if len(pieces[k]) == 1 else np.concatenate(pieces[k])
-    return out
+    return [p[0] if len(p) == 1 else np.concatenate(p) for p in pieces.values()]
 
 
 class RefJob:
@@ -450,11 +464,12 @@ class RefJob:
 
 
 def ref_integrate_words(words, cols, exps, params):
-    """integrate_words (no edges) over the depth-first walk, job by job."""
+    """integrate_words (no edges) over the depth-first walk, job by job,
+    raising the first failure it meets."""
     n = exps.shape[0]
     values = np.ones((len(words), n), dtype=complex)
     errs = np.zeros((len(words), n))
-    failed, meshes = {}, {}
+    meshes = {}
     slack = params.abs_tol * params.horizon_safety
     every_horizon = quadrature.word_horizons(words, cols, exps, params)
     exact = ref_exact_columns(exps)
@@ -463,8 +478,7 @@ def ref_integrate_words(words, cols, exps, params):
             continue
         horizons = every_horizon[k]
         if isinstance(horizons, Exception):
-            failed[k, ()] = horizons
-            continue
+            raise horizons
         for t_max in sorted(set(horizons.tolist())):
             job = RefJob(k, np.flatnonzero(horizons == t_max))
             meshes.setdefault(doubling_edges(1.0, t_max), []).append(job)
@@ -472,11 +486,6 @@ def ref_integrate_words(words, cols, exps, params):
         jobs = meshes[key]
         m = quadrature.mesh(key, params.quad_order)
         for level in range(params.max_refine + 1):
-            if failed:
-                first = min(failed)
-                jobs = [job for job in jobs if (job.k, key) < first]
-            if not jobs:
-                break
             if level:
                 m = m.refined()
             results = ref_integrate_word_on_mesh(
@@ -484,9 +493,6 @@ def ref_integrate_words(words, cols, exps, params):
                 [job.rows for job in jobs], m, params, exact)
             kept = []
             for job, v1 in zip(jobs, results):
-                if isinstance(v1, TruncationError):
-                    failed[job.k, key] = v1
-                    continue
                 if level:
                     est = np.abs(v1 - job.v0) + slack
                     done = est <= params.abs_tol
@@ -497,13 +503,12 @@ def ref_integrate_words(words, cols, exps, params):
                 if job.rows.size:
                     kept.append(job)
             jobs = kept
+            if not jobs:
+                break
         else:
-            for job in jobs:
-                failed[job.k, key] = QuadratureError(
-                    f"estimate {job.est[0]:.3e} above {params.abs_tol:.1e} after "
-                    f"{params.max_refine} refinements")
-    if failed:
-        raise failed[min(failed)]
+            raise QuadratureError(
+                f"estimate {jobs[0].est[0]:.3e} above {params.abs_tol:.1e} after "
+                f"{params.max_refine} refinements")
     return values.T, errs.T
 
 
@@ -579,18 +584,15 @@ class TestLengthPass:
         assert_as_reference(plan_words(*["riemann"] * 4), points, EvalParams())
 
     def test_failure_order(self):
-        """A node-value failure on the first mesh and a refinement failure
-        later: either order raises the failure of the first failing word."""
-        rie = make_builtin_theta("riemann")
-        e4 = make_builtin_theta("eisenstein", 4)
-        j3 = make_builtin_theta("jacobi3")
-        a = (Letter(rie, "full", slot(0, 2)), Letter(j3, "tail", slot(1, 2)))
-        b = (Letter(e4, "tail", slot(1, 2)),)
-        c = (Letter(e4, "full", slot(0, 2)), Letter(rie, "tail", slot(1, 2)))
-        params = EvalParams(abs_tol=1e-16, max_refine=1, quad_order=4, max_terms=4)
-        points = [(2.0, 1.5), (1.1 - 3j, 2.5 + 1j)]
-        for words, error in [((a, b), QuadratureError), ((b, a), TruncationError),
-                             ((a, c, b), QuadratureError), ((c, b, a), TruncationError)]:
+        """Node values that fail on the first mesh and a refinement that
+        fails later: every order raises the node-value failure; without
+        it, the first word's refinement failure."""
+        a, b, c, params, points = failing_words()
+        d = (Letter(make_builtin_theta("eisenstein", 4), "full", slot(0, 2)),
+             Letter(make_builtin_theta("riemann"), "tail", slot(1, 2)))
+        for words, error in [((a, b), TruncationError), ((b, a), TruncationError),
+                             ((a, d, b), TruncationError), ((d, b, a), TruncationError),
+                             ((a, c), QuadratureError), ((c, a), QuadratureError)]:
             assert isinstance(assert_as_reference(words, points, params), error)
 
 
@@ -717,6 +719,26 @@ class TestMesh:
     def test_doubling_edges(self):
         assert doubling_edges(1.0, 5.0) == (1.0, 2.0, 4.0, 8.0)
         assert doubling_edges(1.0, 8.0) == (1.0, 2.0, 4.0, 8.0)
+
+    def test_dropped_theta_frees_its_node_values(self, monkeypatch):
+        """Interned meshes outlive every theta; a lattice theta dropped
+        everywhere else is freed, and its node values with it."""
+        theta = oracles.lattice_theta.__wrapped__(0.3 + 1.2j)
+        word = (Letter(theta, "tail", slot(0, 1)),)
+        meshes = []
+        on_mesh = quadrature.integrate_word_on_mesh
+        monkeypatch.setattr(quadrature, "integrate_word_on_mesh",
+                            lambda *args: meshes.append(args[4]) or on_mesh(*args))
+        params = EvalParams()
+        tail_word_integral(word, (1.5 + 0.5j,), params)
+        # the node values the call cached, looked up again on each mesh
+        cached = [weakref.ref(m.theta_values(theta, "tail", params.max_terms)) for m in meshes]
+        assert len(meshes) > 1
+        dropped = weakref.ref(theta)
+        del theta, word
+        gc.collect()
+        assert dropped() is None
+        assert all(ref() is None for ref in cached)
 
 
 class TestParams:
