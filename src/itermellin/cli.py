@@ -42,12 +42,15 @@ class CliError(Exception):
 
 
 def _builtin_registry() -> dict[str, ThetaFunction]:
-    reg = {}
-    for name in ("riemann", "delta", "theta_plus", "theta_minus", "jacobi2", "jacobi3", "jacobi4"):
-        reg[name] = make_builtin_theta(name)
-    for w in (4, 6, 8):
-        reg[f"eisenstein{w}"] = make_builtin_theta("eisenstein", w)
-    return reg
+    """Every builtin theta by name, in builtin_names() order, eisenstein at
+    the weights 4, 6 and 8."""
+    thetas = []
+    for name in builtin_names():
+        if name == "eisenstein":
+            thetas.extend(make_builtin_theta(name, w) for w in (4, 6, 8))
+        else:
+            thetas.append(make_builtin_theta(name))
+    return {th.name: th for th in thetas}
 
 
 def parse_theta_token(token: str) -> ThetaFunction:
@@ -348,13 +351,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_list_thetas(args) -> int:
-    entries = []
-    for name in builtin_names():
-        if name == "eisenstein":
-            for w in (4, 6, 8):
-                entries.append(make_builtin_theta("eisenstein", w).describe())
-            continue
-        entries.append(make_builtin_theta(name).describe())
+    entries = [th.describe() for th in _builtin_registry().values()]
     if args.format == "json":
         _emit(_json_dumps({"thetas": entries}), args.out)
     else:

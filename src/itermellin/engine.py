@@ -418,16 +418,16 @@ def _zero_envelope(letter: Letter) -> tuple[float, float, bool]:
     th = letter.theta
     if letter.part == "mono":
         return abs(float(letter.coeff)), 0.0, False
+    height = th.growth("poly")[0]
     if letter.part == "poly":
         emin = min((float(e) for _, e in th.poly_part), default=0.0)
-        return th.poly_height(), -emin, False
+        return height, -emin, False
     dual = th.dual
-    w = float(th.weight)
-    dual_height = dual.poly_height() + dual.tail_envelope()
-    gamma = w + max(dual.poly_degree(), dual.tail.power_range[1], 0.0)
+    dual_height, dual_degree = dual.growth("full")
+    gamma = float(th.weight) + dual_degree
     c = 2.0 ** max(gamma, 0.0) * dual_height
     if letter.part == "tail":
-        c += th.poly_height()
+        c += height
     exp_small = not dual.poly_part
     return max(c, 1e-300), gamma, exp_small
 

@@ -4,16 +4,18 @@ The mesh is a sequence of geometrically growing panels, each carrying
 Gauss-Legendre nodes; inner cumulative integrals are formed at the nodes
 with the spectral integration matrix of the node set, so a word of length k
 costs O(k * panels * order^2).  The truncation horizon is certified from
-the letters' growth envelopes and the final tail letter's decay; the
-reported error estimate is the difference against one mesh refinement and
-is never silently consumed.
+the letters' growth envelopes (ThetaFunction.growth) and the final tail
+letter's decay; the reported error estimate is the difference against one
+mesh refinement and is never silently consumed.
 
 Theta values at mesh nodes are independent of the slot variables, so they
 are cached on the (interned) mesh, for as long as their theta lives, and
 shared across words and evaluation points, as are the logarithms of the
 nodes.  Word integrals run over batches of words and points
-(integrate_words): the truncation horizons of all words at all points come
-from one array pass (word_horizons), then the words run mesh by mesh, a
+(integrate_words), whose letters are numbered once (_Letters) by kind: a
+theta part, or a monomial coefficient.  The truncation horizons of all
+words at all points come from one array pass (word_horizons) over envelope
+constants formed once per letter kind, then the words run mesh by mesh, a
 mesh being a truncation horizon at one refinement level, with the
 refinement state of every (word, point) pair on it held in arrays.  On one
 mesh (integrate_word_on_mesh) each letter exponent's node powers are
@@ -49,7 +51,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
 from .theta import TruncationError
-from .words import Letter, Word
+from .words import Word
 
 REF_TOL = 1e-15  # theta accuracy at mesh nodes; below every engine tolerance
 MAX_HORIZON = 2.0**24
@@ -117,8 +119,8 @@ class PanelMesh:
         logs = self.nodes.astype(complex)
         np.log(logs, out=logs)
         self.log_nodes = logs.real.copy()
-        # theta -> {part: node values}; weak, so a theta dropped everywhere
-        # else takes its node values with it
+        # theta -> {(part, max_terms): node values}; weak, so a theta dropped
+        # everywhere else takes its node values with it
         self._values: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._lock = threading.Lock()
 
@@ -137,13 +139,14 @@ class PanelMesh:
         return mesh(tuple(out), self.order)
 
     def theta_values(self, theta, part: str, max_terms: int) -> np.ndarray:
-        vals = self._values.get(theta, {}).get(part)
+        key = part, max_terms  # a smaller max_terms may fail where a larger one did not
+        vals = self._values.get(theta, {}).get(key)
         if vals is None:
             with self._lock:
                 parts = self._values.setdefault(theta, {})
-                vals = parts.get(part)
+                vals = parts.get(key)
                 if vals is None:
-                    vals = parts[part] = theta.eval_array(self.nodes, part, REF_TOL, max_terms)
+                    vals = parts[key] = theta.eval_array(self.nodes, part, REF_TOL, max_terms)
         return vals
 
     def powers(self, e: np.ndarray, exact: np.ndarray | None) -> np.ndarray:
@@ -229,89 +232,73 @@ def letter_exponents(word: Word, s: Sequence[complex]) -> np.ndarray:
     return np.array([[complex(letter.exponent(s)) for letter in word]], dtype=complex)
 
 
-def _letter_envelope(letter: Letter) -> tuple[float, float]:
-    """(B, d) with |phi(t)| <= B * t^(Re e - 1 + d) for t >= 1."""
-    th = letter.theta
-    if letter.part == "mono":
-        return abs(float(letter.coeff)), 0.0
-    if letter.part == "poly":
-        return th.poly_height(), th.poly_degree()
-    if letter.part == "tail":
-        return th.tail_envelope(), max(th.tail.power_range[1], 0.0)
-    b = th.poly_height() + th.tail_envelope()
-    return b, max(th.poly_degree(), th.tail.power_range[1], 0.0)
+def word_horizons(letters: _Letters, exps: np.ndarray,
+                  params: EvalParams) -> tuple[np.ndarray, dict]:
+    """Truncation horizons of the words of a batch at many points, as
+    (horizons, failures): horizons[k, i] is the smallest power-of-two
+    horizon whose certified tail bound for word k at point i is below
+    abs_tol * horizon_safety, unless failures[k] holds the QuadratureError
+    or TruncationError of word k.  exps[i, c] is exponent column c at
+    point i.
 
-
-def _word_envelope(word: Word):
-    """The point-free constants of the word's truncation bound: (log of
-    the bound's prefactor, the last letter's power bound, mu1 and p, the
-    prefix letters' degrees), or None when every point takes the horizon
-    2."""
-    last = word[-1]
-    if last.part != "tail":
-        raise QuadratureError("truncation horizon requires a final tail letter")
-    th = last.theta
-    mu1 = th.tail.min_mu()
-    if not math.isfinite(mu1):
-        return None
-    p = th.kernel_power
-    decay_k = th.tail_envelope()
-    if decay_k == 0.0:
-        return None
-    log_prefac = 0.0
-    degs = []
-    for letter in word[:-1]:
-        b, deg = _letter_envelope(letter)
-        log_prefac += math.log(max(b, 1e-300))
-        degs.append(deg)
-    log_head = math.log(2.0) + log_prefac + math.log(decay_k) - math.log(mu1 * p)
-    return log_head, max(th.tail.power_range[1], 0.0), mu1, p, degs
-
-
-def word_horizons(
-    words: Sequence[Word], cols: Sequence[np.ndarray], exps: np.ndarray, params: EvalParams
-) -> list:
-    """Truncation horizons of many words at many points: entry k is the
-    smallest power-of-two horizon, at each point, whose certified tail
-    bound for words[k] is below abs_tol * horizon_safety, or the
-    QuadratureError or TruncationError that word raises.  exps[i, c] is
-    exponent column c at point i, and cols[k][j] the column of letter j of
-    words[k], which must end in a tail letter.
-
-    Each word's envelope constants are formed once; then one array pass
-    over blocks of words finds every horizon, in the float operations, and
-    their order, of a word on its own.
+    The envelope constants are formed once per letter kind, and blocks of
+    words gather them through a matrix of their prefix letters padded with
+    log B = 0.0 and d = -inf, which add exactly 0.0: every horizon comes out
+    in the float operations, and their order, of a word on its own.
     """
-    n = exps.shape[0]
-    out: list = [None] * len(words)
-    bounded = []  # (word index, envelope constants)
-    for k, word in enumerate(words):
+    n, nk = exps.shape[0], len(letters.kinds)
+    # per kind, then the pad: log B and d of its growth bound B * t^d, and
+    # for a tail whose decay K * t^d * exp(-mu1 * t^p) bounds the horizon,
+    # log K, log(mu1 * p), mu1 and p; the others keep mu1 = 0 (horizon 2)
+    log_b, deg, decay = np.zeros(nk + 1), np.full(nk + 1, -math.inf), np.zeros((4, nk + 1))
+    errors: list = [None] * (nk + 1)  # per kind: the error of a word ending in it
+    failed = {}  # kind -> the TruncationError of its growth bound
+    for i, (theta, part) in enumerate(letters.kinds):
+        if part != "tail":
+            errors[i] = QuadratureError("truncation horizon requires a final tail letter")
         try:
-            env = _word_envelope(word) if word else None
-        except (QuadratureError, TruncationError) as exc:
-            out[k] = exc
+            b, deg[i] = (abs(part), 0.0) if theta is None else theta.growth(part)
+        except TruncationError as exc:
+            failed[i] = exc
+            errors[i] = errors[i] or exc
             continue
-        if env is None:
-            out[k] = np.full(n, 2.0)
-        else:
-            bounded.append((k, env))
+        log_b[i] = math.log(max(b, 1e-300))
+        if part == "tail":
+            mu1, p = theta.tail.min_mu(), theta.kernel_power
+            if math.isfinite(mu1) and b != 0.0:
+                decay[:, i] = math.log(b), math.log(mu1 * p), mu1, p
+    pad, pairs = len(letters.pair_kind), letters.pairs
+    kind, col = np.array([letters.pair_kind + [nk], letters.pair_col + [0]])
+    last = np.array([path[-1] if path else pad for path in pairs], dtype=int)
+    last_kind = kind[last]
+    bounded = decay[2, last_kind] > 0.0
+    failures = {k: errors[last_kind[k]] for k in np.flatnonzero(~bounded).tolist()
+                if errors[last_kind[k]] is not None}
+    if failed:  # a word takes the error of its first prefix letter with one
+        for k in np.flatnonzero(bounded).tolist():
+            bad = [i for i in kind[list(pairs[k][:-1])].tolist() if i in failed]
+            if bad:
+                failures[k], bounded[k] = failed[bad[0]], False
+    horizons = np.full((len(pairs), n), 2.0)
     e_re = exps.real
     log_target = math.log(params.abs_tol * params.horizon_safety)
+    ks = np.flatnonzero(bounded)
     step = max(1, ROW_BUDGET // _HORIZONS.size // max(n, 1))
-    for lo in range(0, len(bounded), step):
-        block = bounded[lo : lo + step]
-        log_head, shift, mu1, p = np.array([env[:4] for _, env in block]).T
-        growth_exp = np.zeros((n, len(block)))
-        width = max(len(env[4]) for _, env in block)
-        if width:
-            # prefix letters padded with degree -inf: max(-inf, 0.0) adds 0.0
-            pad = [width - len(env[4]) for _, env in block]
-            degs = np.array([env[4] + [-math.inf] * g for (_, env), g in zip(block, pad)])
-            pcols = np.array([cols[k][:-1].tolist() + [0] * g for (k, _), g in zip(block, pad)])
-            for j in range(width):
-                growth_exp += np.maximum(e_re[:, pcols[:, j]] - 1.0 + degs[:, j] + 1.0, 0.0)
-        last = e_re[:, [cols[k][-1] for k, _ in block]]
-        alpha = growth_exp + last - 1.0 + shift
+    for lo in range(0, ks.size, step):
+        block = ks[lo : lo + step]
+        # the block's prefix letters as a padded pair matrix, one row per
+        # letter position
+        prefix = np.array(list(itertools.zip_longest(
+            *(pairs[k][:-1] for k in block.tolist()), fillvalue=pad)), dtype=int)
+        log_prefac = np.zeros(block.size)
+        growth_exp = np.zeros((n, block.size))
+        for pkind, pcol in zip(kind[prefix], col[prefix]):
+            log_prefac += log_b[pkind]
+            growth_exp += np.maximum(e_re[:, pcol] - 1.0 + deg[pkind] + 1.0, 0.0)
+        lk = last_kind[block]
+        log_k, log_mu1p, mu1, p = decay[:, lk]
+        log_head = math.log(2.0) + log_prefac + log_k - log_mu1p
+        alpha = growth_exp + e_re[:, col[last[block]]] - 1.0 + deg[lk]
         # every candidate horizon of every word at every point at once: axes
         # (point, word, horizon); each takes the smallest candidate that fits
         tp = _HORIZONS ** p[:, None]  # exact: powers of two below 2^53
@@ -320,27 +307,19 @@ def word_horizons(
         fits = ((mu1 * p)[:, None] * tp >= np.maximum(2.0 * rate, 1.0)) & (
             log_bound <= log_target
         )
-        horizons = _HORIZONS[fits.argmax(axis=2)]
-        for i, ok in enumerate(fits.any(axis=2).all(axis=0).tolist()):
-            out[block[i][0]] = horizons[:, i] if ok else QuadratureError(
-                "no horizon satisfies the truncation bound"
-            )
-    return out
-
-
-def truncation_horizons(word: Word, exps: np.ndarray, params: EvalParams) -> np.ndarray:
-    """word_horizons of one word; exps[i, j] is the exponent of letter j at
-    point i."""
-    (horizons,) = word_horizons((word,), (np.arange(len(word)),), exps, params)
-    if isinstance(horizons, Exception):
-        raise horizons
-    return horizons
+        horizons[block] = _HORIZONS[fits.argmax(axis=2)].T
+        for k in block[~fits.any(axis=2).all(axis=0)].tolist():
+            failures[k] = QuadratureError("no horizon satisfies the truncation bound")
+    return horizons, failures
 
 
 def truncation_horizon(word: Word, s: Sequence[complex], params: EvalParams) -> float:
-    """The truncation horizon of the word at one point s (see
-    truncation_horizons)."""
-    return float(truncation_horizons(word, letter_exponents(word, s), params)[0])
+    """The truncation horizon of the word at one point s (see word_horizons)."""
+    letters = _Letters((word,), (np.arange(len(word)),))
+    horizons, failures = word_horizons(letters, letter_exponents(word, s), params)
+    if failures:
+        raise failures[0]
+    return float(horizons[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -649,20 +628,19 @@ def integrate_words(
     # mesh edges -> (words, (words, points) mask of the points they run at)
     meshes: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
     ks = np.array([k for k, word in enumerate(words) if word], dtype=int)
+    letters = _Letters(words, cols)
     if ks.size and edges is not None:
         meshes[edges] = ks, np.ones((ks.size, n), dtype=bool)
     elif ks.size:
         slack = params.abs_tol * params.horizon_safety
-        every_horizon = word_horizons(words, cols, exps, params)
-        for k in ks.tolist():
-            if isinstance(every_horizon[k], Exception):
-                raise every_horizon[k]
-        horizons = np.array([every_horizon[k] for k in ks.tolist()])
+        horizons, failures = word_horizons(letters, exps, params)
+        if failures:
+            raise failures[min(failures)]
+        horizons = horizons[ks]
         for t_max in sorted(set(horizons.ravel().tolist())):
             at = horizons == t_max
             some = at.any(axis=1)
             meshes[doubling_edges(1.0, t_max)] = ks[some], at[some]
-    letters = _Letters(words, cols)
     exact = _exact_columns(exps, letters.cols)
     for key in sorted(meshes):
         # the jobs' words, the points some job still runs at, and whether
@@ -706,18 +684,6 @@ def integrate_words(
     return values.T, errs.T
 
 
-def tail_word_integrals(
-    word: Word, exps: np.ndarray, params: EvalParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """tail_word_integral at many points at once.
-
-    exps[i, j] is the exponent of letter j at point i.  Each point keeps
-    its own truncation horizon, refinement depth and error estimate.
-    """
-    values, errs = integrate_words((word,), (np.arange(len(word)),), exps, params)
-    return values[:, 0], errs[:, 0]
-
-
 def tail_word_integral(
     word: Word, s: Sequence[complex], params: EvalParams | None = None
 ) -> tuple[complex, float]:
@@ -726,9 +692,10 @@ def tail_word_integral(
     Returns (value, error estimate); the estimate combines one-refinement
     agreement with the certified truncation slack.
     """
-    params = params or EvalParams()
-    values, errs = tail_word_integrals(word, letter_exponents(word, s), params)
-    return complex(values[0]), float(errs[0])
+    values, errs = integrate_words(
+        (word,), (np.arange(len(word)),), letter_exponents(word, s), params or EvalParams()
+    )
+    return complex(values[0, 0]), float(errs[0, 0])
 
 
 def word_integral_on_interval(

@@ -341,21 +341,24 @@ class ThetaFunction:
                 ) * math.exp(mu1)
         return self._tail_envelope
 
-    def _poly_envelope(self) -> tuple[float, float]:
-        """(height, degree) of the polynomial part, formed on first use:
-        every truncation horizon reads them."""
+    def growth(self, part: str) -> tuple[float, float]:
+        """(B, d) with |part(t)| <= B * t^d for t >= 1: the tail's
+        tail_envelope(), the polynomial part's height and degree, or their
+        sum.  The polynomial part's are formed on first use, as the tail's
+        are: every truncation horizon reads them."""
+        if part == "tail":
+            return self.tail_envelope(), max(self.tail.power_range[1], 0.0)
         if self._poly_bounds is None:
             self._poly_bounds = (
                 float(sum(abs(c) for c, _ in self.poly_part)),
                 float(max((e for _, e in self.poly_part), default=0)),
             )
-        return self._poly_bounds
-
-    def poly_height(self) -> float:
-        return self._poly_envelope()[0]
-
-    def poly_degree(self) -> float:
-        return self._poly_envelope()[1]
+        height, degree = self._poly_bounds
+        if part == "poly":
+            return height, degree
+        if part == "full":
+            return height + self.tail_envelope(), max(degree, self.tail.power_range[1], 0.0)
+        raise ValueError(f"unknown part {part!r}")
 
     def tail_partial_sum(self, t: float, n_groups: int) -> float:
         """Partial tail sum over the first n_groups groups (for bound tests)."""
@@ -852,17 +855,11 @@ def pointwise_product(t1: ThetaFunction, t2: ThetaFunction) -> ThetaFunction:
         return None
 
     g1b, g2b = t1.tail.growth, t2.tail.growth
-    growth = GrowthBound(
-        (g1b.coeff + t1.poly_height()) * (g2b.coeff + t2.poly_height()),
-        g1b.power + g2b.power + 1.0,
-        delta,
-        1.0,
-    )
+    (h1, d1), (h2, d2) = t1.growth("poly"), t2.growth("poly")
+    growth = GrowthBound((g1b.coeff + h1) * (g2b.coeff + h2), g1b.power + g2b.power + 1.0,
+                         delta, 1.0)
     lo = min(t1.tail.power_range[0], 0.0) + min(t2.tail.power_range[0], 0.0)
-    hi = (
-        max(t1.tail.power_range[1], t1.poly_degree())
-        + max(t2.tail.power_range[1], t2.poly_degree())
-    )
+    hi = max(t1.tail.power_range[1], d1) + max(t2.tail.power_range[1], d2)
     poly: dict[Fraction, Fraction] = {}
     for c1, e1 in t1.poly_part:
         for c2, e2 in t2.poly_part:
@@ -943,8 +940,8 @@ class TailConvolution:
     def mellin(self, s: complex, tol: float | None = None) -> complex:
         """Mellin transform of the convolution by outer log-grid quadrature."""
         tol = tol or self.tol
-        w1 = float(self.t1.weight + self.t1.poly_degree())
-        w2 = float(self.t2.weight + self.t2.poly_degree())
+        w1 = float(self.t1.weight + self.t1.growth("poly")[1])
+        w2 = float(self.t2.weight + self.t2.growth("poly")[1])
         drop = s.real - (w1 + w2)
         if drop <= 0.2:
             raise ValueError("Mellin transform of the convolution needs larger Re(s)")

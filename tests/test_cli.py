@@ -312,6 +312,9 @@ class TestListThetas:
         names = {e["name"] for e in json.loads(out)["thetas"]}
         assert {"riemann", "delta", "jacobi2", "jacobi3", "jacobi4",
                 "theta_plus", "theta_minus", "eisenstein4"} <= names
+        assert [e["name"] for e in json.loads(out)["thetas"]] == [
+            "riemann", "eisenstein4", "eisenstein6", "eisenstein8", "delta",
+            "theta_plus", "theta_minus", "jacobi2", "jacobi3", "jacobi4"]
 
 
 class TestFileTheta:

@@ -18,7 +18,6 @@ from itermellin.quadrature import (
     integrate_words,
     letter_exponents,
     tail_word_integral,
-    tail_word_integrals,
     truncation_horizon,
     word_integral_on_interval,
 )
@@ -219,8 +218,8 @@ class TestBatchedWords:
         word = (Letter(j3, "full", slot(0, 2)), Letter(rie, "tail", slot(1, 2)))
         points = [(2.0, 1.5), (0.3 + 2.1j, -1.2 + 0.4j), (1.1 - 3j, 2.5 + 1j), (2.0, 1.5)]
         exps = np.vstack([letter_exponents(word, s) for s in points])
-        values, errs = tail_word_integrals(word, exps, EvalParams())
-        for s, v, e in zip(points, values, errs):
+        values, errs = integrate_words((word,), (np.arange(len(word)),), exps, EvalParams())
+        for s, v, e in zip(points, values[:, 0], errs[:, 0]):
             assert (complex(v), float(e)) == tail_word_integral(word, s, EvalParams())
 
 
@@ -232,6 +231,23 @@ def exponent_columns(words, points):
             for w in words]
     exps = np.array([[complex(f(s)) for f in forms] for s in points], dtype=complex)
     return cols, exps
+
+
+def word_horizons(words, cols, exps, params):
+    """quadrature.word_horizons of the words, cols[k][j] being the exponent
+    column of letter j of words[k]: each word's horizons at the points, or
+    its failure."""
+    horizons, failures = quadrature.word_horizons(quadrature._Letters(words, cols), exps, params)
+    return [failures.get(k, h) for k, h in enumerate(horizons)]
+
+
+def one_word_horizons(word, exps, params):
+    """word_horizons of one word alone, raising its failure; exps[i, j] is
+    the exponent of letter j at point i."""
+    (horizons,) = word_horizons((word,), (np.arange(len(word)),), exps, params)
+    if isinstance(horizons, Exception):
+        raise horizons
+    return horizons
 
 
 def failing_words():
@@ -301,12 +317,12 @@ class TestMeshMajor:
         messages = []
         for words, first in cases:
             cols, exps = exponent_columns(words, points)
-            horizons = quadrature.word_horizons(words, cols, exps, params)
+            horizons = word_horizons(words, cols, exps, params)
             assert [h.tolist() for h in horizons] == [
                 [8.0, 8.0] if w is b else [16.0, 16.0] for w in words]
             with pytest.raises((QuadratureError, TruncationError)) as one:
-                tail_word_integrals(first, np.vstack([letter_exponents(first, s)
-                                                      for s in points]), params)
+                integrate_words((first,), (np.arange(len(first)),),
+                                np.vstack([letter_exponents(first, s) for s in points]), params)
             assert one.type is (TruncationError if first is b else QuadratureError)
             with pytest.raises(one.type) as many:
                 integrate_words(words, cols, exps, params)
@@ -471,7 +487,7 @@ def ref_integrate_words(words, cols, exps, params):
     errs = np.zeros((len(words), n))
     meshes = {}
     slack = params.abs_tol * params.horizon_safety
-    every_horizon = quadrature.word_horizons(words, cols, exps, params)
+    every_horizon = word_horizons(words, cols, exps, params)
     exact = ref_exact_columns(exps)
     for k, word in enumerate(words):
         if not word:
@@ -566,7 +582,7 @@ class TestLengthPass:
                   for b in (-1.0, 2.0, 5.0, 8.0)]
         cols, exps = exponent_columns(words, points)
         by_mesh = {}
-        for h in quadrature.word_horizons(words, cols, exps, EvalParams()):
+        for h in word_horizons(words, cols, exps, EvalParams()):
             for t in set(h.tolist()):
                 by_mesh.setdefault(t, set()).add(tuple(np.flatnonzero(h == t)))
         assert any(len(rows) > 1 for rows in by_mesh.values())
@@ -610,17 +626,18 @@ def reference_horizons(word, exps, params):
     if not math.isfinite(mu1):
         return np.full(n, 2.0)
     p = th.kernel_power
-    decay_k = th.tail_envelope()
+    decay_k, shift = th.growth("tail")
     if decay_k == 0.0:
         return np.full(n, 2.0)
     e_re = exps.real
     log_prefac = 0.0
     growth_exp = np.zeros(n)
     for j, letter in enumerate(word[:-1]):
-        b, deg = quadrature._letter_envelope(letter)
+        b, deg = ((abs(float(letter.coeff)), 0.0) if letter.part == "mono"
+                  else letter.theta.growth(letter.part))
         log_prefac += math.log(max(b, 1e-300))
         growth_exp += np.maximum(e_re[:, j] - 1.0 + deg + 1.0, 0.0)
-    alpha = growth_exp + e_re[:, -1] - 1.0 + max(th.tail.power_range[1], 0.0)
+    alpha = growth_exp + e_re[:, -1] - 1.0 + shift
     log_target = math.log(params.abs_tol * params.horizon_safety)
     log_head = math.log(2.0) + log_prefac + math.log(decay_k) - math.log(mu1 * p)
     horizons = 2.0 ** np.arange(1, 25)
@@ -698,19 +715,19 @@ class TestBitIdentity:
                   (0.5 - 1j, 1e14, -1.5 + 2j, 1.5)[:r]]
         cols, exps = exponent_columns(words, points)
         params = EvalParams()
-        batch = quadrature.word_horizons(words, cols, exps, params)
+        batch = word_horizons(words, cols, exps, params)
         failed = 0
         for k, word in enumerate(words):
             if isinstance(batch[k], QuadratureError):
                 failed += 1
-                for one_word in (reference_horizons, quadrature.truncation_horizons):
+                for one_word in (reference_horizons, one_word_horizons):
                     with pytest.raises(QuadratureError) as one:
                         one_word(word, exps[:, cols[k]], params)
                     assert str(one.value) == str(batch[k])
             else:
                 assert np.array_equal(batch[k], reference_horizons(word, exps[:, cols[k]], params))
                 assert np.array_equal(
-                    batch[k], quadrature.truncation_horizons(word, exps[:, cols[k]], params))
+                    batch[k], one_word_horizons(word, exps[:, cols[k]], params))
         assert 1 < failed < len(words)
         assert "final tail letter" in str(batch[3])
 
@@ -739,6 +756,15 @@ class TestMesh:
         gc.collect()
         assert dropped() is None
         assert all(ref() is None for ref in cached)
+
+    def test_node_values_keep_their_max_terms(self):
+        """Node values cached under the default max_terms do not serve a
+        call with a smaller one: it fails as it does on empty meshes."""
+        word = (Letter(make_builtin_theta("eisenstein", 4), "tail", slot(0, 1)),)
+        for _ in range(2):
+            with pytest.raises(TruncationError):
+                tail_word_integral(word, (1.5,), EvalParams(max_terms=4, quad_order=8))
+            tail_word_integral(word, (1.5,), EvalParams(quad_order=8))
 
 
 class TestParams:

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from itermellin.cli import _builtin_registry
+from itermellin.engine import _zero_envelope
+from itermellin.ratfun import AffineForm
 from itermellin.theta import (
     KernelMismatchError,
     TruncationError,
@@ -21,6 +24,7 @@ from itermellin.theta import (
     pointwise_product,
     rescale,
 )
+from itermellin.words import Letter
 
 BUILTINS = [
     ("riemann", None),
@@ -346,3 +350,25 @@ growth 2 0
         text = "name x\nweight 1\nsign +1\ndual ghost\nkernel exp scale 1\ncoeffs 1\ngrowth 1 0"
         with pytest.raises(ValueError):
             parse_theta_text(text, {})
+
+
+class TestEnvelopes:
+    """Truncation envelopes must be real bounds: growth(part) for t >= 1,
+    and the engine's bound through the inversion law for t <= 1/2."""
+
+    @staticmethod
+    def thetas():
+        e4 = theta("eisenstein", 4)
+        return list(_builtin_registry().values()) + [
+            mul_monomial(theta("riemann"), Fraction(3, 2)), d_w(e4),
+            pointwise_product(e4, theta("jacobi3"))]
+
+    @pytest.mark.parametrize("part", ["poly", "tail", "full"])
+    def test_envelopes_bound_the_part(self, part):
+        big, small = np.geomspace(1.0, 64.0, 49), np.geomspace(1e-3, 0.5, 49)
+        for th in self.thetas():
+            b, d = th.growth(part)
+            assert np.all(np.abs(th.eval_array(big, part)) <= b * big**d * (1 + 1e-12) + 1e-12)
+            c, gamma, _ = _zero_envelope(Letter(th, part, AffineForm.slot(0, 1)))
+            assert np.all(
+                np.abs(th.eval_array(small, part)) <= c * small**-gamma * (1 + 1e-12) + 1e-12)
