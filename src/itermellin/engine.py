@@ -41,6 +41,7 @@ from .theta import ThetaFunction
 from .words import Letter, Word, regularize, shuffle
 from .quadrature import (
     EvalParams,
+    _Letters,
     doubling_edges,
     integrate_words,
     tail_word_integral,  # no longer called here; perfbench/tracer.py wraps this binding
@@ -102,15 +103,14 @@ class NumericPlan:
     Every affine quantity of the expression is one float row (const,
     coeffs...) of `rows`, so a single array operation per slot evaluates
     all of them at every point: first the pole forms the guard checks,
-    then the tangent denominator forms, then the constant 1, then each
-    distinct letter exponent (letters with one exponent share its node
-    powers).  Tangent factors are sums of parts coeff / prod(forms); each
-    part lists the columns of its forms, padded with the column of the
-    constant 1.
+    then the tangent denominator forms, then the constant 1, then the
+    exponent columns of `letters`, the distinct words' letter table, built
+    once with the plan.  Tangent factors are sums of parts coeff /
+    prod(forms); each part lists the columns of its forms, padded with the
+    column of the constant 1.
     """
 
-    words: tuple[Word, ...]  # distinct words
-    word_cols: tuple[np.ndarray, ...]  # per word, its letters' exponent columns
+    letters: _Letters  # the distinct words' letter table
     rows: np.ndarray
     blockers: tuple[AffineForm, ...]  # the forms of the leading rows
     guard_norms: np.ndarray  # gradient norm of each guard form
@@ -141,14 +141,7 @@ class NumericPlan:
             for c, forms in terms
         ]
         one = len(guard) + len(form_ids)
-        exponent_ids: dict[AffineForm, int] = {}
-        word_cols = tuple(
-            np.array(
-                [one + 1 + exponent_ids.setdefault(l.exponent, len(exponent_ids)) for l in w],
-                dtype=int,
-            )
-            for w in word_ids
-        )
+        letters = _Letters(tuple(word_ids))
         width = max((len(cols) for _, cols, _ in parts), default=0)
         part_cols = np.full((len(parts), width), one, dtype=int)
         part_tangent = np.zeros((len(parts), len(tangent_ids)))
@@ -156,11 +149,9 @@ class NumericPlan:
             part_cols[i, : len(cols)] = cols
             part_tangent[i, t] = 1.0
         blockers = guard + tuple(form_ids)
-        affine = blockers + (AffineForm.constant(1, expr.nslots),)
-        affine += tuple(exponent_ids)
+        affine = blockers + (AffineForm.constant(1, expr.nslots),) + letters.exponents
         return NumericPlan(
-            words=tuple(word_ids),
-            word_cols=word_cols,
+            letters=letters,
             rows=np.array([(float(f.const), *f.coeffs) for f in affine], dtype=float),
             blockers=blockers,
             guard_norms=np.array([h.grad_norm() for h in guard]),
@@ -303,7 +294,7 @@ def _eval_chunk(
 
     vals = vals[live]
     tangents = (plan.part_coeffs / vals[:, plan.part_cols].prod(axis=2)) @ plan.part_tangent
-    wvals, werrs = integrate_words(plan.words, plan.word_cols, vals, params)
+    wvals, werrs = integrate_words(plan.letters, vals[:, b + 1 :], params)  # exponent columns
     rvals = tangents[:, plan.term_tangent]
     values = (plan.coeffs * wvals[:, plan.term_word] * rvals).sum(axis=1)
     errs = (np.abs(plan.coeffs) * np.abs(rvals) * werrs[:, plan.term_word]).sum(axis=1)
@@ -368,22 +359,14 @@ def residue(
     if h.distance(point) > 1e-8:
         raise ValueError(f"point does not lie on the hyperplane {h} = 0")
     hits = [(term, res) for term in expr.terms if (res := term.tangent.residue(h, point)) != 0]
-    # the distinct words, integrated together as integrate_words does for
-    # lambda_eval; each value is that of the word on its own
-    word_ids: dict[Word, int] = {}
-    exponent_ids: dict[AffineForm, int] = {}
-    cols = []
-    for term, _ in hits:
-        if term.word not in word_ids:
-            word_ids[term.word] = len(word_ids)
-            cols.append(np.array(
-                [exponent_ids.setdefault(l.exponent, len(exponent_ids)) for l in term.word],
-                dtype=int))
-    exps = np.array([[complex(f(point)) for f in exponent_ids]], dtype=complex)
-    values = integrate_words(tuple(word_ids), cols, exps, params)[0][0].tolist() if hits else []
+    # the distinct words, integrated together as lambda_eval integrates a
+    # plan's; each value is that of the word on its own
+    letters = _Letters(tuple(dict.fromkeys(term.word for term, _ in hits)))
+    values = integrate_words(letters, letters.exponents_at(point), params)[0][0].tolist()
+    by_word = dict(zip(letters.words, values))
     total = 0.0 + 0.0j
     for term, res in hits:
-        total += float(term.coeff) * values[word_ids[term.word]] * res
+        total += float(term.coeff) * by_word[term.word] * res
     return total
 
 

@@ -11,14 +11,14 @@ mesh refinement and is never silently consumed.
 Theta values at mesh nodes are independent of the slot variables, so they
 are cached on the (interned) mesh, for as long as their theta lives, and
 shared across words and evaluation points, as are the logarithms of the
-nodes.  Word integrals run over batches of words and points
-(integrate_words), whose letters are numbered once (_Letters) by kind: a
-theta part, or a monomial coefficient.  The truncation horizons of all
-words at all points come from one array pass (word_horizons) over envelope
-constants formed once per letter kind, then the words run mesh by mesh, a
-mesh being a truncation horizon at one refinement level, with the
-refinement state of every (word, point) pair on it held in arrays.  On one
-mesh (integrate_word_on_mesh) each letter exponent's node powers are
+nodes.  Word integrals run over batches of points (integrate_words) of a
+fixed set of words, whose letter table (_Letters), built once, numbers
+their letter exponents as columns and their letters by kind, and holds
+every point-free constant of their truncation horizons.  The horizons at
+all points come from one array pass (word_horizons), then the words run
+mesh by mesh, a mesh being a truncation horizon at one refinement level,
+with the refinement state of every (word, point) pair on it held in
+arrays.  On one mesh (integrate_word_on_mesh) each letter exponent's node powers are
 formed once, as exp(e * log t) from the cached logarithms
 (PanelMesh.powers), and the words' distinct prefixes form a trie
 (_Prefixes) that is integrated one prefix length at a time: all prefixes
@@ -61,14 +61,20 @@ class QuadratureError(Exception):
     """Quadrature tolerance not met, or no usable truncation horizon."""
 
 
+MAX_ORDER = 256  # the largest quad_order: the integration matrix holds order^2 floats
+
+
 @dataclass
 class EvalParams:
-    """Evaluation controls shared across the engine.
+    """Evaluation controls shared across the engine, checked (ValueError)
+    at construction.
 
-    abs_tol: absolute tolerance target per integral; max_terms: cap on tail
-    stream groups; quad_order: Gauss nodes per panel; max_refine: mesh
-    refinement limit; horizon_safety: the truncation target is
-    abs_tol * horizon_safety.
+    abs_tol: absolute tolerance target per integral, finite and > 0;
+    max_terms: cap on tail stream groups, >= 1; quad_order: Gauss nodes per
+    panel, 4 to MAX_ORDER; max_refine: mesh refinement limit, >= 1, as an
+    error estimate takes one refinement; horizon_safety: the truncation
+    target is abs_tol * horizon_safety, finite and > 0; pole_guard: a point
+    nearer a pole hyperplane than this gets a PoleSignal, not a value.
     """
 
     abs_tol: float = 1e-10
@@ -79,10 +85,14 @@ class EvalParams:
     pole_guard: float = 1e-10
 
     def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
-        if self.quad_order < 4:
-            raise ValueError("quad_order must be at least 4")
+        for name in ("abs_tol", "horizon_safety"):
+            if not 0 < getattr(self, name) < math.inf:  # nan fails too
+                raise ValueError(f"{name} must be finite and positive")
+        for name in ("max_refine", "max_terms"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not 4 <= self.quad_order <= MAX_ORDER:
+            raise ValueError(f"quad_order must be between 4 and {MAX_ORDER}")
 
 
 @lru_cache(maxsize=None)
@@ -227,83 +237,43 @@ _HORIZONS = 2.0 ** np.arange(1, int(math.log2(MAX_HORIZON)) + 1)
 _LOG_HORIZONS = np.array([math.log(t) for t in _HORIZONS])
 
 
-def letter_exponents(word: Word, s: Sequence[complex]) -> np.ndarray:
-    """The word's letter exponents at one point, as a (1, len(word)) row."""
-    return np.array([[complex(letter.exponent(s)) for letter in word]], dtype=complex)
-
-
 def word_horizons(letters: _Letters, exps: np.ndarray,
                   params: EvalParams) -> tuple[np.ndarray, dict]:
-    """Truncation horizons of the words of a batch at many points, as
+    """Truncation horizons of the words of a table at many points, as
     (horizons, failures): horizons[k, i] is the smallest power-of-two
     horizon whose certified tail bound for word k at point i is below
     abs_tol * horizon_safety, unless failures[k] holds the QuadratureError
-    or TruncationError of word k.  exps[i, c] is exponent column c at
-    point i.
+    or TruncationError of word k.  A table's failures are shared across
+    calls and threads, so each is raised as a fresh copy,
+    type(exc)(*exc.args): raising the object would grow its traceback.
+    exps[i, c] is exponent column c at point i.
 
-    The envelope constants are formed once per letter kind, and blocks of
-    words gather them through a matrix of their prefix letters padded with
-    log B = 0.0 and d = -inf, which add exactly 0.0: every horizon comes out
-    in the float operations, and their order, of a word on its own.
+    Blocks of bounded words read the table's constants through their
+    prefix letters, padded with d = -inf, which adds exactly 0.0: every
+    horizon comes out in the float operations, and their order, of a word
+    on its own.
     """
-    n, nk = exps.shape[0], len(letters.kinds)
-    # per kind, then the pad: log B and d of its growth bound B * t^d, and
-    # for a tail whose decay K * t^d * exp(-mu1 * t^p) bounds the horizon,
-    # log K, log(mu1 * p), mu1 and p; the others keep mu1 = 0 (horizon 2)
-    log_b, deg, decay = np.zeros(nk + 1), np.full(nk + 1, -math.inf), np.zeros((4, nk + 1))
-    errors: list = [None] * (nk + 1)  # per kind: the error of a word ending in it
-    failed = {}  # kind -> the TruncationError of its growth bound
-    for i, (theta, part) in enumerate(letters.kinds):
-        if part != "tail":
-            errors[i] = QuadratureError("truncation horizon requires a final tail letter")
-        try:
-            b, deg[i] = (abs(part), 0.0) if theta is None else theta.growth(part)
-        except TruncationError as exc:
-            failed[i] = exc
-            errors[i] = errors[i] or exc
-            continue
-        log_b[i] = math.log(max(b, 1e-300))
-        if part == "tail":
-            mu1, p = theta.tail.min_mu(), theta.kernel_power
-            if math.isfinite(mu1) and b != 0.0:
-                decay[:, i] = math.log(b), math.log(mu1 * p), mu1, p
-    pad, pairs = len(letters.pair_kind), letters.pairs
-    kind, col = np.array([letters.pair_kind + [nk], letters.pair_col + [0]])
-    last = np.array([path[-1] if path else pad for path in pairs], dtype=int)
-    last_kind = kind[last]
-    bounded = decay[2, last_kind] > 0.0
-    failures = {k: errors[last_kind[k]] for k in np.flatnonzero(~bounded).tolist()
-                if errors[last_kind[k]] is not None}
-    if failed:  # a word takes the error of its first prefix letter with one
-        for k in np.flatnonzero(bounded).tolist():
-            bad = [i for i in kind[list(pairs[k][:-1])].tolist() if i in failed]
-            if bad:
-                failures[k], bounded[k] = failed[bad[0]], False
-    horizons = np.full((len(pairs), n), 2.0)
+    n = exps.shape[0]
+    horizons = np.full((len(letters.words), n), 2.0)
+    failures = dict(letters.failures)
     e_re = exps.real
     log_target = math.log(params.abs_tol * params.horizon_safety)
-    ks = np.flatnonzero(bounded)
     step = max(1, ROW_BUDGET // _HORIZONS.size // max(n, 1))
-    for lo in range(0, ks.size, step):
-        block = ks[lo : lo + step]
-        # the block's prefix letters as a padded pair matrix, one row per
-        # letter position
-        prefix = np.array(list(itertools.zip_longest(
-            *(pairs[k][:-1] for k in block.tolist()), fillvalue=pad)), dtype=int)
-        log_prefac = np.zeros(block.size)
+    for lo in range(0, letters.bounded.size, step):
+        at = slice(lo, lo + step)
+        block = letters.bounded[at]
+        # the block's prefix letters, one row per letter position
+        depth = letters.prefix_len[at].max()
         growth_exp = np.zeros((n, block.size))
-        for pkind, pcol in zip(kind[prefix], col[prefix]):
-            log_prefac += log_b[pkind]
-            growth_exp += np.maximum(e_re[:, pcol] - 1.0 + deg[pkind] + 1.0, 0.0)
-        lk = last_kind[block]
-        log_k, log_mu1p, mu1, p = decay[:, lk]
-        log_head = math.log(2.0) + log_prefac + log_k - log_mu1p
-        alpha = growth_exp + e_re[:, col[last[block]]] - 1.0 + deg[lk]
+        for pcol, pdeg in zip(letters.prefix_col[:depth, at], letters.prefix_deg[:depth, at]):
+            growth_exp += np.maximum(e_re[:, pcol] - 1.0 + pdeg + 1.0, 0.0)
+        mu1, p = letters.mu1[at], letters.p[at]
+        alpha = growth_exp + e_re[:, letters.last_col[at]] - 1.0 + letters.last_deg[at]
         # every candidate horizon of every word at every point at once: axes
         # (point, word, horizon); each takes the smallest candidate that fits
         tp = _HORIZONS ** p[:, None]  # exact: powers of two below 2^53
         rate = (alpha + 1.0 - p)[:, :, None]
-        log_bound = log_head[:, None] + rate * _LOG_HORIZONS - mu1[:, None] * tp
+        log_bound = letters.log_head[at][:, None] + rate * _LOG_HORIZONS - mu1[:, None] * tp
         fits = ((mu1 * p)[:, None] * tp >= np.maximum(2.0 * rate, 1.0)) & (
             log_bound <= log_target
         )
@@ -315,10 +285,10 @@ def word_horizons(letters: _Letters, exps: np.ndarray,
 
 def truncation_horizon(word: Word, s: Sequence[complex], params: EvalParams) -> float:
     """The truncation horizon of the word at one point s (see word_horizons)."""
-    letters = _Letters((word,), (np.arange(len(word)),))
-    horizons, failures = word_horizons(letters, letter_exponents(word, s), params)
+    letters = _Letters((word,))
+    horizons, failures = word_horizons(letters, letters.exponents_at(s), params)
     if failures:
-        raise failures[0]
+        raise type(failures[0])(*failures[0].args)
     return float(horizons[0, 0])
 
 
@@ -333,16 +303,14 @@ def repeated_products(e: np.ndarray) -> np.ndarray:
     return (e.imag == 0.0) & (np.abs(e.real) < 100.0) & (e.real == np.trunc(e.real))
 
 
-def _exact_columns(exps: np.ndarray, cols: np.ndarray) -> np.ndarray | None:
-    """Where node powers t^(e-1) of a letter exponent column c (one of
-    cols) at point i are repeated products, as a mask of exps' shape, or
-    None where there are none; found once per batch, so that most calls
-    pay nothing for it on each mesh."""
-    letters = exps[:, cols]
-    if not (letters.imag == 0.0).any():
+def _exact_columns(exps: np.ndarray) -> np.ndarray | None:
+    """Where node powers t^(e-1) of exponent column c at point i are
+    repeated products, as a mask of exps' shape, or None where there are
+    none; found once per batch, so that most calls pay nothing for it on
+    each mesh."""
+    if not (exps.imag == 0.0).any():
         return None
-    mask = np.zeros(exps.shape, dtype=bool)
-    mask[:, cols] = repeated_products(letters - 1.0)
+    mask = repeated_products(exps - 1.0)
     return mask if mask.any() else None
 
 
@@ -352,48 +320,101 @@ BLOCK_BUDGET = 1 << 15
 
 
 class _Letters:
-    """The letters of a batch of words, as ids of (letter, column) pairs:
-    pairs[k][j] is letter j of word k.  The letters of one pair have one
-    integrand at the nodes; kinds[pair_kind[q]] is (theta, part), or
-    (None, coefficient) for a monomial letter, and pair_col[q] the column.
+    """The letter table of a fixed set of words, built once and shared by
+    every call on them, across threads: it holds no per-call state.
+
+    Column c is the distinct letter exponent exponents[c].  Letters are ids
+    of pairs, pairs[k][j] being letter j of word k; the letters of one pair
+    have one integrand at the nodes: kinds[pair_kind[q]] is (theta, part),
+    or (None, coefficient) for a monomial letter, and pair_col[q] the
+    column.  failures[k] is the error of word k at every point, if any;
+    for the words bounded, whose last letter's decay bounds a horizon (the
+    others keep 2), the constants of word_horizons are formed here.
     """
 
-    def __init__(self, words: Sequence[Word], cols: Sequence[np.ndarray]):
-        by_id: dict = {}  # (id(letter), column) -> pair: letters recur as objects
-        by_value: dict = {}  # (letter, column) -> pair
+    def __init__(self, words: Sequence[Word]):
+        self.words = tuple(words)
+        by_id: dict = {}  # id(letter) -> pair: letters recur as objects
+        by_value: dict = {}  # letter -> pair
+        exponent_ids: dict = {}
         kind_ids: dict = {}
         self.pair_kind: list[int] = []
         self.pair_col: list[int] = []
         self.pairs: list[tuple[int, ...]] = []
-        for word, wcols in zip(words, cols):
+        for word in self.words:
             path = []
-            for letter, c in zip(word, wcols.tolist()):
-                q = by_id.get((id(letter), c))
+            for letter in word:
+                q = by_id.get(id(letter))
                 if q is None:
-                    q = by_value.get((letter, c))
+                    q = by_value.get(letter)
                     if q is None:
-                        q = by_value[letter, c] = len(self.pair_col)
-                        kind = ((None, float(letter.coeff)) if letter.part == "mono"
-                                else (letter.theta, letter.part))
-                        self.pair_kind.append(kind_ids.setdefault(kind, len(kind_ids)))
-                        self.pair_col.append(c)
-                    by_id[id(letter), c] = q
+                        q = by_value[letter] = len(self.pair_col)
+                        key = ((None, float(letter.coeff)) if letter.part == "mono"
+                               else (letter.theta, letter.part))
+                        self.pair_kind.append(kind_ids.setdefault(key, len(kind_ids)))
+                        self.pair_col.append(
+                            exponent_ids.setdefault(letter.exponent, len(exponent_ids)))
+                    by_id[id(letter)] = q
                 path.append(q)
             self.pairs.append(tuple(path))
+        self.exponents = tuple(exponent_ids)
         self.kinds = list(kind_ids)
-        self.cols = np.array(sorted(set(self.pair_col)), dtype=int)
-        self._last = None
+        nk = len(self.kinds)
+        # per kind, then the pad: log B and d of its growth bound B * t^d, and
+        # for a tail whose decay K * t^d * exp(-mu1 * t^p) bounds the horizon,
+        # log K, log(mu1 * p), mu1 and p; the others keep mu1 = 0 (horizon 2)
+        log_b, deg, decay = np.zeros(nk + 1), np.full(nk + 1, -math.inf), np.zeros((4, nk + 1))
+        errors: list = [None] * (nk + 1)  # per kind: the error of a word ending in it
+        failed = {}  # kind -> the TruncationError of its growth bound
+        for i, (theta, part) in enumerate(self.kinds):
+            if part != "tail":
+                errors[i] = QuadratureError("truncation horizon requires a final tail letter")
+            try:
+                b, deg[i] = (abs(part), 0.0) if theta is None else theta.growth(part)
+            except TruncationError as exc:
+                failed[i] = exc
+                errors[i] = errors[i] or exc
+                continue
+            log_b[i] = math.log(max(b, 1e-300))
+            if part == "tail":
+                mu1, p = theta.tail.min_mu(), theta.kernel_power
+                if math.isfinite(mu1) and b != 0.0:
+                    decay[:, i] = math.log(b), math.log(mu1 * p), mu1, p
+        pad, pairs = len(self.pair_kind), self.pairs
+        kind, col = np.array([self.pair_kind + [nk], self.pair_col + [0]])
+        last = np.array([path[-1] if path else pad for path in pairs], dtype=int)
+        last_kind = kind[last]
+        bounded = decay[2, last_kind] > 0.0
+        self.failures = {k: errors[last_kind[k]] for k in np.flatnonzero(~bounded).tolist()
+                         if errors[last_kind[k]] is not None}
+        if failed:  # a word takes the error of its first prefix letter with one
+            for k in np.flatnonzero(bounded).tolist():
+                bad = [i for i in kind[list(pairs[k][:-1])].tolist() if i in failed]
+                if bad:
+                    self.failures[k], bounded[k] = failed[bad[0]], False
+        # per bounded word: the columns and degrees of its prefix letters, one
+        # row per letter position, padded past prefix_len, those of its last
+        # letter, and log_head, mu1 and p of its tail bound
+        ks = self.bounded = np.flatnonzero(bounded)
+        rows = list(itertools.zip_longest(*(pairs[k][:-1] for k in ks.tolist()), fillvalue=pad))
+        prefix = np.array(rows, dtype=int).reshape(len(rows), ks.size)
+        self.prefix_len = np.array([len(pairs[k]) - 1 for k in ks.tolist()], dtype=int)
+        self.prefix_col, self.prefix_deg = col[prefix], deg[kind[prefix]]
+        log_prefac = np.zeros(ks.size)
+        for pkind in kind[prefix]:
+            log_prefac += log_b[pkind]
+        lk = last_kind[ks]
+        log_k, log_mu1p, self.mu1, self.p = decay[:, lk]
+        self.log_head = math.log(2.0) + log_prefac + log_k - log_mu1p
+        self.last_col, self.last_deg = col[last[ks]], deg[lk]
 
-    def prefixes(self, ks: np.ndarray) -> "_Prefixes":
-        """The _Prefixes of the words ks; the last one is kept, since the
-        words on a mesh repeat from one refinement level to the next."""
-        if self._last is None or self._last.ks is not ks:
-            self._last = _Prefixes(self, ks)
-        return self._last
+    def exponents_at(self, s: Sequence[complex]) -> np.ndarray:
+        """The exponent columns at one point s, as a (1, columns) row."""
+        return np.array([[complex(f(s)) for f in self.exponents]], dtype=complex)
 
 
 class _Prefixes:
-    """The prefix trie of the words ks of a batch: their distinct prefixes
+    """The prefix trie of the words ks of a table: their distinct prefixes
     (pair sequences), numbered by length, and within one length in the
     lexicographic order of their pairs, so that the children of each prefix
     are consecutive and in the order of their parents.
@@ -406,7 +427,6 @@ class _Prefixes:
     """
 
     def __init__(self, letters: _Letters, ks: np.ndarray):
-        self.ks = ks
         ks = ks.tolist()
         levels: list[dict] = []  # per length: (parent, pair) -> prefix, counted per length
         extended: list[list] = []
@@ -534,15 +554,17 @@ def integrate_word_on_mesh(
     m: PanelMesh,
     params: EvalParams,
     exact: np.ndarray | None,
+    pre: _Prefixes | None,
 ) -> np.ndarray:
-    """Iterated integrals of the words ks of a batch over one mesh (exact
+    """Iterated integrals of the words ks of a table over one mesh (exact
     panels), at the points rows (ascending), one row per word and one
     column per point.
 
     Letter j of word k has the exponent exps[i, c] at point i, where c is
     its column letters.pair_col[letters.pairs[k][j]]; exact is
-    _exact_columns(exps, letters.cols).  The TruncationError of the first
-    letter kind whose node values fail propagates (see _node_values).
+    _exact_columns(exps), and pre the _Prefixes of ks when there are
+    several.  The TruncationError of the first letter kind whose node
+    values fail propagates (see _node_values).
 
     The prefixes run length by length: each exponent column's node powers
     t^(e-1) are formed once, over all of rows, and the prefixes of one
@@ -554,8 +576,6 @@ def integrate_word_on_mesh(
     """
     nodal = _node_values(letters, ks.tolist(), m, params)
     values = np.empty((ks.size, rows.size), dtype=complex)
-    if ks.size > 1:
-        pre = letters.prefixes(ks)
     step = max(1, ROW_BUDGET // m.log_nodes.size)
     for lo in range(0, rows.size, step):
         block = rows[lo : lo + step]
@@ -575,7 +595,7 @@ def integrate_word_on_mesh(
 
 def _integrate_word(m: PanelMesh, letters: _Letters, k: int, nodal: dict, exps: np.ndarray,
                     rows: np.ndarray, exact: np.ndarray | None, out: np.ndarray) -> None:
-    """Integrate word k of a batch alone on mesh m at the points rows, into
+    """Integrate word k of a table alone on mesh m at the points rows, into
     out[0]: the pass of _PrefixPass for a chain of one prefix per length."""
     f = 1.0
     for j, q in enumerate(letters.pairs[k]):
@@ -589,14 +609,8 @@ def _integrate_word(m: PanelMesh, letters: _Letters, k: int, nodal: dict, exps: 
     out[0] = m.integral(f)
 
 
-def _kept(keep, *arrays) -> list:
-    """Each array at the index keep."""
-    return [a[keep] for a in arrays]
-
-
 def integrate_words(
-    words: Sequence[Word],
-    cols: Sequence[np.ndarray],
+    letters: _Letters,
     exps: np.ndarray,
     params: EvalParams,
     edges: tuple[float, ...] | None = None,
@@ -604,12 +618,12 @@ def integrate_words(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Iterated integrals of many words at many points, refined to tolerance.
 
-    exps[i, c] is exponent column c at point i, and cols[k][j] the column
-    of letter j of words[k]; returns values and error estimates of shape
-    (points, words).  Without edges every word runs over [1, inf), cut at
-    its truncation horizon at each point, and the certified truncation
-    bound abs_tol * horizon_safety is its slack; with edges every word runs
-    over that mesh with the given slack.  Each (word, mesh) job is refined
+    exps[i, c] is exponent column c of the table letters at point i;
+    returns values and error estimates of shape (points, words).  Without
+    edges every word runs over [1, inf), cut at its truncation horizon at
+    each point, and the certified truncation bound abs_tol * horizon_safety
+    is its slack; with edges every word runs over that mesh with the given
+    slack.  Each (word, mesh) job is refined
     until each point's estimate |v1 - v0| + slack meets abs_tol; a point
     leaves at the first level where its own estimate does.
 
@@ -621,27 +635,27 @@ def integrate_words(
     else, on the first mesh whose refinement runs out, the QuadratureError
     of its lowest-index word still unresolved.
     """
-    n = exps.shape[0]
+    n, words = exps.shape[0], letters.words
     # one row per word, returned transposed
     values = np.ones((len(words), n), dtype=complex)
     errs = np.zeros((len(words), n))
     # mesh edges -> (words, (words, points) mask of the points they run at)
     meshes: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
     ks = np.array([k for k, word in enumerate(words) if word], dtype=int)
-    letters = _Letters(words, cols)
     if ks.size and edges is not None:
         meshes[edges] = ks, np.ones((ks.size, n), dtype=bool)
     elif ks.size:
         slack = params.abs_tol * params.horizon_safety
         horizons, failures = word_horizons(letters, exps, params)
         if failures:
-            raise failures[min(failures)]
+            exc = failures[min(failures)]
+            raise type(exc)(*exc.args)
         horizons = horizons[ks]
         for t_max in sorted(set(horizons.ravel().tolist())):
             at = horizons == t_max
             some = at.any(axis=1)
             meshes[doubling_edges(1.0, t_max)] = ks[some], at[some]
-    exact = _exact_columns(exps, letters.cols)
+    exact = _exact_columns(exps)
     for key in sorted(meshes):
         # the jobs' words, the points some job still runs at, and whether
         # each job runs at each of them
@@ -650,11 +664,13 @@ def integrate_words(
         if rows.size < n:
             member = member[:, rows]
         m = mesh(key, params.quad_order)
-        v0 = est = None  # the last level's values, and their estimates
+        # the words' prefixes, formed again only when words leave the mesh
+        pre = _Prefixes(letters, ks) if ks.size > 1 else None
+        v0 = None  # the last level's values
         for level in range(params.max_refine + 1):
             if level:
                 m = m.refined()
-            v1 = integrate_word_on_mesh(letters, ks, exps, rows, m, params, exact)
+            v1 = integrate_word_on_mesh(letters, ks, exps, rows, m, params, exact, pre)
             if level:
                 est = np.abs(v1 - v0)
                 est += slack
@@ -669,16 +685,16 @@ def integrate_words(
                     break
                 left = member.any(axis=1)
                 if not left.all():
-                    ks, member, est, v1 = _kept(left, ks, member, est, v1)
+                    ks, member, est, v1 = (a[left] for a in (ks, member, est, v1))
+                    pre = _Prefixes(letters, ks) if ks.size > 1 else None
                 left = member.any(axis=0)
                 if not left.all():
                     rows = rows[left]
-                    member, est, v1 = _kept((slice(None), left), member, est, v1)
+                    member, est, v1 = (a[:, left] for a in (member, est, v1))
             v0 = v1
         else:
-            e = math.inf if est is None else est[0][member[0]][0]
             raise QuadratureError(
-                f"estimate {e:.3e} above {params.abs_tol:.1e} after "
+                f"estimate {est[0][member[0]][0]:.3e} above {params.abs_tol:.1e} after "
                 f"{params.max_refine} refinements"
             )
     return values.T, errs.T
@@ -692,9 +708,8 @@ def tail_word_integral(
     Returns (value, error estimate); the estimate combines one-refinement
     agreement with the certified truncation slack.
     """
-    values, errs = integrate_words(
-        (word,), (np.arange(len(word)),), letter_exponents(word, s), params or EvalParams()
-    )
+    letters = _Letters((word,))
+    values, errs = integrate_words(letters, letters.exponents_at(s), params or EvalParams())
     return complex(values[0, 0]), float(errs[0, 0])
 
 
@@ -706,8 +721,8 @@ def word_integral_on_interval(
     slack: float = 0.0,
 ) -> tuple[complex, float]:
     """Iterated integral over a finite mesh, refined to tolerance."""
-    params = params or EvalParams()
+    letters = _Letters((word,))
     values, errs = integrate_words(
-        (word,), (np.arange(len(word)),), letter_exponents(word, s), params, edges, slack
+        letters, letters.exponents_at(s), params or EvalParams(), edges, slack
     )
     return complex(values[0, 0]), float(errs[0, 0])

@@ -301,8 +301,10 @@ class TestNumericFailure:
         assert "numeric failure" in err
 
     def test_bad_tolerance_is_parse_error(self, capsys):
-        code, _, _ = run(capsys, "eval", "--theta", "riemann", "--s", "2", "--tol", "-1")
-        assert code == 2
+        for bad in (["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--max-refine", "0"]):
+            code, _, err = run(capsys, "eval", "--theta", "riemann", "--s", "2", *bad)
+            assert code == 2, bad
+            assert "must be" in err
 
 
 class TestListThetas:

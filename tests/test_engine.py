@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from itermellin import engine, oracles
+from itermellin import engine, oracles, quadrature
 from itermellin.engine import (
     BrokenInversionError,
     build_expression,
@@ -213,6 +213,13 @@ class TestResidues:
             if res != 0:
                 total += float(term.coeff) * tail_word_integral(term.word, pt, P)[0] * res
         assert residue(e3, h, pt, P) == total
+
+    def test_no_hit_words_give_zero(self):
+        """A hyperplane that is no pole leaves no word to integrate."""
+        e2 = build_expression((theta("riemann"),) * 2)
+        h = AffineForm.make(-7, (1, 0))
+        assert all(t.tangent.residue(h, (7.0, 0.5 + 1j)) == 0 for t in e2.terms)
+        assert residue(e2, h, (7.0, 0.5 + 1j), P) == 0j
 
     def test_point_off_hyperplane_rejected(self):
         e2 = build_expression((theta("riemann"),) * 2)
@@ -502,6 +509,18 @@ class TestNumericPlan:
             parts = plan.part_tangent[:, t].astype(bool)
             assert plan.part_coeffs[parts].tolist() == [complex(c) for c, _ in term.tangent.terms]
 
+    def test_letter_table_built_once(self, monkeypatch):
+        """The plan holds its words' letter table: evaluations on one
+        expression build it once, not once per call."""
+        built = []
+        init = quadrature._Letters.__init__
+        monkeypatch.setattr(quadrature._Letters, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        expr = build_expression((theta("riemann"),) * 2)
+        for points in ([(2.0, 2.0)], [(1.7, 2.4), (0.5 + 1j, 1.5)]):
+            lambda_eval_many(expr, points, P)
+        assert len(built) == 1
+
 
 class TestThetaIdentity:
     """A file theta named like a builtin must not share its cached values."""
@@ -529,15 +548,26 @@ class TestThetaIdentity:
 class TestConcurrency:
     def test_parallel_evaluations_are_deterministic(self):
         import concurrent.futures
+        import sys
 
         rie = theta("riemann")
         j2 = theta("jacobi2")
         e2 = build_expression((rie, rie))
         ej = build_expression((j2,))
         jobs = [(e2, (2.0, 2.0)), (ej, (0.9,)), (e2, (1.7, 2.4)), (ej, (1.3,))] * 4
-        serial = [lambda_eval(expr, pt, P)[0] for expr, pt in jobs]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            parallel = list(pool.map(lambda job: lambda_eval(job[0], job[1], P)[0], jobs))
+        # lowered first inside the threads, which then share its letter
+        # table; its meshes hold several words each
+        e3 = build_expression((rie,) * 3)
+        jobs += [(e3, (0.5 + 0.3j * k, 1.5 - 0.2j * k, 2.0 + 0.25 * k)) for k in range(1, 9)]
+        twin = build_expression((rie,) * 3)
+        serial = [lambda_eval(twin if expr is e3 else expr, pt, P)[0] for expr, pt in jobs]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads interleave often
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                parallel = list(pool.map(lambda job: lambda_eval(job[0], job[1], P)[0], jobs))
+        finally:
+            sys.setswitchinterval(switch)
         assert serial == parallel
 
 

@@ -16,7 +16,6 @@ from itermellin.quadrature import (
     QuadratureError,
     doubling_edges,
     integrate_words,
-    letter_exponents,
     tail_word_integral,
     truncation_horizon,
     word_integral_on_interval,
@@ -217,34 +216,37 @@ class TestBatchedWords:
         j3 = make_builtin_theta("jacobi3")
         word = (Letter(j3, "full", slot(0, 2)), Letter(rie, "tail", slot(1, 2)))
         points = [(2.0, 1.5), (0.3 + 2.1j, -1.2 + 0.4j), (1.1 - 3j, 2.5 + 1j), (2.0, 1.5)]
-        exps = np.vstack([letter_exponents(word, s) for s in points])
-        values, errs = integrate_words((word,), (np.arange(len(word)),), exps, EvalParams())
+        values, errs = integrate_words(*exponent_columns((word,), points), EvalParams())
         for s, v, e in zip(points, values[:, 0], errs[:, 0]):
             assert (complex(v), float(e)) == tail_word_integral(word, s, EvalParams())
 
 
 def exponent_columns(words, points):
-    """The words' distinct letter exponents at the points, one column each,
-    formed as letter_exponents forms them, and each word's columns."""
-    forms: dict = {}
-    cols = [np.array([forms.setdefault(l.exponent, len(forms)) for l in w], dtype=int)
-            for w in words]
-    exps = np.array([[complex(f(s)) for f in forms] for s in points], dtype=complex)
-    return cols, exps
+    """The letter table of the words and its exponent columns at the
+    points, one row per point."""
+    letters = quadrature._Letters(words)
+    return letters, np.vstack([letters.exponents_at(s) for s in points])
 
 
-def word_horizons(words, cols, exps, params):
-    """quadrature.word_horizons of the words, cols[k][j] being the exponent
-    column of letter j of words[k]: each word's horizons at the points, or
-    its failure."""
-    horizons, failures = quadrature.word_horizons(quadrature._Letters(words, cols), exps, params)
+def letter_columns(letters, k):
+    """The exponent column of each letter of word k of a letter table."""
+    return np.array([letters.pair_col[q] for q in letters.pairs[k]], dtype=int)
+
+
+def word_horizons(letters, exps, params):
+    """quadrature.word_horizons of a letter table: each word's horizons at
+    the points, or its failure."""
+    horizons, failures = quadrature.word_horizons(letters, exps, params)
     return [failures.get(k, h) for k, h in enumerate(horizons)]
 
 
 def one_word_horizons(word, exps, params):
     """word_horizons of one word alone, raising its failure; exps[i, j] is
     the exponent of letter j at point i."""
-    (horizons,) = word_horizons((word,), (np.arange(len(word)),), exps, params)
+    letters = quadrature._Letters((word,))
+    # the table's columns are the word's distinct exponents, by first use
+    first = [[letter.exponent for letter in word].index(f) for f in letters.exponents]
+    (horizons,) = word_horizons(letters, exps[:, first], params)
     if isinstance(horizons, Exception):
         raise horizons
     return horizons
@@ -271,15 +273,15 @@ class TestMeshMajor:
     its own."""
 
     def assert_one_word_calls(self, words, points, params):
-        cols, exps = exponent_columns(words, points)
-        values, errs = integrate_words(words, cols, exps, params)
+        letters, exps = exponent_columns(words, points)
+        values, errs = integrate_words(letters, exps, params)
         for k, word in enumerate(words):
             for i, s in enumerate(points):
                 one = tail_word_integral(word, s, params)
                 assert (complex(values[i, k]), float(errs[i, k])) == one
 
     def test_riemann_r4(self):
-        words = build_expression((make_builtin_theta("riemann"),) * 4).plan.words
+        words = build_expression((make_builtin_theta("riemann"),) * 4).plan.letters.words
         points = [(2.0, 1.5, 0.5 + 1j, -1.25 + 0.5j), (0.3 + 2.1j, -1.2 + 0.4j, 1.7 - 2.2j, 2.5)]
         self.assert_one_word_calls(words, points, EvalParams())
 
@@ -287,7 +289,7 @@ class TestMeshMajor:
     def test_mixed_horizons_and_refinement_exits(self, monkeypatch, row_budget):
         monkeypatch.setattr(quadrature, "ROW_BUDGET", row_budget)
         names = ("theta_plus", "riemann", "jacobi3")
-        words = build_expression(tuple(make_builtin_theta(n) for n in names)).plan.words
+        words = build_expression(tuple(make_builtin_theta(n) for n in names)).plan.letters.words
         points = [(-1.6 + 0.3j, -0.8 + 0.6j, 0.8 - 2.6j), (2.0 - 0.1j, 0.8 - 2.1j, 0.8 + 2.2j),
                   (-5.5 + 4.5j, 3.2 - 6.1j, -2.5 + 5.5j), (1.3 + 2.5j, -0.6 + 1.8j, -0.3 + 2.6j)]
         # a coarse node set, so that words leave refinement at different levels
@@ -316,16 +318,15 @@ class TestMeshMajor:
         cases = [((a, b), b), ((b, a), b), ((a, c), a), ((c, a), c)]
         messages = []
         for words, first in cases:
-            cols, exps = exponent_columns(words, points)
-            horizons = word_horizons(words, cols, exps, params)
+            letters, exps = exponent_columns(words, points)
+            horizons = word_horizons(letters, exps, params)
             assert [h.tolist() for h in horizons] == [
                 [8.0, 8.0] if w is b else [16.0, 16.0] for w in words]
             with pytest.raises((QuadratureError, TruncationError)) as one:
-                integrate_words((first,), (np.arange(len(first)),),
-                                np.vstack([letter_exponents(first, s) for s in points]), params)
+                integrate_words(*exponent_columns((first,), points), params)
             assert one.type is (TruncationError if first is b else QuadratureError)
             with pytest.raises(one.type) as many:
-                integrate_words(words, cols, exps, params)
+                integrate_words(letters, exps, params)
             assert str(many.value) == str(one.value)
             messages.append(str(one.value))
         assert messages[0] == messages[1] and messages[2] != messages[3]
@@ -335,13 +336,13 @@ class TestMeshMajor:
         where its node values fail: the call raises there and integrates
         on no larger mesh."""
         a, b, _, params, points = failing_words()
-        cols, exps = exponent_columns((a, b), points)
+        letters, exps = exponent_columns((a, b), points)
         meshes = []
         on_mesh = quadrature.integrate_word_on_mesh
         monkeypatch.setattr(quadrature, "integrate_word_on_mesh",
                             lambda *args: meshes.append(args[4]) or on_mesh(*args))
         with pytest.raises((QuadratureError, TruncationError)) as failure:
-            integrate_words((a, b), cols, exps, params)
+            integrate_words(letters, exps, params)
         assert [m.edges[-1] for m in meshes] == [8.0]
         assert failure.type is TruncationError
 
@@ -479,15 +480,17 @@ class RefJob:
         self.est = np.full(rows.size, math.inf)
 
 
-def ref_integrate_words(words, cols, exps, params):
+def ref_integrate_words(letters, exps, params):
     """integrate_words (no edges) over the depth-first walk, job by job,
     raising the first failure it meets."""
+    words = letters.words
+    cols = [letter_columns(letters, k) for k in range(len(words))]
     n = exps.shape[0]
     values = np.ones((len(words), n), dtype=complex)
     errs = np.zeros((len(words), n))
     meshes = {}
     slack = params.abs_tol * params.horizon_safety
-    every_horizon = word_horizons(words, cols, exps, params)
+    every_horizon = word_horizons(letters, exps, params)
     exact = ref_exact_columns(exps)
     for k, word in enumerate(words):
         if not word:
@@ -531,15 +534,15 @@ def ref_integrate_words(words, cols, exps, params):
 def assert_as_reference(words, points, params):
     """integrate_words equals the depth-first walk bit for bit: values and
     estimates, or the failure's type and message."""
-    cols, exps = exponent_columns(words, points)
+    letters, exps = exponent_columns(words, points)
     try:
-        want = ref_integrate_words(words, cols, exps, params)
+        want = ref_integrate_words(letters, exps, params)
     except (QuadratureError, TruncationError) as exc:
         with pytest.raises(type(exc)) as got:
-            integrate_words(words, cols, exps, params)
+            integrate_words(letters, exps, params)
         assert str(got.value) == str(exc)
         return exc
-    got = integrate_words(words, cols, exps, params)
+    got = integrate_words(letters, exps, params)
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     return got
@@ -552,7 +555,7 @@ def plan_words(*names):
     for name in names:
         family, _, weight = name.partition(":")
         thetas.append(make_builtin_theta(family, int(weight)) if weight else make_builtin_theta(name))
-    return build_expression(tuple(thetas)).plan.words
+    return build_expression(tuple(thetas)).plan.letters.words
 
 
 class TestLengthPass:
@@ -569,7 +572,7 @@ class TestLengthPass:
         """Tail-transform words carry monomial letters, whose factor is a
         coefficient rather than node values."""
         thetas = tuple(make_builtin_theta(n) for n in ("jacobi3", "riemann", "theta_plus"))
-        words = build_tail_expression(thetas).plan.words
+        words = build_tail_expression(thetas).plan.letters.words
         assert any(letter.part == "mono" for word in words for letter in word)
         assert_as_reference(words, [(2.5 + 0.5j, 3.0, 2.2 - 0.3j), (3.1, 2.6 + 1j, 2.9)],
                             EvalParams())
@@ -580,9 +583,9 @@ class TestLengthPass:
         words = plan_words("eisenstein:4", "delta")
         points = [(complex(a, 0.5), complex(b, -1.0)) for a in (-2.5, -0.5, 1.5, 3.5)
                   for b in (-1.0, 2.0, 5.0, 8.0)]
-        cols, exps = exponent_columns(words, points)
+        letters, exps = exponent_columns(words, points)
         by_mesh = {}
-        for h in word_horizons(words, cols, exps, EvalParams()):
+        for h in word_horizons(letters, exps, EvalParams()):
             for t in set(h.tolist()):
                 by_mesh.setdefault(t, set()).add(tuple(np.flatnonzero(h == t)))
         assert any(len(rows) > 1 for rows in by_mesh.values())
@@ -707,15 +710,16 @@ class TestBitIdentity:
         slot leaves some words with no valid horizon."""
         monkeypatch.setattr(quadrature, "ROW_BUDGET", row_budget)
         r = len(names)
-        words = list(build_expression(tuple(make_builtin_theta(n) for n in names)).plan.words)
+        words = list(build_expression(tuple(make_builtin_theta(n) for n in names)).plan.letters.words)
         rie = make_builtin_theta("riemann")
         words.insert(3, (Letter(rie, "tail", slot(0, r)), Letter(rie, "full", slot(1, r))))
         points = [(2.0,) * r, (0.3 + 2.1j, -1.2 + 0.4j, 1.7 - 2.2j, 2.5)[:r],
                   (-5.5 + 4.5j, 3.2 - 6.1j, -2.5 + 5.5j, 0.5)[:r],
                   (0.5 - 1j, 1e14, -1.5 + 2j, 1.5)[:r]]
-        cols, exps = exponent_columns(words, points)
+        letters, exps = exponent_columns(words, points)
+        cols = [letter_columns(letters, k) for k in range(len(words))]
         params = EvalParams()
-        batch = word_horizons(words, cols, exps, params)
+        batch = word_horizons(letters, exps, params)
         failed = 0
         for k, word in enumerate(words):
             if isinstance(batch[k], QuadratureError):
@@ -773,6 +777,15 @@ class TestParams:
             EvalParams(abs_tol=0.0)
         with pytest.raises(ValueError):
             EvalParams(quad_order=2)
+        for bad in [dict(abs_tol=math.inf), dict(abs_tol=math.nan), dict(abs_tol=-1e-10),
+                    dict(max_refine=0), dict(max_refine=-1), dict(horizon_safety=0.0),
+                    dict(horizon_safety=math.nan), dict(max_terms=0),
+                    dict(quad_order=quadrature.MAX_ORDER + 1), dict(quad_order=100000)]:
+            with pytest.raises(ValueError):
+                EvalParams(**bad)
+        # constructed only: the largest order, and the order tests take as truth
+        assert EvalParams(quad_order=quadrature.MAX_ORDER).quad_order == 256
+        assert EvalParams(quad_order=64, max_refine=1, max_terms=1).max_terms == 1
         p = EvalParams()
         assert p.abs_tol == 1e-10 and p.max_terms == 4000
         assert p.quad_order == 32 and p.max_refine == 8
