@@ -10,6 +10,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -103,24 +104,27 @@ def parse_theta_tuple(text: str) -> tuple[ThetaFunction, ...]:
 
 def parse_point(text: str, nslots: int) -> tuple[complex, ...]:
     tokens = [t.strip() for t in text.split(",") if t.strip()]
+    point = None
     if len(tokens) == 2 * nslots:
         try:
             vals = [float(t) for t in tokens]
+            point = tuple(complex(vals[2 * i], vals[2 * i + 1]) for i in range(nslots))
         except ValueError:
-            vals = None
-        if vals is not None:
-            return tuple(
-                complex(vals[2 * i], vals[2 * i + 1]) for i in range(nslots)
-            )
-    if len(tokens) != nslots:
-        raise CliError(f"expected {nslots} slot values, got {len(tokens)}")
-    out = []
-    for t in tokens:
-        try:
-            out.append(complex(t.replace("i", "j")))
-        except ValueError:
-            raise CliError(f"cannot parse complex number {t!r}") from None
-    return tuple(out)
+            pass
+    if point is None:
+        if len(tokens) != nslots:
+            raise CliError(f"expected {nslots} slot values, got {len(tokens)}")
+        out = []
+        for t in tokens:
+            try:
+                out.append(complex(t[:-1] + "j" if t.endswith("i") else t))
+            except ValueError:
+                raise CliError(f"cannot parse complex number {t!r}") from None
+        point = tuple(out)
+    for z in point:
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise CliError(f"slot value {z} is not finite")
+    return point
 
 
 def parse_hyperplane(text: str, nslots: int) -> AffineForm:
@@ -293,6 +297,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+# most cells a table evaluates
+MAX_CELLS = 100000
+
+
+def _check_cells(count: float) -> None:
+    if not count <= MAX_CELLS:
+        raise CliError(f"grid of {count:.6g} cells exceeds the 1e5 limit")
+
+
 def _parse_axis(spec: str) -> list[float]:
     bits = spec.split(":")
     if len(bits) != 3:
@@ -301,12 +314,16 @@ def _parse_axis(spec: str) -> list[float]:
         start, stop, step = (float(b) for b in bits)
     except ValueError:
         raise CliError(f"cannot parse axis {spec!r}") from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise CliError(f"axis {spec!r} has a non-finite bound or step")
     if step <= 0:
         raise CliError("axis step must be positive")
-    n = int(np.floor((stop - start) / step + 1e-9)) + 1
-    if n < 1:
+    # counted as a float and checked before any list is built
+    count = np.floor((stop - start) / step + 1e-9) + 1
+    if count < 1:
         raise CliError(f"axis {spec!r} is empty")
-    return [start + i * step for i in range(n)]
+    _check_cells(count)
+    return [start + i * step for i in range(int(count))]
 
 
 def _parse_grid(spec: str, nslots: int) -> list[list[complex]]:
@@ -320,6 +337,7 @@ def _parse_grid(spec: str, nslots: int) -> list[list[complex]]:
             res, ims = _parse_axis(re_spec), _parse_axis(im_spec)
         else:
             res, ims = _parse_axis(slot), [0.0]
+        _check_cells(len(res) * len(ims))
         axes.append([complex(a, b) for a in res for b in ims])
     return axes
 
@@ -328,11 +346,7 @@ def cmd_table(args) -> int:
     thetas = parse_theta_tuple(args.theta)
     nslots = len(thetas)
     axes = _parse_grid(args.grid, nslots)
-    total = 1
-    for ax in axes:
-        total *= len(ax)
-    if total > 100000:
-        raise CliError(f"grid of {total} cells exceeds the 1e5 limit")
+    _check_cells(math.prod(len(ax) for ax in axes))
     params = _params_from_args(args)
     expr = engine.build_expression(thetas)
 

@@ -40,6 +40,7 @@ from .ratfun import (
 from .theta import ThetaFunction
 from .words import Letter, Word, regularize, shuffle
 from .quadrature import (
+    HORIZON_SAFETY,
     EvalParams,
     _Letters,
     doubling_edges,
@@ -270,6 +271,9 @@ def nearest_pole(expr: LambdaExpression, point) -> tuple[AffineForm | None, floa
 
 # points evaluated together; bounds the arrays one batch holds
 BATCH_CHUNK = 256
+# a point nearer a pole hyperplane than this (in normalized distance) gets
+# a PoleSignal, not a value
+POLE_GUARD = 1e-10
 
 
 def _eval_chunk(
@@ -281,7 +285,7 @@ def _eval_chunk(
     # guard columns come first, so a guard hit is reported before a tangent form
     blocked = np.hstack(
         (
-            np.abs(vals[:, :g]) / plan.guard_norms < params.pole_guard,
+            np.abs(vals[:, :g]) / plan.guard_norms < POLE_GUARD,
             np.abs(vals[:, g:b]) < POLE_EPS,
         )
     )
@@ -308,7 +312,7 @@ def lambda_eval_many(
 ) -> list[tuple[complex, float] | PoleSignal]:
     """Value and error estimate at each point, in order.
 
-    A point within pole_guard of a pole hyperplane gets the PoleSignal that
+    A point within POLE_GUARD of a pole hyperplane gets the PoleSignal that
     lambda_eval would raise there instead of a value.  Numeric failures
     (QuadratureError, TruncationError) raise for the whole call.  Points
     are evaluated BATCH_CHUNK at a time; the words of a chunk are
@@ -422,7 +426,7 @@ def _choose_delta(word: Word, s, params: EvalParams) -> float:
     exponent sum must stay positive unless an exponentially small letter
     already occurred.
     """
-    target = params.abs_tol * params.horizon_safety
+    target = params.abs_tol * HORIZON_SAFETY
     run = 0.0
     cprod = 1.0
     sigma_min = math.inf
@@ -479,7 +483,7 @@ def lambda_direct(
             e *= 2.0
         edges = tuple(lower) + doubling_edges(1.0, t_max)
         val, _ = word_integral_on_interval(
-            word, point, edges, params, slack=params.abs_tol * params.horizon_safety
+            word, point, edges, params, slack=params.abs_tol * HORIZON_SAFETY
         )
         total += c * val
     return total

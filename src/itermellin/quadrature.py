@@ -62,6 +62,7 @@ class QuadratureError(Exception):
 
 
 MAX_ORDER = 256  # the largest quad_order: the integration matrix holds order^2 floats
+HORIZON_SAFETY = 0.1  # share of abs_tol left to the certified truncation bound
 
 
 @dataclass
@@ -69,25 +70,21 @@ class EvalParams:
     """Evaluation controls shared across the engine, checked (ValueError)
     at construction.
 
-    abs_tol: absolute tolerance target per integral, finite and > 0;
-    max_terms: cap on tail stream groups, >= 1; quad_order: Gauss nodes per
-    panel, 4 to MAX_ORDER; max_refine: mesh refinement limit, >= 1, as an
-    error estimate takes one refinement; horizon_safety: the truncation
-    target is abs_tol * horizon_safety, finite and > 0; pole_guard: a point
-    nearer a pole hyperplane than this gets a PoleSignal, not a value.
+    abs_tol: absolute tolerance target per integral, finite and > 0 (a
+    truncation horizon is cut at abs_tol * HORIZON_SAFETY); max_terms: cap
+    on tail stream groups, >= 1; quad_order: Gauss nodes per panel, 4 to
+    MAX_ORDER; max_refine: mesh refinement limit, >= 1, as an error
+    estimate takes one refinement.
     """
 
     abs_tol: float = 1e-10
     max_terms: int = 4000
     quad_order: int = 32
     max_refine: int = 8
-    horizon_safety: float = 0.1
-    pole_guard: float = 1e-10
 
     def __post_init__(self):
-        for name in ("abs_tol", "horizon_safety"):
-            if not 0 < getattr(self, name) < math.inf:  # nan fails too
-                raise ValueError(f"{name} must be finite and positive")
+        if not 0 < self.abs_tol < math.inf:  # nan fails too
+            raise ValueError("abs_tol must be finite and positive")
         for name in ("max_refine", "max_terms"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -242,7 +239,7 @@ def word_horizons(letters: _Letters, exps: np.ndarray,
     """Truncation horizons of the words of a table at many points, as
     (horizons, failures): horizons[k, i] is the smallest power-of-two
     horizon whose certified tail bound for word k at point i is below
-    abs_tol * horizon_safety, unless failures[k] holds the QuadratureError
+    abs_tol * HORIZON_SAFETY, unless failures[k] holds the QuadratureError
     or TruncationError of word k.  A table's failures are shared across
     calls and threads, so each is raised as a fresh copy,
     type(exc)(*exc.args): raising the object would grow its traceback.
@@ -257,7 +254,7 @@ def word_horizons(letters: _Letters, exps: np.ndarray,
     horizons = np.full((len(letters.words), n), 2.0)
     failures = dict(letters.failures)
     e_re = exps.real
-    log_target = math.log(params.abs_tol * params.horizon_safety)
+    log_target = math.log(params.abs_tol * HORIZON_SAFETY)
     step = max(1, ROW_BUDGET // _HORIZONS.size // max(n, 1))
     for lo in range(0, letters.bounded.size, step):
         at = slice(lo, lo + step)
@@ -621,7 +618,7 @@ def integrate_words(
     exps[i, c] is exponent column c of the table letters at point i;
     returns values and error estimates of shape (points, words).  Without
     edges every word runs over [1, inf), cut at its truncation horizon at
-    each point, and the certified truncation bound abs_tol * horizon_safety
+    each point, and the certified truncation bound abs_tol * HORIZON_SAFETY
     is its slack; with edges every word runs over that mesh with the given
     slack.  Each (word, mesh) job is refined
     until each point's estimate |v1 - v0| + slack meets abs_tol; a point
@@ -645,7 +642,7 @@ def integrate_words(
     if ks.size and edges is not None:
         meshes[edges] = ks, np.ones((ks.size, n), dtype=bool)
     elif ks.size:
-        slack = params.abs_tol * params.horizon_safety
+        slack = params.abs_tol * HORIZON_SAFETY
         horizons, failures = word_horizons(letters, exps, params)
         if failures:
             exc = failures[min(failures)]

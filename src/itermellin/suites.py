@@ -19,6 +19,7 @@ from .arith import binomial, factorial
 from .quadrature import EvalParams
 from .ratfun import AffineForm
 from .theta import ThetaFunction, make_builtin_theta
+from .words import shuffle
 
 PI = math.pi
 
@@ -171,16 +172,6 @@ def _pool_theta(tag: str) -> ThetaFunction:
     return make_builtin_theta(tag)
 
 
-def _shuffle_tuples(u: tuple, v: tuple) -> list[tuple]:
-    if not u:
-        return [v]
-    if not v:
-        return [u]
-    return [(u[0],) + w for w in _shuffle_tuples(u[1:], v)] + [
-        (v[0],) + w for w in _shuffle_tuples(u, v[1:])
-    ]
-
-
 def suite_shuffle(seed: int, trials: int, params: EvalParams) -> list[CaseResult]:
     rng = np.random.default_rng(seed)
     out = []
@@ -194,7 +185,7 @@ def suite_shuffle(seed: int, trials: int, params: EvalParams) -> list[CaseResult
             thetas = tuple(_pool_theta(t) for t in tags)
             u = tuple(range(p_len))
             v = tuple(range(p_len, p_len + q_len))
-            merged = _shuffle_tuples(u, v)
+            merged = list(shuffle(u, v).terms)  # distinct indices: each once
             # pole constraints for every expression involved
             all_constraints: list[tuple[tuple, list[AffineForm]]] = []
             for idx in [u, v] + merged:

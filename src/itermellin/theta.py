@@ -22,6 +22,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .arith import bernoulli, divisor_sigma, ramanujan_tau
 
@@ -253,16 +254,10 @@ class ThetaFunction:
     def dual(self) -> "ThetaFunction":
         return self._dual
 
-    def _link_dual(self, other: "ThetaFunction") -> None:
-        if other.weight != self.weight or other.sign != self.sign:
-            raise ValueError("dual partners must share weight and sign")
-        self._dual = other
-        other._dual = self
-
-    def _set_dual_oneway(self, other: "ThetaFunction") -> None:
-        """Point this function's inversion law at other without touching
-        other's own dual (used when the partner is a shared registry
-        entry, e.g. a loaded clone of a builtin)."""
+    def _set_dual(self, other: "ThetaFunction") -> None:
+        """Point this function's inversion law at other, leaving other's own
+        dual alone (a file theta's partner is a shared registry entry); a
+        mutual link calls it on both."""
         if other.weight != self.weight or other.sign != self.sign:
             raise ValueError("dual partners must share weight and sign")
         self._dual = other
@@ -278,9 +273,6 @@ class ThetaFunction:
         for c, e in self.poly_part:
             out += float(c) * ts ** float(e)
         return out
-
-    def _tail_direct(self, ts: np.ndarray, tol: float, max_terms: int) -> np.ndarray:
-        return self.tail.values(ts, self.kernel_power, tol, max_terms)
 
     def eval_array(
         self, ts, part: str = "full", tol: float = 1e-12, max_terms: int = 4000
@@ -309,10 +301,10 @@ class ThetaFunction:
     def _tail_values(self, ts: np.ndarray, tol: float, max_terms: int) -> np.ndarray:
         small = ts < 0.5
         if not self.inversion_ok or not np.any(small):
-            return self._tail_direct(ts, tol, max_terms)
+            return self.tail.values(ts, self.kernel_power, tol, max_terms)
         out = np.empty(ts.shape, dtype=float)
         if np.any(~small):
-            out[~small] = self._tail_direct(ts[~small], tol, max_terms)
+            out[~small] = self.tail.values(ts[~small], self.kernel_power, tol, max_terms)
         tsm = ts[small]
         # theta0(t) = sign * t^-w * dual(1/t) - poly(t); the dual evaluation
         # error is amplified by t^-w, so it runs at a shrunken tolerance.
@@ -500,25 +492,21 @@ def _jacobi_pair() -> tuple[ThetaFunction, ThetaFunction]:
         GrowthBound(2.0, 0.0, PI / 4, 2.0),
     )
     theta2 = ThetaFunction("jacobi2", half, +1, 1, [], tail2, validate=False)
-    theta4._link_dual(theta2)
+    theta4._set_dual(theta2)
+    theta2._set_dual(theta4)
     validate_inversion(theta4)
     validate_inversion(theta2)
     return theta2, theta4
 
 
-def _make_jacobi(kind: int) -> ThetaFunction:
-    half = Fraction(1, 2)
-    if kind == 3:
-        tail = TailSeries(
-            _const_stream(lambda n: PI * n * n, lambda n: 2.0),
-            GrowthBound(2.0, 0.0, PI, 2.0),
-        )
-        return ThetaFunction("jacobi3", half, +1, 1, [(Fraction(1), Fraction(0))], tail)
-    if kind == 4:
-        return _jacobi_pair()[1]
-    if kind == 2:
-        return _jacobi_pair()[0]
-    raise ValueError("jacobi kind must be 2, 3 or 4")
+def _make_jacobi3() -> ThetaFunction:
+    tail = TailSeries(
+        _const_stream(lambda n: PI * n * n, lambda n: 2.0),
+        GrowthBound(2.0, 0.0, PI, 2.0),
+    )
+    return ThetaFunction(
+        "jacobi3", Fraction(1, 2), +1, 1, [(Fraction(1), Fraction(0))], tail
+    )
 
 
 _BUILTIN_FACTORIES: dict[str, Callable[[], ThetaFunction]] = {
@@ -526,9 +514,9 @@ _BUILTIN_FACTORIES: dict[str, Callable[[], ThetaFunction]] = {
     "delta": _make_delta,
     "theta_plus": lambda: _make_theta_pm(+1),
     "theta_minus": lambda: _make_theta_pm(-1),
-    "jacobi2": lambda: _make_jacobi(2),
-    "jacobi3": lambda: _make_jacobi(3),
-    "jacobi4": lambda: _make_jacobi(4),
+    "jacobi2": lambda: _jacobi_pair()[0],
+    "jacobi3": _make_jacobi3,
+    "jacobi4": lambda: _jacobi_pair()[1],
 }
 
 
@@ -562,17 +550,43 @@ def builtin_names() -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _map_series(
-    base: TailSeries,
+def _mapped(
+    theta: ThetaFunction,
+    name: str,
+    weight: Fraction,
+    poly: Sequence[tuple[Fraction, Fraction]],
     group_map: Callable[[Group], Group],
     growth: GrowthBound,
     power_range: tuple[float, float],
-) -> TailSeries:
+    inversion_ok: bool,
+) -> ThetaFunction:
+    """A theta whose tail maps theta's group by group, with theta's sign,
+    kernel power and conductor; unvalidated (see _paired)."""
+    base = theta.tail
+
     def fn(n: int) -> Group | None:
         g = base.group(n)
         return None if g is None else group_map(g)
 
-    return TailSeries(fn, growth, power_range)
+    return ThetaFunction(
+        name, weight, theta.sign, theta.kernel_power, poly,
+        TailSeries(fn, growth, power_range),
+        conductor=theta.conductor, inversion_ok=inversion_ok, validate=False,
+    )
+
+
+def _paired(make: Callable[..., ThetaFunction], *thetas: ThetaFunction) -> ThetaFunction:
+    """make(*thetas), a transform that carries the inversion law: unless every
+    input is self-dual, its dual is make applied to the inputs' duals, linked
+    both ways.  The result is validated once, when its law holds."""
+    result = make(*thetas)
+    if not all(th.self_dual for th in thetas):
+        partner = make(*(th.dual for th in thetas))
+        result._set_dual(partner)
+        partner._set_dual(result)
+    if result.inversion_ok:
+        validate_inversion(result)
+    return result
 
 
 def mul_monomial(theta: ThetaFunction, exponent: Fraction | int) -> ThetaFunction:
@@ -582,37 +596,20 @@ def mul_monomial(theta: ThetaFunction, exponent: Fraction | int) -> ThetaFunctio
     nonnegative exponents.
     """
     a = Fraction(exponent)
-    poly = [(c, e + a) for c, e in theta.poly_part]
-    if any(e < 0 for _, e in poly):
-        raise ValueError("monomial shift would create negative poly exponents")
     af = float(a)
-    lo, hi = theta.tail.power_range
-    growth = theta.tail.growth
 
-    def shift(group: Group) -> Group:
-        mu, terms = group
-        return (mu, tuple((c, nu + af) for c, nu in terms))
+    def shifted(th: ThetaFunction) -> ThetaFunction:
+        poly = [(c, e + a) for c, e in th.poly_part]
+        if any(e < 0 for _, e in poly):
+            raise ValueError("monomial shift would create negative poly exponents")
+        lo, hi = th.tail.power_range
+        return _mapped(
+            th, f"({th.name}*t^{a})", th.weight - 2 * a, poly,
+            lambda g: (g[0], tuple((c, nu + af) for c, nu in g[1])),
+            th.tail.growth, (lo + af, hi + af), th.inversion_ok,
+        )
 
-    tail = _map_series(theta.tail, shift, growth, (lo + af, hi + af))
-    result = ThetaFunction(
-        f"({theta.name}*t^{a})",
-        theta.weight - 2 * a,
-        theta.sign,
-        theta.kernel_power,
-        poly,
-        tail,
-        conductor=theta.conductor,
-        inversion_ok=theta.inversion_ok,
-        validate=False,
-    )
-    if theta.self_dual:
-        if theta.inversion_ok:
-            validate_inversion(result)
-    else:
-        result._link_dual(mul_monomial(theta.dual, a))
-        if theta.inversion_ok:
-            validate_inversion(result)
-    return result
+    return _paired(shifted, theta)
 
 
 def rescale(theta: ThetaFunction, n: float) -> ThetaFunction:
@@ -629,22 +626,10 @@ def rescale(theta: ThetaFunction, n: float) -> ThetaFunction:
     lo, hi = theta.tail.power_range
     g = theta.tail.growth
     growth = GrowthBound(g.coeff * max(n**hi, n**lo, 1.0), g.power, g.mu_slope * npf, g.mu_power)
-
-    def scale(group: Group) -> Group:
-        mu, terms = group
-        return (mu * npf, tuple((c * float(n) ** nu, nu) for c, nu in terms))
-
-    tail = _map_series(theta.tail, scale, growth, (lo, hi))
-    return ThetaFunction(
-        f"({theta.name}@{n})",
-        theta.weight,
-        theta.sign,
-        theta.kernel_power,
-        poly,
-        tail,
-        conductor=theta.conductor,
-        inversion_ok=False,
-        validate=False,
+    return _mapped(
+        theta, f"({theta.name}@{n})", theta.weight, poly,
+        lambda group: (group[0] * npf, tuple((c * float(n) ** nu, nu) for c, nu in group[1])),
+        growth, (lo, hi), False,
     )
 
 
@@ -652,6 +637,17 @@ def differentiate(theta: ThetaFunction) -> ThetaFunction:
     """-t * theta'(t).  Does not preserve the inversion law on its own;
     the result is flagged inversion-broken (combine via d_w instead)."""
     return _differentiate_raw(theta, inversion_ok=False)
+
+
+def _derivative(group: Group, p: int) -> Group:
+    """-t d/dt of one group: a t^nu exp(-mu t^p) -> -a nu t^nu + a mu p t^(nu+p)."""
+    mu, terms = group
+    out = []
+    for a, nu in terms:
+        if nu != 0:
+            out.append((-a * nu, nu))
+        out.append((a * mu * p, nu + p))
+    return (mu, tuple(out))
 
 
 def _differentiate_raw(theta: ThetaFunction, inversion_ok: bool) -> ThetaFunction:
@@ -674,76 +670,34 @@ def _differentiate_raw(theta: ThetaFunction, inversion_ok: bool) -> ThetaFunctio
         g.mu_slope,
         g.mu_power,
     )
-
-    def deriv(group: Group) -> Group:
-        mu, terms = group
-        out = []
-        for a, nu in terms:
-            if nu != 0:
-                out.append((-a * nu, nu))
-            out.append((a * mu * p, nu + p))
-        return (mu, tuple(out))
-
-    tail = _map_series(theta.tail, deriv, growth, (lo, hi + p))
-    return ThetaFunction(
-        f"A({theta.name})",
-        theta.weight,
-        theta.sign,
-        p,
-        poly,
-        tail,
-        conductor=theta.conductor,
-        inversion_ok=inversion_ok,
-        validate=False,
+    return _mapped(
+        theta, f"A({theta.name})", theta.weight, poly, lambda group: _derivative(group, p),
+        growth, (lo, hi + p), inversion_ok,
     )
 
 
-def _combine(name: str, coeffs: Sequence[Fraction], thetas: Sequence[ThetaFunction],
-             weight: Fraction, sign: int, inversion_ok: bool) -> ThetaFunction:
-    """Linear combination of thetas sharing one kernel power and stream mus."""
-    p = thetas[0].kernel_power
-    if any(t.kernel_power != p for t in thetas):
-        raise KernelMismatchError("mixed kernel powers in combination")
-    poly: dict[Fraction, Fraction] = {}
-    for c, t in zip(coeffs, thetas):
-        for pc, pe in t.poly_part:
-            poly[pe] = poly.get(pe, Fraction(0)) + c * pc
-    streams = [t.tail for t in thetas]
-    fl = [float(c) for c in coeffs]
+def _d_w_raw(theta: ThetaFunction) -> ThetaFunction:
+    """w A(theta) - A(A(theta)) with A = -t d/dt, combined group by group:
+    both keep theta's kernel power and frequencies.  A(A(theta))'s bounds
+    dominate A(theta)'s except in the growth coefficient, which adds."""
+    w, p = float(theta.weight), theta.kernel_power
+    a1 = _differentiate_raw(theta, inversion_ok=True)
+    a2 = _differentiate_raw(a1, inversion_ok=True)
+    g1, g2 = a1.tail.growth, a2.tail.growth
 
-    def fn(n: int) -> Group | None:
-        groups = [s.group(n) for s in streams]
-        if all(g is None for g in groups):
-            return None
-        mus = [g[0] for g in groups if g is not None]
-        if max(mus) - min(mus) > 1e-9 * max(mus):
-            raise KernelMismatchError("combination requires aligned frequencies")
+    def combine(group: Group) -> Group:
+        d1 = _derivative(group, p)
         terms: dict[float, float] = {}
-        for c, g in zip(fl, groups):
-            if g is None:
-                continue
+        for c, g in ((w, d1), (-1.0, _derivative(d1, p))):
             for a, nu in g[1]:
                 terms[nu] = terms.get(nu, 0.0) + c * a
-        return (mus[0], tuple((a, nu) for nu, a in sorted(terms.items()) if a != 0.0))
+        return (group[0], tuple((a, nu) for nu, a in sorted(terms.items()) if a != 0.0))
 
-    lo = min(s.power_range[0] for s in streams)
-    hi = max(s.power_range[1] for s in streams)
-    gb = GrowthBound(
-        sum(abs(c) * s.growth.coeff for c, s in zip(fl, streams)),
-        max(s.growth.power for s in streams),
-        min(s.growth.mu_slope for s in streams),
-        min(s.growth.mu_power for s in streams),
-    )
-    return ThetaFunction(
-        name,
-        weight,
-        sign,
-        p,
-        [(c, e) for e, c in poly.items()],
-        TailSeries(fn, gb, (lo, hi)),
-        conductor=thetas[0].conductor,
-        inversion_ok=inversion_ok,
-        validate=False,
+    return _mapped(
+        theta, f"Dw({theta.name})", theta.weight,
+        [(-c * e * (theta.weight + e), e) for c, e in theta.poly_part], combine,
+        GrowthBound(abs(w) * g1.coeff + g2.coeff, g2.power, g2.mu_slope, g2.mu_power),
+        a2.tail.power_range, theta.inversion_ok,
     )
 
 
@@ -752,21 +706,7 @@ def d_w(theta: ThetaFunction) -> ThetaFunction:
 
     Acts on Mellin transforms as multiplication by s(w-s).
     """
-    w = theta.weight
-    a1 = _differentiate_raw(theta, inversion_ok=True)
-    a2 = _differentiate_raw(a1, inversion_ok=True)
-    result = _combine(
-        f"Dw({theta.name})", [w, Fraction(-1)], [a1, a2],
-        theta.weight, theta.sign, theta.inversion_ok,
-    )
-    if theta.self_dual:
-        if theta.inversion_ok:
-            validate_inversion(result)
-    else:
-        result._link_dual(d_w(theta.dual))
-        if theta.inversion_ok:
-            validate_inversion(result)
-    return result
+    return _paired(_d_w_raw, theta)
 
 
 def _lattice_index(series: TailSeries, delta: float, nprobe: int = 32) -> None:
@@ -787,6 +727,10 @@ def pointwise_product(t1: ThetaFunction, t2: ThetaFunction) -> ThetaFunction:
     Requires identical kernel powers and both frequency sets on a common
     arithmetic lattice delta * Z so frequency sums land back on the lattice.
     """
+    return _paired(_product, t1, t2)
+
+
+def _product(t1: ThetaFunction, t2: ThetaFunction) -> ThetaFunction:
     if t1.kernel_power != t2.kernel_power:
         raise KernelMismatchError("pointwise product requires equal kernel powers")
     p = t1.kernel_power
@@ -864,7 +808,7 @@ def pointwise_product(t1: ThetaFunction, t2: ThetaFunction) -> ThetaFunction:
     for c1, e1 in t1.poly_part:
         for c2, e2 in t2.poly_part:
             poly[e1 + e2] = poly.get(e1 + e2, Fraction(0)) + c1 * c2
-    result = ThetaFunction(
+    return ThetaFunction(
         f"({t1.name}.{t2.name})",
         t1.weight + t2.weight,
         t1.sign * t2.sign,
@@ -875,14 +819,6 @@ def pointwise_product(t1: ThetaFunction, t2: ThetaFunction) -> ThetaFunction:
         inversion_ok=t1.inversion_ok and t2.inversion_ok,
         validate=False,
     )
-    if t1.self_dual and t2.self_dual:
-        if result.inversion_ok:
-            validate_inversion(result)
-    else:
-        result._link_dual(pointwise_product(t1.dual, t2.dual))
-        if result.inversion_ok:
-            validate_inversion(result)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -899,13 +835,17 @@ class TailConvolution:
 
     def __init__(self, t1: ThetaFunction, t2: ThetaFunction, tol: float = 1e-10):
         self.t1, self.t2, self.tol = t1, t2, tol
-        from numpy.polynomial.legendre import leggauss
-
         self._nodes, self._weights = leggauss(32)
 
-    def _panel_quad(self, f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
-        xs = 0.5 * (self._nodes + 1.0) * (b - a) + a
-        return float(np.dot(self._weights, f(xs))) * (b - a) / 2.0
+    def _panel_quad(self, f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
+        """32-point Gauss-Legendre sum of f over panels of [lo, hi] of
+        length at most 1."""
+        total = 0.0
+        edges = np.linspace(lo, hi, max(2, int(math.ceil(hi - lo)) + 1))
+        for a, b in zip(edges[:-1], edges[1:]):
+            xs = 0.5 * (self._nodes + 1.0) * (b - a) + a
+            total += np.dot(self._weights, f(xs)) * (b - a) / 2.0
+        return total
 
     def _cut(self, theta: ThetaFunction, floor: float) -> float:
         """u with |theta0(x)| <= floor for all x >= u (u >= 1)."""
@@ -931,11 +871,7 @@ class TailConvolution:
                 x, "tail", inner
             )
 
-        total = 0.0
-        edges = np.linspace(lo, hi, max(2, int(math.ceil(hi - lo)) + 1))
-        for a, b in zip(edges[:-1], edges[1:]):
-            total += self._panel_quad(integrand, a, b)
-        return total
+        return self._panel_quad(integrand, lo, hi)
 
     def mellin(self, s: complex, tol: float | None = None) -> complex:
         """Mellin transform of the convolution by outer log-grid quadrature."""
@@ -952,12 +888,7 @@ class TailConvolution:
             vals = np.array([self(math.exp(v)) for v in vs])
             return vals * np.exp(vs * s)
 
-        total = 0.0 + 0.0j
-        edges = np.linspace(v0, v_lo, max(2, int(math.ceil(v_lo - v0)) + 1))
-        for a, b in zip(edges[:-1], edges[1:]):
-            xs = 0.5 * (self._nodes + 1.0) * (b - a) + a
-            total += complex(np.dot(self._weights, f(xs))) * (b - a) / 2.0
-        return total
+        return complex(self._panel_quad(f, v0, v_lo))
 
 
 def convolve(t1: ThetaFunction, t2: ThetaFunction, tol: float = 1e-10) -> TailConvolution:
@@ -1044,7 +975,7 @@ def parse_theta_text(
         registry = registry or {}
         if dual_name not in registry:
             raise ValueError(f"dual theta {dual_name!r} not found in registry")
-        theta._set_dual_oneway(registry[dual_name])
+        theta._set_dual(registry[dual_name])
     validate_inversion(theta)
     return theta
 

@@ -307,6 +307,39 @@ class TestNumericFailure:
             assert "must be" in err
 
 
+class TestNonFiniteAndOversizedInput:
+    def test_non_finite_slot_values_exit_2(self, capsys):
+        for point in ("nan,2", "2,nan+1i", "inf,2", "2,-infi", "2,0,-inf,0", "2,0,1,nan"):
+            code, _, err = run(capsys, "eval", "--theta", "riemann,riemann", f"--s={point}")
+            assert code == 2 and "not finite" in err, point
+        code, _, err = run(capsys, "residue", "--theta", "riemann,riemann",
+                           "--hyperplane", "0,1:0", "--at", "2,nan")
+        assert code == 2 and "not finite" in err
+
+    def test_non_finite_axis_exits_2(self, capsys):
+        for grid in ("nan:1:0.5", "0:inf:0.5", "0:1:nan", "1:2:0.5/0:nan:1"):
+            code, _, err = run(capsys, "table", "--theta", "riemann", f"--grid={grid}")
+            assert code == 2 and "non-finite" in err, grid
+
+    def test_cell_count_checked_before_the_axes_are_built(self, capsys):
+        """An axis, a slot's product of axes, or a span that overflows is
+        refused before its list is formed (2e6 points would take ~60 MB)."""
+        import tracemalloc
+
+        grids = {"riemann": ["0:2e6:1", "1:2:0.5/0:1e3:0.001", "-1e308:1e308:1"],
+                 "riemann,riemann": ["0:300:1;0:400:1"]}
+        tracemalloc.start()
+        try:
+            for tup, specs in grids.items():
+                for grid in specs:
+                    code, _, err = run(capsys, "table", "--theta", tup, f"--grid={grid}")
+                    assert code == 2 and "exceeds the 1e5 limit" in err, grid
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
 class TestListThetas:
     def test_listing(self, capsys):
         code, out, _ = run(capsys, "list-thetas", "--format", "json")

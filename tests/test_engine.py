@@ -554,18 +554,28 @@ class TestConcurrency:
         j2 = theta("jacobi2")
         e2 = build_expression((rie, rie))
         ej = build_expression((j2,))
-        jobs = [(e2, (2.0, 2.0)), (ej, (0.9,)), (e2, (1.7, 2.4)), (ej, (1.3,))] * 4
-        # lowered first inside the threads, which then share its letter
-        # table; its meshes hold several words each
+        jobs = [(e2, (2.0, 2.0), P), (ej, (0.9,), P), (e2, (1.7, 2.4), P), (ej, (1.3,), P)] * 4
+        # lowered first inside the threads, which then share their letter
+        # tables; their meshes hold several words each
         e3 = build_expression((rie,) * 3)
-        jobs += [(e3, (0.5 + 0.3j * k, 1.5 - 0.2j * k, 2.0 + 0.25 * k)) for k in range(1, 9)]
-        twin = build_expression((rie,) * 3)
-        serial = [lambda_eval(twin if expr is e3 else expr, pt, P)[0] for expr, pt in jobs]
+        jobs += [(e3, (0.5 + 0.3j * k, 1.5 - 0.2j * k, 2.0 + 0.25 * k), P) for k in range(1, 9)]
+        # on a coarse node set these words leave refinement at levels 1 and
+        # 2, so the prefixes a mesh integrates change between its levels
+        names = ("theta_plus", "riemann", "jacobi3")
+        mixed = build_expression(tuple(theta(n) for n in names))
+        coarse = EvalParams(quad_order=8)
+        points = [(-1.6 + 0.3j, -0.8 + 0.6j, 0.8 - 2.6j), (2.0 - 0.1j, 0.8 - 2.1j, 0.8 + 2.2j),
+                  (-5.5 + 4.5j, 3.2 - 6.1j, -2.5 + 5.5j), (1.3 + 2.5j, -0.6 + 1.8j, -0.3 + 2.6j)]
+        jobs += [(mixed, pt, coarse) for pt in points] * 2
+        twins = {id(e3): build_expression((rie,) * 3),
+                 id(mixed): build_expression(tuple(theta(n) for n in names))}
+        serial = [lambda_eval(twins.get(id(expr), expr), pt, params)[0]
+                  for expr, pt, params in jobs]
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # threads interleave often
         try:
             with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-                parallel = list(pool.map(lambda job: lambda_eval(job[0], job[1], P)[0], jobs))
+                parallel = list(pool.map(lambda job: lambda_eval(*job)[0], jobs))
         finally:
             sys.setswitchinterval(switch)
         assert serial == parallel
@@ -599,6 +609,23 @@ class TestJacobi:
             a, _ = lambda_eval(ej3, (s,), P)
             b, _ = lambda_eval(e1, (2 * s,), P)
             assert abs(a - 2 * b) < 1e-9
+
+    def test_transforms_of_a_non_self_dual_theta(self):
+        """Lambda(d_w theta; s) = s(w - s) Lambda(theta; s) and
+        Lambda(t theta; s) = Lambda(theta; s + 1), within the summed bars."""
+        from itermellin.theta import d_w, mul_monomial
+
+        for th in (theta("jacobi2"), theta("jacobi4")):
+            e0, w = build_expression((th,)), float(th.weight)
+            edw = build_expression((d_w(th),))
+            emul = build_expression((mul_monomial(th, 1),))
+            for s in (2.3 + 0.4j, 0.9 - 1.1j):
+                v, err = lambda_eval(e0, (s,), P)
+                v1, err1 = lambda_eval(e0, (s + 1,), P)
+                a, erra = lambda_eval(edw, (s,), P)
+                assert abs(a - s * (w - s) * v) <= erra + abs(s * (w - s)) * err
+                b, errb = lambda_eval(emul, (s,), P)
+                assert abs(b - v1) <= errb + err1
 
     def test_non_self_dual_reflection(self):
         ej2 = build_expression((theta("jacobi2"),))

@@ -489,7 +489,7 @@ def ref_integrate_words(letters, exps, params):
     values = np.ones((len(words), n), dtype=complex)
     errs = np.zeros((len(words), n))
     meshes = {}
-    slack = params.abs_tol * params.horizon_safety
+    slack = params.abs_tol * quadrature.HORIZON_SAFETY
     every_horizon = word_horizons(letters, exps, params)
     exact = ref_exact_columns(exps)
     for k, word in enumerate(words):
@@ -641,7 +641,7 @@ def reference_horizons(word, exps, params):
         log_prefac += math.log(max(b, 1e-300))
         growth_exp += np.maximum(e_re[:, j] - 1.0 + deg + 1.0, 0.0)
     alpha = growth_exp + e_re[:, -1] - 1.0 + shift
-    log_target = math.log(params.abs_tol * params.horizon_safety)
+    log_target = math.log(params.abs_tol * quadrature.HORIZON_SAFETY)
     log_head = math.log(2.0) + log_prefac + math.log(decay_k) - math.log(mu1 * p)
     horizons = 2.0 ** np.arange(1, 25)
     tp = horizons**p
@@ -778,8 +778,7 @@ class TestParams:
         with pytest.raises(ValueError):
             EvalParams(quad_order=2)
         for bad in [dict(abs_tol=math.inf), dict(abs_tol=math.nan), dict(abs_tol=-1e-10),
-                    dict(max_refine=0), dict(max_refine=-1), dict(horizon_safety=0.0),
-                    dict(horizon_safety=math.nan), dict(max_terms=0),
+                    dict(max_refine=0), dict(max_refine=-1), dict(max_terms=0),
                     dict(quad_order=quadrature.MAX_ORDER + 1), dict(quad_order=100000)]:
             with pytest.raises(ValueError):
                 EvalParams(**bad)

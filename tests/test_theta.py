@@ -23,6 +23,7 @@ from itermellin.theta import (
     parse_theta_text,
     pointwise_product,
     rescale,
+    validate_inversion,
 )
 from itermellin.words import Letter
 
@@ -219,6 +220,17 @@ class TestTransforms:
         assert prod.eval(1.2) == pytest.approx(j3.eval(1.2) ** 2, abs=1e-12)
         assert prod.weight == 1 and prod.sign == 1
 
+    def test_non_self_dual_transforms_pair_with_the_dual_transform(self):
+        j2, j4 = theta("jacobi2"), theta("jacobi4")
+        clone = parse_theta_text(J2_CLONE_FILE, {"jacobi4": j4})
+        for r, dual_name in ((mul_monomial(j4, 1), "(jacobi2*t^1)"),
+                             (d_w(j2), "Dw(jacobi4)"),
+                             (pointwise_product(j2, j4), "(jacobi4.jacobi2)"),
+                             (mul_monomial(clone, 1), "(jacobi4*t^1)")):
+            assert r.dual.name == dual_name and r.dual.dual is r
+            validate_inversion(r)
+        assert j4.dual is j2 and j2.dual is j4
+
     def test_product_kernel_mismatch(self):
         with pytest.raises(KernelMismatchError):
             pointwise_product(theta("riemann"), theta("eisenstein", 4))
@@ -289,6 +301,18 @@ growth 8 2
 conductor 11
 """
 
+# clone of jacobi2 whose dual is the builtin jacobi4
+J2_CLONE_FILE = """
+name j2clone
+weight 1/2
+sign +1
+dual jacobi4
+kernel exp scale 3.141592653589793
+freq 0.25 2.25 6.25 12.25 20.25 30.25 42.25 56.25
+coeffs 2 2 2 2 2 2 2 2
+growth 2 0
+"""
+
 
 class TestThetaFiles:
     def test_riemann_roundtrip(self):
@@ -330,21 +354,12 @@ class TestThetaFiles:
             )
 
     def test_dual_resolved_from_registry(self):
-        # clone of jacobi2 whose dual is the builtin jacobi4
-        text = """
-name j2clone
-weight 1/2
-sign +1
-dual jacobi4
-kernel exp scale 3.141592653589793
-freq 0.25 2.25 6.25 12.25 20.25 30.25 42.25 56.25
-coeffs 2 2 2 2 2 2 2 2
-growth 2 0
-"""
         registry = {"jacobi4": make_builtin_theta("jacobi4")}
-        th = parse_theta_text(text, registry)
+        th = parse_theta_text(J2_CLONE_FILE, registry)
         assert th.dual.name == "jacobi4"
         assert inversion_defect(th, 1.2, 1e-10) < 1e-8
+        # the link is one way: the builtin keeps its own partner
+        assert registry["jacobi4"].dual is make_builtin_theta("jacobi2")
 
     def test_missing_dual_in_registry(self):
         text = "name x\nweight 1\nsign +1\ndual ghost\nkernel exp scale 1\ncoeffs 1\ngrowth 1 0"
@@ -358,10 +373,11 @@ class TestEnvelopes:
 
     @staticmethod
     def thetas():
-        e4 = theta("eisenstein", 4)
+        e4, j2, j4 = theta("eisenstein", 4), theta("jacobi2"), theta("jacobi4")
         return list(_builtin_registry().values()) + [
             mul_monomial(theta("riemann"), Fraction(3, 2)), d_w(e4),
-            pointwise_product(e4, theta("jacobi3"))]
+            pointwise_product(e4, theta("jacobi3")),
+            mul_monomial(j4, 1), d_w(j2), pointwise_product(j2, j4)]
 
     @pytest.mark.parametrize("part", ["poly", "tail", "full"])
     def test_envelopes_bound_the_part(self, part):
