@@ -297,7 +297,10 @@ def _eval_chunk(
         return out
 
     vals = vals[live]
-    tangents = (plan.part_coeffs / vals[:, plan.part_cols].prod(axis=2)) @ plan.part_tangent
+    # a huge slot value overflows the product to inf, and its word integrals
+    # then fail by name (no truncation horizon): no warning of numpy's own
+    with np.errstate(over="ignore", invalid="ignore"):
+        tangents = (plan.part_coeffs / vals[:, plan.part_cols].prod(axis=2)) @ plan.part_tangent
     wvals, werrs = integrate_words(plan.letters, vals[:, b + 1 :], params)  # exponent columns
     rvals = tangents[:, plan.term_tangent]
     values = (plan.coeffs * wvals[:, plan.term_word] * rvals).sum(axis=1)

@@ -361,15 +361,12 @@ def _lattice_points(z: complex, lam_max: float) -> np.ndarray:
     return np.sort(np.array(lams))
 
 
-# large enough that xi_via_eisenstein's 3 * quad_order abscissae stay cached
-# from one call to the next
-@lru_cache(maxsize=1024)
-def lattice_theta(z: complex, name: str | None = None) -> ThetaFunction:
+def lattice_theta(z: complex) -> ThetaFunction:
     """Theta function of the unimodular lattice form |m + n z|^2 / Im(z).
 
     Self-dual of weight 1; its completed Mellin transform is twice the
-    completed real-analytic Eisenstein series at z.  Memoized, so repeated
-    z share one theta and its cached node values.
+    completed real-analytic Eisenstein series at z.  A new theta on every
+    call; the lattice cache, _lattice_expression, keeps one per cached z.
     """
     z = complex(z)
     if z.imag <= 0:
@@ -400,7 +397,7 @@ def lattice_theta(z: complex, name: str | None = None) -> ThetaFunction:
     lam1 = state["groups"][0][0]
     growth = GrowthBound(16.0, 1.0, min(1.0, 0.9 * lam1))
     return ThetaFunction(
-        name or f"lattice({z.real:.6g}+{z.imag:.6g}i)",
+        f"lattice({z.real:.6g}+{z.imag:.6g}i)",
         Fraction(1),
         +1,
         1,
@@ -432,12 +429,13 @@ def real_eisenstein(
     """Completed real-analytic Eisenstein series at z: (E, E0, Einf).
 
     E is half the completed Mellin transform of the lattice theta at z
-    (exponentially convergent for every s off the poles 0, 1); Einf is
-    assembled from length-1 completed zeta values, and E0 = E - Einf.
+    (exponentially convergent for every s off the poles 0, 1), compiled
+    through _lattice_expression; Einf is assembled from length-1 completed
+    zeta values, and E0 = E - Einf.
     """
     params = params or EvalParams()
     z, s = complex(z), complex(s)
-    completed = _lattice_eisenstein(engine.build_expression((lattice_theta(z),)), s, params)
+    completed = _lattice_eisenstein(_lattice_expression(z), s, params)
     einf = _zeta_part(z.imag, s, _values(_xi_expression(), [(2 * s,), (2 * s - 1,)], params))
     return completed, completed - einf, einf
 
@@ -449,9 +447,10 @@ def _lattice_eisenstein(expr: engine.LambdaExpression, s: complex, params: EvalP
     return 0.5 * value
 
 
-# next to the memoized theta: xi_via_eisenstein's 3 * quad_order abscissae
-# are the same in every call, so each compiles once; real_eisenstein's z are
-# arbitrary and compile afresh, and keep no expression alive
+# the one lattice cache: each z keeps its theta, and with it the theta's
+# node values on every mesh, only while its expression is cached here.
+# 256 holds xi_via_eisenstein's 3 * quad_order abscissae, the same in every
+# call at the default order, and repeated z of real_eisenstein
 @lru_cache(maxsize=256)
 def _lattice_expression(z: complex) -> engine.LambdaExpression:
     return engine.build_expression((lattice_theta(z),))

@@ -71,23 +71,21 @@ class EvalParams:
     at construction.
 
     abs_tol: absolute tolerance target per integral, finite and > 0 (a
-    truncation horizon is cut at abs_tol * HORIZON_SAFETY); max_terms: cap
-    on tail stream groups, >= 1; quad_order: Gauss nodes per panel, 4 to
-    MAX_ORDER; max_refine: mesh refinement limit, >= 1, as an error
-    estimate takes one refinement.
+    truncation horizon is cut at abs_tol * HORIZON_SAFETY); quad_order:
+    Gauss nodes per panel, 4 to MAX_ORDER; max_refine: mesh refinement
+    limit, >= 1, as an error estimate takes one refinement.  None of them
+    reaches theta node values, which meshes key by (theta, part) alone.
     """
 
     abs_tol: float = 1e-10
-    max_terms: int = 4000
     quad_order: int = 32
     max_refine: int = 8
 
     def __post_init__(self):
         if not 0 < self.abs_tol < math.inf:  # nan fails too
             raise ValueError("abs_tol must be finite and positive")
-        for name in ("max_refine", "max_terms"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        if self.max_refine < 1:
+            raise ValueError("max_refine must be at least 1")
         if not 4 <= self.quad_order <= MAX_ORDER:
             raise ValueError(f"quad_order must be between 4 and {MAX_ORDER}")
 
@@ -106,7 +104,8 @@ def _gl_data(order: int):
 
 
 class PanelMesh:
-    """Interned panel mesh with a node value cache per live theta."""
+    """Interned panel mesh with a node value cache per live theta, keyed
+    by (theta, part)."""
 
     def __init__(self, edges: tuple[float, ...], order: int):
         if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
@@ -126,8 +125,8 @@ class PanelMesh:
         logs = self.nodes.astype(complex)
         np.log(logs, out=logs)
         self.log_nodes = logs.real.copy()
-        # theta -> {(part, max_terms): node values}; weak, so a theta dropped
-        # everywhere else takes its node values with it
+        # theta -> {part: node values}; weak, so a theta dropped everywhere
+        # else takes its node values with it
         self._values: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._lock = threading.Lock()
 
@@ -145,15 +144,14 @@ class PanelMesh:
             out.append(b)
         return mesh(tuple(out), self.order)
 
-    def theta_values(self, theta, part: str, max_terms: int) -> np.ndarray:
-        key = part, max_terms  # a smaller max_terms may fail where a larger one did not
-        vals = self._values.get(theta, {}).get(key)
+    def theta_values(self, theta, part: str) -> np.ndarray:
+        vals = self._values.get(theta, {}).get(part)
         if vals is None:
             with self._lock:
                 parts = self._values.setdefault(theta, {})
-                vals = parts.get(key)
+                vals = parts.get(part)
                 if vals is None:
-                    vals = parts[key] = theta.eval_array(self.nodes, part, REF_TOL, max_terms)
+                    vals = parts[part] = theta.eval_array(self.nodes, part, REF_TOL)
         return vals
 
     def powers(self, e: np.ndarray, exact: np.ndarray | None) -> np.ndarray:
@@ -234,6 +232,9 @@ _HORIZONS = 2.0 ** np.arange(1, int(math.log2(MAX_HORIZON)) + 1)
 _LOG_HORIZONS = np.array([math.log(t) for t in _HORIZONS])
 
 
+# a huge exponent overflows a bound to inf (or inf - inf to nan), which no
+# candidate horizon fits: the word fails by name, not with numpy's warning
+@np.errstate(over="ignore", invalid="ignore")
 def word_horizons(letters: _Letters, exps: np.ndarray,
                   params: EvalParams) -> tuple[np.ndarray, dict]:
     """Truncation horizons of the words of a table at many points, as
@@ -466,7 +467,7 @@ class _Prefixes:
         self.end_pos = end_pos[self.end_job]
 
 
-def _node_values(letters: _Letters, ks: list, m: PanelMesh, params: EvalParams) -> dict:
+def _node_values(letters: _Letters, ks: list, m: PanelMesh) -> dict:
     """The integrand factor of every letter kind of the words ks on mesh
     m, by kind: its node values, or a monomial's coefficient.  The kinds
     are evaluated in the order the words' letters first use them, and the
@@ -477,7 +478,7 @@ def _node_values(letters: _Letters, ks: list, m: PanelMesh, params: EvalParams) 
     pairs = dict.fromkeys(itertools.chain.from_iterable(letters.pairs[k] for k in ks))
     for kind in dict.fromkeys(letters.pair_kind[q] for q in pairs):
         theta, part = letters.kinds[kind]
-        nodal[kind] = part if theta is None else m.theta_values(theta, part, params.max_terms)
+        nodal[kind] = part if theta is None else m.theta_values(theta, part)
     return nodal
 
 
@@ -549,7 +550,6 @@ def integrate_word_on_mesh(
     exps: np.ndarray,
     rows: np.ndarray,
     m: PanelMesh,
-    params: EvalParams,
     exact: np.ndarray | None,
     pre: _Prefixes | None,
 ) -> np.ndarray:
@@ -571,7 +571,7 @@ def integrate_word_on_mesh(
     order, of one word integrated at one point on its own, so it equals
     that bit for bit.
     """
-    nodal = _node_values(letters, ks.tolist(), m, params)
+    nodal = _node_values(letters, ks.tolist(), m)
     values = np.empty((ks.size, rows.size), dtype=complex)
     step = max(1, ROW_BUDGET // m.log_nodes.size)
     for lo in range(0, rows.size, step):
@@ -667,7 +667,7 @@ def integrate_words(
         for level in range(params.max_refine + 1):
             if level:
                 m = m.refined()
-            v1 = integrate_word_on_mesh(letters, ks, exps, rows, m, params, exact, pre)
+            v1 = integrate_word_on_mesh(letters, ks, exps, rows, m, exact, pre)
             if level:
                 est = np.abs(v1 - v0)
                 est += slack

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from functools import cache
+from typing import Callable
 
 import numpy as np
 
@@ -40,14 +41,9 @@ def _case(suite: str, case: str, defect: float, tol: float) -> CaseResult:
     return CaseResult(suite, case, float(defect), float(tol), bool(defect <= tol))
 
 
-_EXPR_CACHE: dict[tuple, engine.LambdaExpression] = {}
-
-
-def _expr(thetas: Sequence[ThetaFunction]) -> engine.LambdaExpression:
-    key = tuple(thetas)
-    if key not in _EXPR_CACHE:
-        _EXPR_CACHE[key] = engine.build_expression(key)
-    return _EXPR_CACHE[key]
+@cache
+def _expr(thetas: tuple[ThetaFunction, ...]) -> engine.LambdaExpression:
+    return engine.build_expression(thetas)
 
 
 def _sample(rng, nslots: int, forms, box: float = 3.0, margin: float = 0.1):

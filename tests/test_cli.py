@@ -2,7 +2,11 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
+import itermellin
 from itermellin.cli import main
 
 
@@ -299,6 +303,19 @@ class TestNumericFailure:
         )
         assert code == 4
         assert "numeric failure" in err
+
+    def test_huge_slot_value_fails_by_name_alone(self):
+        """A slot value that overflows the bounds exits 4 with the named
+        failure as the whole of stderr: no numpy warning before it.  Run in
+        a process of its own, as pytest would capture the warnings."""
+        src = str(Path(itermellin.__file__).parents[1])
+        argv = ["eval", "--theta", "riemann,riemann", "--s", "1e308,2"]
+        done = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
+             f"from itermellin.cli import main; sys.exit(main({argv!r}))"],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 4
+        assert done.stderr == "numeric failure: no horizon satisfies the truncation bound\n"
 
     def test_bad_tolerance_is_parse_error(self, capsys):
         for bad in (["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--max-refine", "0"]):

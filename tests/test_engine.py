@@ -1,6 +1,7 @@
 """Compiled multiple L-functions: values, poles, residues, identities."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -97,6 +98,13 @@ class TestValues:
         target = PI**-0.25 * gamma(0.25) * oracles.zeta_alternating(0.5).real
         val, _ = lambda_eval(build_expression((theta("riemann"),)), (0.5,), P)
         assert abs(val - target) < 1e-11
+
+    def test_huge_slot_value_raises_without_warnings(self):
+        expr = build_expression((theta("riemann"),) * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(quadrature.QuadratureError, match="no horizon"):
+                lambda_eval(expr, (1e308, 2.0), P)
 
     def test_pole_signal(self):
         expr = build_expression((theta("riemann"),))

@@ -1,6 +1,8 @@
 """Brute-force oracles and identity pipelines."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -185,6 +187,28 @@ class TestRealEisenstein:
     def test_decomposition_consistency(self):
         e, e0, einf = oracles.real_eisenstein(1.0j, 2.0, P)
         assert abs(e - (e0 + einf)) < 1e-14
+
+    def test_repeated_z_compiles_once(self, monkeypatch):
+        oracles._xi_expression()  # compiled once per process, so not counted
+        compiled = []
+        build = engine.build_expression
+        monkeypatch.setattr(engine, "build_expression",
+                            lambda thetas: compiled.append(thetas) or build(thetas))
+        z = 0.123 + 1.456j  # a z no other test uses
+        first = oracles.real_eisenstein(z, 1.5, P)
+        assert oracles.real_eisenstein(z, 1.5, P) == first
+        assert len(compiled) == 1
+
+    def test_lattice_theta_freed_after_cache_turnover(self):
+        """The expression cache holds the only reference to a lattice
+        theta, so 256 other z free it, and its node values with it."""
+        z = 0.321 + 1.654j
+        oracles.real_eisenstein(z, 1.5, P)
+        theta = weakref.ref(oracles._lattice_expression(z).thetas[0])
+        for k in range(256):
+            oracles.real_eisenstein(complex(0.01 * k, 1.0 + 0.005 * k), 1.5, P)
+        gc.collect()
+        assert theta() is None
 
 
 class TestXiViaEisenstein:
