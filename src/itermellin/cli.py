@@ -87,8 +87,8 @@ def parse_theta_token(token: str) -> ThetaFunction:
         raise CliError(str(exc)) from exc
 
 
-# longest theta tuple accepted (riemann at r = 6 integrates 1939 distinct words)
-MAX_TUPLE = 6
+# longest theta tuple accepted (riemann at r = 8 integrates 1005 distinct words)
+MAX_TUPLE = 8
 
 
 def parse_theta_tuple(text: str) -> tuple[ThetaFunction, ...]:

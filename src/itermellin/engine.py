@@ -1,17 +1,21 @@
 """Compilation and evaluation of multiple completed L-functions.
 
 A theta tuple compiles once into a LambdaExpression: a list of terms, each
-holding an exact rational coefficient, a numeric word (an iterated integral
-over [1, infinity) whose final letter decays exponentially), and an exact
-rational tangent factor.  The compiled expression is reusable across
-evaluation points; its pole hyperplanes are exactly the denominator forms
-of the tangent factors.
+holding an exact rational coefficient, two numeric words (iterated
+integrals over [1, infinity) whose final letters decay exponentially, or
+empty), and an exact rational tangent factor; a term stands for
+coeff * I(left) * I(right) * tangent.  The compiled expression is reusable
+across evaluation points; its pole hyperplanes are exactly the denominator
+forms of the tangent factors.
 
 The decomposition: for each split position k, the first k letters are
 mapped through the inversion law (dualized, reversed, exponents reflected
 to w_i - s_i) and both halves are expanded into boundary words against the
-tangential base point at infinity; products of the two halves' numeric
-words are rewritten as single words via the shuffle identity.
+tangential base point at infinity.  Each pair of a left and a right
+boundary word is one term: both words are integrals along the same path
+[1, infinity), so their product is the integral of their shuffle (Ree,
+Ann. Math. 68, 1958; Chen, Bull. AMS 83, 1977), and integrating the two
+halves apart and multiplying gives the same value from far fewer words.
 
 Evaluation lowers an expression once into a NumericPlan of float arrays
 and runs batches of points through it (lambda_eval_many); lambda_eval is
@@ -45,6 +49,7 @@ from .quadrature import (
     _Letters,
     doubling_edges,
     integrate_words,
+    refinement_failure,
     tail_word_integral,  # no longer called here; perfbench/tracer.py wraps this binding
     truncation_horizon,
     word_integral_on_interval,
@@ -61,8 +66,12 @@ class DirectConvergenceError(Exception):
 
 @dataclass(frozen=True)
 class LambdaTerm:
+    """coeff * I(left) * I(right) * tangent, where I is the iterated
+    integral of a word over [1, infinity) and I of the empty word is 1."""
+
     coeff: Fraction
-    word: Word
+    left: Word
+    right: Word
     tangent: RationalCombination
 
 
@@ -108,14 +117,16 @@ class NumericPlan:
     exponent columns of `letters`, the distinct words' letter table, built
     once with the plan.  Tangent factors are sums of parts coeff /
     prod(forms); each part lists the columns of its forms, padded with the
-    column of the constant 1.
+    column of the constant 1.  Each term reads two words of the table, its
+    left and its right one, the empty word integrating to 1.
     """
 
     letters: _Letters  # the distinct words' letter table
     rows: np.ndarray
     blockers: tuple[AffineForm, ...]  # the forms of the leading rows
     guard_norms: np.ndarray  # gradient norm of each guard form
-    term_word: np.ndarray  # word id of each term
+    term_left: np.ndarray  # left word id of each term
+    term_right: np.ndarray  # right word id of each term
     term_tangent: np.ndarray  # tangent id of each term
     coeffs: np.ndarray  # coefficient of each term
     part_coeffs: np.ndarray  # complex coefficient of each tangent part
@@ -130,7 +141,8 @@ class NumericPlan:
         tangent_ids: dict[tuple, int] = {}
         term_tangent: dict[int, int] = {}  # id of a tangent object -> tangent id
         for term in expr.terms:
-            word_ids.setdefault(term.word, len(word_ids))
+            word_ids.setdefault(term.left, len(word_ids))
+            word_ids.setdefault(term.right, len(word_ids))
             if id(term.tangent) not in term_tangent:
                 term_tangent[id(term.tangent)] = tangent_ids.setdefault(
                     term.tangent.terms, len(tangent_ids))
@@ -156,7 +168,8 @@ class NumericPlan:
             rows=np.array([(float(f.const), *f.coeffs) for f in affine], dtype=float),
             blockers=blockers,
             guard_norms=np.array([h.grad_norm() for h in guard]),
-            term_word=np.array([word_ids[t.word] for t in expr.terms], dtype=int),
+            term_left=np.array([word_ids[t.left] for t in expr.terms], dtype=int),
+            term_right=np.array([word_ids[t.right] for t in expr.terms], dtype=int),
             term_tangent=np.array([term_tangent[id(t.tangent)] for t in expr.terms], dtype=int),
             coeffs=np.array([float(t.coeff) for t in expr.terms]),
             part_coeffs=np.array([c for c, _, _ in parts], dtype=complex),
@@ -214,7 +227,12 @@ def _collect_poles(terms) -> tuple[AffineForm, ...]:
 
 
 def build_expression(thetas: Sequence[ThetaFunction]) -> LambdaExpression:
-    """Compile the multiple L-function of an ordered theta tuple."""
+    """Compile the multiple L-function of an ordered theta tuple.
+
+    One term per cut k and pair of a left (dualized) and a right boundary
+    word, holding both words: their integrals multiply, so neither the
+    pair's shuffle nor its words are ever formed.
+    """
     thetas = _check_tuple(thetas)
     r = len(thetas)
     slots = [AffineForm.slot(i, r) for i in range(r)]
@@ -236,13 +254,10 @@ def build_expression(thetas: Sequence[ThetaFunction]) -> LambdaExpression:
         rights = _expand_boundary(right, tangents)
         for c1, w1, rc1 in _expand_boundary(left, tangents):
             for c2, w2, rc2 in rights:
-                coeff = eps * c1 * c2
                 key = (id(rc1), id(rc2))
                 if key not in products:
                     products[key] = rc1 * rc2
-                tangent = products[key]
-                for word, mult in shuffle(w1, w2).terms.items():
-                    terms.append(LambdaTerm(Fraction(coeff * mult), word, tangent))
+                terms.append(LambdaTerm(Fraction(eps * c1 * c2), w1, w2, products[key]))
     return LambdaExpression(thetas, tuple(terms), _collect_poles(terms))
 
 
@@ -276,35 +291,69 @@ BATCH_CHUNK = 256
 POLE_GUARD = 1e-10
 
 
+def _check_unresolved(
+    plan: NumericPlan, size: np.ndarray, wvals: np.ndarray, werrs: np.ndarray,
+    unresolved: list, params: EvalParams,
+) -> None:
+    """Raise unless every word whose refinement ran out still serves.
+
+    A half word's error enters the bar times what multiplies it,
+    sum |coeff * tangent| * (|I(other)| + e(other)) over its terms; a large
+    half word can stop above abs_tol yet weigh little in the value.  Such a
+    word serves when its error times that weight meets abs_tol, the share
+    of the bar that a word of weight 1 at abs_tol would add.  The first
+    word that does not serve, in the order in which integrate_words names
+    failures, raises its QuadratureError.
+    """
+    reach = np.abs(wvals) + werrs
+    weight = np.zeros_like(werrs)
+    np.add.at(weight.T, plan.term_left, (size * reach[:, plan.term_right]).T)
+    np.add.at(weight.T, plan.term_right, (size * reach[:, plan.term_left]).T)
+    for ks, rows in unresolved:
+        est = werrs[rows, ks]
+        # nan fails the comparison, so it fails here too
+        bad = np.flatnonzero(~(weight[rows, ks] * est <= params.abs_tol))
+        if bad.size:
+            raise refinement_failure(est[bad[0]], params)
+
+
 def _eval_chunk(
     plan: NumericPlan, points: list[tuple[complex, ...]], params: EvalParams
 ) -> list[tuple[complex, float] | PoleSignal]:
     n = len(points)
-    vals = _affine(np.array(points, dtype=complex), plan.rows)
     g, b = plan.guard_norms.size, len(plan.blockers)
-    # guard columns come first, so a guard hit is reported before a tangent form
-    blocked = np.hstack(
-        (
-            np.abs(vals[:, :g]) / plan.guard_norms < POLE_GUARD,
-            np.abs(vals[:, g:b]) < POLE_EPS,
-        )
-    )
-    out: list = [None] * n
-    for i in np.flatnonzero(blocked.any(axis=1)):
-        out[i] = PoleSignal(plan.blockers[blocked[i].argmax()])
-    live = [i for i in range(n) if out[i] is None]
-    if not live:
-        return out
-
-    vals = vals[live]
-    # a huge slot value overflows the product to inf, and its word integrals
-    # then fail by name (no truncation horizon): no warning of numpy's own
+    # a huge slot value overflows the affine rows and the tangent products
+    # to inf or nan, which no guard flags, and its word integrals then fail
+    # by name (no truncation horizon): no warning of numpy's own
     with np.errstate(over="ignore", invalid="ignore"):
+        vals = _affine(np.array(points, dtype=complex), plan.rows)
+        # guard columns come first, so a guard hit is reported before a tangent form
+        blocked = np.hstack(
+            (
+                np.abs(vals[:, :g]) / plan.guard_norms < POLE_GUARD,
+                np.abs(vals[:, g:b]) < POLE_EPS,
+            )
+        )
+        out: list = [None] * n
+        for i in np.flatnonzero(blocked.any(axis=1)):
+            out[i] = PoleSignal(plan.blockers[blocked[i].argmax()])
+        live = [i for i in range(n) if out[i] is None]
+        if not live:
+            return out
+        vals = vals[live]
         tangents = (plan.part_coeffs / vals[:, plan.part_cols].prod(axis=2)) @ plan.part_tangent
-    wvals, werrs = integrate_words(plan.letters, vals[:, b + 1 :], params)  # exponent columns
-    rvals = tangents[:, plan.term_tangent]
-    values = (plan.coeffs * wvals[:, plan.term_word] * rvals).sum(axis=1)
-    errs = (np.abs(plan.coeffs) * np.abs(rvals) * werrs[:, plan.term_word]).sum(axis=1)
+    unresolved: list = []  # words whose refinements run out, judged below
+    exps = vals[:, b + 1 :]  # the exponent columns
+    wvals, werrs = integrate_words(plan.letters, exps, params, unresolved=unresolved)
+    # coeff * tangent * I(left) * I(right), and the bar of that product:
+    # |coeff * tangent| * (|I1| * e2 + |I2| * e1 + e1 * e2)
+    scaled = plan.coeffs * tangents[:, plan.term_tangent]
+    v1, v2 = wvals[:, plan.term_left], wvals[:, plan.term_right]
+    e1, e2 = werrs[:, plan.term_left], werrs[:, plan.term_right]
+    values = (scaled * v1 * v2).sum(axis=1)
+    errs = (np.abs(scaled) * (np.abs(v1) * e2 + np.abs(v2) * e1 + e1 * e2)).sum(axis=1)
+    if unresolved:
+        _check_unresolved(plan, np.abs(scaled), wvals, werrs, unresolved, params)
     for i, v, e in zip(live, values, errs):
         out[i] = (complex(v), float(e))
     return out
@@ -368,12 +417,13 @@ def residue(
     hits = [(term, res) for term in expr.terms if (res := term.tangent.residue(h, point)) != 0]
     # the distinct words, integrated together as lambda_eval integrates a
     # plan's; each value is that of the word on its own
-    letters = _Letters(tuple(dict.fromkeys(term.word for term, _ in hits)))
+    words = (w for term, _ in hits for w in (term.left, term.right))
+    letters = _Letters(tuple(dict.fromkeys(words)))
     values = integrate_words(letters, letters.exponents_at(point), params)[0][0].tolist()
     by_word = dict(zip(letters.words, values))
     total = 0.0 + 0.0j
     for term, res in hits:
-        total += float(term.coeff) * by_word[term.word] * res
+        total += float(term.coeff) * by_word[term.left] * by_word[term.right] * res
     return total
 
 
@@ -553,7 +603,9 @@ def build_tail_expression(thetas: Sequence[ThetaFunction]) -> LambdaExpression:
 
     Split at t = 1; the [0,1] half maps to [1,inf) through the inversion
     law, products of halves merge by the shuffle identity, and trailing
-    non-decaying letters are integrated in closed form.
+    non-decaying letters are integrated in closed form.  The endings of a
+    shuffle's words are normalized one by one, so each term holds one word,
+    on the left, and the empty word on the right.
     """
     thetas = _check_tuple(thetas)
     r = len(thetas)
@@ -573,6 +625,6 @@ def build_tail_expression(thetas: Sequence[ThetaFunction]) -> LambdaExpression:
         for c, w in variants:
             for merged, mult in shuffle(w, right).terms.items():
                 for rc, ending in _normalize_ending(merged):
-                    terms.append(LambdaTerm(c * mult, ending, rc))
+                    terms.append(LambdaTerm(c * mult, ending, (), rc))
     return LambdaExpression(thetas, tuple(terms), _collect_poles(terms))
 

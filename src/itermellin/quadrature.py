@@ -34,7 +34,8 @@ product, a word integrated alone at one point, the one-word horizon), so
 every word keeps, at every point, its own horizon, refinement depth and
 error estimate, bit for bit as in a one-word, one-point call.  A batch
 fails if any of its jobs fails, and raises the first failure met, where it
-is met, without integrating further meshes.
+is met, without integrating further meshes; only a job whose refinement
+runs out may instead be handed back to the caller (`unresolved`).
 """
 
 from __future__ import annotations
@@ -612,6 +613,7 @@ def integrate_words(
     params: EvalParams,
     edges: tuple[float, ...] | None = None,
     slack: float = 0.0,
+    unresolved: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Iterated integrals of many words at many points, refined to tolerance.
 
@@ -630,7 +632,12 @@ def integrate_words(
     first failure met: the horizon failure of the lowest-index word that
     has one, else the TruncationError of the first node values that fail,
     else, on the first mesh whose refinement runs out, the QuadratureError
-    of its lowest-index word still unresolved.
+    of its lowest-index word still unresolved.  Given a list `unresolved`,
+    a mesh whose refinement runs out raises nothing: its unresolved jobs
+    keep their last values and estimates (above abs_tol, or nan), and their
+    (word, point) indices are appended to the list as two arrays, in the
+    order in which the failure would have named them, for the caller to
+    judge.
     """
     n, words = exps.shape[0], letters.words
     # one row per word, returned transposed
@@ -690,11 +697,22 @@ def integrate_words(
                     member, est, v1 = (a[:, left] for a in (member, est, v1))
             v0 = v1
         else:
-            raise QuadratureError(
-                f"estimate {est[0][member[0]][0]:.3e} above {params.abs_tol:.1e} after "
-                f"{params.max_refine} refinements"
-            )
+            if unresolved is None:
+                raise refinement_failure(est[0][member[0]][0], params)
+            jj, ii = member.nonzero()
+            at = ks[jj], rows[ii]
+            values[at] = v1[jj, ii]
+            errs[at] = est[jj, ii]
+            unresolved.append(at)
     return values.T, errs.T
+
+
+def refinement_failure(est: float, params: EvalParams) -> QuadratureError:
+    """The failure of a job whose estimate est is still above abs_tol when
+    its refinement runs out."""
+    return QuadratureError(
+        f"estimate {est:.3e} above {params.abs_tol:.1e} after {params.max_refine} refinements"
+    )
 
 
 def tail_word_integral(

@@ -65,13 +65,13 @@ class TestEval:
         assert code == 2
 
     def test_tuple_length_cap(self, capsys):
-        code, out, _ = run(capsys, "poles", "--theta", ",".join(["riemann"] * 6),
+        code, out, _ = run(capsys, "poles", "--theta", ",".join(["riemann"] * 8),
                            "--format", "json")
         assert code == 0 and json.loads(out)
-        code, _, err = run(capsys, "eval", "--theta", ",".join(["riemann"] * 7),
-                           "--s", ",".join(["2"] * 7))
+        code, _, err = run(capsys, "eval", "--theta", ",".join(["riemann"] * 9),
+                           "--s", ",".join(["2"] * 9))
         assert code == 2
-        assert "theta tuple of length 7: at most 6 thetas are supported" in err
+        assert "theta tuple of length 9: at most 8 thetas are supported" in err
 
     def test_complex_token(self, capsys):
         code, out, _ = run(
@@ -305,17 +305,19 @@ class TestNumericFailure:
         assert "numeric failure" in err
 
     def test_huge_slot_value_fails_by_name_alone(self):
-        """A slot value that overflows the bounds exits 4 with the named
-        failure as the whole of stderr: no numpy warning before it.  Run in
-        a process of its own, as pytest would capture the warnings."""
+        """A slot value that overflows the bounds, or the affine rows of
+        the plan, exits 4 with the named failure as the whole of stderr: no
+        numpy warning before it.  Run in a process of its own, as pytest
+        would capture the warnings."""
         src = str(Path(itermellin.__file__).parents[1])
-        argv = ["eval", "--theta", "riemann,riemann", "--s", "1e308,2"]
-        done = subprocess.run(
-            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
-             f"from itermellin.cli import main; sys.exit(main({argv!r}))"],
-            capture_output=True, text=True, timeout=120)
-        assert done.returncode == 4
-        assert done.stderr == "numeric failure: no horizon satisfies the truncation bound\n"
+        for point in ("--s=1e308,2", "--s=1e308+1e308i,2"):
+            argv = ["eval", "--theta", "riemann,riemann", point]
+            done = subprocess.run(
+                [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
+                 f"from itermellin.cli import main; sys.exit(main({argv!r}))"],
+                capture_output=True, text=True, timeout=120)
+            assert done.returncode == 4, point
+            assert done.stderr == "numeric failure: no horizon satisfies the truncation bound\n"
 
     def test_bad_tolerance_is_parse_error(self, capsys):
         for bad in (["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--max-refine", "0"]):

@@ -41,11 +41,12 @@ class TestBuildExpression:
     def test_r1_riemann_structure(self):
         expr = build_expression((theta("riemann"),))
         # two numeric tail integrals plus the rational parts -1/s, -1/(1-s)
-        numeric = [t for t in expr.terms if t.word]
-        rational = [t for t in expr.terms if not t.word]
+        numeric = [t for t in expr.terms if t.left or t.right]
+        rational = [t for t in expr.terms if not (t.left or t.right)]
         assert len(numeric) == 2 and len(rational) == 2
         for t in numeric:
-            assert t.word[-1].part == "tail"
+            assert len([w for w in (t.left, t.right) if w]) == 1
+            assert (t.left or t.right)[-1].part == "tail"
         vals = sorted(t.coeff * t.tangent((Fraction(3),)) for t in rational)
         # -1/s at s=3 is -1/3; -1/(1-s) at s=3 is 1/2
         assert vals == [Fraction(-1, 3), Fraction(1, 2)]
@@ -138,19 +139,28 @@ class TestFunctionalEquation:
             rhs, _ = lambda_eval(expr, refl, P)
             assert abs(lhs - rhs) < 1e-9
 
-    def test_riemann_r5_within_error_bars(self):
-        rng = np.random.default_rng(55)
-        thetas = (theta("riemann"),) * 5
+    @staticmethod
+    def riemann_within_error_bars(r, rng, points):
+        thetas = (theta("riemann"),) * r
         expr = build_expression(thetas)
         checked = 0
-        while checked < 2:
-            pt = tuple(complex(rng.uniform(-2, 3), rng.uniform(-2, 2)) for _ in range(5))
+        while checked < points:
+            pt = tuple(complex(rng.uniform(-2, 3), rng.uniform(-2, 2)) for _ in range(r))
             refl = engine.reflected_point(thetas, pt)
             if any(min(h.distance(pt), h.distance(refl)) < 0.1 for h in expr.pole_forms):
                 continue
             (lhs, lhs_err), (rhs, rhs_err) = lambda_eval_many(expr, [pt, refl], P)
             assert abs(lhs - rhs) <= lhs_err + rhs_err
             checked += 1
+
+    def test_riemann_r5_within_error_bars(self):
+        self.riemann_within_error_bars(5, np.random.default_rng(55), 2)
+
+    @pytest.mark.parametrize("r", [7, 8])
+    def test_riemann_at_the_depth_cap_within_error_bars(self, r):
+        """Up to cli.MAX_TUPLE slots: at r = 8, 2,304 pair terms over 1,005
+        words."""
+        self.riemann_within_error_bars(r, np.random.default_rng(50 + r), 1)
 
     def test_mixed_tuple(self):
         g4, delta = theta("eisenstein", 4), theta("delta")
@@ -184,6 +194,37 @@ class TestShuffleIdentity:
             rhs = lambda_eval(e_rg, pt, P)[0] + lambda_eval(e_gr, (s2, s1), P)[0]
             assert abs(lhs - rhs) < 1e-9
 
+    @pytest.mark.parametrize("names", [("riemann",) * 3, ("theta_plus", "riemann", "jacobi3")])
+    def test_half_word_products(self, names):
+        """A pair term multiplies the integrals of its two half words, which
+        equals integrating the words of their shuffle: I(w1) * I(w2) is
+        the sum of mult * I(w) over w1 sh w2, within the summed bars, for
+        seeded pairs the compile emits, at radius-3 points."""
+        from itermellin.words import shuffle
+
+        expr = build_expression(tuple(theta(n) for n in names))
+        pairs = list(dict.fromkeys((t.left, t.right) for t in expr.terms if t.left and t.right))
+        rng = np.random.default_rng(12)
+        picked = [pairs[i] for i in rng.choice(len(pairs), size=min(6, len(pairs)), replace=False)]
+        sums = [shuffle(w1, w2).terms for w1, w2 in picked]
+        words = tuple(dict.fromkeys([w for pair in picked for w in pair]
+                                    + [w for ws in sums for w in ws]))
+        letters = quadrature._Letters(words)
+        pts = [tuple(complex(*rng.uniform(-3, 3, 2)) for _ in names) for _ in range(3)]
+        exps = np.vstack([letters.exponents_at(pt) for pt in pts])
+        values, errs = quadrature.integrate_words(letters, exps, P)
+        at = {w: k for k, w in enumerate(words)}
+        assert any(len(w1) + len(w2) > 2 for w1, w2 in picked)
+        for i in range(len(pts)):
+            v, e = values[i], errs[i]
+            for (w1, w2), ws in zip(picked, sums):
+                a, b = at[w1], at[w2]
+                lhs = v[a] * v[b]
+                rhs = sum(mult * v[at[w]] for w, mult in ws.items())
+                bar = abs(v[a]) * e[b] + abs(v[b]) * e[a] + e[a] * e[b]
+                bar += sum(abs(mult) * e[at[w]] for w, mult in ws.items())
+                assert abs(lhs - rhs) <= bar, (w1, w2, pts[i])
+
 
 class TestResidues:
     def test_res_s2(self):
@@ -211,7 +252,8 @@ class TestResidues:
 
     def test_words_integrated_together_as_one_by_one(self):
         """The words with a residue are integrated in one batch, each to
-        its one-word value, and the terms summed in order as before."""
+        its one-word value, and each term adds the product of its two
+        words' values, in order."""
         e3 = build_expression((theta("riemann"),) * 3)
         h = AffineForm.make(0, (0, 1, 1))
         pt = (0.5 + 1.5j, 1.5 - 0.5j, -1.5 + 0.5j)
@@ -219,7 +261,8 @@ class TestResidues:
         for term in e3.terms:
             res = term.tangent.residue(h, pt)
             if res != 0:
-                total += float(term.coeff) * tail_word_integral(term.word, pt, P)[0] * res
+                left, right = (tail_word_integral(w, pt, P)[0] for w in (term.left, term.right))
+                total += float(term.coeff) * left * right * res
         assert residue(e3, h, pt, P) == total
 
     def test_no_hit_words_give_zero(self):
@@ -372,13 +415,15 @@ class TestTailExpression:
     def test_tail_words_end_in_tail(self):
         td = build_tail_expression((theta("riemann"),) * 2)
         for term in td.terms:
-            if term.word:
-                assert term.word[-1].part == "tail"
+            assert term.right == ()
+            if term.left:
+                assert term.left[-1].part == "tail"
 
 
 # The compile as it was before each piece of symbolic work was done once:
-# recursive shuffle and regularization over WordSum's rebuilding map_words,
-# and the right half expanded again for every left expansion.
+# recursive regularization over WordSum's rebuilding map_words, and the
+# right half expanded again for every left expansion.  ref_shuffle, the
+# recursive shuffle, expands pair terms back into single words.
 
 
 def ref_map_words(ws, fn):
@@ -437,7 +482,9 @@ def ref_poles(terms):
     return tuple(sorted(seen.values(), key=str))
 
 
-def ref_build_expression(thetas):
+def ref_build_expression(thetas, shuffled=False):
+    """Pair terms; shuffled, the words of each pair's shuffle instead, one
+    term each, as the compile emitted them before it kept pairs."""
     r = len(thetas)
     slots = [AffineForm.slot(i, r) for i in range(r)]
     terms = []
@@ -452,9 +499,11 @@ def ref_build_expression(thetas):
         right = tuple(Letter(thetas[j], "full", slots[j]) for j in range(k, r))
         for c1, w1, rc1 in ref_expand_boundary(left):
             for c2, w2, rc2 in ref_expand_boundary(right):
-                tangent = rc1 * rc2
+                if not shuffled:
+                    terms.append(engine.LambdaTerm(eps * c1 * c2, w1, w2, rc1 * rc2))
+                    continue
                 for word, mult in ref_shuffle(w1, w2).terms.items():
-                    terms.append(engine.LambdaTerm(eps * c1 * c2 * mult, word, tangent))
+                    terms.append(engine.LambdaTerm(eps * c1 * c2 * mult, word, (), rc1 * rc2))
     return terms, ref_poles(terms)
 
 
@@ -475,20 +524,27 @@ def compile_cases():
 
 
 def term_rows(terms):
-    """(coefficient, word, tangent terms) of each term; the plan evaluates
+    """(coefficient, words, tangent terms) of each term; the plan evaluates
     equal tangents once, whichever objects hold them."""
-    return [(t.coeff, t.word, t.tangent.terms) for t in terms]
+    return [(t.coeff, t.left, t.right, t.tangent.terms) for t in terms]
 
 
 class TestCompileOnce:
     """The compile gives the reference's terms, in order, and its pole forms."""
 
     def test_build_expression(self):
+        """Each pair term, its words shuffled, gives the single-word terms
+        of the shuffling reference, in order: the same algebra."""
         for thetas in compile_cases():
             expr = build_expression(thetas)
             want_terms, want_poles = ref_build_expression(thetas)
             assert term_rows(expr.terms) == term_rows(want_terms), thetas
             assert expr.pole_forms == want_poles, thetas
+            expanded = [engine.LambdaTerm(t.coeff * mult, word, (), t.tangent)
+                        for t in expr.terms
+                        for word, mult in ref_shuffle(t.left, t.right).terms.items()]
+            want_shuffled, _ = ref_build_expression(thetas, shuffled=True)
+            assert term_rows(expanded) == term_rows(want_shuffled), thetas
 
     @pytest.mark.parametrize(
         "names",
@@ -506,12 +562,12 @@ class TestCompileOnce:
 
 class TestNumericPlan:
     def test_equal_tangents_lowered_once(self):
-        """Terms share tangents by value: riemann r = 4 has 143 terms but
+        """Terms share tangents by value: riemann r = 4 has 80 terms but
         15 distinct tangents, each lowered to its own parts once."""
         expr = build_expression((theta("riemann"),) * 4)
         plan = expr.plan
         distinct = {t.tangent.terms for t in expr.terms}
-        assert len(expr.terms) == 143 and len(distinct) == 15
+        assert len(expr.terms) == 80 and len(distinct) == 15
         assert plan.part_tangent.shape == (sum(len(t) for t in distinct), 15)
         for term, t in zip(expr.terms, plan.term_tangent):
             parts = plan.part_tangent[:, t].astype(bool)
@@ -528,6 +584,32 @@ class TestNumericPlan:
         for points in ([(2.0, 2.0)], [(1.7, 2.4), (0.5 + 1j, 1.5)]):
             lambda_eval_many(expr, points, P)
         assert len(built) == 1
+
+
+class TestUnresolvedHalfWords:
+    """A half word can be too large to meet abs_tol on its own and still
+    weigh little in the value: it serves when its error times what
+    multiplies it meets abs_tol (a word that weighs more still fails, as in
+    test_quadrature.TestMeshMajor.test_radius8_request_fails_as_before)."""
+
+    def test_large_half_word_of_small_weight_evaluates(self, monkeypatch):
+        # P[theta_plus; -s1+2] is 2.7e5 here and stops at 1.2e-9
+        names = ("theta+", "jacobi:4", "jacobi:2", "delta")
+        point = (-2.206799 + 7.584042j, -5.832883 - 0.063652j,
+                 1.374138 + 6.349638j, -7.184181 + 0.769870j)
+        expr = build_expression(tuple(parse_theta_token(n) for n in names))
+        judged = []
+        check = engine._check_unresolved
+        monkeypatch.setattr(engine, "_check_unresolved",
+                            lambda *args: judged.append(args) or check(*args))
+        value, err = lambda_eval(expr, point, P)
+        (_, _, wvals, werrs, unresolved, _), = judged
+        (ks, rows), = unresolved
+        assert (werrs[rows, ks] > P.abs_tol).all() and (abs(wvals[rows, ks]) > 1e5).all()
+        # other meshes, whose words all meet their tolerance
+        other, other_err = lambda_eval(expr, point, EvalParams(quad_order=48, abs_tol=1e-9))
+        assert len(judged) == 1
+        assert abs(value - other) <= err + other_err
 
 
 class TestThetaIdentity:

@@ -341,6 +341,21 @@ class TestMeshMajor:
             messages.append(str(one.value))
         assert messages[0] == messages[1] and messages[2] != messages[3]
 
+    def test_unresolved_jobs_handed_back(self):
+        """Given a list, a mesh whose refinement runs out hands its
+        unresolved jobs back instead, first the one its failure names, each
+        with its last estimate, above abs_tol."""
+        a, _, c, params, points = failing_words()
+        letters, exps = exponent_columns((a, c), points)
+        with pytest.raises(QuadratureError) as failure:
+            integrate_words(letters, exps, params)
+        unresolved = []
+        _, errs = integrate_words(letters, exps, params, unresolved=unresolved)
+        (ks, rows), = unresolved
+        assert (errs[rows, ks] > params.abs_tol).all()
+        first = quadrature.refinement_failure(errs[rows[0], ks[0]], params)
+        assert str(first) == str(failure.value)
+
     def test_stops_at_the_first_failure(self, monkeypatch):
         """Word 0 runs on a mesh of horizon 16, word 1 on one of horizon 8,
         where its node values fail: the call raises there and integrates
