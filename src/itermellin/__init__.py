@@ -26,6 +26,7 @@ from .engine import (
     lambda_direct,
     lambda_eval,
     lambda_eval_many,
+    lambda_eval_several,
     lstar_eval,
     poles,
     residue,
@@ -52,6 +53,7 @@ __all__ = [
     "lambda_direct",
     "lambda_eval",
     "lambda_eval_many",
+    "lambda_eval_several",
     "load_theta_from_file",
     "lstar_eval",
     "make_builtin_theta",

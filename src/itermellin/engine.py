@@ -21,7 +21,8 @@ Evaluation lowers an expression once into a NumericPlan of float arrays
 and runs batches of points through it (lambda_eval_many); lambda_eval is
 the one-point call of that path.  All words of a batch go to the
 quadrature in one call, which integrates them mesh by mesh, sharing letter
-powers and word prefixes across words.
+powers and word prefixes across words; lambda_eval_several does the same
+for the words of several expressions at one point.
 """
 
 from __future__ import annotations
@@ -317,9 +318,13 @@ def _check_unresolved(
             raise refinement_failure(est[bad[0]], params)
 
 
-def _eval_chunk(
-    plan: NumericPlan, points: list[tuple[complex, ...]], params: EvalParams
-) -> list[tuple[complex, float] | PoleSignal]:
+def _guard_and_tangents(
+    plan: NumericPlan, points: list[tuple[complex, ...]]
+) -> tuple[list, list[int], np.ndarray, np.ndarray]:
+    """(out, live, exps, tangents) of a plan at points: out[i] is the
+    PoleSignal of point i if a guard blocks it, else None; live lists the
+    other points, exps their letter exponent columns and tangents their
+    tangent factors."""
     n = len(points)
     g, b = plan.guard_norms.size, len(plan.blockers)
     # a huge slot value overflows the affine rows and the tangent products
@@ -338,13 +343,17 @@ def _eval_chunk(
         for i in np.flatnonzero(blocked.any(axis=1)):
             out[i] = PoleSignal(plan.blockers[blocked[i].argmax()])
         live = [i for i in range(n) if out[i] is None]
-        if not live:
-            return out
         vals = vals[live]
         tangents = (plan.part_coeffs / vals[:, plan.part_cols].prod(axis=2)) @ plan.part_tangent
-    unresolved: list = []  # words whose refinements run out, judged below
-    exps = vals[:, b + 1 :]  # the exponent columns
-    wvals, werrs = integrate_words(plan.letters, exps, params, unresolved=unresolved)
+    return out, live, vals[:, b + 1 :], tangents
+
+
+def _sum_terms(
+    plan: NumericPlan, tangents: np.ndarray, wvals: np.ndarray, werrs: np.ndarray,
+    unresolved: list, params: EvalParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and bars at the live points from the values and errors of
+    the plan's words, once every unresolved word of the plan is judged."""
     # coeff * tangent * I(left) * I(right), and the bar of that product:
     # |coeff * tangent| * (|I1| * e2 + |I2| * e1 + e1 * e2)
     scaled = plan.coeffs * tangents[:, plan.term_tangent]
@@ -354,6 +363,18 @@ def _eval_chunk(
     errs = (np.abs(scaled) * (np.abs(v1) * e2 + np.abs(v2) * e1 + e1 * e2)).sum(axis=1)
     if unresolved:
         _check_unresolved(plan, np.abs(scaled), wvals, werrs, unresolved, params)
+    return values, errs
+
+
+def _eval_chunk(
+    plan: NumericPlan, points: list[tuple[complex, ...]], params: EvalParams
+) -> list[tuple[complex, float] | PoleSignal]:
+    out, live, exps, tangents = _guard_and_tangents(plan, points)
+    if not live:
+        return out
+    unresolved: list = []  # words whose refinements run out, judged below
+    wvals, werrs = integrate_words(plan.letters, exps, params, unresolved=unresolved)
+    values, errs = _sum_terms(plan, tangents, wvals, werrs, unresolved, params)
     for i, v, e in zip(live, values, errs):
         out[i] = (complex(v), float(e))
     return out
@@ -387,6 +408,55 @@ def lambda_eval(
     if isinstance(result, PoleSignal):
         raise result
     return result
+
+
+def lambda_eval_several(
+    exprs: Sequence[LambdaExpression], s, params: EvalParams | None = None
+) -> list[tuple[complex, float]]:
+    """Value and error estimate of each expression at one point s, in order.
+
+    The expressions share their slot count.  The distinct words of all of
+    them go to the quadrature in one call, over one letter table built for
+    this call; a word's value and estimate are those it has on its own, so
+    each result equals lambda_eval(expr, s, params).  Raises what
+    lambda_eval would: the PoleSignal of the first expression that has a
+    pole at s, else the numeric failure that integrate_words names first
+    among all the words, else the QuadratureError of the first expression
+    with a word whose refinement ran out and which does not serve.
+    """
+    params = params or EvalParams()
+    if not exprs:
+        return []
+    staged = []
+    exponents: dict[AffineForm, complex] = {}  # exponent form -> its value at s
+    for expr in exprs:
+        plan = expr.plan
+        out, _, exps, tangents = _guard_and_tangents(plan, [_as_point(s, expr.nslots)])
+        if out[0] is not None:
+            raise out[0]
+        for f, v in zip(plan.letters.exponents, exps[0].tolist()):
+            exponents.setdefault(f, v)
+        staged.append((plan, tangents))
+    words = tuple(dict.fromkeys(w for plan, _ in staged for w in plan.letters.words))
+    word_ids = {w: k for k, w in enumerate(words)}
+    letters = _Letters(words)
+    exps = np.array([[exponents[f] for f in letters.exponents]], dtype=complex)
+    unresolved: list = []
+    wvals, werrs = integrate_words(letters, exps, params, unresolved=unresolved)
+    results = []
+    for plan, tangents in staged:
+        ids = np.array([word_ids[w] for w in plan.letters.words], dtype=int)
+        mine = []  # the plan's unresolved words, numbered as the plan numbers them
+        if unresolved:
+            local = np.full(len(word_ids), -1, dtype=int)
+            local[ids] = np.arange(ids.size)
+            for ks, rows in unresolved:
+                keep = local[ks] >= 0
+                if keep.any():
+                    mine.append((local[ks][keep], rows[keep]))
+        values, errs = _sum_terms(plan, tangents, wvals[:, ids], werrs[:, ids], mine, params)
+        results.append((complex(values[0]), float(errs[0])))
+    return results
 
 
 def lstar_eval(
@@ -472,12 +542,18 @@ def _zero_envelope(letter: Letter) -> tuple[float, float, bool]:
     return max(c, 1e-300), gamma, exp_small
 
 
+# the smallest lower cutoff lambda_direct integrates from: a word whose
+# corner bound asks for less does not converge fast enough at 0 to serve
+DIRECT_DELTA_FLOOR = 1e-12
+
+
 def _choose_delta(word: Word, s, params: EvalParams) -> float:
     """Lower cutoff with corner contribution below the tolerance budget.
 
     Requires every prefix of the word to be integrable at 0: the running
     exponent sum must stay positive unless an exponentially small letter
-    already occurred.
+    already occurred.  Raises DirectConvergenceError, naming the word, when
+    the cutoff the corner bound asks for lies below DIRECT_DELTA_FLOOR.
     """
     target = params.abs_tol * HORIZON_SAFETY
     run = 0.0
@@ -503,11 +579,16 @@ def _choose_delta(word: Word, s, params: EvalParams) -> float:
         mu1 = first.theta.dual.tail.min_mu()
         p = first.theta.kernel_power
         delta = 0.5
-        while cprod * math.exp(-mu1 * delta**-p) > target and delta > 1e-3:
+        while cprod * math.exp(-mu1 * delta**-p) > target and delta >= DIRECT_DELTA_FLOOR:
             delta *= 0.8
-        return delta
-    delta = min(0.5, (target / cprod) ** (1.0 / sigma_min))
-    return max(delta, 1e-4)
+    else:
+        delta = min(0.5, (target / cprod) ** (1.0 / sigma_min))
+    if delta < DIRECT_DELTA_FLOOR:
+        raise DirectConvergenceError(
+            f"cutoff {delta:.1e} below {DIRECT_DELTA_FLOOR:.0e} for word "
+            + ".".join(l.label() for l in word)
+        )
+    return delta
 
 
 def lambda_direct(

@@ -15,6 +15,7 @@ from itermellin.engine import (
     lambda_direct,
     lambda_eval,
     lambda_eval_many,
+    lambda_eval_several,
     lstar_eval,
     poles,
     residue,
@@ -328,6 +329,27 @@ class TestDirect:
                 d = lambda_direct(thetas, pt, P)
                 e, _ = lambda_eval(expr, pt, P)
                 assert abs(d - e) < 1e-8
+
+
+class TestDirectCutoff:
+    """The lower cutoff is the one the corner bound asks for, down to
+    DIRECT_DELTA_FLOOR; below it lambda_direct raises."""
+
+    @pytest.mark.parametrize("names,point", [
+        (("riemann", "riemann"), (2.3, 1.1)),  # was 1.3e-5 off at a 1e-4 cutoff
+        (("delta", "theta_minus"), (6 + 2j, 1.3 - 0.4j)),  # was 5.7e-9 off
+    ])
+    def test_matches_lambda_eval(self, names, point):
+        thetas = tuple(theta(n) for n in names)
+        d = lambda_direct(thetas, point, P)
+        e, _ = lambda_eval(build_expression(thetas), point, P)
+        assert abs(d - e) < 1e-9
+
+    def test_cutoff_below_floor_raises(self):
+        # the word P[theta_minus;s2].T[delta;s1] asks for a 5e-19 cutoff
+        thetas = (theta("delta"), theta("theta_minus"))
+        with pytest.raises(engine.DirectConvergenceError, match=r"P\[theta_minus;s2\]"):
+            lambda_direct(thetas, (6 + 2j, 0.8 - 0.4j), P)
 
 
 class TestLstar:
@@ -724,3 +746,66 @@ class TestJacobi:
             a, _ = lambda_eval(ej2, (s,), P)
             b, _ = lambda_eval(ej4, (0.5 - s,), P)
             assert abs(a - b) < 1e-9
+
+
+class TestEvalSeveral:
+    """lambda_eval_several integrates the words of several expressions in
+    one call; each result equals lambda_eval's for that expression."""
+
+    @staticmethod
+    def _check(exprs, point, params=P):
+        got = lambda_eval_several(exprs, point, params)
+        assert got == [lambda_eval(e, point, params) for e in exprs]
+
+    @pytest.mark.parametrize("sigma", [2.0, 1.7 + 0.1j])
+    def test_lattice_abscissae(self, sigma):
+        # the abscissae of oracles.xi_via_eisenstein at the default order
+        xs, _ = np.polynomial.legendre.leggauss(P.quad_order)
+        ys = [0.5 * (x + 1.0) * (hi - lo) + lo
+              for lo, hi in ((1.0, 2.0), (2.0, 4.0), (4.0, 8.0)) for x in xs]
+        exprs = [oracles._lattice_expression(complex(1j * y)) for y in ys]
+        assert len(exprs) == 96
+        self._check(exprs, (sigma,))
+
+    def test_mixed_builtin_pairs(self):
+        names = [("riemann", "riemann"), ("eisenstein:4", "delta"),
+                 ("theta+", "jacobi:3"), ("riemann", "riemann"), ("jacobi:4", "riemann")]
+        exprs = [build_expression(tuple(parse_theta_token(n) for n in pair)) for pair in names]
+        self._check(exprs, (2.5 + 0.3j, 3.0 - 0.7j))
+
+    def test_pole_raises_as_lambda_eval(self):
+        exprs = [build_expression((theta("delta"),) * 2),
+                 build_expression((theta("riemann"),) * 2)]
+        point = (1.0, 2.5)  # on s1 = 1
+        with pytest.raises(PoleSignal) as want:
+            lambda_eval(exprs[1], point, P)
+        with pytest.raises(PoleSignal) as got:
+            lambda_eval_several(exprs, point, P)
+        assert got.value.form == want.value.form
+
+    def test_horizon_failure_named_as_integrate_words(self):
+        exprs = [build_expression((theta("delta"), theta("riemann"))),
+                 build_expression((theta("riemann"),) * 2)]
+        words = dict.fromkeys(w for e in exprs for w in e.plan.letters.words)
+        letters = quadrature._Letters(tuple(words))
+        exps = letters.exponents_at((1e308, 2.0))
+        with pytest.raises(quadrature.QuadratureError) as want:
+            quadrature.integrate_words(letters, exps, P)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(type(want.value), match=str(want.value)):
+                lambda_eval_several(exprs, (1e308, 2.0), P)
+
+    def test_refinement_failure_of_the_first_failing_expression(self):
+        # the words of the second expression run out of refinements, and a
+        # word whose error outweighs its terms' tolerance fails by its estimate
+        params = EvalParams(max_refine=1, abs_tol=1e-13, quad_order=8)
+        exprs = [build_expression(tuple(parse_theta_token(n) for n in pair))
+                 for pair in (("eisenstein:4", "delta"), ("delta", "riemann"),
+                              ("riemann", "riemann"))]
+        point = (2.5 + 0.3j, 3.0)
+        self._check(exprs[:1], point, params)
+        with pytest.raises(quadrature.QuadratureError) as want:
+            lambda_eval(exprs[1], point, params)
+        with pytest.raises(quadrature.QuadratureError, match=str(want.value)):
+            lambda_eval_several(exprs, point, params)

@@ -127,9 +127,10 @@ def _truth(names, point) -> complex:
     """An independent value at a point: mpmath for riemann r = 1, else the
     functional-equation partner eps * Lambda(reversed duals; reflected
     point), a different expression at a different point.  lambda_direct is
-    no truth here: at the golden points where it runs, its lower cutoff
-    stops at 1e-4, which leaves 1.3e-5 (riemann r = 2) and 8.7e-7
-    (delta, theta_minus) of the integral out."""
+    no truth here: it needs absolute convergence at 0, so it runs at two
+    golden points alone (riemann at 2 and at (2.3, 1.1)) and raises at the
+    others; at (6+2i, 0.8-0.4i) the corner bound of (delta, theta_minus)
+    asks for a 5e-19 cutoff, below engine.DIRECT_DELTA_FLOOR."""
     if names == R:
         mpmath = pytest.importorskip("mpmath")
         s = mpmath.mpc(point[0])

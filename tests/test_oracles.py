@@ -45,6 +45,34 @@ class TestQSums:
         with pytest.raises(ValueError):
             oracles.q_sum((0, 1))
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_inner_kernel_against_plain_sum(self, k):
+        """The reciprocal-power kernel against a term-by-term Python sum
+        plus the closed-form tail from cut + 1/2, and that tail against an
+        mpmath quadrature (its reduction formula cancels where c2 is large
+        against cut^2, to about 5e-14 of the tail at c2 = 1e4)."""
+        mpmath = pytest.importorskip("mpmath")
+        cut = 50
+        c2 = np.array([1.0, 2.0, 5.0, 37.0, 1e4])
+        got = oracles._inner_quadratic(c2, k, cut)
+        tails = oracles._inv_quad_integral(cut + 0.5, c2, k)
+        for c, value, tail in zip(c2.tolist(), got.tolist(), tails.tolist()):
+            total = sum((m * m + c) ** -k for m in range(1, cut + 1)) + tail
+            assert abs(value - total) <= 1e-15 * total
+            exact = float(mpmath.quad(lambda x: (x * x + c) ** -k, [cut + 0.5, mpmath.inf]))
+            assert abs(tail - exact) <= 1e-13 * total
+
+    @pytest.mark.parametrize("ks,pinned", [
+        ((1, 1), 1.3529040421410172),
+        ((1, 2), 1.1260088410682145),
+        ((2, 1), 0.32717075870299045),
+        ((3, 1), 0.13717770299257204),
+    ])
+    def test_pinned_values(self, ks, pinned):
+        # recorded when (m^2 + c^2)^-k was formed by pow and the tails by a
+        # scalar loop
+        assert abs(oracles.q_sum(ks, 1e-8) - pinned) <= 1e-14 * pinned
+
 
 class TestReduction:
     def test_printed_examples(self):
@@ -234,6 +262,17 @@ class TestXiViaEisenstein:
         # abscissa; reusing the xi pair must not move it
         value = oracles.xi_via_eisenstein(0.8 + 0.3j, 0.9 - 0.2j, P)
         pinned = 0.1253513720111739 - 0.3211220146728492j
+        assert abs(value - pinned) <= 1e-14 * abs(pinned)
+
+    @pytest.mark.parametrize("s1,s2,pinned", [
+        (1.0, 1.0, 0.1370778389035921),
+        (1.3, 0.9, 0.040704923967888704),
+        (1.1, 1.2, 0.07428132079141832),
+    ])
+    def test_pinned_suite_values(self, s1, s2, pinned):
+        # recorded when each abscissa was one lambda_eval call; one engine
+        # call for all of them must not move them
+        value = oracles.xi_via_eisenstein(s1, s2, P)
         assert abs(value - pinned) <= 1e-14 * abs(pinned)
 
 
