@@ -51,9 +51,10 @@ from .quadrature import (
     doubling_edges,
     integrate_words,
     refinement_failure,
-    tail_word_integral,  # no longer called here; perfbench/tracer.py wraps this binding
+    word_horizons,
+    # no longer called here; perfbench/tracer.py wraps these bindings
+    tail_word_integral,
     truncation_horizon,
-    word_integral_on_interval,
 )
 
 
@@ -594,11 +595,15 @@ def _choose_delta(word: Word, s, params: EvalParams) -> float:
 def lambda_direct(
     thetas: Sequence[ThetaFunction], s, params: EvalParams | None = None
 ) -> complex:
-    """Evaluate by direct quadrature of the regularized word over [delta, T].
+    """Evaluate by direct quadrature of the regularized words over [delta, T].
 
     Intended for validation: requires absolute convergence at zero, which
     holds when the slot exponents are large enough.  Agrees with
-    lambda_eval on the overlap region.
+    lambda_eval on the overlap region.  The words are integrated in one
+    call over one mesh, from the smallest of their cutoffs to the largest
+    of their truncation horizons; it raises the DirectConvergenceError of
+    the first word whose cutoff fails, else the horizon failure of the
+    first word without one, else what integrate_words raises.
     """
     params = params or EvalParams()
     thetas = _check_tuple(thetas)
@@ -606,19 +611,23 @@ def lambda_direct(
     point = _as_point(s, r)
     slots = [AffineForm.slot(i, r) for i in range(r)]
     full_word = tuple(Letter(thetas[i], "full", slots[i]) for i in range(r))
+    terms = regularize(full_word).terms
+    letters = _Letters(tuple(terms))
+    delta = min(_choose_delta(word, point, params) for word in letters.words)
+    exps = letters.exponents_at(point)
+    horizons, failures = word_horizons(letters, exps, params)
+    if failures:
+        exc = failures[min(failures)]
+        raise type(exc)(*exc.args)
+    lower = []
+    e = delta
+    while e < 1.0:
+        lower.append(e)
+        e *= 2.0
+    edges = tuple(lower) + doubling_edges(1.0, float(horizons.max()))
+    values, _ = integrate_words(letters, exps, params, edges, params.abs_tol * HORIZON_SAFETY)
     total = 0.0 + 0.0j
-    for word, c in regularize(full_word).terms.items():
-        delta = _choose_delta(word, point, params)
-        t_max = truncation_horizon(word, point, params)
-        lower = []
-        e = delta
-        while e < 1.0:
-            lower.append(e)
-            e *= 2.0
-        edges = tuple(lower) + doubling_edges(1.0, t_max)
-        val, _ = word_integral_on_interval(
-            word, point, edges, params, slack=params.abs_tol * HORIZON_SAFETY
-        )
+    for c, val in zip(terms.values(), values[0].tolist()):
         total += c * val
     return total
 

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma as complex_gamma
+from scipy.special import gamma as complex_gamma, hyp2f1
 
 from .arith import factorial
 from .ratfun import AffineForm, PoleSignal
@@ -126,13 +126,11 @@ def mzv_sum(ns: Sequence[int], tol: float = 1e-8) -> float:
 
 
 def _inv_quad_integral(a: float, c2: np.ndarray, k: int) -> np.ndarray:
-    """int_a^inf dx / (x^2 + c2)^k at each entry of c2, by the standard
-    reduction formula."""
-    c = np.sqrt(c2)
-    val = (PI / 2 - np.arctan(a / c)) / c
-    for j in range(1, k):
-        val = (2 * j - 1) / (2 * j * c2) * val - a / (2 * j * c2 * (a * a + c2) ** j)
-    return val
+    """int_a^inf dx / (x^2 + c2)^k at each entry of c2, in closed form:
+    a^(1-2k) / (2k-1) * 2F1(k, k - 1/2; k + 1/2; -c2/a^2), termwise the
+    integral of the binomial series of (1 + c2/x^2)^-k.  The reduction
+    formula in k cancels where c2 is small against a^2."""
+    return a ** (1 - 2 * k) / (2 * k - 1) * hyp2f1(k, k - 0.5, k + 0.5, -c2 / (a * a))
 
 
 # rows of (m^2 + c2)^-k formed at a time: 16 rows of a 4000-term cut fill

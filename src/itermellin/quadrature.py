@@ -18,13 +18,15 @@ every point-free constant of their truncation horizons.  The horizons at
 all points come from one array pass (word_horizons), then the words run
 mesh by mesh, a mesh being a truncation horizon at one refinement level,
 with the refinement state of every (word, point) pair on it held in
-arrays.  On one mesh (integrate_word_on_mesh) each letter exponent's node powers are
+arrays.  Every set of words, one word included, takes the same pass on a
+mesh (integrate_word_on_mesh): each letter exponent's node powers are
 formed once, as exp(e * log t) from the cached logarithms
-(PanelMesh.powers), and the words' distinct prefixes form a trie
-(_Prefixes) that is integrated one prefix length at a time: all prefixes
-of one length are one stacked (prefixes, points, nodes) array, formed by a
-gather of their letters' node powers, one multiply by the letters' node
-values and one by a gather of their parents' inner integrals, then
+(PanelMesh.powers), each letter kind's node values are one row of a
+complex table, and the words' distinct prefixes form a trie (_Prefixes)
+that is integrated one prefix length at a time: all prefixes of one
+length are one stacked (prefixes, points, nodes) array, formed by a
+gather of their letters' node powers, one multiply by a gather of the
+table's rows and one by a gather of their parents' inner integrals, then
 integrated by one PanelMesh.integral for the words that end there and one
 PanelMesh.cumulative for the prefixes that go on, in blocks of at most
 BLOCK_BUDGET entries.  The integration matrix acts on the real and
@@ -328,7 +330,9 @@ class _Letters:
     or (None, coefficient) for a monomial letter, and pair_col[q] the
     column.  failures[k] is the error of word k at every point, if any;
     for the words bounded, whose last letter's decay bounds a horizon (the
-    others keep 2), the constants of word_horizons are formed here.
+    others keep 2), the constants of word_horizons are formed here.  The
+    words are distinct (ValueError otherwise), so no two words end at one
+    prefix of a _Prefixes trie.
     """
 
     def __init__(self, words: Sequence[Word]):
@@ -356,6 +360,8 @@ class _Letters:
                     by_id[id(letter)] = q
                 path.append(q)
             self.pairs.append(tuple(path))
+        if len(set(self.pairs)) < len(self.pairs):
+            raise ValueError("a letter table takes distinct words")
         self.exponents = tuple(exponent_ids)
         self.kinds = list(kind_ids)
         nk = len(self.kinds)
@@ -421,8 +427,16 @@ class _Prefixes:
     Prefixes of length d + 1 are bounds[d] to bounds[d + 1] - 1.  Prefix p
     extends prefix parent[p] (-1 for the empty prefix) by a letter of kind
     kinds[kind[p]] and exponent column cols[cp[p]], and extended[p] is
-    whether a longer prefix extends it.  The words (positions in ks) ending
-    at the prefixes are end_job, ordered by their prefixes, end_pos.
+    whether a longer prefix extends it.  The kinds are numbered in the
+    order the words' letters first use them.  The words (positions in ks)
+    ending at the prefixes are end_job, ordered by their prefixes, end_pos;
+    a prefix ends one word at most, as the table's words are distinct.
+
+    Counts before each prefix p, as lookups for a block of prefixes a to
+    b - 1: ext_before[p] extended prefixes (the rank of an extended p),
+    first_child[p] prefixes of any length whose parent precedes p (parent
+    ascends across lengths, so the prefixes extending the block are
+    first_child[a] to first_child[b] - 1), and ends_before[p] words.
     """
 
     def __init__(self, letters: _Letters, ks: np.ndarray):
@@ -457,30 +471,17 @@ class _Prefixes:
         col_ids: dict = {}
         self.cp = np.array([col_ids.setdefault(letters.pair_col[q], len(col_ids)) for q in pairs])
         self.cols = np.array(list(col_ids))
-        kind_ids: dict = {}
-        self.kind = np.array([kind_ids.setdefault(letters.pair_kind[q], len(kind_ids)) for q in pairs])
-        self.kinds = list(kind_ids)
-        end_pos = [self.bounds[d] + p for d, p in ends]
-        # whether each prefix ends one word at most (it does for distinct words)
-        self.distinct_ends = len(set(end_pos)) == len(end_pos)
-        end_pos = np.array(end_pos)
+        self.kinds = list(dict.fromkeys(
+            letters.pair_kind[q] for k in ks for q in letters.pairs[k]))
+        kind_ids = {kind: i for i, kind in enumerate(self.kinds)}
+        self.kind = np.array([kind_ids[letters.pair_kind[q]] for q in pairs])
+        end_pos = np.array([self.bounds[d] + p for d, p in ends])
         self.end_job = end_pos.argsort(kind="stable")
         self.end_pos = end_pos[self.end_job]
-
-
-def _node_values(letters: _Letters, ks: list, m: PanelMesh) -> dict:
-    """The integrand factor of every letter kind of the words ks on mesh
-    m, by kind: its node values, or a monomial's coefficient.  The kinds
-    are evaluated in the order the words' letters first use them, and the
-    TruncationError of the first whose node values fail propagates.
-    """
-    nodal: dict = {}
-    # pairs, then kinds, in the order the words' letters first use them
-    pairs = dict.fromkeys(itertools.chain.from_iterable(letters.pairs[k] for k in ks))
-    for kind in dict.fromkeys(letters.pair_kind[q] for q in pairs):
-        theta, part = letters.kinds[kind]
-        nodal[kind] = part if theta is None else m.theta_values(theta, part)
-    return nodal
+        self.ext_before = np.concatenate(([0], np.cumsum(self.extended)))
+        every = np.arange(self.parent.size + 1)
+        self.first_child = self.parent.searchsorted(every).tolist()
+        self.ends_before = self.end_pos.searchsorted(every).tolist()
 
 
 class _PrefixPass:
@@ -488,81 +489,70 @@ class _PrefixPass:
     of each word goes to its row of out.
 
     powers[c] holds the node powers of column pre.cols[c] at the points,
-    and nodal each letter kind's factor.  The prefixes of one length are
-    integrated in stacked blocks of at most BLOCK_BUDGET entries, each
-    followed at once by the blocks of the prefixes one letter longer that
-    extend it, so that one block per length is live.
+    and table[i] the integrand factor at the nodes of letter kind
+    pre.kinds[i].  The prefixes of one length are integrated in stacked
+    blocks of at most BLOCK_BUDGET entries, each followed at once by the
+    blocks of the prefixes one letter longer that extend it, so that one
+    block per length is live.
     """
 
-    def __init__(self, m: PanelMesh, pre: _Prefixes, nodal: dict, powers: np.ndarray,
+    def __init__(self, m: PanelMesh, pre: _Prefixes, table: np.ndarray, powers: np.ndarray,
                  out: np.ndarray):
-        self.m, self.pre, self.nodal, self.powers, self.out = m, pre, nodal, powers, out
+        self.m, self.pre, self.table, self.powers, self.out = m, pre, table, powers, out
         self.cap = max(1, BLOCK_BUDGET // (powers.shape[1] * powers.shape[2]))
-        if self.cap > 1:
-            # each kind's factor as a row, for the blocks of several prefixes
-            self.table = np.empty((len(pre.kinds), powers.shape[2]), dtype=complex)
-            for i, kind in enumerate(pre.kinds):
-                self.table[i] = nodal[kind]
-        self.run(0, 0, pre.bounds[1], None, None)
+        self.run(0, pre.bounds[1], None, 0)
 
-    def run(self, d: int, lo: int, hi: int, inner, inner_at) -> None:
-        """Integrate the prefixes lo to hi - 1, of length d + 1, whose
-        parents' inner integrals are inner, one row per parent, the
-        prefixes inner_at; then the longer prefixes that extend them."""
-        pre, m, powers, bounds = self.pre, self.m, self.powers, self.pre.bounds
+    def run(self, lo: int, hi: int, inner, base: int) -> None:
+        """Integrate the prefixes lo to hi - 1, whose parents' inner
+        integrals are inner (None for the empty parent), one row per
+        parent, by its rank among the extended prefixes, from base on; then
+        the longer prefixes that extend them."""
+        pre, m, powers = self.pre, self.m, self.powers
         for a in range(lo, hi, self.cap):
             b = min(a + self.cap, hi)
             # the letters' integrands at the nodes, times the parents' inner
             # integrals; operands in the order of a prefix on its own
-            if b - a == 1:
-                f = np.multiply(self.nodal[pre.kinds[pre.kind[a]]], powers[pre.cp[a]])[None]
-            else:
-                f = powers[pre.cp[a:b]]
-                np.multiply(self.table[pre.kind[a:b], None, :], f, out=f)
-            if not d:
+            f = powers[pre.cp[a:b]]
+            np.multiply(self.table[pre.kind[a:b], None, :], f, out=f)
+            if inner is None:
                 np.multiply(f, 1.0, out=f)  # the empty prefix's, as for a word alone
-            elif a == lo and b == hi == lo + inner_at.size:
+            elif a == lo and b == hi == lo + len(inner):
                 np.multiply(f, inner, out=f)  # one prefix per parent
             else:
-                np.multiply(f, inner[inner_at.searchsorted(pre.parent[a:b])], out=f)
-            i0, i1 = pre.end_pos.searchsorted((a, b))
+                np.multiply(f, inner[pre.ext_before[pre.parent[a:b]] - base], out=f)
+            i0, i1 = pre.ends_before[a], pre.ends_before[b]
             if i1 > i0:
-                ends = f if i1 - i0 == b - a and pre.distinct_ends else f[pre.end_pos[i0:i1] - a]
+                ends = f if i1 - i0 == b - a else f[pre.end_pos[i0:i1] - a]
                 self.out[pre.end_job[i0:i1]] = m.integral(ends)
                 del ends
-            if d + 2 == len(bounds):
-                continue
-            # the longer prefixes extending this block are consecutive
-            nxt = pre.parent[bounds[d + 1] : bounds[d + 2]]
-            lo2 = bounds[d + 1] + nxt.searchsorted(a)
-            hi2 = bounds[d + 1] + nxt.searchsorted(b)
+            lo2, hi2 = pre.first_child[a], pre.first_child[b]
             if hi2 > lo2:
-                extended = pre.extended[a:b]
-                if not extended.all():
-                    f = f[extended]
+                e0, e1 = pre.ext_before[a], pre.ext_before[b]
+                if e1 - e0 < b - a:
+                    f = f[pre.extended[a:b]]
                 inner_next = m.cumulative(f)
                 del f
-                self.run(d + 1, lo2, hi2, inner_next, a + np.flatnonzero(extended))
+                self.run(lo2, hi2, inner_next, e0)
 
 
 def integrate_word_on_mesh(
     letters: _Letters,
-    ks: np.ndarray,
+    pre: _Prefixes,
     exps: np.ndarray,
     rows: np.ndarray,
     m: PanelMesh,
     exact: np.ndarray | None,
-    pre: _Prefixes | None,
 ) -> np.ndarray:
-    """Iterated integrals of the words ks of a table over one mesh (exact
-    panels), at the points rows (ascending), one row per word and one
-    column per point.
+    """Iterated integrals of the words of the trie pre, the _Prefixes of
+    words ks of a table, over one mesh (exact panels), at the points rows
+    (ascending), one row per word of ks and one column per point.
 
     Letter j of word k has the exponent exps[i, c] at point i, where c is
-    its column letters.pair_col[letters.pairs[k][j]]; exact is
-    _exact_columns(exps), and pre the _Prefixes of ks when there are
-    several.  The TruncationError of the first letter kind whose node
-    values fail propagates (see _node_values).
+    its column letters.pair_col[letters.pairs[k][j]], and exact is
+    _exact_columns(exps).  Each letter kind's factor at the nodes is one
+    row of a complex table, filled in the trie's kind order, so the
+    TruncationError of the first kind, in the order the words use them,
+    whose node values fail propagates.
 
     The prefixes run length by length: each exponent column's node powers
     t^(e-1) are formed once, over all of rows, and the prefixes of one
@@ -572,39 +562,21 @@ def integrate_word_on_mesh(
     order, of one word integrated at one point on its own, so it equals
     that bit for bit.
     """
-    nodal = _node_values(letters, ks.tolist(), m)
-    values = np.empty((ks.size, rows.size), dtype=complex)
+    table = np.empty((len(pre.kinds), m.log_nodes.size), dtype=complex)
+    for i, kind in enumerate(pre.kinds):
+        theta, part = letters.kinds[kind]
+        table[i] = part if theta is None else m.theta_values(theta, part)
+    values = np.empty((pre.end_job.size, rows.size), dtype=complex)
     step = max(1, ROW_BUDGET // m.log_nodes.size)
     for lo in range(0, rows.size, step):
-        block = rows[lo : lo + step]
-        if ks.size == 1:
-            # one word: its letters in turn, without a prefix trie
-            _integrate_word(m, letters, int(ks[0]), nodal, exps, block, exact, values[:, lo : lo + step])
-            continue
-        at = pre.cols[:, None], block
+        at = pre.cols[:, None], rows[lo : lo + step]
         e = exps.T[at] - 1.0
         mask = None if exact is None else exact.T[at]
         if mask is not None and not mask.any():
             mask = None
         powers = m.powers(e.ravel(), None if mask is None else mask.ravel())
-        _PrefixPass(m, pre, nodal, powers.reshape(e.shape + (-1,)), values[:, lo : lo + step])
+        _PrefixPass(m, pre, table, powers.reshape(e.shape + (-1,)), values[:, lo : lo + step])
     return values
-
-
-def _integrate_word(m: PanelMesh, letters: _Letters, k: int, nodal: dict, exps: np.ndarray,
-                    rows: np.ndarray, exact: np.ndarray | None, out: np.ndarray) -> None:
-    """Integrate word k of a table alone on mesh m at the points rows, into
-    out[0]: the pass of _PrefixPass for a chain of one prefix per length."""
-    f = 1.0
-    for j, q in enumerate(letters.pairs[k]):
-        if j:
-            f = m.cumulative(f)
-        c = letters.pair_col[q]
-        mask = None if exact is None else exact[rows, c]
-        power = m.powers(exps[rows, c] - 1.0, mask if mask is not None and mask.any() else None)
-        power = np.multiply(nodal[letters.pair_kind[q]], power, out=power)
-        f = np.multiply(power, f, out=power)
-    out[0] = m.integral(f)
 
 
 def integrate_words(
@@ -669,12 +641,12 @@ def integrate_words(
             member = member[:, rows]
         m = mesh(key, params.quad_order)
         # the words' prefixes, formed again only when words leave the mesh
-        pre = _Prefixes(letters, ks) if ks.size > 1 else None
+        pre = _Prefixes(letters, ks)
         v0 = None  # the last level's values
         for level in range(params.max_refine + 1):
             if level:
                 m = m.refined()
-            v1 = integrate_word_on_mesh(letters, ks, exps, rows, m, exact, pre)
+            v1 = integrate_word_on_mesh(letters, pre, exps, rows, m, exact)
             if level:
                 est = np.abs(v1 - v0)
                 est += slack
@@ -690,7 +662,7 @@ def integrate_words(
                 left = member.any(axis=1)
                 if not left.all():
                     ks, member, est, v1 = (a[left] for a in (ks, member, est, v1))
-                    pre = _Prefixes(letters, ks) if ks.size > 1 else None
+                    pre = _Prefixes(letters, ks)
                 left = member.any(axis=0)
                 if not left.all():
                     rows = rows[left]
@@ -725,19 +697,4 @@ def tail_word_integral(
     """
     letters = _Letters((word,))
     values, errs = integrate_words(letters, letters.exponents_at(s), params or EvalParams())
-    return complex(values[0, 0]), float(errs[0, 0])
-
-
-def word_integral_on_interval(
-    word: Word,
-    s: Sequence[complex],
-    edges: tuple[float, ...],
-    params: EvalParams | None = None,
-    slack: float = 0.0,
-) -> tuple[complex, float]:
-    """Iterated integral over a finite mesh, refined to tolerance."""
-    letters = _Letters((word,))
-    values, errs = integrate_words(
-        letters, letters.exponents_at(s), params or EvalParams(), edges, slack
-    )
     return complex(values[0, 0]), float(errs[0, 0])

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import engine, oracles
-from .arith import binomial, factorial
+from .arith import binomial, divisor_sigma, factorial
 from .quadrature import EvalParams
 from .ratfun import AffineForm
 from .theta import ThetaFunction, make_builtin_theta
@@ -473,8 +473,6 @@ def suite_binding(seed: int, trials: int, params: EvalParams) -> list[CaseResult
     a0 = 1.0 / 240.0
 
     def sigma3(i: int) -> float:
-        from .arith import divisor_sigma
-
         return float(divisor_sigma(3, i))
 
     for p_, s in ((2, 9.0), (1, 10.0)):
@@ -482,8 +480,9 @@ def suite_binding(seed: int, trials: int, params: EvalParams) -> list[CaseResult
         term = engine.lambda_eval(_expr((g4,)), (float(p_),), params)[0] * engine.lambda_eval(
             _expr((g4,)), (s,), params
         )[0]
-        term += a0 / p_ * engine.lambda_eval(_expr((g4,)), (s + p_,), params)[0]
-        term -= a0 / s * engine.lambda_eval(_expr((g4,)), (s + p_,), params)[0]
+        shifted = engine.lambda_eval(_expr((g4,)), (s + p_,), params)[0]
+        term += a0 / p_ * shifted
+        term -= a0 / s * shifted
         for r_ in range(p_):
             _, dd = oracles.dirichlet_double(
                 sigma3, sigma3, p_ - r_, s + r_, 1e-8, (2.0, 3.0), (2.0, 3.0)

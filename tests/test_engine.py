@@ -307,6 +307,27 @@ class TestDirect:
             total += np.dot(ws, rie.eval_array(t, "tail", 1e-14) * t**5) * (b - a) / 2
         assert abs(d - total) < 1e-9
 
+    # bound: |d - e| when each word ran over its own [cutoff, horizon] mesh
+    # alone, rounded up; one mesh from the smallest cutoff to the largest
+    # horizon runs every word over at least that interval
+    @pytest.mark.parametrize("names,point,bound", [
+        (("riemann",) * 2, (3.0, 4.0), 5.6e-14),
+        (("delta",), (11.0,), 2.0e-12),
+        (("riemann",) * 2, (2.3, 1.1), 1.1e-12),
+        (("delta", "theta_minus"), (6 + 2j, 1.3 - 0.4j), 3.2e-17),
+        (("riemann",) * 3, (5.0, 4.5 + 1j, 3.0), 5.0e-15),
+    ])
+    def test_one_integrate_words_call(self, monkeypatch, names, point, bound):
+        thetas = tuple(theta(n) for n in names)
+        calls = []
+        integrate = engine.integrate_words
+        monkeypatch.setattr(engine, "integrate_words",
+                            lambda *a, **kw: calls.append(a) or integrate(*a, **kw))
+        d = lambda_direct(thetas, point, P)
+        assert len(calls) == 1
+        e, _ = lambda_eval(build_expression(thetas), point, P)
+        assert abs(d - e) <= bound
+
     def test_divergent_point_rejected(self):
         with pytest.raises(engine.DirectConvergenceError):
             lambda_direct((theta("riemann"),) * 2, (0.4, 4.0), P)

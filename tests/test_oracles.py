@@ -49,8 +49,9 @@ class TestQSums:
     def test_inner_kernel_against_plain_sum(self, k):
         """The reciprocal-power kernel against a term-by-term Python sum
         plus the closed-form tail from cut + 1/2, and that tail against an
-        mpmath quadrature (its reduction formula cancels where c2 is large
-        against cut^2, to about 5e-14 of the tail at c2 = 1e4)."""
+        mpmath quadrature, also from q_sum's inner cut, 4000 + 1/2, where a
+        reduction formula in k cancels at small c2 (84 times the tail at
+        c2 = 1, k = 3)."""
         mpmath = pytest.importorskip("mpmath")
         cut = 50
         c2 = np.array([1.0, 2.0, 5.0, 37.0, 1e4])
@@ -59,8 +60,12 @@ class TestQSums:
         for c, value, tail in zip(c2.tolist(), got.tolist(), tails.tolist()):
             total = sum((m * m + c) ** -k for m in range(1, cut + 1)) + tail
             assert abs(value - total) <= 1e-15 * total
-            exact = float(mpmath.quad(lambda x: (x * x + c) ** -k, [cut + 0.5, mpmath.inf]))
-            assert abs(tail - exact) <= 1e-13 * total
+        for a, cs in [(cut + 0.5, c2), (4000.5, np.array([1.0, 37.0]))]:
+            tails = oracles._inv_quad_integral(a, cs, k)
+            for c, tail in zip(cs.tolist(), tails.tolist()):
+                with mpmath.workdps(30):
+                    exact = float(mpmath.quad(lambda x: (x * x + c) ** -k, [a, mpmath.inf]))
+                assert abs(tail - exact) <= 1e-14 * exact
 
     @pytest.mark.parametrize("ks,pinned", [
         ((1, 1), 1.3529040421410172),

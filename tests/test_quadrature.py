@@ -18,7 +18,6 @@ from itermellin.quadrature import (
     integrate_words,
     tail_word_integral,
     truncation_horizon,
-    word_integral_on_interval,
 )
 from itermellin.ratfun import AffineForm
 from itermellin.theta import (
@@ -65,13 +64,13 @@ def composition_split(word, s, cut: float, params: EvalParams | None = None) -> 
     for k in range(len(word) + 1):
         prefix, suffix = word[:k], word[k:]
         if prefix:
-            left, _ = word_integral_on_interval(prefix, s, lower_edges, params)
+            left = integrate_words(*exponent_columns((prefix,), [s]), params, lower_edges)[0][0, 0]
         else:
             left = 1.0 + 0.0j
         if suffix:
             t_max = max(truncation_horizon(suffix, s, params), 2.0 * cut)
             upper = doubling_edges(cut, t_max)
-            right, _ = word_integral_on_interval(suffix, s, upper, params)
+            right = integrate_words(*exponent_columns((suffix,), [s]), params, upper)[0][0, 0]
         else:
             right = 1.0 + 0.0j
         total += left * right
@@ -201,7 +200,9 @@ class TestIteratedWords:
     def test_interval_integral_refines(self):
         rie = make_builtin_theta("riemann")
         word = (Letter(rie, "tail", slot(0, 1)),)
-        val, err = word_integral_on_interval(word, (2.0,), (1.0, 2.0, 4.0), EvalParams())
+        values, errs = integrate_words(*exponent_columns((word,), [(2.0,)]), EvalParams(),
+                                       (1.0, 2.0, 4.0))
+        val, err = values[0, 0], errs[0, 0]
         assert err <= 1e-10
         # compare against the [1,inf) value minus the [4,inf) remainder bound
         full, _ = tail_word_integral(word, (2.0,), EvalParams())
@@ -225,6 +226,16 @@ class TestBatchedWords:
         values, errs = integrate_words(*exponent_columns((word,), points), EvalParams())
         for s, v, e in zip(points, values[:, 0], errs[:, 0]):
             assert (complex(v), float(e)) == tail_word_integral(word, s, EvalParams())
+
+    def test_letter_table_rejects_repeated_words(self):
+        """No two words of a table end at one prefix of its trie."""
+        rie = make_builtin_theta("riemann")
+        word = (Letter(rie, "full", slot(0, 2)), Letter(rie, "tail", slot(1, 2)))
+        same = (Letter(rie, "full", slot(0, 2)), Letter(rie, "tail", slot(1, 2)))
+        for words in [(word, word), (word, (), same), ((), ())]:
+            with pytest.raises(ValueError, match="distinct words"):
+                quadrature._Letters(words)
+        assert len(quadrature._Letters((word, (), word[:1])).words) == 3
 
 
 def exponent_columns(words, points):
