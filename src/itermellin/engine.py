@@ -17,12 +17,12 @@ boundary word is one term: both words are integrals along the same path
 Ann. Math. 68, 1958; Chen, Bull. AMS 83, 1977), and integrating the two
 halves apart and multiplying gives the same value from far fewer words.
 
-Evaluation lowers an expression once into a NumericPlan of float arrays
-and runs batches of points through it (lambda_eval_many); lambda_eval is
-the one-point call of that path.  All words of a batch go to the
-quadrature in one call, which integrates them mesh by mesh, sharing letter
-powers and word prefixes across words; lambda_eval_several does the same
-for the words of several expressions at one point.
+Evaluation lowers expressions into a NumericPlan of float arrays and runs
+batches of points through it: lambda_eval_many (lambda_eval at one point)
+through an expression's own plan, lambda_eval_several one point through one
+plan of several expressions, each summed on its own.  All words of a batch
+go to the quadrature in one call, which integrates them mesh by mesh,
+sharing letter powers and word prefixes across words.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class LambdaExpression:
     @cached_property
     def plan(self) -> "NumericPlan":
         """The expression lowered to flat float arrays, built on first use."""
-        return NumericPlan.lower(self)
+        return NumericPlan.lower((self,))
 
 
 def _affine(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -110,17 +110,19 @@ def _affine(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NumericPlan:
-    """A LambdaExpression as arrays, for evaluation at batches of points.
+    """LambdaExpressions of one slot count as arrays, for evaluation at
+    batches of points; ranges[j] holds the terms of expression j, summed
+    and judged on their own as in a plan of that expression alone.
 
-    Every affine quantity of the expression is one float row (const,
+    Every affine quantity of the expressions is one float row (const,
     coeffs...) of `rows`, so a single array operation per slot evaluates
-    all of them at every point: first the pole forms the guard checks,
-    then the tangent denominator forms, then the constant 1, then the
-    exponent columns of `letters`, the distinct words' letter table, built
-    once with the plan.  Tangent factors are sums of parts coeff /
-    prod(forms); each part lists the columns of its forms, padded with the
-    column of the constant 1.  Each term reads two words of the table, its
-    left and its right one, the empty word integrating to 1.
+    all of them at every point: first the pole forms the guard checks, in
+    order of first appearance, then the tangent denominator forms, then the
+    constant 1, then the exponent columns of `letters`, the distinct words'
+    letter table, built once with the plan.  Tangent factors are sums of
+    parts coeff / prod(forms); each part lists the columns of its forms,
+    padded with the column of the constant 1.  Each term reads two words of
+    the table, its left and its right one, the empty word integrating to 1.
     """
 
     letters: _Letters  # the distinct words' letter table
@@ -134,21 +136,28 @@ class NumericPlan:
     part_coeffs: np.ndarray  # complex coefficient of each tangent part
     part_cols: np.ndarray  # (parts, max forms per part) form columns
     part_tangent: np.ndarray  # (parts, tangents): 1 where a part belongs
+    ranges: tuple[tuple[int, int], ...]  # (first, end) term of each expression
 
     @staticmethod
-    def lower(expr: LambdaExpression) -> "NumericPlan":
+    def lower(exprs: Sequence[LambdaExpression]) -> "NumericPlan":
+        nslots = sorted({expr.nslots for expr in exprs})
+        if len(nslots) != 1:
+            raise ValueError(f"expressions of different slot counts {nslots} share no plan")
+        terms = [term for expr in exprs for term in expr.terms]
+        ends = np.cumsum([0] + [len(expr.terms) for expr in exprs]).tolist()
         word_ids: dict[Word, int] = {}
         # equal tangents are evaluated once, whichever objects hold them;
         # terms share few objects, so each object's terms are hashed once
         tangent_ids: dict[tuple, int] = {}
         term_tangent: dict[int, int] = {}  # id of a tangent object -> tangent id
-        for term in expr.terms:
+        for term in terms:
             word_ids.setdefault(term.left, len(word_ids))
             word_ids.setdefault(term.right, len(word_ids))
             if id(term.tangent) not in term_tangent:
                 term_tangent[id(term.tangent)] = tangent_ids.setdefault(
                     term.tangent.terms, len(tangent_ids))
-        guard = tuple(h for h in expr.pole_forms if not h.is_constant())
+        guard = tuple(dict.fromkeys(
+            h for expr in exprs for h in expr.pole_forms if not h.is_constant()))
         form_ids: dict[AffineForm, int] = {}
         parts = [
             (complex(c), [len(guard) + form_ids.setdefault(f, len(form_ids)) for f in forms], t)
@@ -164,19 +173,20 @@ class NumericPlan:
             part_cols[i, : len(cols)] = cols
             part_tangent[i, t] = 1.0
         blockers = guard + tuple(form_ids)
-        affine = blockers + (AffineForm.constant(1, expr.nslots),) + letters.exponents
+        affine = blockers + (AffineForm.constant(1, nslots[0]),) + letters.exponents
         return NumericPlan(
             letters=letters,
             rows=np.array([(float(f.const), *f.coeffs) for f in affine], dtype=float),
             blockers=blockers,
             guard_norms=np.array([h.grad_norm() for h in guard]),
-            term_left=np.array([word_ids[t.left] for t in expr.terms], dtype=int),
-            term_right=np.array([word_ids[t.right] for t in expr.terms], dtype=int),
-            term_tangent=np.array([term_tangent[id(t.tangent)] for t in expr.terms], dtype=int),
-            coeffs=np.array([float(t.coeff) for t in expr.terms]),
+            term_left=np.array([word_ids[t.left] for t in terms], dtype=int),
+            term_right=np.array([word_ids[t.right] for t in terms], dtype=int),
+            term_tangent=np.array([term_tangent[id(t.tangent)] for t in terms], dtype=int),
+            coeffs=np.array([float(t.coeff) for t in terms]),
             part_coeffs=np.array([c for c, _, _ in parts], dtype=complex),
             part_cols=part_cols,
             part_tangent=part_tangent,
+            ranges=tuple(zip(ends[:-1], ends[1:])),
         )
 
 
@@ -303,20 +313,25 @@ def _check_unresolved(
     sum |coeff * tangent| * (|I(other)| + e(other)) over its terms; a large
     half word can stop above abs_tol yet weigh little in the value.  Such a
     word serves when its error times that weight meets abs_tol, the share
-    of the bar that a word of weight 1 at abs_tol would add.  The first
-    word that does not serve, in the order in which integrate_words names
+    of the bar that a word of weight 1 at abs_tol would add.  Expressions
+    are judged in order, each over its own terms and words: the first word
+    that does not serve, in the order in which integrate_words names
     failures, raises its QuadratureError.
     """
     reach = np.abs(wvals) + werrs
-    weight = np.zeros_like(werrs)
-    np.add.at(weight.T, plan.term_left, (size * reach[:, plan.term_right]).T)
-    np.add.at(weight.T, plan.term_right, (size * reach[:, plan.term_left]).T)
-    for ks, rows in unresolved:
-        est = werrs[rows, ks]
-        # nan fails the comparison, so it fails here too
-        bad = np.flatnonzero(~(weight[rows, ks] * est <= params.abs_tol))
-        if bad.size:
-            raise refinement_failure(est[bad[0]], params)
+    for lo, hi in plan.ranges:
+        left, right = plan.term_left[lo:hi], plan.term_right[lo:hi]
+        weight = np.zeros_like(werrs)
+        np.add.at(weight.T, left, (size[:, lo:hi] * reach[:, right]).T)
+        np.add.at(weight.T, right, (size[:, lo:hi] * reach[:, left]).T)
+        mine = np.zeros(werrs.shape[1], dtype=bool)
+        mine[left] = mine[right] = True
+        for ks, rows in unresolved:
+            est = werrs[rows, ks]
+            # nan fails the comparison, so it fails here too
+            bad = np.flatnonzero(mine[ks] & ~(weight[rows, ks] * est <= params.abs_tol))
+            if bad.size:
+                raise refinement_failure(est[bad[0]], params)
 
 
 def _guard_and_tangents(
@@ -353,15 +368,17 @@ def _sum_terms(
     plan: NumericPlan, tangents: np.ndarray, wvals: np.ndarray, werrs: np.ndarray,
     unresolved: list, params: EvalParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Values and bars at the live points from the values and errors of
-    the plan's words, once every unresolved word of the plan is judged."""
+    """Values and bars, (live points, expressions), from the values and
+    errors of the plan's words, once every unresolved word is judged."""
     # coeff * tangent * I(left) * I(right), and the bar of that product:
     # |coeff * tangent| * (|I1| * e2 + |I2| * e1 + e1 * e2)
     scaled = plan.coeffs * tangents[:, plan.term_tangent]
     v1, v2 = wvals[:, plan.term_left], wvals[:, plan.term_right]
     e1, e2 = werrs[:, plan.term_left], werrs[:, plan.term_right]
-    values = (scaled * v1 * v2).sum(axis=1)
-    errs = (np.abs(scaled) * (np.abs(v1) * e2 + np.abs(v2) * e1 + e1 * e2)).sum(axis=1)
+    terms = scaled * v1 * v2
+    bars = np.abs(scaled) * (np.abs(v1) * e2 + np.abs(v2) * e1 + e1 * e2)
+    values = np.stack([terms[:, lo:hi].sum(axis=1) for lo, hi in plan.ranges], axis=1)
+    errs = np.stack([bars[:, lo:hi].sum(axis=1) for lo, hi in plan.ranges], axis=1)
     if unresolved:
         _check_unresolved(plan, np.abs(scaled), wvals, werrs, unresolved, params)
     return values, errs
@@ -369,15 +386,17 @@ def _sum_terms(
 
 def _eval_chunk(
     plan: NumericPlan, points: list[tuple[complex, ...]], params: EvalParams
-) -> list[tuple[complex, float] | PoleSignal]:
+) -> list[list[tuple[complex, float]] | PoleSignal]:
+    """At each point, the PoleSignal of the first blocked form, else the
+    value and error estimate of each of the plan's expressions."""
     out, live, exps, tangents = _guard_and_tangents(plan, points)
     if not live:
         return out
     unresolved: list = []  # words whose refinements run out, judged below
     wvals, werrs = integrate_words(plan.letters, exps, params, unresolved=unresolved)
     values, errs = _sum_terms(plan, tangents, wvals, werrs, unresolved, params)
-    for i, v, e in zip(live, values, errs):
-        out[i] = (complex(v), float(e))
+    for i, vs, es in zip(live, values.tolist(), errs.tolist()):
+        out[i] = list(zip(vs, es))
     return out
 
 
@@ -397,7 +416,8 @@ def lambda_eval_many(
     plan = expr.plan
     out: list[tuple[complex, float] | PoleSignal] = []
     for lo in range(0, len(points), BATCH_CHUNK):
-        out.extend(_eval_chunk(plan, points[lo : lo + BATCH_CHUNK], params))
+        for result in _eval_chunk(plan, points[lo : lo + BATCH_CHUNK], params):
+            out.append(result if isinstance(result, PoleSignal) else result[0])
     return out
 
 
@@ -416,48 +436,23 @@ def lambda_eval_several(
 ) -> list[tuple[complex, float]]:
     """Value and error estimate of each expression at one point s, in order.
 
-    The expressions share their slot count.  The distinct words of all of
-    them go to the quadrature in one call, over one letter table built for
-    this call; a word's value and estimate are those it has on its own, so
-    each result equals lambda_eval(expr, s, params).  Raises what
-    lambda_eval would: the PoleSignal of the first expression that has a
-    pole at s, else the numeric failure that integrate_words names first
+    The expressions share their slot count (ValueError otherwise) and are
+    lowered into one plan for this call, so the distinct words of all of
+    them go to the quadrature in one call; a word's value and estimate are
+    those it has on its own, and each expression's terms are summed on
+    their own, so each result equals lambda_eval(expr, s, params).  Raises
+    what lambda_eval would: the PoleSignal of the first expression that has
+    a pole at s, else the numeric failure that integrate_words names first
     among all the words, else the QuadratureError of the first expression
     with a word whose refinement ran out and which does not serve.
     """
-    params = params or EvalParams()
     if not exprs:
         return []
-    staged = []
-    exponents: dict[AffineForm, complex] = {}  # exponent form -> its value at s
-    for expr in exprs:
-        plan = expr.plan
-        out, _, exps, tangents = _guard_and_tangents(plan, [_as_point(s, expr.nslots)])
-        if out[0] is not None:
-            raise out[0]
-        for f, v in zip(plan.letters.exponents, exps[0].tolist()):
-            exponents.setdefault(f, v)
-        staged.append((plan, tangents))
-    words = tuple(dict.fromkeys(w for plan, _ in staged for w in plan.letters.words))
-    word_ids = {w: k for k, w in enumerate(words)}
-    letters = _Letters(words)
-    exps = np.array([[exponents[f] for f in letters.exponents]], dtype=complex)
-    unresolved: list = []
-    wvals, werrs = integrate_words(letters, exps, params, unresolved=unresolved)
-    results = []
-    for plan, tangents in staged:
-        ids = np.array([word_ids[w] for w in plan.letters.words], dtype=int)
-        mine = []  # the plan's unresolved words, numbered as the plan numbers them
-        if unresolved:
-            local = np.full(len(word_ids), -1, dtype=int)
-            local[ids] = np.arange(ids.size)
-            for ks, rows in unresolved:
-                keep = local[ks] >= 0
-                if keep.any():
-                    mine.append((local[ks][keep], rows[keep]))
-        values, errs = _sum_terms(plan, tangents, wvals[:, ids], werrs[:, ids], mine, params)
-        results.append((complex(values[0]), float(errs[0])))
-    return results
+    plan = NumericPlan.lower(exprs)
+    (result,) = _eval_chunk(plan, [_as_point(s, exprs[0].nslots)], params or EvalParams())
+    if isinstance(result, PoleSignal):
+        raise result
+    return result
 
 
 def lstar_eval(

@@ -12,9 +12,9 @@ ones they check: the real-analytic Eisenstein series is half the completed
 Mellin transform of a lattice theta, single completed zeta values come
 from the riemann theta, and the double completed-zeta values follow by a
 partial Mellin transform of that series along the imaginary axis, whose
-abscissae are evaluated in one engine call (xi_via_eisenstein), or by
-Eichler integrals of holomorphic Eisenstein series, whose tails the
-quadrature integrates directly.
+abscissae run through one plan of all their lattice expressions, each
+summed on its own (xi_via_eisenstein), or by Eichler integrals of
+holomorphic Eisenstein series, whose tails the quadrature integrates.
 """
 
 from __future__ import annotations
@@ -486,9 +486,9 @@ def xi_via_eisenstein(
 
     The integral runs over [1, 2], [2, 4] and [4, 8] by Gauss-Legendre
     rules of quad_order nodes.  E at all 3 * quad_order abscissae comes
-    from one engine call (engine.lambda_eval_several) on their cached
-    lattice expressions, and E0 = E - Einf as real_eisenstein forms it,
-    with the xi pair evaluated once for every abscissa.
+    from one plan of their cached lattice expressions (lambda_eval_several),
+    and E0 = E - Einf as real_eisenstein forms it, with the xi pair
+    evaluated once for every abscissa.
     """
     params = params or EvalParams()
     s1, s2 = complex(s1), complex(s2)

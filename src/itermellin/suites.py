@@ -182,26 +182,15 @@ def suite_shuffle(seed: int, trials: int, params: EvalParams) -> list[CaseResult
             u = tuple(range(p_len))
             v = tuple(range(p_len, p_len + q_len))
             merged = list(shuffle(u, v).terms)  # distinct indices: each once
-            # pole constraints for every expression involved
-            all_constraints: list[tuple[tuple, list[AffineForm]]] = []
+            # the poles of every expression involved, written in all p + q slots
+            forms = []
             for idx in [u, v] + merged:
-                sub = tuple(thetas[i] for i in idx)
-                all_constraints.append((idx, list(_expr(sub).pole_forms)))
-            for _try in range(200):
-                pt = tuple(
-                    complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-                    for _ in range(p_len + q_len)
-                )
-                ok = True
-                for idx, hs in all_constraints:
-                    sub_pt = tuple(pt[i] for i in idx)
-                    if any(h.distance(sub_pt) < 0.1 for h in hs):
-                        ok = False
-                        break
-                if ok:
-                    break
-            else:
-                continue
+                for h in _expr(tuple(thetas[i] for i in idx)).pole_forms:
+                    coeffs = [0] * (p_len + q_len)
+                    for i, c in zip(idx, h.coeffs):
+                        coeffs[i] = c
+                    forms.append(AffineForm.make(h.const, coeffs))
+            pt = _sample(rng, p_len + q_len, forms)
             left, _ = engine.lambda_eval(
                 _expr(tuple(thetas[i] for i in u)), tuple(pt[i] for i in u), params
             )

@@ -197,30 +197,3 @@ def regularize_closed(word: Word) -> WordSum:
         )
         total = total + block.scale((-1) ** (r - i))
     return total
-
-
-def expand_full(ws: WordSum) -> WordSum:
-    """Replace every full letter by its poly + tail decomposition."""
-
-    def expand_word(word: Word) -> WordSum:
-        out: dict[Word, int] = {(): 1}
-        for letter in word:
-            if letter.part == "full":
-                branch = (letter.with_part("poly"), letter.with_part("tail"))
-            else:
-                branch = (letter,)
-            out = {w + (b,): c for w, c in out.items() for b in branch}
-        return WordSum(out)
-
-    return ws.map_words(expand_word)
-
-
-def reverse_dualize(word: Word) -> Word:
-    """Reverse the word, dualize each theta, and reflect exponents e -> w - e."""
-    out = []
-    for letter in reversed(word):
-        w = letter.theta.weight
-        nslots = letter.exponent.nslots
-        reflected = AffineForm.constant(w, nslots) - letter.exponent
-        out.append(Letter(letter.theta.dual, letter.part, reflected, letter.coeff))
-    return tuple(out)

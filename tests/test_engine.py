@@ -628,6 +628,29 @@ class TestNumericPlan:
             lambda_eval_many(expr, points, P)
         assert len(built) == 1
 
+    def test_several_expressions_lower_into_one_plan(self, monkeypatch):
+        """lambda_eval_several builds one letter table and integrates once,
+        through none of the expressions' own plans."""
+        built, integrated = [], []
+        init = quadrature._Letters.__init__
+        monkeypatch.setattr(quadrature._Letters, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        integrate = engine.integrate_words
+        monkeypatch.setattr(engine, "integrate_words",
+                            lambda *args, **kw: integrated.append(args) or integrate(*args, **kw))
+        exprs = [build_expression(tuple(parse_theta_token(n) for n in pair))
+                 for pair in (("riemann", "riemann"), ("eisenstein:4", "delta"),
+                              ("jacobi:4", "riemann"))]
+        lambda_eval_several(exprs, (2.5 + 0.3j, 3.0 - 0.7j), P)
+        assert len(built) == 1 and len(integrated) == 1
+        assert all("plan" not in expr.__dict__ for expr in exprs)
+
+    def test_several_slot_counts_raise(self):
+        exprs = [build_expression((theta("riemann"),)),
+                 build_expression((theta("riemann"),) * 2)]
+        with pytest.raises(ValueError, match=r"slot counts \[1, 2\]"):
+            lambda_eval_several(exprs, (2.0,), P)
+
 
 class TestUnresolvedHalfWords:
     """A half word can be too large to meet abs_tol on its own and still

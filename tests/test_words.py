@@ -1,6 +1,4 @@
-"""Shuffle algebra, regularization, and word transforms."""
-
-from fractions import Fraction
+"""Shuffle algebra and regularization."""
 
 import numpy as np
 import pytest
@@ -10,10 +8,8 @@ from itermellin.theta import make_builtin_theta
 from itermellin.words import (
     Letter,
     WordSum,
-    expand_full,
     regularize,
     regularize_closed,
-    reverse_dualize,
     shuffle,
 )
 
@@ -139,55 +135,3 @@ class TestRegularize:
         lhs = regularize((a, b)) + regularize((b, a)).scale(2)
         rhs = regularize((a, b)) + regularize((b, a)) + regularize((b, a))
         assert lhs == rhs
-
-
-class TestExpandFull:
-    def test_one_full_letter(self):
-        a, b = letters(2)
-        word = (a, b.with_part("tail"))
-        got = expand_full(WordSum.single(word))
-        want = WordSum(
-            {
-                (a.with_part("poly"), b.with_part("tail")): 1,
-                (a.with_part("tail"), b.with_part("tail")): 1,
-            }
-        )
-        assert got == want
-
-    def test_idempotent(self):
-        a, b = letters(2)
-        ws = expand_full(WordSum.single((a, b)))
-        assert expand_full(ws) == ws
-
-    def test_regularized_words_end_in_tail_after_expansion(self):
-        rng = np.random.default_rng(4)
-        for length in (1, 2, 3, 4):
-            word = random_word(rng, length)
-            for w, _ in expand_full(regularize(word)).terms.items():
-                assert w[-1].part == "tail"
-                assert all(l.part in ("poly", "tail") for l in w)
-
-    def test_word_count_doubles_per_full_letter(self):
-        word = letters(3)
-        assert len(expand_full(WordSum.single(word))) == 8
-
-
-class TestReverseDualize:
-    def test_riemann_single(self):
-        rie = make_builtin_theta("riemann")
-        word = (Letter(rie, "full", AffineForm.slot(0, 1)),)
-        (out,) = reverse_dualize(word)
-        assert out.theta is rie
-        assert out.exponent == AffineForm.make(1, (-1,))  # 1 - s
-
-    def test_involution(self):
-        rng = np.random.default_rng(8)
-        word = random_word(rng, 3)
-        assert reverse_dualize(reverse_dualize(word)) == word
-
-    def test_jacobi_pair(self):
-        j2 = make_builtin_theta("jacobi2")
-        word = (Letter(j2, "full", AffineForm.slot(0, 1)),)
-        (out,) = reverse_dualize(word)
-        assert out.theta.name == "jacobi4"
-        assert out.exponent == AffineForm.make(Fraction(1, 2), (-1,))
