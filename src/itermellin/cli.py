@@ -37,9 +37,7 @@ EXIT_MULTIPLICITY = 5
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_PARSE):
-        self.code = code
-        super().__init__(message)
+    """A bad request: the CLI prints the message and exits EXIT_PARSE."""
 
 
 def _builtin_registry() -> dict[str, ThetaFunction]:
@@ -455,7 +453,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_PARSE
     except PoleSignal as exc:
         print(f"pole: evaluation point lies on {exc.form} = 0", file=sys.stderr)
         return EXIT_POLE

@@ -28,6 +28,7 @@ sharing letter powers and word prefixes across words.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -226,7 +227,7 @@ def _expand_boundary(
         if rc.is_zero():
             continue
         sign = (-1) ** (m - i)
-        for word, c in regularize(letters[:i]).terms.items():
+        for word, c in regularize(letters[:i]).items():
             out.append((sign * c, word, rc))
     return out
 
@@ -279,7 +280,7 @@ def poles(expr: LambdaExpression) -> list[AffineForm]:
 
 
 def _as_point(s, nslots: int) -> tuple[complex, ...]:
-    if isinstance(s, (int, float, complex, Fraction)):
+    if isinstance(s, numbers.Number):
         s = (s,)
     point = tuple(complex(x) for x in s)
     if len(point) != nslots:
@@ -606,7 +607,7 @@ def lambda_direct(
     point = _as_point(s, r)
     slots = [AffineForm.slot(i, r) for i in range(r)]
     full_word = tuple(Letter(thetas[i], "full", slots[i]) for i in range(r))
-    terms = regularize(full_word).terms
+    terms = regularize(full_word)
     letters = _Letters(tuple(terms))
     delta = min(_choose_delta(word, point, params) for word in letters.words)
     exps = letters.exponents_at(point)
@@ -708,7 +709,7 @@ def build_tail_expression(thetas: Sequence[ThetaFunction]) -> LambdaExpression:
             ]
         right = tuple(Letter(thetas[j], "tail", slots[j]) for j in range(k, r))
         for c, w in variants:
-            for merged, mult in shuffle(w, right).terms.items():
+            for merged, mult in shuffle(w, right).items():
                 for rc, ending in _normalize_ending(merged):
                     terms.append(LambdaTerm(c * mult, ending, (), rc))
     return LambdaExpression(thetas, tuple(terms), _collect_poles(terms))

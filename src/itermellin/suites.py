@@ -46,14 +46,15 @@ def _expr(thetas: tuple[ThetaFunction, ...]) -> engine.LambdaExpression:
     return engine.build_expression(thetas)
 
 
-def _sample(rng, nslots: int, forms, box: float = 3.0, margin: float = 0.1):
-    """Random complex point in the box, at least margin from every form."""
+def _sample(rng, nslots: int, forms):
+    """Random complex point with parts in [-3, 3], at least 0.1 from every
+    form."""
     for _ in range(1000):
         pt = tuple(
-            complex(rng.uniform(-box, box), rng.uniform(-box, box))
+            complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
             for _ in range(nslots)
         )
-        if all(h.distance(pt) >= margin for h in forms):
+        if all(h.distance(pt) >= 0.1 for h in forms):
             return pt
     raise RuntimeError("could not sample a point away from the hyperplanes")
 
@@ -181,7 +182,7 @@ def suite_shuffle(seed: int, trials: int, params: EvalParams) -> list[CaseResult
             thetas = tuple(_pool_theta(t) for t in tags)
             u = tuple(range(p_len))
             v = tuple(range(p_len, p_len + q_len))
-            merged = list(shuffle(u, v).terms)  # distinct indices: each once
+            merged = list(shuffle(u, v))  # distinct indices: each once
             # the poles of every expression involved, written in all p + q slots
             forms = []
             for idx in [u, v] + merged:
@@ -505,5 +506,5 @@ def run_suite(
             out.extend(SUITES[key](seed, trials, params))
         return out
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)} , all")
+        raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}, all")
     return SUITES[name](seed, trials, params)

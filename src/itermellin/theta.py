@@ -352,16 +352,6 @@ class ThetaFunction:
             return height + self.tail_envelope(), max(degree, self.tail.power_range[1], 0.0)
         raise ValueError(f"unknown part {part!r}")
 
-    def tail_partial_sum(self, t: float, n_groups: int) -> float:
-        """Partial tail sum over the first n_groups groups (for bound tests)."""
-        self.tail.ensure(n_groups)
-        mu, a, nu = self.tail._flat_arrays(n_groups)
-        tp = t**self.kernel_power
-        return float(np.sum(a * t**nu * np.exp(-mu * tp)))
-
-    def tail_remainder_bound(self, t: float, n_groups: int) -> float:
-        return self.tail.remainder_bound(t, n_groups, self.kernel_power)
-
     # -- metadata ----------------------------------------------------------
     def describe(self) -> dict:
         return {
@@ -384,15 +374,11 @@ def inversion_defect(theta: ThetaFunction, t: float, tol: float = 1e-10) -> floa
     return abs(lhs - rhs)
 
 
-def validate_inversion(
-    theta: ThetaFunction,
-    tol: float = VALIDATION_TOL,
-    points: Sequence[float] = VALIDATION_POINTS,
-) -> None:
-    for t in points:
-        defect = inversion_defect(theta, t, tol / 10)
-        if defect > tol:
-            raise ValidationError(theta.name, t, defect, tol)
+def validate_inversion(theta: ThetaFunction) -> None:
+    for t in VALIDATION_POINTS:
+        defect = inversion_defect(theta, t, VALIDATION_TOL / 10)
+        if defect > VALIDATION_TOL:
+            raise ValidationError(theta.name, t, defect, VALIDATION_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +695,9 @@ def d_w(theta: ThetaFunction) -> ThetaFunction:
     return _paired(_d_w_raw, theta)
 
 
-def _lattice_index(series: TailSeries, delta: float, nprobe: int = 32) -> None:
-    for n in range(1, nprobe + 1):
+def _lattice_index(series: TailSeries, delta: float) -> None:
+    """Check that the first 32 frequencies lie on the lattice delta * Z."""
+    for n in range(1, 33):
         g = series.group(n)
         if g is None:
             return
@@ -873,9 +860,9 @@ class TailConvolution:
 
         return self._panel_quad(integrand, lo, hi)
 
-    def mellin(self, s: complex, tol: float | None = None) -> complex:
+    def mellin(self, s: complex) -> complex:
         """Mellin transform of the convolution by outer log-grid quadrature."""
-        tol = tol or self.tol
+        tol = self.tol
         w1 = float(self.t1.weight + self.t1.growth("poly")[1])
         w2 = float(self.t2.weight + self.t2.growth("poly")[1])
         drop = s.real - (w1 + w2)

@@ -1,10 +1,12 @@
 """Words of one-form letters, the shuffle product, and regularization.
 
 A letter stands for the one-form theta_part(t) * t^(e-1) dt where e is an
-affine form in the slot variables; words are tuples of letters and formal
-sums of words carry integer coefficients.  Regularization rewrites a word of
-full letters into a sum of words whose rightmost letter is a tail letter,
-plus the polynomial bookkeeping that the tangent-space integrals consume.
+affine form in the slot variables; words are tuples of letters, and a formal
+sum of words is a plain dict from each word to its nonzero integer
+coefficient, in the order the words first arise.  Regularization rewrites a
+word of full letters into a sum of words whose rightmost letter is a tail
+letter, plus the polynomial bookkeeping that the tangent-space integrals
+consume.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator
 
 from .ratfun import AffineForm
 from .theta import ThetaFunction
@@ -50,78 +51,12 @@ class Letter:
     def with_part(self, part: str) -> "Letter":
         return Letter(self.theta, part, self.exponent)
 
-    def shifted(self, delta) -> "Letter":
-        return Letter(self.theta, self.part, self.exponent.shift(delta), self.coeff)
-
     def label(self) -> str:
         tag = {"full": "F", "tail": "T", "poly": "P", "mono": "M"}[self.part]
         return f"{tag}[{self.theta.name};{self.exponent}]"
 
 
 Word = tuple[Letter, ...]
-
-
-class WordSum:
-    """Formal integer combination of words, canonically merged."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Word, int] | None = None):
-        self.terms: dict[Word, int] = {w: c for w, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def zero() -> "WordSum":
-        return WordSum()
-
-    @staticmethod
-    def single(word: Word, coeff: int = 1) -> "WordSum":
-        return WordSum({tuple(word): coeff})
-
-    def __add__(self, other: "WordSum") -> "WordSum":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return WordSum(out)
-
-    def __sub__(self, other: "WordSum") -> "WordSum":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "WordSum":
-        return WordSum({w: c * k for w, k in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WordSum) and self.terms == other.terms
-
-    def __iter__(self) -> Iterator[tuple[Word, int]]:
-        return iter(sorted(self.terms.items(), key=lambda kv: _word_key(kv[0])))
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def total_terms(self) -> int:
-        return sum(abs(c) for c in self.terms.values())
-
-    def map_words(self, fn) -> "WordSum":
-        out: dict[Word, int] = {}
-        for w, c in self.terms.items():
-            for w2, c2 in fn(w).terms.items():
-                out[w2] = out.get(w2, 0) + c * c2
-        return WordSum(out)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w, c in self:
-            body = ".".join(l.label() for l in w) or "1"
-            sign = "-" if c < 0 else ("+" if bits else "")
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            bits.append(f"{sign}{mag}{body}")
-        return " ".join(bits)
-
-
-def _word_key(word: Word):
-    return tuple((l.theta.name, l.part, str(l.exponent)) for l in word)
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +73,7 @@ def _interleavings(p: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def shuffle(u: Word, v: Word) -> WordSum:
+def shuffle(u: Word, v: Word) -> dict[Word, int]:
     """Sum over all interleavings of u and v preserving internal orders.
 
     Words arising from several interleavings (repeated letters) merge at
@@ -149,10 +84,10 @@ def shuffle(u: Word, v: Word) -> WordSum:
     for pattern in _interleavings(len(u), len(uv) - len(u)):
         word = tuple(map(uv.__getitem__, pattern))
         out[word] = out.get(word, 0) + 1
-    return WordSum(out)
+    return out
 
 
-def regularize(word: Word) -> WordSum:
+def regularize(word: Word) -> dict[Word, int]:
     """Regularization of a word of full letters.
 
     reg(L1..Ln) = L1 . reg(L2..Ln) - Ln_poly . reg(L1..L(n-1)), with
@@ -165,7 +100,7 @@ def regularize(word: Word) -> WordSum:
     if any(l.part != "full" for l in word):
         raise ValueError("regularize expects full letters")
     if not word:
-        return WordSum.single(())
+        return {(): 1}
     poly = [l.with_part("poly") for l in word]
     # level[i]: (word, coeff) pairs of reg(word[i : i + length])
     level = [[((l.with_part("tail"),), 1)] for l in word]
@@ -175,25 +110,4 @@ def regularize(word: Word) -> WordSum:
             + [((poly[i + length - 1],) + w, -c) for w, c in level[i]]
             for i in range(len(word) - length + 1)
         ]
-    return WordSum(dict(level[0]))
-
-
-def regularize_closed(word: Word) -> WordSum:
-    """Closed shuffle form of the regularization, for cross-checking.
-
-    Sum over i of (-1)^(r-i) ((L1..L(i-1)) sh (Lr_poly..L(i+1)_poly)) . Li_tail.
-    """
-    word = tuple(word)
-    if not word:
-        return WordSum.single(())
-    total = WordSum.zero()
-    r = len(word)
-    for i in range(1, r + 1):
-        prefix = word[: i - 1]
-        suffix = tuple(l.with_part("poly") for l in reversed(word[i:]))
-        tailed = word[i - 1].with_part("tail")
-        block = shuffle(prefix, suffix).map_words(
-            lambda w: WordSum.single(w + (tailed,))
-        )
-        total = total + block.scale((-1) ** (r - i))
-    return total
+    return dict(level[0])

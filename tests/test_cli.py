@@ -207,6 +207,14 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "nope")
         assert code == 2
 
+    def test_unknown_suite_lists_the_suites(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "nope")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: unknown suite 'nope'; known: functional, shuffle, residues, "
+            "eisenstein-id, mzv, qsums, eichler, binding, all\n"
+        )
+
     def test_deterministic_json(self, capsys):
         args = ("verify", "--suite", "residues", "--seed", "5", "--trials", "3",
                 "--format", "json")

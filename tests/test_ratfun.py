@@ -231,6 +231,6 @@ class TestShuffleCompatibility:
         for _ in range(5):
             pt = tuple(complex(rng.uniform(0.5, 3), rng.uniform(-1, 1)) for _ in range(3))
             total = 0j
-            for word, c in shuffle(u, v).terms.items():
+            for word, c in shuffle(u, v).items():
                 total += c * complex(tangent_word_integral(word)(pt))
             assert abs(complex(left(pt)) * complex(right(pt)) - total) < 1e-12
