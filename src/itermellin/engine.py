@@ -432,24 +432,38 @@ def lambda_eval(
     return result
 
 
+# the last (expressions, plan) pair of lambda_eval_several; holding the
+# expressions keeps their ids from being reused while the pair lives, and
+# comparing by identity spares hashing them, which walks every term
+_several_plan: tuple[tuple[LambdaExpression, ...], NumericPlan | None] = ((), None)
+
+
 def lambda_eval_several(
     exprs: Sequence[LambdaExpression], s, params: EvalParams | None = None
 ) -> list[tuple[complex, float]]:
     """Value and error estimate of each expression at one point s, in order.
 
     The expressions share their slot count (ValueError otherwise) and are
-    lowered into one plan for this call, so the distinct words of all of
-    them go to the quadrature in one call; a word's value and estimate are
-    those it has on its own, and each expression's terms are summed on
-    their own, so each result equals lambda_eval(expr, s, params).  Raises
-    what lambda_eval would: the PoleSignal of the first expression that has
-    a pole at s, else the numeric failure that integrate_words names first
-    among all the words, else the QuadratureError of the first expression
-    with a word whose refinement ran out and which does not serve.
+    lowered into one plan, so the distinct words of all of them go to the
+    quadrature in one call; a word's value and estimate are those it has on
+    its own, and each expression's terms are summed on their own, so each
+    result equals lambda_eval(expr, s, params).  The last plan is kept, and
+    a call whose expressions are the kept ones, the same objects in the
+    same order, reuses it.  Raises what lambda_eval would: the PoleSignal
+    of the first expression that has a pole at s, else the numeric failure
+    that integrate_words names first among all the words, else the
+    QuadratureError of the first expression with a word whose refinement
+    ran out and which does not serve.
     """
+    global _several_plan
     if not exprs:
         return []
-    plan = NumericPlan.lower(exprs)
+    exprs = tuple(exprs)
+    # one read of the kept pair: threads that race at worst lower twice
+    kept, plan = _several_plan
+    if len(kept) != len(exprs) or any(a is not b for a, b in zip(kept, exprs)):
+        plan = NumericPlan.lower(exprs)
+        _several_plan = (exprs, plan)
     (result,) = _eval_chunk(plan, [_as_point(s, exprs[0].nslots)], params or EvalParams())
     if isinstance(result, PoleSignal):
         raise result

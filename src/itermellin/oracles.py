@@ -5,7 +5,9 @@ to check: multiple quadratic sums and multiple zeta values by direct
 summation with integral-comparison tails, double Dirichlet series by
 direct summation, and the hypergeometric binding identity by quadrature.
 The quadratic sums form each block of rows of 1/(m^2 + c^2) once and raise
-it to the k-th power by multiplication (_inner_quadratic).
+it through the powers they need by multiplication (_inner_quadratic);
+the depth-2 sums of one q_sums call share that one grid of reciprocals.
+A double Dirichlet series reads (m + n)^-s from one table over m + n.
 
 The Eisenstein routes use the length-1 engine on other thetas than the
 ones they check: the real-analytic Eisenstein series is half the completed
@@ -120,28 +122,33 @@ def _inv_quad_integral(a: float, c2: np.ndarray, k: int) -> np.ndarray:
     return a ** (1 - 2 * k) / (2 * k - 1) * hyp2f1(k, k - 0.5, k + 0.5, -c2 / (a * a))
 
 
-# rows of (m^2 + c2)^-k formed at a time: 16 rows of a 4000-term cut fill
-# 512 KB, which stays in cache while the row is raised to its power
+# rows of 1/(m^2 + c2) formed at a time: 16 rows of a 4000-term cut fill
+# 512 KB, which stays in cache while the rows are raised to their powers
 _QUAD_ROWS = 16
 
 
-def _inner_quadratic(c2: np.ndarray, k: int, cut: int) -> np.ndarray:
-    """sum_{m>=1} (m^2 + c2)^-k at each entry of c2: the first cut terms
-    summed directly, the rest by the midpoint integral tail from cut + 1/2.
+def _inner_quadratic(c2: np.ndarray, ks: Sequence[int], cut: int) -> dict[int, np.ndarray]:
+    """{k: sum_{m>=1} (m^2 + c2)^-k at each entry of c2} for each k of ks:
+    the first cut terms summed directly, the rest by the midpoint integral
+    tail from cut + 1/2.
 
-    Each block of _QUAD_ROWS rows forms 1/(m^2 + c2) once and raises it to
-    the k-th power by k - 1 multiplications, not by pow.
+    Each block of _QUAD_ROWS rows forms 1/(m^2 + c2) once and raises it
+    through the powers 1, 2, ..., max(ks) by successive multiplications,
+    not by pow, summing it at each power asked for.
     """
+    out = {k: np.empty_like(c2) for k in sorted(set(ks))}
+    top = max(out)
     ms2 = np.arange(1.0, cut + 1.0) ** 2
-    out = np.empty_like(c2)
     for lo in range(0, c2.size, _QUAD_ROWS):
         hi = min(lo + _QUAD_ROWS, c2.size)
         inv = 1.0 / (ms2[None, :] + c2[lo:hi, None])
-        power = inv.copy() if k > 1 else inv
-        for _ in range(k - 1):
-            power *= inv
-        out[lo:hi] = power.sum(axis=1)
-    return out + _inv_quad_integral(cut + 0.5, c2, k)
+        power = inv.copy() if top > 1 else inv
+        for k in range(1, top + 1):
+            if k in out:
+                out[k][lo:hi] = power.sum(axis=1)
+            if k < top:
+                power *= inv
+    return {k: sums + _inv_quad_integral(cut + 0.5, c2, k) for k, sums in out.items()}
 
 
 def q_sum(ks: Sequence[int], tol: float = 1e-8) -> float:
@@ -152,52 +159,84 @@ def q_sum(ks: Sequence[int], tol: float = 1e-8) -> float:
     integral-comparison tail, outer tails likewise by integral comparison.
     """
     ks = tuple(int(k) for k in ks)
-    if not ks or any(k < 1 for k in ks):
-        raise ValueError("quadratic sum exponents must be >= 1")
-    r = len(ks)
-    if r == 1:
-        return _zeta_direct(2 * ks[0])
-    if r == 2:
-        k1, k2 = ks
-        cut_m, cut_n = 4000, 4000
-        n = np.arange(1.0, cut_n + 1.0)
-        inner = _inner_quadratic(n**2, k1, cut_m)
-        head = float(np.sum(inner * n ** float(-2 * k2)))
-        # outer tail: integrate y -> (int_{1/2}^inf dx/(x^2+y^2)^k1) * y^(-2k2)
-        xs, ws = leggauss(64)
-        a = cut_n + 0.5
-        tail = 0.0
-        for lo, hi in ((a, 2 * a), (2 * a, 8 * a), (8 * a, 64 * a), (64 * a, 1024 * a)):
-            ys = 0.5 * (xs + 1.0) * (hi - lo) + lo
-            vals = _inv_quad_integral(0.5, ys * ys, k1) * ys ** (-2.0 * k2)
-            tail += float(np.dot(ws, vals)) * (hi - lo) / 2
-        # beyond 1024a the integrand is below y^(1-2k1-2k2)
-        rest_exp = 2 * k1 + 2 * k2 - 2
-        rest = (1024 * a) ** (-rest_exp) / rest_exp * 2.0
-        estimate = 4.0 / cut_m**3 + 4.0 / cut_n**3 + rest
-        if estimate > tol:
-            raise SummationBudgetError(
-                f"q_sum budget reaches accuracy {estimate:.2e} > tol {tol:.1e}"
-            )
-        return head + tail
-    if r == 3:
-        k1, k2, k3 = ks
-        cut = 220
-        cut_m = 1500
-        n2 = np.arange(1.0, cut + 1.0)
-        n3 = np.arange(1.0, cut + 1.0)
-        g2, g3 = np.meshgrid(n2, n3, indexing="ij")
-        c2 = (g2**2 + g3**2).ravel()
-        inner = _inner_quadratic(c2, k1, cut_m)
-        weights = (c2 ** float(-k2)) * (g3.ravel() ** float(-2 * k3))
-        head = float(np.sum(inner * weights))
-        estimate = 20.0 / cut ** (2 * min(k2 + k3, k1 + k3) + 1) + 2.0 / cut_m**3
-        if estimate > tol:
-            raise SummationBudgetError(
-                f"depth-3 q_sum accuracy {estimate:.2e} > tol {tol:.1e}"
-            )
-        return head
-    raise ValueError("q_sum supports depth <= 3")
+    return q_sums((ks,), tol)[ks]
+
+
+# the depth-2 cuts: n runs to _Q2_CUT_N, and the inner sum over m is cut
+# at _Q2_CUT_M
+_Q2_CUT_M, _Q2_CUT_N = 4000, 4000
+
+
+def q_sums(kss: Sequence[Sequence[int]], tol: float = 1e-8) -> dict[tuple[int, ...], float]:
+    """{ks: q_sum(ks, tol)} for each exponent tuple of kss.
+
+    All depth-2 sums share one _inner_quadratic pass over the same n, which
+    forms each block of reciprocals 1/(m^2 + n^2) once for every k1 they
+    ask for; each value equals the one its sum has alone.
+    """
+    kss = [tuple(int(k) for k in ks) for ks in kss]
+    for ks in kss:
+        if not ks or any(k < 1 for k in ks):
+            raise ValueError("quadratic sum exponents must be >= 1")
+        if len(ks) > 3:
+            raise ValueError("q_sum supports depth <= 3")
+    n = np.arange(1.0, _Q2_CUT_N + 1.0)
+    k1s = [ks[0] for ks in kss if len(ks) == 2]
+    inner = _inner_quadratic(n**2, k1s, _Q2_CUT_M) if k1s else {}
+    out = {}
+    for ks in kss:
+        if len(ks) == 1:
+            out[ks] = _zeta_direct(2 * ks[0])
+        elif len(ks) == 2:
+            out[ks] = _q_sum2(ks, inner[ks[0]], n, tol)
+        else:
+            out[ks] = _q_sum3(ks, tol)
+    return out
+
+
+def _q_sum2(ks: tuple[int, int], inner: np.ndarray, n: np.ndarray, tol: float) -> float:
+    """Q(k1, k2) from the inner sums over m at each n: the head, then the
+    outer tail by integral comparison."""
+    k1, k2 = ks
+    head = float(np.sum(inner * n ** float(-2 * k2)))
+    # outer tail: integrate y -> (int_{1/2}^inf dx/(x^2+y^2)^k1) * y^(-2k2)
+    xs, ws = leggauss(64)
+    a = _Q2_CUT_N + 0.5
+    tail = 0.0
+    for lo, hi in ((a, 2 * a), (2 * a, 8 * a), (8 * a, 64 * a), (64 * a, 1024 * a)):
+        ys = 0.5 * (xs + 1.0) * (hi - lo) + lo
+        vals = _inv_quad_integral(0.5, ys * ys, k1) * ys ** (-2.0 * k2)
+        tail += float(np.dot(ws, vals)) * (hi - lo) / 2
+    # beyond 1024a the integrand is below y^(1-2k1-2k2)
+    rest_exp = 2 * k1 + 2 * k2 - 2
+    rest = (1024 * a) ** (-rest_exp) / rest_exp * 2.0
+    estimate = 4.0 / _Q2_CUT_M**3 + 4.0 / _Q2_CUT_N**3 + rest
+    if estimate > tol:
+        raise SummationBudgetError(
+            f"q_sum budget reaches accuracy {estimate:.2e} > tol {tol:.1e}"
+        )
+    return head + tail
+
+
+def _q_sum3(ks: tuple[int, int, int], tol: float) -> float:
+    """Q(k1, k2, k3) by a direct head over a square of (n2, n3); the
+    budget check bounds what it leaves out."""
+    k1, k2, k3 = ks
+    cut = 220
+    cut_m = 1500
+    n2 = np.arange(1.0, cut + 1.0)
+    n3 = np.arange(1.0, cut + 1.0)
+    g2, g3 = np.meshgrid(n2, n3, indexing="ij")
+    c2 = (g2**2 + g3**2).ravel()
+    inner = _inner_quadratic(c2, (k1,), cut_m)[k1]
+    weights = (c2 ** float(-k2)) * (g3.ravel() ** float(-2 * k3))
+    head = float(np.sum(inner * weights))
+    estimate = 20.0 / cut ** (2 * min(k2 + k3, k1 + k3) + 1) + 2.0 / cut_m**3
+    if estimate > tol:
+        raise SummationBudgetError(
+            f"depth-3 q_sum accuracy {estimate:.2e} > tol {tol:.1e}"
+        )
+    return head
 
 
 def reduce_d_to_q(ls: Sequence[int]) -> dict[tuple[int, ...], int]:
@@ -258,12 +297,13 @@ def dirichlet_double(
     m = np.arange(1, cut + 1, dtype=float)
     avals = np.array([a_fn(i) for i in range(1, cut + 1)], dtype=float)
     bvals = np.array([b_fn(i) for i in range(1, cut + 1)], dtype=float)
+    # (m + n)^-s depends on m + n alone, which runs from 2 to 2 * cut: row
+    # m = i + 1 reads its cut entries from one table
+    powers = np.arange(1.0, 2 * cut + 1.0) ** (-s)
     total = 0.0 + 0.0j
     for i in range(cut):
         mm = i + 1.0
-        total += avals[i] * mm ** float(-k) * np.sum(
-            bvals * (mm + m) ** (-s)
-        )
+        total += avals[i] * mm ** float(-k) * np.sum(bvals * powers[i + 1 : i + 1 + cut])
     # tail bounds by integral comparison with the growth envelopes
     sr = s.real
     tail_n = ma * mb * (

@@ -358,7 +358,7 @@ def suite_qsums(seed: int, trials: int, params: EvalParams) -> list[CaseResult]:
     e1, e2 = _expr((rie,)), _expr((rie,) * 2)
 
     # each distinct sum once; Q(1,1) and Q(2,1) serve two cases each
-    q = {ks: oracles.q_sum(ks, 1e-8) for ks in ((1, 1), (1, 2), (2, 1), (3, 1))}
+    q = oracles.q_sums(((1, 1), (1, 2), (2, 1), (3, 1)), 1e-8)
     d22, _ = engine.lambda_eval(td, (2.0, 2.0), params)
     out.append(_case("qsums", "pi^2 D(2,2) = Q(1,1)", abs(PI**2 * d22 - q[1, 1]), 1e-7))
     d24, _ = engine.lambda_eval(td, (2.0, 4.0), params)
@@ -451,13 +451,13 @@ def suite_eichler(seed: int, trials: int, params: EvalParams) -> list[CaseResult
 def suite_binding(seed: int, trials: int, params: EvalParams) -> list[CaseResult]:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials or 10):
+    for _ in range(trials):
         p_ = int(rng.integers(1, 5))
         m = int(rng.integers(1, 9))
         n = int(rng.integers(1, 9))
         s = complex(rng.uniform(0.4, 3.0), rng.uniform(-2.0, 2.0))
         worst = max(worst, oracles.binding_lemma_defect(p_, m, n, s))
-    out = [_case("binding", f"hypergeometric identity, {trials or 10} draws", worst, 1e-9)]
+    out = [_case("binding", f"hypergeometric identity, {trials} draws", worst, 1e-9)]
 
     g4 = make_builtin_theta("eisenstein", 4)
     a0 = 1.0 / 240.0
@@ -499,6 +499,10 @@ SUITES: dict[str, Callable[[int, int, EvalParams], list[CaseResult]]] = {
 def run_suite(
     name: str, seed: int = 0, trials: int = 20, params: EvalParams | None = None
 ) -> list[CaseResult]:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     params = params or EvalParams()
     if name == "all":
         out = []

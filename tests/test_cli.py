@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import itermellin
 from itermellin.cli import main
 
@@ -221,6 +223,18 @@ class TestVerify:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--trials", "0", "trials must be at least 1, got 0"),
+        ("--trials", "-1", "trials must be at least 1, got -1"),
+        ("--seed", "-1", "seed must be non-negative, got -1"),
+    ], ids=["trials-0", "trials-minus-1", "seed-minus-1"])
+    def test_verify_that_checks_nothing_exits_2(self, capsys, flag, value, message):
+        """A run of no trials would pass having evaluated nothing, and numpy
+        would reject a negative seed without naming it."""
+        code, out, err = run(capsys, "verify", "--suite", "functional", f"{flag}={value}")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestTable:

@@ -664,6 +664,27 @@ class TestNumericPlan:
         assert len(built) == 1 and len(integrated) == 1
         assert all("plan" not in expr.__dict__ for expr in exprs)
 
+    def test_several_expressions_keep_their_plan(self, monkeypatch):
+        """A second call on the same expressions, in a new list, builds no
+        letter table; a call on other expressions builds one, and then only
+        its plan is kept."""
+        built = []
+        init = quadrature._Letters.__init__
+        monkeypatch.setattr(quadrature._Letters, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        monkeypatch.setattr(engine, "_several_plan", ((), None))
+        first = [build_expression((theta("riemann"),) * 2),
+                 build_expression((theta("eisenstein", 4), theta("delta")))]
+        other = [first[1], build_expression((theta("jacobi4"), theta("riemann")))]
+        point = (2.5 + 0.3j, 3.0 - 0.7j)
+        want = {id(e): lambda_eval(e, point, P) for e in first + other}
+        built.clear()
+        for exprs, want_built in ((first, 1), (list(first), 1), (other, 2), (first, 3)):
+            got = lambda_eval_several(exprs, point, P)
+            assert len(built) == want_built
+            assert engine._several_plan[0] == tuple(exprs)
+            assert got == [want[id(e)] for e in exprs]
+
     def test_several_slot_counts_raise(self):
         exprs = [build_expression((theta("riemann"),)),
                  build_expression((theta("riemann"),) * 2)]
@@ -746,11 +767,24 @@ class TestConcurrency:
                  id(mixed): build_expression(tuple(theta(n) for n in names))}
         serial = [lambda_eval(twins.get(id(expr), expr), pt, params)[0]
                   for expr, pt, params in jobs]
+        # runs of three calls that alternate between two lists race for the
+        # one kept several-expression plan: later calls of a run may find
+        # their list kept while the first is still lowering its plan
+        lists = ([e2, build_expression((j2, rie))],
+                 [build_expression((theta("eisenstein", 4), theta("delta"))), e2])
+        several = [(lists[k // 3 % 2], (2.5 + 0.1j * k, 3.0 - 0.2j * k), P) for k in range(12)]
+        serial += [[lambda_eval(e, pt, params)[0] for e in exprs] for exprs, pt, params in several]
+
+        def run(job):
+            if isinstance(job[0], list):
+                return [value for value, _ in lambda_eval_several(*job)]
+            return lambda_eval(*job)[0]
+
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # threads interleave often
         try:
             with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-                parallel = list(pool.map(lambda job: lambda_eval(*job)[0], jobs))
+                parallel = list(pool.map(run, jobs + several))
         finally:
             sys.setswitchinterval(switch)
         assert serial == parallel

@@ -47,15 +47,17 @@ class TestQSums:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_inner_kernel_against_plain_sum(self, k):
-        """The reciprocal-power kernel against a term-by-term Python sum
-        plus the closed-form tail from cut + 1/2, and that tail against an
-        mpmath quadrature, also from q_sum's inner cut, 4000 + 1/2, where a
-        reduction formula in k cancels at small c2 (84 times the tail at
-        c2 = 1, k = 3)."""
+        """The reciprocal-power kernel, asked for the powers 1, 2 and 3 in
+        one call, against a term-by-term Python sum plus the closed-form
+        tail from cut + 1/2, and that tail against an mpmath quadrature,
+        also from q_sum's inner cut, 4000 + 1/2, where a reduction formula
+        in k cancels at small c2 (84 times the tail at c2 = 1, k = 3)."""
         mpmath = pytest.importorskip("mpmath")
         cut = 50
         c2 = np.array([1.0, 2.0, 5.0, 37.0, 1e4])
-        got = oracles._inner_quadratic(c2, k, cut)
+        sums = oracles._inner_quadratic(c2, (1, 2, 3), cut)
+        assert list(sums) == [1, 2, 3]
+        got = sums[k]
         tails = oracles._inv_quad_integral(cut + 0.5, c2, k)
         for c, value, tail in zip(c2.tolist(), got.tolist(), tails.tolist()):
             total = sum((m * m + c) ** -k for m in range(1, cut + 1)) + tail
@@ -77,6 +79,72 @@ class TestQSums:
         # recorded when (m^2 + c^2)^-k was formed by pow and the tails by a
         # scalar loop
         assert abs(oracles.q_sum(ks, 1e-8) - pinned) <= 1e-14 * pinned
+
+
+def _inner_one_power(c2, k, cut):
+    """The inner sums of one power k, one block of 16 rows at a time, as
+    they were formed before several powers shared a pass."""
+    ms2 = np.arange(1.0, cut + 1.0) ** 2
+    out = np.empty_like(c2)
+    for lo in range(0, c2.size, 16):
+        hi = min(lo + 16, c2.size)
+        inv = 1.0 / (ms2[None, :] + c2[lo:hi, None])
+        power = inv.copy() if k > 1 else inv
+        for _ in range(k - 1):
+            power *= inv
+        out[lo:hi] = power.sum(axis=1)
+    return out + oracles._inv_quad_integral(cut + 0.5, c2, k)
+
+
+def _q_sum_alone(ks):
+    """Q(ks) of depth 1 or 2 by its own arithmetic, one sum at a time."""
+    if len(ks) == 1:
+        ns = np.arange(1, 20001, dtype=float)
+        return float(np.sum(ns ** -float(2 * ks[0]))) + 20000.5 ** (1 - 2 * ks[0]) / (2 * ks[0] - 1)
+    k1, k2 = ks
+    n = np.arange(1.0, 4001.0)
+    head = float(np.sum(_inner_one_power(n**2, k1, 4000) * n ** float(-2 * k2)))
+    xs, ws = np.polynomial.legendre.leggauss(64)
+    a = 4000.5
+    tail = 0.0
+    for lo, hi in ((a, 2 * a), (2 * a, 8 * a), (8 * a, 64 * a), (64 * a, 1024 * a)):
+        ys = 0.5 * (xs + 1.0) * (hi - lo) + lo
+        vals = oracles._inv_quad_integral(0.5, ys * ys, k1) * ys ** (-2.0 * k2)
+        tail += float(np.dot(ws, vals)) * (hi - lo) / 2
+    return head + tail
+
+
+class TestSharedSums:
+    """q_sums shares one pass of reciprocals among its depth-2 sums, and
+    dirichlet_double reads (m+n)^-s from one table; neither moves a bit."""
+
+    def test_q_sums_equal_each_sum_alone(self):
+        kss = ((1, 1), (1, 2), (2, 1), (3, 1), (2,), (3,), (4,))
+        got = oracles.q_sums(kss, 1e-8)
+        assert list(got) == list(kss)
+        assert got == {ks: _q_sum_alone(ks) for ks in kss}
+        assert oracles.q_sum((2, 1), 1e-8) == got[2, 1]
+
+    def test_q_sums_checks_every_entry(self):
+        with pytest.raises(ValueError):
+            oracles.q_sums(((1, 1), (0, 1)))
+        with pytest.raises(oracles.SummationBudgetError):
+            oracles.q_sums(((1, 1), (1, 1, 1)), 1e-12)
+
+    @pytest.mark.parametrize("k,s", [(2, 9.0), (1, 10.0), (2, 9.3 + 0.7j)])
+    def test_dirichlet_double_equals_row_by_row_powers(self, k, s):
+        def sigma3(n):
+            return float(divisor_sigma(3, n))
+
+        d, dd = oracles.dirichlet_double(sigma3, sigma3, k, s, 1e-8)
+        cut = 600
+        m = np.arange(1, cut + 1, dtype=float)
+        vals = np.array([sigma3(i) for i in range(1, cut + 1)])
+        total = 0.0 + 0.0j
+        for i in range(cut):
+            mm = i + 1.0
+            total += vals[i] * mm ** float(-k) * np.sum(vals * (mm + m) ** (-complex(s)))
+        assert d == total
 
 
 class TestReduction:

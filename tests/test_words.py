@@ -146,8 +146,11 @@ class TestRegularize:
         with pytest.raises(ValueError):
             regularize((a.with_part("tail"),))
 
-    def test_linearity(self):
-        a, b = letters(2)
-        lhs = combine((1, regularize((a, b))), (2, regularize((b, a))))
-        rhs = combine((1, regularize((a, b))), (1, regularize((b, a))), (1, regularize((b, a))))
-        assert lhs == rhs
+    def test_coefficient_sums(self):
+        """Of r distinct letters, the cut at i gives C(r-1, i-1) distinct
+        shuffles of sign (-1)^(r-i): the coefficients sum to 1 at r = 1 and
+        to 0 above, and their absolute values to 2^(r-1)."""
+        for r in range(1, 7):
+            coeffs = regularize(letters(r)).values()
+            assert sum(coeffs) == (1 if r == 1 else 0)
+            assert sum(abs(c) for c in coeffs) == 2 ** (r - 1)
