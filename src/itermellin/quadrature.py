@@ -20,24 +20,28 @@ mesh by mesh, a mesh being a truncation horizon at one refinement level,
 with the refinement state of every (word, point) pair on it held in
 arrays.  Every set of words, one word included, takes the same pass on a
 mesh (integrate_word_on_mesh): each letter exponent's node powers are
-formed once, as exp(e * log t) from the cached logarithms
-(PanelMesh.powers), each letter kind's node values are one row of a
-complex table, and the words' distinct prefixes form a trie (_Prefixes)
-that is integrated one prefix length at a time: all prefixes of one
-length are one stacked (prefixes, points, nodes) array, formed by a
-gather of their letters' node powers, one multiply by a gather of the
-table's rows and one by a gather of their parents' inner integrals, then
-integrated by one PanelMesh.integral for the words that end there and one
-PanelMesh.cumulative for the prefixes that go on, in blocks of at most
-BLOCK_BUDGET entries.  The integration matrix acts on the real and
-imaginary parts of the panels as real matrix products.  Each of these
-equals the plain expression bit for bit (nodes ** e, the complex matrix
-product, a word integrated alone at one point, the one-word horizon), so
-every word keeps, at every point, its own horizon, refinement depth and
-error estimate, bit for bit as in a one-word, one-point call.  A batch
-fails if any of its jobs fails, and raises the first failure met, where it
-is met, without integrating further meshes; only a job whose refinement
-runs out may instead be handed back to the caller (`unresolved`).
+formed once per distinct value among the pass's points, as
+exp(e * log t) from the cached logarithms (PanelMesh.powers), each
+letter kind's node values are one row of a complex table, and the words'
+distinct prefixes form a trie (_Prefixes) that is integrated one prefix
+length at a time.  The first letters are integrated once per distinct
+value of their exponent, and maps built once per mesh, word set and
+points (_ValueMaps) take their integrals back to the points.  All longer
+prefixes of one length are one stacked (prefixes, points, nodes) array,
+formed by a gather of their letters' node powers, one multiply by a
+gather of the table's rows and one by a gather of their parents' inner
+integrals, then integrated by one PanelMesh.integral for the words that
+end there and one PanelMesh.cumulative for the prefixes that go on, in
+blocks of at most BLOCK_BUDGET entries.  The integration matrix acts on
+the real and imaginary parts of the panels as real matrix products.  Each
+of these equals the plain expression bit for bit (nodes ** e, the complex
+matrix product, a word integrated alone at one point, the one-word
+horizon), so every word keeps, at every point, its own horizon,
+refinement depth and error estimate, bit for bit as in a one-word,
+one-point call.  A batch fails if any of its jobs fails, and raises the
+first failure met, where it is met, without integrating further meshes;
+only a job whose refinement runs out may instead be handed back to the
+caller (`unresolved`).
 """
 
 from __future__ import annotations
@@ -304,17 +308,6 @@ def repeated_products(e: np.ndarray) -> np.ndarray:
     return (e.imag == 0.0) & (np.abs(e.real) < 100.0) & (e.real == np.trunc(e.real))
 
 
-def _exact_columns(exps: np.ndarray) -> np.ndarray | None:
-    """Where node powers t^(e-1) of exponent column c at point i are
-    repeated products, as a mask of exps' shape, or None where there are
-    none; found once per batch, so that most calls pay nothing for it on
-    each mesh."""
-    if not (exps.imag == 0.0).any():
-        return None
-    mask = repeated_products(exps - 1.0)
-    return mask if mask.any() else None
-
-
 # array entries one stacked block of prefixes may hold: blocks this size
 # stay in cache through the passes over them
 BLOCK_BUDGET = 1 << 15
@@ -484,98 +477,244 @@ class _Prefixes:
         self.ends_before = self.end_pos.searchsorted(every).tolist()
 
 
+class _ValueMaps:
+    """The distinct values of the exponent columns of the trie pre at the
+    points rows, built once per mesh, word set and points, and read by
+    every refinement level on them.
+
+    Column pre.cols[j] raises the nodes at point rows[i] to the exponent
+    values[index[j, i]], bit for bit exps[rows[i], pre.cols[j]] - 1.  The
+    values of column j are values[start[j]:start[j + 1]], one per distinct
+    bit pattern (so 0.0 and -0.0, or two nans, may stay apart): in the
+    order of the points when no two points share one, else in numpy's
+    sort order.  One point takes each column's value as it is, unsorted.
+    exact is repeated_products(values), or None where no entry is set.
+    """
+
+    def __init__(self, pre: _Prefixes, exps: np.ndarray, rows: np.ndarray):
+        self.pre, self.size = pre, rows.size
+        e = exps.T[pre.cols[:, None], rows] - 1.0
+        ncols, n = e.shape
+        # every value distinct, in the order of the points, unless sorting
+        # finds repeats
+        self.values = e.ravel()
+        self.start = np.arange(0, (ncols + 1) * n, n)
+        self.index = np.arange(e.size).reshape(e.shape)
+        if n > 1:
+            order = e.argsort(axis=1)
+            bits = np.take_along_axis(e, order, axis=1).view(np.int64).reshape(ncols, n, 2)
+            new = np.ones(e.shape, dtype=bool)
+            new[:, 1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=2)
+            counts = new.sum(axis=1)
+            repeats = np.flatnonzero(counts < n)
+            if repeats.size:
+                index = np.tile(np.arange(n), (ncols, 1))
+                ranks = np.empty((repeats.size, n), dtype=int)
+                np.put_along_axis(ranks, order[repeats], new[repeats].cumsum(axis=1) - 1, axis=1)
+                index[repeats] = ranks
+                self.start = np.concatenate(([0], np.cumsum(counts)))
+                self.index = index + self.start[:-1, None]
+                self.values = np.empty(self.start[-1], dtype=complex)
+                self.values[self.index] = e
+        self.exact = None
+        if (self.values.imag == 0.0).any():
+            exact = repeated_products(self.values)
+            self.exact = exact if exact.any() else None
+        self._whole: _ValueBlock | None = None
+
+    def block(self, lo: int, hi: int) -> "_ValueBlock":
+        """The maps of the points lo to hi - 1 (positions in rows), over the
+        values those points use."""
+        if lo == 0 and hi >= self.size:
+            if self._whole is None:
+                self._whole = _ValueBlock(self.pre, self.index, self.start, self.values,
+                                          self.exact)
+            return self._whole
+        index = self.index[:, lo:hi]
+        used = np.zeros(self.values.size, dtype=bool)
+        used[index] = True
+        before = np.concatenate(([0], np.cumsum(used)))  # used values before each value
+        return _ValueBlock(self.pre, before[index], before[self.start], self.values[used],
+                           None if self.exact is None else self.exact[used])
+
+
+def _segments(ps: np.ndarray, seg: np.ndarray, flat: np.ndarray):
+    """(rows, off, where) of the first letters ps, in a block's flat
+    layout: rows lists the entries of their segments, in order, off[k] is
+    where the segment of ps[k] starts among them, and where[k, i] is its
+    entry at point i among them."""
+    first = seg[ps]
+    counts = seg[ps + 1] - first
+    off = np.concatenate(([0], np.cumsum(counts)))
+    shift = first - off[:-1]
+    return np.repeat(shift, counts) + np.arange(off[-1]), off.tolist(), flat[ps] - shift[:, None]
+
+
+class _ValueBlock:
+    """The value maps of a row block of points, as a pass reads them.
+
+    Node powers are formed once per entry of values (exact as in
+    PanelMesh.powers); at[p, i] is the entry of the letter of prefix p at
+    point i.  A first letter, prefix p < pre.bounds[1], is integrated once
+    per distinct value of its column: it holds entries seg[p] to
+    seg[p + 1] - 1 of the block's flat layout, entry k raising the nodes
+    to values[src[k]] with letter kind kind[k].  ident: every first letter
+    holds one entry per point, in the order of the points, as in every
+    one-point block, so that the flat layout is (first letters, points).
+    Otherwise ends and ext are the _segments of the first letters that end
+    words and of those that go on, whose where maps take their values back
+    to the points.
+    """
+
+    def __init__(self, pre: _Prefixes, index: np.ndarray, start: np.ndarray,
+                 values: np.ndarray, exact: np.ndarray | None):
+        self.values, self.exact = values, exact
+        self.at = index[pre.cp]
+        p1, n = pre.bounds[1], index.shape[1]
+        first = self.at[:p1]
+        # n consecutive entries of a column with at most n values are all of them
+        self.ident = n == 1 or bool((first == first[:, :1] + np.arange(n)).all())
+        if self.ident:
+            self.src, self.kind = first.ravel(), pre.kind[:p1].repeat(n)
+            self.seg = range(0, (p1 + 1) * n, n)
+            return
+        cp = pre.cp[:p1]
+        seg = np.concatenate(([0], np.cumsum(start[cp + 1] - start[cp])))
+        flat = first + (seg[:-1] - start[cp])[:, None]
+        self.src = np.empty(seg[-1], dtype=int)
+        self.src[flat] = first
+        self.kind = np.empty(seg[-1], dtype=int)
+        self.kind[flat] = pre.kind[:p1, None]
+        self.ends = _segments(pre.end_pos[: pre.ends_before[p1]], seg, flat)
+        self.ext = _segments(np.flatnonzero(pre.extended[:p1]), seg, flat)
+        self.seg = seg.tolist()
+
+
 class _PrefixPass:
     """The prefixes of pre on mesh m at one block of points: the integral
     of each word goes to its row of out.
 
-    powers[c] holds the node powers of column pre.cols[c] at the points,
-    and table[i] the integrand factor at the nodes of letter kind
-    pre.kinds[i].  The prefixes of one length are integrated in stacked
-    blocks of at most BLOCK_BUDGET entries, each followed at once by the
-    blocks of the prefixes one letter longer that extend it, so that one
-    block per length is live.
+    powers[k] holds the node powers of entry k of the block's values, blk
+    their _ValueBlock, and table[i] the integrand factor at the nodes of
+    letter kind pre.kinds[i].  The first letters are integrated in blk's
+    flat layout, once per distinct value of their column; the words they
+    end take their integrals, and the prefixes that extend them their
+    inner integrals, through blk's maps (reshapes, where blk.ident), so
+    that every longer prefix runs at every point.  The prefixes of one
+    length are integrated in stacked blocks of at most BLOCK_BUDGET
+    entries at the points (a block of first letters, at no more distinct
+    values, holds no more), each followed at once by the blocks of the
+    prefixes one letter longer that extend it, so that one block per
+    length is live.
     """
 
     def __init__(self, m: PanelMesh, pre: _Prefixes, table: np.ndarray, powers: np.ndarray,
-                 out: np.ndarray):
-        self.m, self.pre, self.table, self.powers, self.out = m, pre, table, powers, out
-        self.cap = max(1, BLOCK_BUDGET // (powers.shape[1] * powers.shape[2]))
-        self.run(0, pre.bounds[1], None, 0)
+                 blk: _ValueBlock, out: np.ndarray):
+        self.m, self.pre, self.table, self.powers, self.blk, self.out = (
+            m, pre, table, powers, blk, out)
+        self.cap = max(1, BLOCK_BUDGET // (out.shape[1] * powers.shape[1]))
+        for a in range(0, pre.bounds[1], self.cap):
+            self.first(a, min(a + self.cap, pre.bounds[1]))
 
-    def run(self, lo: int, hi: int, inner, base: int) -> None:
-        """Integrate the prefixes lo to hi - 1, whose parents' inner
-        integrals are inner (None for the empty parent), one row per
-        parent, by its rank among the extended prefixes, from base on; then
-        the longer prefixes that extend them."""
-        pre, m, powers = self.pre, self.m, self.powers
+    def first(self, a: int, b: int) -> None:
+        """Integrate the first letters a to b - 1, then the longer prefixes
+        that extend them."""
+        pre, m, blk = self.pre, self.m, self.blk
+        s0, s1 = blk.seg[a], blk.seg[b]
+        # operands in the order of a prefix on its own, whose inner
+        # integral is the empty prefix's 1.0
+        f = self.powers[blk.src[s0:s1]]
+        np.multiply(self.table[blk.kind[s0:s1]], f, out=f)
+        np.multiply(f, 1.0, out=f)
+        if blk.ident:
+            self.finish(a, b, f.reshape(b - a, self.out.shape[1], -1))
+            return
+        i0, i1 = pre.ends_before[a], pre.ends_before[b]
+        if i1 > i0:
+            rows, off, where = blk.ends
+            ints = m.integral(f if i1 - i0 == b - a else f[rows[off[i0] : off[i1]] - s0])
+            self.out[pre.end_job[i0:i1]] = ints[where[i0:i1] - off[i0]]
+        lo2, hi2 = pre.first_child[a], pre.first_child[b]
+        if hi2 > lo2:
+            e0, e1 = pre.ext_before[a], pre.ext_before[b]
+            rows, off, where = blk.ext
+            if e1 - e0 < b - a:
+                f = f[rows[off[e0] : off[e1]] - s0]
+            inner = m.cumulative(f)
+            del f
+            self.run(lo2, hi2, inner[where[e0:e1] - off[e0]], e0)
+
+    def run(self, lo: int, hi: int, inner: np.ndarray, base: int) -> None:
+        """Integrate the prefixes lo to hi - 1, longer than one letter,
+        whose parents' inner integrals are inner, one row per parent, by
+        its rank among the extended prefixes, from base on; then the longer
+        prefixes that extend them."""
+        pre = self.pre
         for a in range(lo, hi, self.cap):
             b = min(a + self.cap, hi)
             # the letters' integrands at the nodes, times the parents' inner
             # integrals; operands in the order of a prefix on its own
-            f = powers[pre.cp[a:b]]
+            f = self.powers[self.blk.at[a:b]]
             np.multiply(self.table[pre.kind[a:b], None, :], f, out=f)
-            if inner is None:
-                np.multiply(f, 1.0, out=f)  # the empty prefix's, as for a word alone
-            elif a == lo and b == hi == lo + len(inner):
+            if a == lo and b == hi == lo + len(inner):
                 np.multiply(f, inner, out=f)  # one prefix per parent
             else:
                 np.multiply(f, inner[pre.ext_before[pre.parent[a:b]] - base], out=f)
-            i0, i1 = pre.ends_before[a], pre.ends_before[b]
-            if i1 > i0:
-                ends = f if i1 - i0 == b - a else f[pre.end_pos[i0:i1] - a]
-                self.out[pre.end_job[i0:i1]] = m.integral(ends)
-                del ends
-            lo2, hi2 = pre.first_child[a], pre.first_child[b]
-            if hi2 > lo2:
-                e0, e1 = pre.ext_before[a], pre.ext_before[b]
-                if e1 - e0 < b - a:
-                    f = f[pre.extended[a:b]]
-                inner_next = m.cumulative(f)
-                del f
-                self.run(lo2, hi2, inner_next, e0)
+            self.finish(a, b, f)
+
+    def finish(self, a: int, b: int, f: np.ndarray) -> None:
+        """Integrate the prefixes a to b - 1, whose integrands at every
+        point are f, for the words they end and the prefixes that extend
+        them."""
+        pre, m = self.pre, self.m
+        i0, i1 = pre.ends_before[a], pre.ends_before[b]
+        if i1 > i0:
+            ends = f if i1 - i0 == b - a else f[pre.end_pos[i0:i1] - a]
+            self.out[pre.end_job[i0:i1]] = m.integral(ends)
+            del ends
+        lo2, hi2 = pre.first_child[a], pre.first_child[b]
+        if hi2 > lo2:
+            e0, e1 = pre.ext_before[a], pre.ext_before[b]
+            if e1 - e0 < b - a:
+                f = f[pre.extended[a:b]]
+            inner = m.cumulative(f)
+            del f
+            self.run(lo2, hi2, inner, e0)
 
 
-def integrate_word_on_mesh(
-    letters: _Letters,
-    pre: _Prefixes,
-    exps: np.ndarray,
-    rows: np.ndarray,
-    m: PanelMesh,
-    exact: np.ndarray | None,
-) -> np.ndarray:
-    """Iterated integrals of the words of the trie pre, the _Prefixes of
-    words ks of a table, over one mesh (exact panels), at the points rows
-    (ascending), one row per word of ks and one column per point.
+def integrate_word_on_mesh(letters: _Letters, maps: _ValueMaps, m: PanelMesh) -> np.ndarray:
+    """Iterated integrals of the words of the trie maps.pre, the _Prefixes
+    of words ks of a table, over one mesh (exact panels), at the points of
+    maps, one row per word of ks and one column per point.
 
-    Letter j of word k has the exponent exps[i, c] at point i, where c is
-    its column letters.pair_col[letters.pairs[k][j]], and exact is
-    _exact_columns(exps).  Each letter kind's factor at the nodes is one
-    row of a complex table, filled in the trie's kind order, so the
-    TruncationError of the first kind, in the order the words use them,
-    whose node values fail propagates.
+    Letter j of word k raises the nodes at a point to its exponent column
+    letters.pair_col[letters.pairs[k][j]] less 1, as maps holds it.  Each
+    letter kind's factor at the nodes is one row of a complex table,
+    filled in the trie's kind order, so the TruncationError of the first
+    kind, in the order the words use them, whose node values fail
+    propagates.
 
-    The prefixes run length by length: each exponent column's node powers
-    t^(e-1) are formed once, over all of rows, and the prefixes of one
-    length are integrated together, as one stacked (prefixes, points,
-    nodes) array, at all of rows, whether or not every word they lead to
-    needs every point.  Every entry is formed by the operations, in the
-    order, of one word integrated at one point on its own, so it equals
-    that bit for bit.
+    The points run in row blocks of at most ROW_BUDGET node entries, and
+    in each the prefixes run length by length: node powers t^(e-1) are
+    formed once per distinct value of each column among the block's
+    points, and so are the integrals of the first letters (_ValueBlock),
+    which the longer prefixes and the one-letter words take at each point;
+    the prefixes of one length are integrated together, as one stacked
+    (prefixes, points, nodes) array, at all of the block's points, whether
+    or not every word they lead to needs every point.  Every entry is
+    formed by the operations, in the order, of one word integrated at one
+    point on its own, so it equals that bit for bit.
     """
+    pre = maps.pre
     table = np.empty((len(pre.kinds), m.log_nodes.size), dtype=complex)
     for i, kind in enumerate(pre.kinds):
         theta, part = letters.kinds[kind]
         table[i] = part if theta is None else m.theta_values(theta, part)
-    values = np.empty((pre.end_job.size, rows.size), dtype=complex)
+    values = np.empty((pre.end_job.size, maps.size), dtype=complex)
     step = max(1, ROW_BUDGET // m.log_nodes.size)
-    for lo in range(0, rows.size, step):
-        at = pre.cols[:, None], rows[lo : lo + step]
-        e = exps.T[at] - 1.0
-        mask = None if exact is None else exact.T[at]
-        if mask is not None and not mask.any():
-            mask = None
-        powers = m.powers(e.ravel(), None if mask is None else mask.ravel())
-        _PrefixPass(m, pre, table, powers.reshape(e.shape + (-1,)), values[:, lo : lo + step])
+    for lo in range(0, maps.size, step):
+        blk = maps.block(lo, lo + step)
+        _PrefixPass(m, pre, table, m.powers(blk.values, blk.exact), blk, values[:, lo : lo + step])
     return values
 
 
@@ -631,7 +770,6 @@ def integrate_words(
             at = horizons == t_max
             some = at.any(axis=1)
             meshes[doubling_edges(1.0, t_max)] = ks[some], at[some]
-    exact = _exact_columns(exps)
     for key in sorted(meshes):
         # the jobs' words, the points some job still runs at, and whether
         # each job runs at each of them
@@ -640,13 +778,15 @@ def integrate_words(
         if rows.size < n:
             member = member[:, rows]
         m = mesh(key, params.quad_order)
-        # the words' prefixes, formed again only when words leave the mesh
+        # the words' prefixes, formed again only when words leave the mesh,
+        # and their value maps, formed again when words or points leave it
         pre = _Prefixes(letters, ks)
+        maps = _ValueMaps(pre, exps, rows)
         v0 = None  # the last level's values
         for level in range(params.max_refine + 1):
             if level:
                 m = m.refined()
-            v1 = integrate_word_on_mesh(letters, pre, exps, rows, m, exact)
+            v1 = integrate_word_on_mesh(letters, maps, m)
             if level:
                 est = np.abs(v1 - v0)
                 est += slack
@@ -659,14 +799,15 @@ def integrate_words(
                 member &= ~done
                 if not member.any():
                     break
-                left = member.any(axis=1)
-                if not left.all():
-                    ks, member, est, v1 = (a[left] for a in (ks, member, est, v1))
+                words_left, points_left = member.any(axis=1), member.any(axis=0)
+                if not words_left.all():
+                    ks, member, est, v1 = (a[words_left] for a in (ks, member, est, v1))
                     pre = _Prefixes(letters, ks)
-                left = member.any(axis=0)
-                if not left.all():
-                    rows = rows[left]
-                    member, est, v1 = (a[:, left] for a in (member, est, v1))
+                if not points_left.all():
+                    rows = rows[points_left]
+                    member, est, v1 = (a[:, points_left] for a in (member, est, v1))
+                if not (words_left.all() and points_left.all()):
+                    maps = _ValueMaps(pre, exps, rows)
             v0 = v1
         else:
             if unresolved is None:

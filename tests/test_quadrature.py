@@ -1,6 +1,7 @@
 """Panel quadrature of iterated integrals over [1, infinity)."""
 
 import gc
+import itertools
 import math
 import weakref
 
@@ -320,7 +321,7 @@ class TestMeshMajor:
         meshes = []
         on_mesh = quadrature.integrate_word_on_mesh
         monkeypatch.setattr(quadrature, "integrate_word_on_mesh",
-                            lambda *a: meshes.append(a[4]) or on_mesh(*a))
+                            lambda *a: meshes.append(a[2]) or on_mesh(*a))
         horizons, depths = set(), set()
         for word in filter(None, words):
             for s in points:
@@ -376,7 +377,7 @@ class TestMeshMajor:
         meshes = []
         on_mesh = quadrature.integrate_word_on_mesh
         monkeypatch.setattr(quadrature, "integrate_word_on_mesh",
-                            lambda *args: meshes.append(args[4]) or on_mesh(*args))
+                            lambda *args: meshes.append(args[2]) or on_mesh(*args))
         with pytest.raises((QuadratureError, TruncationError)) as failure:
             integrate_words(letters, exps, params)
         assert [m.edges[-1] for m in meshes] == [8.0]
@@ -652,6 +653,110 @@ class TestLengthPass:
             assert isinstance(assert_as_reference(words, points, params), error)
 
 
+def grid(*axes):
+    """The Cartesian product of per-slot value lists, as table builds it."""
+    return list(itertools.product(*axes))
+
+
+def assert_as_one_point_calls(words, points, params):
+    """integrate_words over the points equals, bit for bit, integrate_words
+    at each point alone."""
+    letters, exps = exponent_columns(words, points)
+    values, errs = integrate_words(letters, exps, params)
+    for i in range(len(points)):
+        one_values, one_errs = integrate_words(letters, exps[i : i + 1], params)
+        assert values[i].tobytes() == one_values[0].tobytes()
+        assert errs[i].tobytes() == one_errs[0].tobytes()
+
+
+class TestValueMaps:
+    """A pass forms node powers and first-letter integrals once per
+    distinct exponent value of a column among its points; every word at
+    every point must still come out bit for bit as in the depth-first walk
+    and as at that point alone."""
+
+    R2 = grid([0.3 + 0.7j + 0.25 * a for a in range(5)], [1.1 - 0.4j + 0.25 * b for b in range(4)])
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_riemann_grids(self, r):
+        points = self.R2 if r == 2 else grid(
+            [0.3 + 0.7j, 0.8 + 0.7j, 1.3 + 0.7j], [1.1 - 0.4j, 1.6 - 0.4j], [0.6 + 0.2j, 1.1 + 0.2j])
+        words = plan_words(*["riemann"] * r)
+        assert_as_reference(words, points, EvalParams())
+        assert_as_one_point_calls(words, points, EvalParams())
+
+    def test_duplicate_cells(self):
+        points = self.R2[:6] + self.R2[2:5] + self.R2[:1]
+        words = plan_words("riemann", "riemann")
+        assert_as_reference(words, points, EvalParams())
+        assert_as_one_point_calls(words, points, EvalParams())
+
+    def test_real_integer_exponents(self, monkeypatch):
+        """Real integer slots: exponents numpy raises by repeated products,
+        marked exact on the distinct values."""
+        marks = []
+        powers = quadrature.PanelMesh.powers
+        monkeypatch.setattr(quadrature.PanelMesh, "powers",
+                            lambda m, e, exact: marks.append(exact is not None and exact.any())
+                            or powers(m, e, exact))
+        points = grid([2.0, 3.0, 2.5, 4.0], [2.0, 3.0, 1.5 + 0.5j])
+        words = plan_words("riemann", "riemann")
+        assert_as_reference(words, points, EvalParams())
+        assert any(marks)
+        assert_as_one_point_calls(words, points, EvalParams())
+
+    @pytest.mark.parametrize("row_budget", [1, 300, 1500])
+    def test_maps_cross_row_blocks(self, monkeypatch, row_budget):
+        """Row blocks of one point and of a few points, each over the values
+        its own points use."""
+        monkeypatch.setattr(quadrature, "ROW_BUDGET", row_budget)
+        blocks = []
+        block = quadrature._ValueMaps.block
+        monkeypatch.setattr(quadrature._ValueMaps, "block",
+                            lambda maps, lo, hi: blocks.append(lo) or block(maps, lo, hi))
+        assert_as_reference(plan_words("riemann", "riemann"), self.R2, EvalParams())
+        assert any(lo > 0 for lo in blocks)
+
+    def test_refinement_exits_at_different_levels_and_horizons(self, monkeypatch):
+        """A coarse node set on a grid, so that words leave refinement at
+        different levels and run on meshes of different horizons."""
+        words = plan_words("theta_plus", "riemann", "jacobi3")
+        points = grid([-1.6 + 0.3j, 2.0 - 0.1j], [-0.8 + 0.6j, 0.8 - 2.1j], [0.8 - 2.6j, 0.8 + 2.2j])
+        params = EvalParams(quad_order=8)
+        meshes = []
+        on_mesh = quadrature.integrate_word_on_mesh
+        monkeypatch.setattr(quadrature, "integrate_word_on_mesh",
+                            lambda *a: meshes.append((a[2].edges[-1], a[1].size)) or on_mesh(*a))
+        assert_as_reference(words, points, params)
+        horizons = {t for t, _ in meshes}
+        assert len(horizons) > 2 and len({n for _, n in meshes}) > 2
+        assert_as_one_point_calls(words, points, params)
+
+    def test_powers_per_distinct_value(self, monkeypatch):
+        """One point forms len(pre.cols) node power rows per pass, as a pass
+        over all columns at each point does; a 10 x 10 riemann r = 2 grid
+        forms at least five times fewer than that."""
+        formed, per_cell = [], []
+        powers = quadrature.PanelMesh.powers
+        monkeypatch.setattr(quadrature.PanelMesh, "powers",
+                            lambda m, e, exact: formed.append(e.size) or powers(m, e, exact))
+        on_mesh = quadrature.integrate_word_on_mesh
+        monkeypatch.setattr(quadrature, "integrate_word_on_mesh",
+                            lambda *a: per_cell.append(a[1].pre.cols.size * a[1].size)
+                            or on_mesh(*a))
+        words = plan_words("riemann", "riemann")
+        letters, exps = exponent_columns(words, self.R2[:1])
+        integrate_words(letters, exps, EvalParams())
+        assert formed == per_cell and len(formed) > 1
+        formed.clear()
+        per_cell.clear()
+        points = grid([0.3 + 0.7j + 0.25 * a for a in range(10)],
+                      [1.1 - 0.4j + 0.25 * b for b in range(10)])
+        letters, exps = exponent_columns(words, points)
+        integrate_words(letters, exps, EvalParams())
+        assert 5 * sum(formed) <= sum(per_cell)
+
+
 def reference_horizons(word, exps, params):
     """The certified truncation horizons of one word at many points, one
     word at a time, as word_horizons must reproduce them bit for bit."""
@@ -786,7 +891,7 @@ class TestMesh:
         meshes = []
         on_mesh = quadrature.integrate_word_on_mesh
         monkeypatch.setattr(quadrature, "integrate_word_on_mesh",
-                            lambda *args: meshes.append(args[4]) or on_mesh(*args))
+                            lambda *args: meshes.append(args[2]) or on_mesh(*args))
         params = EvalParams()
         tail_word_integral(word, (1.5 + 0.5j,), params)
         # the node values the call cached, looked up again on each mesh
