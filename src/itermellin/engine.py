@@ -361,7 +361,14 @@ def _guard_and_tangents(
             out[i] = PoleSignal(plan.blockers[blocked[i].argmax()])
         live = [i for i in range(n) if out[i] is None]
         vals = vals[live]
-        tangents = (plan.part_coeffs / vals[:, plan.part_cols].prod(axis=2)) @ plan.part_tangent
+        # each part's product column by column, from column 0 (1 where no
+        # part has a form), so that a point's rounding is the same in every
+        # batch: prod over an axis rounds by the batch's shape
+        cols = plan.part_cols.T
+        prods = vals[:, cols[0]] if len(cols) else np.ones((len(live), len(plan.part_coeffs)), dtype=complex)
+        for col in cols[1:]:
+            prods *= vals[:, col]
+        tangents = (plan.part_coeffs / prods) @ plan.part_tangent
     return out, live, vals[:, b + 1 :], tangents
 
 
@@ -378,8 +385,11 @@ def _sum_terms(
     e1, e2 = werrs[:, plan.term_left], werrs[:, plan.term_right]
     terms = scaled * v1 * v2
     bars = np.abs(scaled) * (np.abs(v1) * e2 + np.abs(v2) * e1 + e1 * e2)
-    values = np.stack([terms[:, lo:hi].sum(axis=1) for lo, hi in plan.ranges], axis=1)
-    errs = np.stack([bars[:, lo:hi].sum(axis=1) for lo, hi in plan.ranges], axis=1)
+    # running sums, term by term, whatever the batch: sum over an axis adds
+    # one point's contiguous row pairwise, but a batch's rows term by term
+    values = np.stack([np.cumsum(terms[:, lo:hi], axis=1)[:, -1] for lo, hi in plan.ranges],
+                      axis=1)
+    errs = np.stack([np.cumsum(bars[:, lo:hi], axis=1)[:, -1] for lo, hi in plan.ranges], axis=1)
     if unresolved:
         _check_unresolved(plan, np.abs(scaled), wvals, werrs, unresolved, params)
     return values, errs

@@ -692,6 +692,47 @@ class TestNumericPlan:
             lambda_eval_several(exprs, (2.0,), P)
 
 
+POOL = (("riemann",), ("eisenstein", 4), ("eisenstein", 6), ("delta",), ("theta_plus",),
+        ("theta_minus",), ("jacobi2",), ("jacobi3",), ("jacobi4",))
+
+
+def result_bits(result):
+    value, err = result
+    return np.array([value]).tobytes() + np.array([err]).tobytes()
+
+
+class TestBatchIndependence:
+    """A point's value and bar are the same bits in every batch: alone
+    (lambda_eval), among other points (lambda_eval_many, as table
+    evaluates), and beside other expressions (lambda_eval_several)."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_batch_equals_one_point(self, r):
+        rng = np.random.default_rng(50 + r)
+        for _ in range(2):
+            exprs = [build_expression(tuple(theta(*POOL[i]) for i in rng.integers(0, len(POOL), r)))
+                     for _ in range(2)]
+            # imaginary parts keep every prefix and suffix sum off the poles
+            points = [tuple(complex(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 1.5)) for _ in range(r))
+                      for _ in range(int(rng.integers(1, 41)))]
+            # a point whose refinement runs out would fail the whole batch
+            one = {}
+            for point in points:
+                try:
+                    one[point] = result_bits(lambda_eval(exprs[0], point, P))
+                except quadrature.QuadratureError:
+                    pass
+            assert len(one) >= 0.8 * len(points)
+            batch = lambda_eval_many(exprs[0], list(one), P)
+            assert [result_bits(got) for got in batch] == list(one.values())
+            for point in list(one)[:3]:
+                try:
+                    want = [result_bits(lambda_eval(e, point, P)) for e in exprs]
+                except quadrature.QuadratureError:
+                    continue
+                assert [result_bits(x) for x in lambda_eval_several(exprs, point, P)] == want
+
+
 class TestUnresolvedHalfWords:
     """A half word can be too large to meet abs_tol on its own and still
     weigh little in the value: it serves when its error times what
