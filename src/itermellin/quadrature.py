@@ -488,10 +488,11 @@ class _ValueMaps:
     bit pattern (so 0.0 and -0.0, or two nans, may stay apart): in the
     order of the points when no two points share one, else in numpy's
     sort order.  One point takes each column's value as it is, unsorted.
-    exact is repeated_products(values), or None where no entry is set.
+    exact is repeated_products(values), or None where no entry is set or
+    real, whether any entry of exps is real, is False.
     """
 
-    def __init__(self, pre: _Prefixes, exps: np.ndarray, rows: np.ndarray):
+    def __init__(self, pre: _Prefixes, exps: np.ndarray, rows: np.ndarray, real: bool):
         self.pre, self.size = pre, rows.size
         e = exps.T[pre.cols[:, None], rows] - 1.0
         ncols, n = e.shape
@@ -517,7 +518,7 @@ class _ValueMaps:
                 self.values = np.empty(self.start[-1], dtype=complex)
                 self.values[self.index] = e
         self.exact = None
-        if (self.values.imag == 0.0).any():
+        if real:
             exact = repeated_products(self.values)
             self.exact = exact if exact.any() else None
         self._whole: _ValueBlock | None = None
@@ -770,6 +771,7 @@ def integrate_words(
             at = horizons == t_max
             some = at.any(axis=1)
             meshes[doubling_edges(1.0, t_max)] = ks[some], at[some]
+    real = bool((exps.imag == 0.0).any())  # else no exponent is a repeated product
     for key in sorted(meshes):
         # the jobs' words, the points some job still runs at, and whether
         # each job runs at each of them
@@ -781,7 +783,7 @@ def integrate_words(
         # the words' prefixes, formed again only when words leave the mesh,
         # and their value maps, formed again when words or points leave it
         pre = _Prefixes(letters, ks)
-        maps = _ValueMaps(pre, exps, rows)
+        maps = _ValueMaps(pre, exps, rows, real)
         v0 = None  # the last level's values
         for level in range(params.max_refine + 1):
             if level:
@@ -807,7 +809,7 @@ def integrate_words(
                     rows = rows[points_left]
                     member, est, v1 = (a[:, points_left] for a in (member, est, v1))
                 if not (words_left.all() and points_left.all()):
-                    maps = _ValueMaps(pre, exps, rows)
+                    maps = _ValueMaps(pre, exps, rows, real)
             v0 = v1
         else:
             if unresolved is None:
