@@ -478,100 +478,36 @@ class _Prefixes:
 
 
 class _ValueMaps:
-    """The distinct values of the exponent columns of the trie pre at the
-    points rows, built once per mesh, word set and points, and read by
-    every refinement level on them.
+    """The distinct values of the exponent columns of the trie pre at a
+    block of points, and the maps a pass reads them by.  at_points builds
+    them once per mesh, word set and points, for every refinement level
+    on them, and block restricts them to a row block.
 
-    Column pre.cols[j] raises the nodes at point rows[i] to the exponent
+    Column pre.cols[j] raises the nodes at point i to the exponent
     values[index[j, i]], bit for bit exps[rows[i], pre.cols[j]] - 1.  The
     values of column j are values[start[j]:start[j + 1]], one per distinct
     bit pattern (so 0.0 and -0.0, or two nans, may stay apart): in the
     order of the points when no two points share one, else in numpy's
-    sort order.  One point takes each column's value as it is, unsorted.
-    exact is repeated_products(values), or None where no entry is set or
-    real, whether any entry of exps is real, is False.
-    """
+    sort order.  exact is repeated_products(values), or None where no
+    entry is set.  Node powers are formed once per entry of values, and
+    at[p, i] is the entry of the letter of prefix p at point i.
 
-    def __init__(self, pre: _Prefixes, exps: np.ndarray, rows: np.ndarray, real: bool):
-        self.pre, self.size = pre, rows.size
-        e = exps.T[pre.cols[:, None], rows] - 1.0
-        ncols, n = e.shape
-        # every value distinct, in the order of the points, unless sorting
-        # finds repeats
-        self.values = e.ravel()
-        self.start = np.arange(0, (ncols + 1) * n, n)
-        self.index = np.arange(e.size).reshape(e.shape)
-        if n > 1:
-            order = e.argsort(axis=1)
-            bits = np.take_along_axis(e, order, axis=1).view(np.int64).reshape(ncols, n, 2)
-            new = np.ones(e.shape, dtype=bool)
-            new[:, 1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=2)
-            counts = new.sum(axis=1)
-            repeats = np.flatnonzero(counts < n)
-            if repeats.size:
-                index = np.tile(np.arange(n), (ncols, 1))
-                ranks = np.empty((repeats.size, n), dtype=int)
-                np.put_along_axis(ranks, order[repeats], new[repeats].cumsum(axis=1) - 1, axis=1)
-                index[repeats] = ranks
-                self.start = np.concatenate(([0], np.cumsum(counts)))
-                self.index = index + self.start[:-1, None]
-                self.values = np.empty(self.start[-1], dtype=complex)
-                self.values[self.index] = e
-        self.exact = None
-        if real:
-            exact = repeated_products(self.values)
-            self.exact = exact if exact.any() else None
-        self._whole: _ValueBlock | None = None
-
-    def block(self, lo: int, hi: int) -> "_ValueBlock":
-        """The maps of the points lo to hi - 1 (positions in rows), over the
-        values those points use."""
-        if lo == 0 and hi >= self.size:
-            if self._whole is None:
-                self._whole = _ValueBlock(self.pre, self.index, self.start, self.values,
-                                          self.exact)
-            return self._whole
-        index = self.index[:, lo:hi]
-        used = np.zeros(self.values.size, dtype=bool)
-        used[index] = True
-        before = np.concatenate(([0], np.cumsum(used)))  # used values before each value
-        return _ValueBlock(self.pre, before[index], before[self.start], self.values[used],
-                           None if self.exact is None else self.exact[used])
-
-
-def _segments(ps: np.ndarray, seg: np.ndarray, flat: np.ndarray):
-    """(rows, off, where) of the first letters ps, in a block's flat
-    layout: rows lists the entries of their segments, in order, off[k] is
-    where the segment of ps[k] starts among them, and where[k, i] is its
-    entry at point i among them."""
-    first = seg[ps]
-    counts = seg[ps + 1] - first
-    off = np.concatenate(([0], np.cumsum(counts)))
-    shift = first - off[:-1]
-    return np.repeat(shift, counts) + np.arange(off[-1]), off.tolist(), flat[ps] - shift[:, None]
-
-
-class _ValueBlock:
-    """The value maps of a row block of points, as a pass reads them.
-
-    Node powers are formed once per entry of values (exact as in
-    PanelMesh.powers); at[p, i] is the entry of the letter of prefix p at
-    point i.  A first letter, prefix p < pre.bounds[1], is integrated once
-    per distinct value of its column: it holds entries seg[p] to
-    seg[p + 1] - 1 of the block's flat layout, entry k raising the nodes
-    to values[src[k]] with letter kind kind[k].  ident: every first letter
-    holds one entry per point, in the order of the points, as in every
-    one-point block, so that the flat layout is (first letters, points).
-    Otherwise ends and ext are the _segments of the first letters that end
-    words and of those that go on, whose where maps take their values back
-    to the points.
+    A first letter, prefix p < pre.bounds[1], is integrated once per
+    distinct value of its column: it holds entries seg[p] to seg[p + 1] - 1
+    of a flat layout, entry k raising the nodes to values[src[k]] with
+    letter kind kind[k].  ident: every first letter holds one entry per
+    point, in the order of the points, as at one point, so that the flat
+    layout is (first letters, points).  Otherwise ends and ext are the
+    _segments of the first letters that end words and of those that go
+    on, whose where maps take their values back to the points.
     """
 
     def __init__(self, pre: _Prefixes, index: np.ndarray, start: np.ndarray,
                  values: np.ndarray, exact: np.ndarray | None):
-        self.values, self.exact = values, exact
-        self.at = index[pre.cp]
-        p1, n = pre.bounds[1], index.shape[1]
+        self.pre, self.size = pre, index.shape[1]
+        self.index, self.start, self.values, self.exact = index, start, values, exact
+        self.at = index.take(pre.cp, axis=0)
+        p1, n = pre.bounds[1], self.size
         first = self.at[:p1]
         # n consecutive entries of a column with at most n values are all of them
         self.ident = n == 1 or bool((first == first[:, :1] + np.arange(n)).all())
@@ -590,13 +526,66 @@ class _ValueBlock:
         self.ext = _segments(np.flatnonzero(pre.extended[:p1]), seg, flat)
         self.seg = seg.tolist()
 
+    @classmethod
+    def at_points(cls, pre: _Prefixes, exps: np.ndarray, rows: np.ndarray,
+                  real: bool) -> "_ValueMaps":
+        """The maps of pre at the points rows of exps; real: whether any
+        entry of exps is real, else no value is a repeated product."""
+        e = exps.T[pre.cols[:, None], rows] - 1.0
+        ncols, n = e.shape
+        # every value distinct, in the order of the points, unless sorting
+        # finds repeats
+        values, start = e.ravel(), np.arange(0, (ncols + 1) * n, n)
+        index = np.arange(e.size).reshape(e.shape)
+        if n > 1:
+            order = e.argsort(axis=1)
+            bits = np.take_along_axis(e, order, axis=1).view(np.int64).reshape(ncols, n, 2)
+            new = np.ones(e.shape, dtype=bool)
+            new[:, 1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=2)
+            counts = new.sum(axis=1)
+            repeats = np.flatnonzero(counts < n)
+            if repeats.size:
+                index = np.tile(np.arange(n), (ncols, 1))
+                ranks = np.empty((repeats.size, n), dtype=int)
+                np.put_along_axis(ranks, order[repeats], new[repeats].cumsum(axis=1) - 1, axis=1)
+                index[repeats] = ranks
+                start = np.concatenate(([0], np.cumsum(counts)))
+                index += start[:-1, None]
+                values = np.empty(start[-1], dtype=complex)
+                values[index] = e
+        exact = repeated_products(values) if real else None
+        return cls(pre, index, start, values, exact if real and exact.any() else None)
+
+    def block(self, lo: int, hi: int) -> "_ValueMaps":
+        """The maps of the points lo to hi - 1, over the values they use."""
+        if lo == 0 and hi >= self.size:
+            return self
+        index = self.index[:, lo:hi]
+        used = np.zeros(self.values.size, dtype=bool)
+        used[index] = True
+        before = np.concatenate(([0], np.cumsum(used)))  # used values before each value
+        return _ValueMaps(self.pre, before[index], before[self.start], self.values[used],
+                          None if self.exact is None else self.exact[used])
+
+
+def _segments(ps: np.ndarray, seg: np.ndarray, flat: np.ndarray):
+    """(rows, off, where) of the first letters ps, in a flat layout of
+    first letters: rows lists the entries of their segments, in order,
+    off[k] is where the segment of ps[k] starts among them, and where[k, i]
+    is its entry at point i among them."""
+    first = seg[ps]
+    counts = seg[ps + 1] - first
+    off = np.concatenate(([0], np.cumsum(counts)))
+    shift = first - off[:-1]
+    return np.repeat(shift, counts) + np.arange(off[-1]), off.tolist(), flat[ps] - shift[:, None]
+
 
 class _PrefixPass:
     """The prefixes of pre on mesh m at one block of points: the integral
     of each word goes to its row of out.
 
     powers[k] holds the node powers of entry k of the block's values, blk
-    their _ValueBlock, and table[i] the integrand factor at the nodes of
+    their _ValueMaps, and table[i] the integrand factor at the nodes of
     letter kind pre.kinds[i].  The first letters are integrated in blk's
     flat layout, once per distinct value of their column; the words they
     end take their integrals, and the prefixes that extend them their
@@ -610,7 +599,7 @@ class _PrefixPass:
     """
 
     def __init__(self, m: PanelMesh, pre: _Prefixes, table: np.ndarray, powers: np.ndarray,
-                 blk: _ValueBlock, out: np.ndarray):
+                 blk: _ValueMaps, out: np.ndarray):
         self.m, self.pre, self.table, self.powers, self.blk, self.out = (
             m, pre, table, powers, blk, out)
         self.cap = max(1, BLOCK_BUDGET // (out.shape[1] * powers.shape[1]))
@@ -624,8 +613,8 @@ class _PrefixPass:
         s0, s1 = blk.seg[a], blk.seg[b]
         # operands in the order of a prefix on its own, whose inner
         # integral is the empty prefix's 1.0
-        f = self.powers[blk.src[s0:s1]]
-        np.multiply(self.table[blk.kind[s0:s1]], f, out=f)
+        f = self.powers.take(blk.src[s0:s1], axis=0)
+        np.multiply(self.table.take(blk.kind[s0:s1], axis=0), f, out=f)
         np.multiply(f, 1.0, out=f)
         if blk.ident:
             self.finish(a, b, f.reshape(b - a, self.out.shape[1], -1))
@@ -633,17 +622,18 @@ class _PrefixPass:
         i0, i1 = pre.ends_before[a], pre.ends_before[b]
         if i1 > i0:
             rows, off, where = blk.ends
-            ints = m.integral(f if i1 - i0 == b - a else f[rows[off[i0] : off[i1]] - s0])
-            self.out[pre.end_job[i0:i1]] = ints[where[i0:i1] - off[i0]]
+            ends = f if i1 - i0 == b - a else f.take(rows[off[i0] : off[i1]] - s0, axis=0)
+            ints = m.integral(ends)
+            self.out[pre.end_job[i0:i1]] = ints.take(where[i0:i1] - off[i0])
         lo2, hi2 = pre.first_child[a], pre.first_child[b]
         if hi2 > lo2:
             e0, e1 = pre.ext_before[a], pre.ext_before[b]
             rows, off, where = blk.ext
             if e1 - e0 < b - a:
-                f = f[rows[off[e0] : off[e1]] - s0]
+                f = f.take(rows[off[e0] : off[e1]] - s0, axis=0)
             inner = m.cumulative(f)
             del f
-            self.run(lo2, hi2, inner[where[e0:e1] - off[e0]], e0)
+            self.run(lo2, hi2, inner.take(where[e0:e1] - off[e0], axis=0), e0)
 
     def run(self, lo: int, hi: int, inner: np.ndarray, base: int) -> None:
         """Integrate the prefixes lo to hi - 1, longer than one letter,
@@ -655,12 +645,12 @@ class _PrefixPass:
             b = min(a + self.cap, hi)
             # the letters' integrands at the nodes, times the parents' inner
             # integrals; operands in the order of a prefix on its own
-            f = self.powers[self.blk.at[a:b]]
-            np.multiply(self.table[pre.kind[a:b], None, :], f, out=f)
+            f = self.powers.take(self.blk.at[a:b], axis=0)
+            np.multiply(self.table.take(pre.kind[a:b], axis=0)[:, None, :], f, out=f)
             if a == lo and b == hi == lo + len(inner):
                 np.multiply(f, inner, out=f)  # one prefix per parent
             else:
-                np.multiply(f, inner[pre.ext_before[pre.parent[a:b]] - base], out=f)
+                np.multiply(f, inner.take(pre.ext_before[pre.parent[a:b]] - base, axis=0), out=f)
             self.finish(a, b, f)
 
     def finish(self, a: int, b: int, f: np.ndarray) -> None:
@@ -670,14 +660,14 @@ class _PrefixPass:
         pre, m = self.pre, self.m
         i0, i1 = pre.ends_before[a], pre.ends_before[b]
         if i1 > i0:
-            ends = f if i1 - i0 == b - a else f[pre.end_pos[i0:i1] - a]
+            ends = f if i1 - i0 == b - a else f.take(pre.end_pos[i0:i1] - a, axis=0)
             self.out[pre.end_job[i0:i1]] = m.integral(ends)
             del ends
         lo2, hi2 = pre.first_child[a], pre.first_child[b]
         if hi2 > lo2:
             e0, e1 = pre.ext_before[a], pre.ext_before[b]
             if e1 - e0 < b - a:
-                f = f[pre.extended[a:b]]
+                f = f.compress(pre.extended[a:b], axis=0)
             inner = m.cumulative(f)
             del f
             self.run(lo2, hi2, inner, e0)
@@ -698,7 +688,7 @@ def integrate_word_on_mesh(letters: _Letters, maps: _ValueMaps, m: PanelMesh) ->
     The points run in row blocks of at most ROW_BUDGET node entries, and
     in each the prefixes run length by length: node powers t^(e-1) are
     formed once per distinct value of each column among the block's
-    points, and so are the integrals of the first letters (_ValueBlock),
+    points, and so are the integrals of the first letters (_ValueMaps),
     which the longer prefixes and the one-letter words take at each point;
     the prefixes of one length are integrated together, as one stacked
     (prefixes, points, nodes) array, at all of the block's points, whether
@@ -783,7 +773,7 @@ def integrate_words(
         # the words' prefixes, formed again only when words leave the mesh,
         # and their value maps, formed again when words or points leave it
         pre = _Prefixes(letters, ks)
-        maps = _ValueMaps(pre, exps, rows, real)
+        maps = _ValueMaps.at_points(pre, exps, rows, real)
         v0 = None  # the last level's values
         for level in range(params.max_refine + 1):
             if level:
@@ -809,7 +799,7 @@ def integrate_words(
                     rows = rows[points_left]
                     member, est, v1 = (a[:, points_left] for a in (member, est, v1))
                 if not (words_left.all() and points_left.all()):
-                    maps = _ValueMaps(pre, exps, rows, real)
+                    maps = _ValueMaps.at_points(pre, exps, rows, real)
             v0 = v1
         else:
             if unresolved is None:
