@@ -362,10 +362,11 @@ def _guard_and_tangents(
         live = [i for i in range(n) if out[i] is None]
         vals = vals[live]
         # each part's product column by column, from column 0 (1 where no
-        # part has a form), so that a point's rounding is the same in every
-        # batch: prod over an axis rounds by the batch's shape
+        # part has a form, as for delta), so that a point's rounding is the
+        # same in every batch: prod over an axis rounds by the batch's shape
         cols = plan.part_cols.T
-        prods = vals[:, cols[0]] if len(cols) else np.ones((len(live), len(plan.part_coeffs)), dtype=complex)
+        prods = (vals[:, cols[0]] if len(cols)
+                 else np.ones((len(live), len(plan.part_coeffs)), dtype=complex))
         for col in cols[1:]:
             prods *= vals[:, col]
         tangents = (plan.part_coeffs / prods) @ plan.part_tangent
