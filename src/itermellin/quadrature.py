@@ -430,6 +430,10 @@ class _Prefixes:
     first_child[p] prefixes of any length whose parent precedes p (parent
     ascends across lengths, so the prefixes extending the block are
     first_child[a] to first_child[b] - 1), and ends_before[p] words.
+
+    ends and ext are the (rows, off, where) maps of _PrefixPass.finish
+    that pick the prefixes ending the words end_job and the extended
+    prefixes, in order, from one row per prefix.
     """
 
     def __init__(self, letters: _Letters, ks: np.ndarray):
@@ -472,6 +476,8 @@ class _Prefixes:
         self.end_job = end_pos.argsort(kind="stable")
         self.end_pos = end_pos[self.end_job]
         self.ext_before = np.concatenate(([0], np.cumsum(self.extended)))
+        self.ends = self.end_pos, range(self.end_pos.size + 1), None
+        self.ext = np.flatnonzero(self.extended), range(self.ext_before[-1] + 1), None
         every = np.arange(self.parent.size + 1)
         self.first_child = self.parent.searchsorted(every).tolist()
         self.ends_before = self.end_pos.searchsorted(every).tolist()
@@ -495,11 +501,13 @@ class _ValueMaps:
     A first letter, prefix p < pre.bounds[1], is integrated once per
     distinct value of its column: it holds entries seg[p] to seg[p + 1] - 1
     of a flat layout, entry k raising the nodes to values[src[k]] with
-    letter kind kind[k].  ident: every first letter holds one entry per
-    point, in the order of the points, as at one point, so that the flat
-    layout is (first letters, points).  Otherwise ends and ext are the
-    _segments of the first letters that end words and of those that go
-    on, whose where maps take their values back to the points.
+    letter kind kind[k].  Where every first letter holds one entry per
+    point, in the order of the points (at one point, and where no two
+    points share a value), the flat layout is (first letters, points), and
+    ends and ext are None: the trie's own maps pick its rows.  Otherwise
+    they are the _segments of the first letters that end words and of
+    those that go on, whose where maps take their values back to the
+    points.
     """
 
     def __init__(self, pre: _Prefixes, index: np.ndarray, start: np.ndarray,
@@ -508,14 +516,12 @@ class _ValueMaps:
         self.index, self.start, self.values, self.exact = index, start, values, exact
         self.at = index.take(pre.cp, axis=0)
         p1, n = pre.bounds[1], self.size
-        first = self.at[:p1]
+        first, cp = self.at[:p1], pre.cp[:p1]
         # n consecutive entries of a column with at most n values are all of them
-        self.ident = n == 1 or bool((first == first[:, :1] + np.arange(n)).all())
-        if self.ident:
+        if n == 1 or (first == first[:, :1] + np.arange(n)).all():
             self.src, self.kind = first.ravel(), pre.kind[:p1].repeat(n)
-            self.seg = range(0, (p1 + 1) * n, n)
+            self.seg, self.ends, self.ext = range(0, (p1 + 1) * n, n), None, None
             return
-        cp = pre.cp[:p1]
         seg = np.concatenate(([0], np.cumsum(start[cp + 1] - start[cp])))
         flat = first + (seg[:-1] - start[cp])[:, None]
         self.src = np.empty(seg[-1], dtype=int)
@@ -523,7 +529,7 @@ class _ValueMaps:
         self.kind = np.empty(seg[-1], dtype=int)
         self.kind[flat] = pre.kind[:p1, None]
         self.ends = _segments(pre.end_pos[: pre.ends_before[p1]], seg, flat)
-        self.ext = _segments(np.flatnonzero(pre.extended[:p1]), seg, flat)
+        self.ext = _segments(pre.ext[0][: pre.ext_before[p1]], seg, flat)
         self.seg = seg.tolist()
 
     @classmethod
@@ -564,15 +570,17 @@ class _ValueMaps:
         used = np.zeros(self.values.size, dtype=bool)
         used[index] = True
         before = np.concatenate(([0], np.cumsum(used)))  # used values before each value
+        exact = None if self.exact is None else self.exact[used]
         return _ValueMaps(self.pre, before[index], before[self.start], self.values[used],
-                          None if self.exact is None else self.exact[used])
+                          exact if exact is not None and exact.any() else None)
 
 
 def _segments(ps: np.ndarray, seg: np.ndarray, flat: np.ndarray):
-    """(rows, off, where) of the first letters ps, in a flat layout of
-    first letters: rows lists the entries of their segments, in order,
-    off[k] is where the segment of ps[k] starts among them, and where[k, i]
-    is its entry at point i among them."""
+    """The (rows, off, where) map of _PrefixPass.finish that picks the
+    first letters ps from a flat layout of first letters: rows lists the
+    entries of their segments, in order, off[k] is where the segment of
+    ps[k] starts among them, and where[k, i] is its entry at point i among
+    them."""
     first = seg[ps]
     counts = seg[ps + 1] - first
     off = np.concatenate(([0], np.cumsum(counts)))
@@ -589,8 +597,8 @@ class _PrefixPass:
     letter kind pre.kinds[i].  The first letters are integrated in blk's
     flat layout, once per distinct value of their column; the words they
     end take their integrals, and the prefixes that extend them their
-    inner integrals, through blk's maps (reshapes, where blk.ident), so
-    that every longer prefix runs at every point.  The prefixes of one
+    inner integrals, through blk's maps, so that every longer prefix runs
+    at every point.  The prefixes of one
     length are integrated in stacked blocks of at most BLOCK_BUDGET
     entries at the points (a block of first letters, at no more distinct
     values, holds no more), each followed at once by the blocks of the
@@ -609,31 +617,17 @@ class _PrefixPass:
     def first(self, a: int, b: int) -> None:
         """Integrate the first letters a to b - 1, then the longer prefixes
         that extend them."""
-        pre, m, blk = self.pre, self.m, self.blk
+        blk = self.blk
         s0, s1 = blk.seg[a], blk.seg[b]
         # operands in the order of a prefix on its own, whose inner
         # integral is the empty prefix's 1.0
         f = self.powers.take(blk.src[s0:s1], axis=0)
         np.multiply(self.table.take(blk.kind[s0:s1], axis=0), f, out=f)
         np.multiply(f, 1.0, out=f)
-        if blk.ident:
+        if blk.ends is None:
             self.finish(a, b, f.reshape(b - a, self.out.shape[1], -1))
-            return
-        i0, i1 = pre.ends_before[a], pre.ends_before[b]
-        if i1 > i0:
-            rows, off, where = blk.ends
-            ends = f if i1 - i0 == b - a else f.take(rows[off[i0] : off[i1]] - s0, axis=0)
-            ints = m.integral(ends)
-            self.out[pre.end_job[i0:i1]] = ints.take(where[i0:i1] - off[i0])
-        lo2, hi2 = pre.first_child[a], pre.first_child[b]
-        if hi2 > lo2:
-            e0, e1 = pre.ext_before[a], pre.ext_before[b]
-            rows, off, where = blk.ext
-            if e1 - e0 < b - a:
-                f = f.take(rows[off[e0] : off[e1]] - s0, axis=0)
-            inner = m.cumulative(f)
-            del f
-            self.run(lo2, hi2, inner.take(where[e0:e1] - off[e0], axis=0), e0)
+        else:
+            self.finish(a, b, f, flat=True)
 
     def run(self, lo: int, hi: int, inner: np.ndarray, base: int) -> None:
         """Integrate the prefixes lo to hi - 1, longer than one letter,
@@ -653,23 +647,35 @@ class _PrefixPass:
                 np.multiply(f, inner.take(pre.ext_before[pre.parent[a:b]] - base, axis=0), out=f)
             self.finish(a, b, f)
 
-    def finish(self, a: int, b: int, f: np.ndarray) -> None:
-        """Integrate the prefixes a to b - 1, whose integrands at every
-        point are f, for the words they end and the prefixes that extend
-        them."""
-        pre, m = self.pre, self.m
+    def finish(self, a: int, b: int, f: np.ndarray, flat: bool = False) -> None:
+        """Integrate the prefixes a to b - 1 for the words they end and the
+        prefixes that extend them.  f holds their integrands, one row per
+        prefix at every point, from which the trie's maps pre.ends and
+        pre.ext pick rows; or, if flat, those of first letters in blk's
+        flat layout, from which blk.ends and blk.ext pick rows, their where
+        maps taking the integrals back to the points.
+        """
+        pre, m, blk = self.pre, self.m, self.blk
+        s0, ends, ext = (blk.seg[a], blk.ends, blk.ext) if flat else (a, pre.ends, pre.ext)
         i0, i1 = pre.ends_before[a], pre.ends_before[b]
         if i1 > i0:
-            ends = f if i1 - i0 == b - a else f.take(pre.end_pos[i0:i1] - a, axis=0)
-            self.out[pre.end_job[i0:i1]] = m.integral(ends)
-            del ends
+            rows, off, where = ends
+            g = f if i1 - i0 == b - a else f.take(rows[off[i0] : off[i1]] - s0, axis=0)
+            ints = m.integral(g)
+            del g
+            if where is not None:
+                ints = ints.take(where[i0:i1] - off[i0])
+            self.out[pre.end_job[i0:i1]] = ints
         lo2, hi2 = pre.first_child[a], pre.first_child[b]
         if hi2 > lo2:
             e0, e1 = pre.ext_before[a], pre.ext_before[b]
+            rows, off, where = ext
             if e1 - e0 < b - a:
-                f = f.compress(pre.extended[a:b], axis=0)
+                f = f.take(rows[off[e0] : off[e1]] - s0, axis=0)
             inner = m.cumulative(f)
             del f
+            if where is not None:
+                inner = inner.take(where[e0:e1] - off[e0], axis=0)
             self.run(lo2, hi2, inner, e0)
 
 

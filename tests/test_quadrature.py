@@ -705,6 +705,40 @@ class TestValueMaps:
         assert any(marks)
         assert_as_one_point_calls(words, points, EvalParams())
 
+    def test_exact_marks_per_row_block(self, monkeypatch):
+        """A row block whose points have no exponent numpy raises by
+        repeated products passes no exact mask, one whose points have some
+        passes the marks of its own values."""
+        monkeypatch.setattr(quadrature, "ROW_BUDGET", 1)
+        marks = []
+        powers = quadrature.PanelMesh.powers
+        monkeypatch.setattr(quadrature.PanelMesh, "powers",
+                            lambda m, e, exact: marks.append(exact) or powers(m, e, exact))
+        words, points = plan_words("riemann", "riemann"), grid([2.0, 2.5 + 0.5j], [1.5 + 0.5j, 3.0])
+        integrate_words(*exponent_columns(words, points), EvalParams())
+        assert any(x is None for x in marks) and any(x is not None for x in marks)
+        assert all(x is None or x.any() for x in marks)
+        assert_as_reference(words, points, EvalParams())
+
+    def test_first_letter_layouts(self, monkeypatch):
+        """Points that share no exponent value integrate their first letters
+        in the trie's own layout, one row per point; a grid, whose points
+        share values, in the flat layout of its distinct values.  Both come
+        out bit for bit as at each point alone."""
+        flat = []
+        first = quadrature._PrefixPass.first
+        monkeypatch.setattr(quadrature._PrefixPass, "first",
+                            lambda p, a, b: flat.append(p.blk.ends is not None) or first(p, a, b))
+        words = plan_words("riemann", "riemann")
+        distinct = [(0.3 + 0.7j + 0.21 * i, 1.1 - 0.4j + 0.17 * i) for i in range(6)]
+        assert_as_reference(words, distinct, EvalParams())
+        assert flat and not any(flat)
+        flat.clear()
+        assert_as_reference(words, self.R2, EvalParams())
+        assert any(flat)
+        assert_as_one_point_calls(words, distinct, EvalParams())
+        assert_as_one_point_calls(words, self.R2, EvalParams())
+
     @pytest.mark.parametrize("row_budget", [1, 300, 1500])
     def test_maps_cross_row_blocks(self, monkeypatch, row_budget):
         """Row blocks of one point and of a few points, each over the values
