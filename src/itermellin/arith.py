@@ -98,19 +98,3 @@ def ramanujan_tau(n: int) -> int:
             _tau_cache.clear()
             _tau_cache.extend(e24[m - 1] for m in range(1, nmax + 1))
     return _tau_cache[n - 1]
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
-def factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out

@@ -30,7 +30,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gamma as complex_gamma, hyp2f1
 
-from .arith import factorial
 from .ratfun import AffineForm, PoleSignal
 from .theta import GrowthBound, TailSeries, ThetaFunction, make_builtin_theta
 from .words import Letter
@@ -259,13 +258,13 @@ def reduce_d_to_q(ls: Sequence[int]) -> dict[tuple[int, ...], int]:
             n = beta + ls[i]
             for j in range(n):
                 key = (j, (n - j,) + avec)
-                nxt[key] = nxt.get(key, 0) + coeff * factorial(n - 1) // factorial(j)
+                nxt[key] = nxt.get(key, 0) + coeff * math.factorial(n - 1) // math.factorial(j)
         states = nxt
     out: dict[tuple[int, ...], int] = {}
     for (beta, avec), coeff in states.items():
         n = beta + ls[0]
         key = (n,) + avec
-        out[key] = out.get(key, 0) + coeff * factorial(n - 1)
+        out[key] = out.get(key, 0) + coeff * math.factorial(n - 1)
     return out
 
 
@@ -335,12 +334,12 @@ def binding_lemma_defect(p: int, m: int, n: int, s: complex) -> float:
     xs, ws = leggauss(96)
     x = 0.5 * (xs + 1.0)
     integrand = x ** (p - 1) * (m * x + n) ** (-(p + s))
-    left = complex_gamma(s + p) / factorial(p - 1) * complex(np.dot(ws, integrand)) / 2.0
+    left = complex_gamma(s + p) / math.factorial(p - 1) * complex(np.dot(ws, integrand)) / 2.0
     right = complex_gamma(s) * m ** float(-p) * complex(n) ** (-s)
     for r_ in range(p):
         right -= (
             complex_gamma(s + r_)
-            / factorial(r_)
+            / math.factorial(r_)
             * m ** float(r_ - p)
             * complex(m + n) ** (-(s + r_))
         )
@@ -352,9 +351,15 @@ def binding_lemma_defect(p: int, m: int, n: int, s: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
+# the one compile cache of builtin theta tuples, shared with the suites;
+# lattice thetas have their own, _lattice_expression
 @lru_cache(maxsize=None)
-def _xi_expression():
-    return engine.build_expression((make_builtin_theta("riemann"),))
+def expression(thetas: tuple[ThetaFunction, ...]) -> engine.LambdaExpression:
+    return engine.build_expression(thetas)
+
+
+def _xi_expression() -> engine.LambdaExpression:
+    return expression((make_builtin_theta("riemann"),))
 
 
 def _values(expr, points, params: EvalParams | None) -> list[complex]:
@@ -568,56 +573,6 @@ def eichler_xi(pair: tuple[int, int], params: EvalParams | None = None) -> float
         for j, c in polynomial.items()
     )
     return prefactor * total
-
-
-# ---------------------------------------------------------------------------
-# multiple zeta values as critical lattice values
-# ---------------------------------------------------------------------------
-
-
-def mzv_reconstruction_check(params: EvalParams | None = None) -> list[dict]:
-    """Critical values of the theta_plus/theta_minus family against
-    closed forms in log(2) and zeta values from the summation oracle."""
-    params = params or EvalParams()
-    tp = make_builtin_theta("theta_plus")
-    tm = make_builtin_theta("theta_minus")
-    log16 = math.log(16.0)
-    z2 = mzv_sum((2,), 1e-10)
-    z3 = mzv_sum((3,), 1e-10)
-    cases = []
-
-    v1p = engine.lambda_eval(engine.build_expression((tp,)), (1.0,), params)[0]
-    cases.append(
-        {
-            "case": "pi*Lambda(theta+;1) = -8 log 2",
-            "value": PI * v1p.real,
-            "target": -8 * math.log(2.0),
-        }
-    )
-    v1m = engine.lambda_eval(engine.build_expression((tm,)), (1.0,), params)[0]
-    cases.append({"case": "Lambda(theta-;1) = 0", "value": v1m.real, "target": 0.0})
-
-    v2 = engine.lambda_eval(engine.build_expression((tm, tp)), (1.0, 1.0), params)[0]
-    cases.append(
-        {
-            "case": "pi^2*Lambda(theta-,theta+;1,1)",
-            "value": PI**2 * v2.real,
-            "target": 2 * z2 - log16**2,
-        }
-    )
-    v3 = engine.lambda_eval(
-        engine.build_expression((tm, tm, tp)), (1.0, 1.0, 1.0), params
-    )[0]
-    cases.append(
-        {
-            "case": "pi^3*Lambda(theta-,theta-,theta+;1,1,1)",
-            "value": PI**3 * v3.real,
-            "target": 4 * z3 + 2 * log16 * z2 - log16**3 / 3.0,
-        }
-    )
-    for c in cases:
-        c["defect"] = abs(c["value"] - c["target"])
-    return cases
 
 
 # ---------------------------------------------------------------------------

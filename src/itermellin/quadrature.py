@@ -715,6 +715,9 @@ def integrate_word_on_mesh(letters: _Letters, maps: _ValueMaps, m: PanelMesh) ->
     return values
 
 
+# a node power or integrand that overflows leaves a non-finite word
+# integral, which fails by name, not with numpy's warning
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_words(
     letters: _Letters,
     exps: np.ndarray,
@@ -738,9 +741,11 @@ def integrate_words(
     words on one mesh share their node powers and prefixes
     (integrate_word_on_mesh).  The call fails if any job fails, with the
     first failure met: the horizon failure of the lowest-index word that
-    has one, else the TruncationError of the first node values that fail,
-    else, on the first mesh whose refinement runs out, the QuadratureError
-    of its lowest-index word still unresolved.  Given a list `unresolved`,
+    has one, else, on the first mesh where one is met, the TruncationError
+    of the first node values that fail, the QuadratureError naming the
+    overflow of a word integral that is not finite at one of its own
+    points, or, once its refinement runs out, the QuadratureError of its
+    lowest-index word still unresolved.  Given a list `unresolved`,
     a mesh whose refinement runs out raises nothing: its unresolved jobs
     keep their last values and estimates (above abs_tol, or nan), and their
     (word, point) indices are appended to the list as two arrays, in the
@@ -785,6 +790,10 @@ def integrate_words(
             if level:
                 m = m.refined()
             v1 = integrate_word_on_mesh(letters, maps, m)
+            finite = np.isfinite(v1)
+            if not finite.all() and not finite[member].all():
+                raise QuadratureError(
+                    f"word integral overflows on the mesh [1, {key[-1]:g}]")
             if level:
                 est = np.abs(v1 - v0)
                 est += slack

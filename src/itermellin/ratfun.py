@@ -203,9 +203,6 @@ class RationalCombination:
     def __add__(self, other: "RationalCombination") -> "RationalCombination":
         return RationalCombination(self.terms + other.terms).merged()
 
-    def __sub__(self, other: "RationalCombination") -> "RationalCombination":
-        return self + other.scale(-1)
-
     def scale(self, c) -> "RationalCombination":
         c = Fraction(c)
         if c == 0:

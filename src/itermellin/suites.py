@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from . import engine, oracles
-from .arith import binomial, divisor_sigma, factorial
+from .arith import divisor_sigma
+from .oracles import expression as _expr
 from .quadrature import EvalParams
 from .ratfun import AffineForm
 from .theta import ThetaFunction, make_builtin_theta
@@ -39,11 +39,6 @@ class CaseResult:
 
 def _case(suite: str, case: str, defect: float, tol: float) -> CaseResult:
     return CaseResult(suite, case, float(defect), float(tol), bool(defect <= tol))
-
-
-@cache
-def _expr(thetas: tuple[ThetaFunction, ...]) -> engine.LambdaExpression:
-    return engine.build_expression(thetas)
 
 
 def _sample(rng, nslots: int, forms):
@@ -335,17 +330,27 @@ def suite_eisenstein_id(seed: int, trials: int, params: EvalParams) -> list[Case
 
 
 def suite_mzv(seed: int, trials: int, params: EvalParams) -> list[CaseResult]:
-    out = []
-    tols = {
-        "pi*Lambda(theta+;1) = -8 log 2": 1e-10,
-        "Lambda(theta-;1) = 0": 1e-10,
-        "pi^2*Lambda(theta-,theta+;1,1)": 1e-8,
-        "pi^3*Lambda(theta-,theta-,theta+;1,1,1)": 1e-7,
-    }
-    for rec in oracles.mzv_reconstruction_check(params):
-        out.append(_case("mzv", rec["case"], rec["defect"], tols[rec["case"]]))
-    z12 = oracles.mzv_sum((1, 2), 1e-7)
+    """Critical values of the theta_plus/theta_minus family at 1 against
+    closed forms in log 2 and zeta values from the summation oracle."""
+    tp, tm = make_builtin_theta("theta_plus"), make_builtin_theta("theta_minus")
+    log16 = math.log(16.0)
+    z2 = oracles.mzv_sum((2,), 1e-10)
     z3 = oracles.mzv_sum((3,), 1e-10)
+
+    def critical(thetas) -> float:
+        return engine.lambda_eval(_expr(thetas), (1.0,) * len(thetas), params)[0].real
+
+    out = [
+        _case("mzv", "pi*Lambda(theta+;1) = -8 log 2",
+              abs(PI * critical((tp,)) + 8 * math.log(2.0)), 1e-10),
+        _case("mzv", "Lambda(theta-;1) = 0", abs(critical((tm,))), 1e-10),
+        _case("mzv", "pi^2*Lambda(theta-,theta+;1,1)",
+              abs(PI**2 * critical((tm, tp)) - (2 * z2 - log16**2)), 1e-8),
+        _case("mzv", "pi^3*Lambda(theta-,theta-,theta+;1,1,1)",
+              abs(PI**3 * critical((tm, tm, tp)) - (4 * z3 + 2 * log16 * z2 - log16**3 / 3.0)),
+              1e-7),
+    ]
+    z12 = oracles.mzv_sum((1, 2), 1e-7)
     out.append(_case("mzv", "zeta(1,2) = zeta(3) by summation", abs(z12 - z3), 1e-7))
     _ = seed, trials
     return out
@@ -370,7 +375,7 @@ def suite_qsums(seed: int, trials: int, params: EvalParams) -> list[CaseResult]:
 
     for ell in (1, 2, 3):
         lhs, _ = engine.lambda_eval(e2, (2.0 * ell, 2.0), params)
-        lhs = PI ** (ell + 1) / factorial(ell - 1) * lhs
+        lhs = PI ** (ell + 1) / math.factorial(ell - 1) * lhs
         rhs = q[ell, 1] + (1 - ell) / 2.0 * oracles.q_sum((ell + 1,), 1e-10)
         out.append(_case("qsums", f"xi(2l,2) identity, l={ell}", abs(lhs - rhs), 1e-7))
 
@@ -380,9 +385,9 @@ def suite_qsums(seed: int, trials: int, params: EvalParams) -> list[CaseResult]:
         for l2 in range(1, 5):
             red = oracles.reduce_d_to_q((l1, l2))
             want = {
-                (l1 + k, l2 - k): factorial(l1 - 1)
-                * factorial(l2 - 1)
-                * binomial(l1 + k - 1, k)
+                (l1 + k, l2 - k): math.factorial(l1 - 1)
+                * math.factorial(l2 - 1)
+                * math.comb(l1 + k - 1, k)
                 for k in range(l2)
             }
             sym_ok = sym_ok and red == want
@@ -477,7 +482,7 @@ def suite_binding(seed: int, trials: int, params: EvalParams) -> list[CaseResult
             _, dd = oracles.dirichlet_double(
                 sigma3, sigma3, p_ - r_, s + r_, 1e-8, (2.0, 3.0), (2.0, 3.0)
             )
-            term -= binomial(p_ - 1, r_) * dd
+            term -= math.comb(p_ - 1, r_) * dd
         out.append(
             _case("binding", f"double-series bridge (G4,G4;p={p_},s={s:g})", abs(lhs - term), 1e-6)
         )

@@ -34,9 +34,14 @@ Group = tuple[float, tuple[tuple[float, float], ...]]
 VALIDATION_POINTS = (0.7, 1.0, 1.6)
 VALIDATION_TOL = 1e-8
 
+# the most tail groups one evaluation sums; a tail whose truncation bound
+# needs more raises TruncationError
+MAX_TAIL_GROUPS = 4000
+
 
 class TruncationError(Exception):
-    """The tail bound cannot reach the requested tolerance in max_terms."""
+    """The tail bound cannot reach the requested tolerance within its cap
+    of groups (MAX_TAIL_GROUPS for values)."""
 
 
 class ValidationError(Exception):
@@ -166,13 +171,7 @@ class TailSeries:
                 )
             n = min(2 * n, max_terms)
 
-    def values(
-        self,
-        ts: np.ndarray,
-        kernel_power: int,
-        tol: float,
-        max_terms: int = 4000,
-    ) -> np.ndarray:
+    def values(self, ts: np.ndarray, kernel_power: int, tol: float) -> np.ndarray:
         """Vectorized tail values with truncation error <= tol pointwise."""
         ts = np.asarray(ts, dtype=float)
         if ts.size == 0:
@@ -180,7 +179,7 @@ class TailSeries:
         tmin = float(ts.min())
         if tmin <= 0:
             raise ValueError("tail evaluation requires t > 0")
-        n = self.needed_groups(tmin, tol, kernel_power, max_terms)
+        n = self.needed_groups(tmin, tol, kernel_power, MAX_TAIL_GROUPS)
         mu, a, nu = self._flat_arrays(n)
         out = np.zeros(ts.shape, dtype=float)
         tp = ts**kernel_power
@@ -274,9 +273,7 @@ class ThetaFunction:
             out += float(c) * ts ** float(e)
         return out
 
-    def eval_array(
-        self, ts, part: str = "full", tol: float = 1e-12, max_terms: int = 4000
-    ) -> np.ndarray:
+    def eval_array(self, ts, part: str = "full", tol: float = 1e-12) -> np.ndarray:
         """Pointwise values of the chosen part; |result - exact| <= tol.
 
         Values with t < 1/2 go through the inversion law when it is valid,
@@ -291,26 +288,26 @@ class ThetaFunction:
         if part == "poly":
             out = self.poly_eval(ts)
         elif part in ("tail", "full"):
-            out = self._tail_values(ts, tol, max_terms)
+            out = self._tail_values(ts, tol)
             if part == "full":
                 out = self.poly_eval(ts) + out
         else:
             raise ValueError(f"unknown part {part!r}")
         return out[0] if scalar else out
 
-    def _tail_values(self, ts: np.ndarray, tol: float, max_terms: int) -> np.ndarray:
+    def _tail_values(self, ts: np.ndarray, tol: float) -> np.ndarray:
         small = ts < 0.5
         if not self.inversion_ok or not np.any(small):
-            return self.tail.values(ts, self.kernel_power, tol, max_terms)
+            return self.tail.values(ts, self.kernel_power, tol)
         out = np.empty(ts.shape, dtype=float)
         if np.any(~small):
-            out[~small] = self.tail.values(ts[~small], self.kernel_power, tol, max_terms)
+            out[~small] = self.tail.values(ts[~small], self.kernel_power, tol)
         tsm = ts[small]
         # theta0(t) = sign * t^-w * dual(1/t) - poly(t); the dual evaluation
         # error is amplified by t^-w, so it runs at a shrunken tolerance.
         amp = tsm ** (-float(self.weight))
         dual_tol = tol / max(1.0, float(np.max(amp))) / 2.0
-        inv = self.dual.eval_array(1.0 / tsm, "full", dual_tol, max_terms)
+        inv = self.dual.eval_array(1.0 / tsm, "full", dual_tol)
         out[small] = self.sign * amp * inv - self.poly_eval(tsm)
         return out
 
@@ -367,16 +364,20 @@ class ThetaFunction:
         }
 
 
-def inversion_defect(theta: ThetaFunction, t: float, tol: float = 1e-10) -> float:
-    """|theta(1/t) - sign * t^weight * dual(t)|, both sides at accuracy tol/4."""
-    lhs = theta.eval(1.0 / t, "full", tol / 4)
-    rhs = theta.sign * t ** float(theta.weight) * theta.dual.eval(t, "full", tol / 4)
-    return abs(lhs - rhs)
+def inversion_defect(theta: ThetaFunction, t, tol: float = 1e-10):
+    """|theta(1/t) - sign * t^weight * dual(t)| at a point t or an array of
+    points, each side one evaluation at accuracy tol/4."""
+    t = np.asarray(t, dtype=float)
+    lhs = theta.eval_array(1.0 / t, "full", tol / 4)
+    rhs = theta.sign * t ** float(theta.weight) * theta.dual.eval_array(t, "full", tol / 4)
+    return np.abs(lhs - rhs)
 
 
 def validate_inversion(theta: ThetaFunction) -> None:
-    for t in VALIDATION_POINTS:
-        defect = inversion_defect(theta, t, VALIDATION_TOL / 10)
+    """Raise ValidationError at the first of VALIDATION_POINTS whose
+    inversion defect exceeds VALIDATION_TOL."""
+    defects = inversion_defect(theta, np.array(VALIDATION_POINTS), VALIDATION_TOL / 10)
+    for t, defect in zip(VALIDATION_POINTS, defects.tolist()):
         if defect > VALIDATION_TOL:
             raise ValidationError(theta.name, t, defect, VALIDATION_TOL)
 

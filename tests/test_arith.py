@@ -6,10 +6,8 @@ import pytest
 
 from itermellin.arith import (
     bernoulli,
-    binomial,
     divisor_sigma,
     euler_product_coeffs,
-    factorial,
     ramanujan_tau,
 )
 
@@ -57,12 +55,6 @@ def test_tau_multiplicativity():
 def test_euler_product_pentagonal():
     coeffs = euler_product_coeffs(12)
     assert coeffs[:13] == [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
-
-
-def test_binomial_factorial():
-    assert binomial(5, 2) == 10
-    assert binomial(3, 5) == 0
-    assert factorial(6) == 720
 
 
 def test_tau_rejects_nonpositive():

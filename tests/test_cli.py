@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import itermellin
-from itermellin.cli import main
+from itermellin.cli import _row_header, main
 
 
 def run(capsys, *argv):
@@ -97,6 +97,16 @@ class TestEval:
             code, _, _ = run(capsys, "eval", "--theta", tok, "--s", "1.25", "--format", "json")
             assert code == 0
 
+    def test_human_output_near_a_pole(self, capsys):
+        code, out, _ = run(capsys, "eval", "--theta", "riemann", "--s", "1.0005")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "Lambda(riemann; 1.0005)"
+        assert lines[1].startswith("  value          = 1999.02")
+        assert lines[2].startswith("  error estimate = ")
+        assert lines[3:] == ["  nearest pole   : s1-1 = 0  (distance 0.0005)",
+                             "  warning: within 5.00e-04 of pole hyperplane s1-1 = 0"]
+
     def test_json_determinism(self, capsys):
         args = ("eval", "--theta", "riemann,riemann", "--s", "2.3,1.1", "--format", "json")
         _, out1, _ = run(capsys, *args)
@@ -142,6 +152,12 @@ class TestResidue:
         assert code == 0
         assert abs(json.loads(out)["re"] + 1 / 3) < 1e-10
 
+    def test_human_output(self, capsys):
+        code, out, _ = run(capsys, "residue", "--theta", "riemann,riemann",
+                           "--hyperplane", "1,1:0", "--at", "3,-3")
+        assert code == 0
+        assert out == "Res_{s1+s2 = 0} Lambda(riemann,riemann) at (3, -3) = -0.333333333333\n"
+
     def test_malformed_hyperplane(self, capsys):
         code, _, _ = run(
             capsys,
@@ -185,6 +201,11 @@ class TestPoles:
         code, out, _ = run(capsys, "poles", "--theta", "delta")
         assert code == 0 and "entire" in out
 
+    def test_human_output(self, capsys):
+        code, out, _ = run(capsys, "poles", "--theta", "riemann,riemann")
+        assert code == 0
+        assert out == "s1+s2 = 0\ns1+s2-2 = 0\ns1-1 = 0\ns2 = 0\n"
+
 
 class TestVerify:
     def test_shuffle_suite(self, capsys):
@@ -204,6 +225,14 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert all(c["defect"] < 1e-8 for c in payload["cases"])
+
+    def test_human_output(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "mzv", "--seed", "0")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 6 and lines[-1] == "5/5 cases passed"
+        assert lines[0].startswith("[PASS] mzv :: pi*Lambda(theta+;1) = -8 log 2  (defect ")
+        assert all(line.startswith("[PASS] mzv :: ") and line.endswith(")") for line in lines[:5])
 
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nope")
@@ -283,6 +312,22 @@ class TestTable:
         assert lines[0] == "s1_re,s1_im,s2_re,s2_im,re,im,err,pole"
         assert len(lines) == 26  # header + 5*5
 
+    def test_json_rows_equal_csv_rows(self, capsys):
+        """JSON rows carry the CSV header's keys and the CSV row's values,
+        a pole cell included."""
+        grid = ("table", "--theta", "riemann", "--grid", "0.5:1.5:0.5/0:0.5:0.5")
+        code, out, _ = run(capsys, *grid, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        code, out, _ = run(capsys, *grid, "--format", "csv")
+        header, *lines = out.strip().splitlines()
+        assert header.split(",") == _row_header(1)
+        assert len(rows) == len(lines) == 6
+        for row, line in zip(rows, lines):
+            assert set(row) == set(_row_header(1))
+            assert [row[key] for key in _row_header(1)] == [float(x) for x in line.split(",")]
+        assert [row["pole"] for row in rows] == [0, 0, 1, 0, 0, 0]
+
     def test_grid_too_large(self, capsys):
         code, _, _ = run(
             capsys, "table", "--theta", "riemann", "--grid", "0:10000:0.01"
@@ -327,19 +372,24 @@ class TestNumericFailure:
         assert "numeric failure" in err
 
     def test_huge_slot_value_fails_by_name_alone(self):
-        """A slot value that overflows the bounds, or the affine rows of
-        the plan, exits 4 with the named failure as the whole of stderr: no
-        numpy warning before it.  Run in a process of its own, as pytest
+        """A slot value that overflows the bounds, the affine rows of the
+        plan or a word integral exits 4 with the named failure as the whole
+        of stderr: no numpy warning before it.  Run in a process of its own, as pytest
         would capture the warnings."""
         src = str(Path(itermellin.__file__).parents[1])
-        for point in ("--s=1e308,2", "--s=1e308+1e308i,2"):
-            argv = ["eval", "--theta", "riemann,riemann", point]
+        no_horizon = "no horizon satisfies the truncation bound"
+        for theta, point, failure in (
+                ("riemann,riemann", "--s=1e308,2", no_horizon),
+                ("riemann,riemann", "--s=1e308+1e308i,2", no_horizon),
+                # t^399 overflows on the mesh before the theta factor is applied
+                ("riemann", "--s=400", "word integral overflows on the mesh [1, 32]")):
+            argv = ["eval", "--theta", theta, point]
             done = subprocess.run(
                 [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
                  f"from itermellin.cli import main; sys.exit(main({argv!r}))"],
                 capture_output=True, text=True, timeout=120)
             assert done.returncode == 4, point
-            assert done.stderr == "numeric failure: no horizon satisfies the truncation bound\n"
+            assert done.stderr == f"numeric failure: {failure}\n"
 
     def test_bad_tolerance_is_parse_error(self, capsys):
         for bad in (["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--max-refine", "0"]):

@@ -109,6 +109,16 @@ class TestValues:
             with pytest.raises(quadrature.QuadratureError, match="no horizon"):
                 lambda_eval(expr, (1e308, 2.0), P)
 
+    def test_overflowing_word_integral_raises_without_warnings(self):
+        """t^(s-1) overflows at the mesh nodes before the theta factor makes
+        the integrand tiny: the word fails at once, naming the overflow."""
+        expr = build_expression((theta("riemann"),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (300.0, 400.0, 1e3, 1e6):
+                with pytest.raises(quadrature.QuadratureError, match="word integral overflows"):
+                    lambda_eval(expr, (s,), P)
+
     def test_pole_signal(self):
         expr = build_expression((theta("riemann"),))
         with pytest.raises(PoleSignal):
@@ -336,6 +346,13 @@ class TestDirect:
         assert len(calls) == 1
         e, _ = lambda_eval(build_expression(thetas), point, P)
         assert abs(d - e) <= bound
+
+    def test_no_horizon_raises_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(quadrature.QuadratureError,
+                               match="^no horizon satisfies the truncation bound$"):
+                lambda_direct((theta("riemann"),), (1e308,), P)
 
     def test_divergent_point_rejected(self):
         with pytest.raises(engine.DirectConvergenceError):

@@ -383,6 +383,57 @@ class TestMeshMajor:
         assert [m.edges[-1] for m in meshes] == [8.0]
         assert failure.type is TruncationError
 
+    def test_prefix_letter_growth_failure_in_word_order(self):
+        """A word whose prefix letter's growth bound raises TruncationError
+        fails with that error, and the call raises the failure of the first
+        such word, in word order."""
+        rie = make_builtin_theta("riemann")
+        bad = {}
+        for name, rate in (("a", 1.0), ("b", 2.0)):
+            bad[name] = make_single_exp(rate)
+
+            def growth(part, name=name):
+                raise TruncationError(f"growth of {name} fails")
+
+            bad[name].growth = growth
+        good = (Letter(rie, "tail", slot(0, 2)),)
+        wa, wb = ((Letter(bad[x], "full", slot(0, 2)), Letter(rie, "tail", slot(1, 2)))
+                  for x in "ab")
+        for words, first in (((good, wa, wb), "a"), ((good, wb, wa), "b")):
+            letters, exps = exponent_columns(words, [(2.0, 3.0)])
+            assert sorted(letters.failures) == [1, 2]
+            with pytest.raises(TruncationError, match=f"^growth of {first} fails$"):
+                integrate_words(letters, exps, EvalParams())
+
+    @pytest.mark.parametrize("at,fails", [((0, 0), True), ((1, 1), True),
+                                          ((0, 1), False), ((1, 0), False)])
+    def test_non_finite_value_at_a_job_point(self, monkeypatch, at, fails):
+        """Word k runs on the mesh of horizon 4 at point k alone, the other
+        point padding it: a non-finite value at a point of its own fails
+        the call, even when unresolved jobs are handed back, and one at a
+        padded point is discarded."""
+        rie = make_builtin_theta("riemann")
+        words = ((Letter(rie, "tail", slot(0, 2)),), (Letter(rie, "tail", slot(1, 2)),))
+        letters, exps = exponent_columns(words, [(2.0, 30.0), (30.0, 2.0)])
+        params = EvalParams()
+        want = integrate_words(letters, exps, params)
+        on_mesh = quadrature.integrate_word_on_mesh
+
+        def poisoned(letters, maps, m):
+            values = on_mesh(letters, maps, m)
+            if m.edges == (1.0, 2.0, 4.0):
+                values[at] = np.inf
+            return values
+
+        monkeypatch.setattr(quadrature, "integrate_word_on_mesh", poisoned)
+        if fails:
+            with pytest.raises(QuadratureError,
+                               match=r"^word integral overflows on the mesh \[1, 4\]$"):
+                integrate_words(letters, exps, params, unresolved=[])
+        else:
+            got = integrate_words(letters, exps, params)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
     def test_radius8_request_fails_as_before(self, capsys):
         code = main(["eval", "--theta", "theta-,jacobi:3,jacobi:2,theta-",
                      "--s=-6.465977-5.167086i,-5.273694+2.386160i,"

@@ -2,9 +2,10 @@
 
 import pytest
 
-from itermellin import engine
+from itermellin import engine, oracles, suites
 from itermellin.quadrature import EvalParams
 from itermellin.suites import SUITES, run_suite
+from itermellin.theta import make_builtin_theta
 
 
 def test_unknown_suite():
@@ -34,6 +35,31 @@ def test_determinism_same_seed():
 def test_mzv_suite_passes():
     for case in run_suite("mzv", seed=0, trials=5):
         assert case.passed, case
+
+
+def test_mzv_cases_and_tolerances():
+    assert [(c.case, c.tolerance) for c in run_suite("mzv", seed=0, trials=1)] == [
+        ("pi*Lambda(theta+;1) = -8 log 2", 1e-10),
+        ("Lambda(theta-;1) = 0", 1e-10),
+        ("pi^2*Lambda(theta-,theta+;1,1)", 1e-8),
+        ("pi^3*Lambda(theta-,theta-,theta+;1,1,1)", 1e-7),
+        ("zeta(1,2) = zeta(3) by summation", 1e-7),
+    ]
+
+
+def test_suites_compile_through_the_oracles_cache(monkeypatch):
+    """The suites and the oracles share one compile cache: the riemann
+    r = 1 expression is compiled once, and a repeated suite compiles
+    nothing."""
+    rie = make_builtin_theta("riemann")
+    assert suites._expr((rie,)) is oracles.expression((rie,)) is oracles._xi_expression()
+    run_suite("mzv", seed=0, trials=1)
+    compiled = []
+    build = engine.build_expression
+    monkeypatch.setattr(engine, "build_expression",
+                        lambda thetas: compiled.append(thetas) or build(thetas))
+    run_suite("mzv", seed=0, trials=1)
+    assert compiled == []
 
 
 def test_case_record_shape():

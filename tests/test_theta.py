@@ -12,6 +12,7 @@ from itermellin.engine import _zero_envelope
 from itermellin.ratfun import AffineForm
 from itermellin.theta import (
     KernelMismatchError,
+    ThetaFunction,
     TruncationError,
     ValidationError,
     convolve,
@@ -125,10 +126,11 @@ class TestEval:
         # theta0(0.1) = 10*theta(10) - 1 = 10*(1 + tiny) - 1 = 9 + tiny
         assert rie.eval(0.1, "tail", 1e-12) == pytest.approx(9.0, abs=1e-12)
 
-    def test_truncation_error(self):
+    def test_truncation_error(self, monkeypatch):
+        monkeypatch.setattr("itermellin.theta.MAX_TAIL_GROUPS", 2)
         j3 = theta("jacobi3")
         with pytest.raises(TruncationError):
-            j3.eval_array(np.array([0.51]), "tail", 1e-12, max_terms=2)
+            j3.eval_array(np.array([0.51]), "tail", 1e-12)
 
     def test_rejects_nonpositive_argument(self):
         with pytest.raises(ValueError):
@@ -158,6 +160,24 @@ class TestInversion:
         th = theta(name, weight)
         for t in np.exp(np.linspace(math.log(0.5), math.log(2.0), 20)):
             assert inversion_defect(th, float(t), 1e-11) < 1e-9
+
+    def test_array_of_points(self):
+        """At an array of points, each side is one evaluation; the defects
+        are those of the points one at a time, up to roundoff."""
+        j2 = theta("jacobi2")
+        ts = [0.7, 1.0, 1.6]
+        defects = inversion_defect(j2, np.array(ts), 1e-12)
+        assert defects.shape == (3,)
+        for t, defect in zip(ts, defects):
+            assert abs(defect - inversion_defect(j2, t, 1e-12)) < 1e-14
+
+    def test_validation_evaluates_each_side_once(self, monkeypatch):
+        calls = []
+        eval_array = ThetaFunction.eval_array
+        monkeypatch.setattr(ThetaFunction, "eval_array", lambda self, ts, *args: (
+            calls.append((self.name, np.size(ts))) or eval_array(self, ts, *args)))
+        validate_inversion(theta("jacobi2"))
+        assert calls == [("jacobi2", 3), ("jacobi4", 3)]
 
 
 def tail_partial_sum(th, t, n):
@@ -343,6 +363,13 @@ class TestThetaFiles:
         with pytest.raises(ValidationError) as exc:
             parse_theta_text(BAD_SIGN_FILE)
         assert exc.value.t in (0.7, 1.0, 1.6)
+
+    def test_wrong_weight_fails_at_the_first_failing_point(self):
+        """Weight 2 fails at t = 0.7 and 1.6 (at t = 1 both sides agree
+        whatever the weight); the error names 0.7, the first."""
+        with pytest.raises(ValidationError, match=r"inversion defect .* at t=0\.7 ") as exc:
+            parse_theta_text(RIEMANN_FILE.replace("weight 1", "weight 2"))
+        assert exc.value.t == 0.7
 
     def test_level11_eigenform(self):
         th = parse_theta_text(LEVEL11_FILE)
