@@ -4,10 +4,10 @@ Most of what is here avoids the compiled-expression machinery it is used
 to check: multiple quadratic sums and multiple zeta values by direct
 summation with integral-comparison tails, double Dirichlet series by
 direct summation, and the hypergeometric binding identity by quadrature.
-The quadratic sums form each block of rows of 1/(m^2 + c^2) once and raise
-it through the powers they need by multiplication (_inner_quadratic);
-the depth-2 sums of one q_sums call share that one grid of reciprocals.
-A double Dirichlet series reads (m + n)^-s from one table over m + n.
+The quadratic sums take their innermost series sum_m (m^2 + c)^-k in
+closed form, from the partial fractions of coth (_coth_sum), and sum the
+outer variables directly.  A double Dirichlet series reads (m + n)^-s from
+one table over m + n.
 
 The Eisenstein routes use the length-1 engine on other thetas than the
 ones they check: the real-analytic Eisenstein series is half the completed
@@ -22,16 +22,16 @@ holomorphic Eisenstein series, whose tails the quadrature integrates.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import gamma as complex_gamma, hyp2f1
 
 from .ratfun import AffineForm, PoleSignal
-from .theta import GrowthBound, TailSeries, ThetaFunction, make_builtin_theta
+from .theta import GrowthBound, TailSeries, ThetaFunction, gauss_legendre, make_builtin_theta
 from .words import Letter
 from .quadrature import EvalParams, tail_word_integral
 from . import engine
@@ -113,7 +113,7 @@ def mzv_sum(ns: Sequence[int], tol: float = 1e-8) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _inv_quad_integral(a: float, c2: np.ndarray, k: int) -> np.ndarray:
+def _inv_quad_integral(a: float, c2: np.ndarray, k: float) -> np.ndarray:
     """int_a^inf dx / (x^2 + c2)^k at each entry of c2, in closed form:
     a^(1-2k) / (2k-1) * 2F1(k, k - 1/2; k + 1/2; -c2/a^2), termwise the
     integral of the binomial series of (1 + c2/x^2)^-k.  The reduction
@@ -121,121 +121,126 @@ def _inv_quad_integral(a: float, c2: np.ndarray, k: int) -> np.ndarray:
     return a ** (1 - 2 * k) / (2 * k - 1) * hyp2f1(k, k - 0.5, k + 0.5, -c2 / (a * a))
 
 
-# rows of 1/(m^2 + c2) formed at a time: 16 rows of a 4000-term cut fill
-# 512 KB, which stays in cache while the rows are raised to their powers
-_QUAD_ROWS = 16
+def _coth_sum(c2: np.ndarray, k: int) -> np.ndarray:
+    """sum_{m>=1} (m^2 + c2)^-k at each entry of c2 > 0, in closed form.
 
-
-def _inner_quadratic(c2: np.ndarray, ks: Sequence[int], cut: int) -> dict[int, np.ndarray]:
-    """{k: sum_{m>=1} (m^2 + c2)^-k at each entry of c2} for each k of ks:
-    the first cut terms summed directly, the rest by the midpoint integral
-    tail from cut + 1/2.
-
-    Each block of _QUAD_ROWS rows forms 1/(m^2 + c2) once and raises it
-    through the powers 1, 2, ..., max(ks) by successive multiplications,
-    not by pow, summing it at each power asked for.
+    With a = sqrt(c2), C = coth(pi a) and K = csch^2(pi a), the partial
+    fractions of coth give S_1 = (pi a C - 1) / (2 a^2), and
+    S_{k+1} = -(1/k) (1/(2a)) dS_k/da by dC/da = -pi K, dK/da = -2 pi C K.
+    S_k is kept exactly as rational multiples of pi^e a^p C^q K^r, and C, K
+    are formed from exp(-2 pi a), which neither overflows nor cancels.
     """
-    out = {k: np.empty_like(c2) for k in sorted(set(ks))}
-    top = max(out)
-    ms2 = np.arange(1.0, cut + 1.0) ** 2
-    for lo in range(0, c2.size, _QUAD_ROWS):
-        hi = min(lo + _QUAD_ROWS, c2.size)
-        inv = 1.0 / (ms2[None, :] + c2[lo:hi, None])
-        power = inv.copy() if top > 1 else inv
-        for k in range(1, top + 1):
-            if k in out:
-                out[k][lo:hi] = power.sum(axis=1)
-            if k < top:
-                power *= inv
-    return {k: sums + _inv_quad_integral(cut + 0.5, c2, k) for k, sums in out.items()}
+    a = np.sqrt(c2)
+    x = np.exp(-2 * PI * a)
+    d = -np.expm1(-2 * PI * a)  # 1 - x
+    coth, csch2 = (2.0 - d) / d, 4.0 * x / (d * d)
+    terms = {(1, -1, 1, 0): Fraction(1, 2), (0, -2, 0, 0): Fraction(-1, 2)}
+    for j in range(1, k):
+        nxt: dict[tuple[int, int, int, int], Fraction] = defaultdict(Fraction)
+        for (e, p, q, r), c in terms.items():
+            c /= -2 * j
+            nxt[e, p - 2, q, r] += p * c
+            nxt[e + 1, p - 1, q - 1, r + 1] -= q * c
+            nxt[e + 1, p - 1, q + 1, r] -= 2 * r * c
+        terms = {key: c for key, c in nxt.items() if c}
+    return sum(float(c) * PI**e * a**p * coth**q * csch2**r for (e, p, q, r), c in terms.items())
 
 
 def q_sum(ks: Sequence[int], tol: float = 1e-8) -> float:
     """Multiple quadratic sum over n_i >= 1 of
     1/((n_1^2+...+n_r^2)^k1 ... (n_r^2)^kr), depth r <= 3.
 
-    Nested summation; the innermost variable is summed with a closed-form
-    integral-comparison tail, outer tails likewise by integral comparison.
+    The innermost variable is summed in closed form (_coth_sum); the outer
+    sums are cut, with an integral-comparison tail at depth 2.
     """
     ks = tuple(int(k) for k in ks)
     return q_sums((ks,), tol)[ks]
 
 
-# the depth-2 cuts: n runs to _Q2_CUT_N, and the inner sum over m is cut
-# at _Q2_CUT_M
-_Q2_CUT_M, _Q2_CUT_N = 4000, 4000
+# the depth-2 cut: n runs to _Q2_CUT_N
+_Q2_CUT_N = 4000
 
 
 def q_sums(kss: Sequence[Sequence[int]], tol: float = 1e-8) -> dict[tuple[int, ...], float]:
-    """{ks: q_sum(ks, tol)} for each exponent tuple of kss.
-
-    All depth-2 sums share one _inner_quadratic pass over the same n, which
-    forms each block of reciprocals 1/(m^2 + n^2) once for every k1 they
-    ask for; each value equals the one its sum has alone.
-    """
+    """{ks: q_sum(ks, tol)} for each exponent tuple of kss, every tuple
+    checked before any is summed."""
     kss = [tuple(int(k) for k in ks) for ks in kss]
     for ks in kss:
         if not ks or any(k < 1 for k in ks):
             raise ValueError("quadratic sum exponents must be >= 1")
         if len(ks) > 3:
             raise ValueError("q_sum supports depth <= 3")
-    n = np.arange(1.0, _Q2_CUT_N + 1.0)
-    k1s = [ks[0] for ks in kss if len(ks) == 2]
-    inner = _inner_quadratic(n**2, k1s, _Q2_CUT_M) if k1s else {}
     out = {}
     for ks in kss:
         if len(ks) == 1:
             out[ks] = _zeta_direct(2 * ks[0])
         elif len(ks) == 2:
-            out[ks] = _q_sum2(ks, inner[ks[0]], n, tol)
+            out[ks] = _q_sum2(ks, tol)
         else:
             out[ks] = _q_sum3(ks, tol)
     return out
 
 
-def _q_sum2(ks: tuple[int, int], inner: np.ndarray, n: np.ndarray, tol: float) -> float:
+def _q_sum2(ks: tuple[int, int], tol: float) -> float:
     """Q(k1, k2) from the inner sums over m at each n: the head, then the
     outer tail by integral comparison."""
     k1, k2 = ks
-    head = float(np.sum(inner * n ** float(-2 * k2)))
-    # outer tail: integrate y -> (int_{1/2}^inf dx/(x^2+y^2)^k1) * y^(-2k2)
-    xs, ws = leggauss(64)
+    # beyond 1024a the outer tail's integrand is below y^(1-2k1-2k2)
     a = _Q2_CUT_N + 0.5
-    tail = 0.0
-    for lo, hi in ((a, 2 * a), (2 * a, 8 * a), (8 * a, 64 * a), (64 * a, 1024 * a)):
-        ys = 0.5 * (xs + 1.0) * (hi - lo) + lo
-        vals = _inv_quad_integral(0.5, ys * ys, k1) * ys ** (-2.0 * k2)
-        tail += float(np.dot(ws, vals)) * (hi - lo) / 2
-    # beyond 1024a the integrand is below y^(1-2k1-2k2)
     rest_exp = 2 * k1 + 2 * k2 - 2
     rest = (1024 * a) ** (-rest_exp) / rest_exp * 2.0
-    estimate = 4.0 / _Q2_CUT_M**3 + 4.0 / _Q2_CUT_N**3 + rest
+    estimate = 4.0 / _Q2_CUT_N**3 + rest
     if estimate > tol:
         raise SummationBudgetError(
             f"q_sum budget reaches accuracy {estimate:.2e} > tol {tol:.1e}"
         )
-    return head + tail
+    n = np.arange(1.0, _Q2_CUT_N + 1.0)
+    head = float(np.sum(_coth_sum(n * n, k1) * n ** float(-2 * k2)))
+    return head + _outer_tail(a, k1, k2)
+
+
+def _outer_tail(a: float, k: float, k2: int) -> float:
+    """int_a^{1024a} dy y^(-2k2) int_{1/2}^inf dx (x^2+y^2)^-k, by 64-point
+    Gauss-Legendre rules on four panels: the integral comparison for the
+    sum over n > a - 1/2 of n^(-2k2) sum_{m>=1} (m^2 + n^2)^-k."""
+    xs, ws = gauss_legendre(64)
+    tail = 0.0
+    for lo, hi in ((a, 2 * a), (2 * a, 8 * a), (8 * a, 64 * a), (64 * a, 1024 * a)):
+        ys = 0.5 * (xs + 1.0) * (hi - lo) + lo
+        vals = _inv_quad_integral(0.5, ys * ys, k) * ys ** (-2.0 * k2)
+        tail += float(np.dot(ws, vals)) * (hi - lo) / 2
+    return tail
 
 
 def _q_sum3(ks: tuple[int, int, int], tol: float) -> float:
-    """Q(k1, k2, k3) by a direct head over a square of (n2, n3); the
-    budget check bounds what it leaves out."""
+    """Q(k1, k2, k3): a direct head over the square n2, n3 <= cut, and the
+    rest of the (n2, n3) quadrant by integral comparison.
+
+    Outside the square, n2^2 + n3^2 > cut^2, where the inner sum is
+    S_k1(c) = A c^(1/2-k1) - c^-k1 / 2 to double precision, with
+    A = sqrt(pi) Gamma(k1 - 1/2) / (2 Gamma(k1)): its n2 > cut part is
+    integrated over n2 for each n3 <= cut, its n3 > cut part over both.
+    What that leaves out is below the budget check's estimate, made
+    before anything is summed.
+    """
     k1, k2, k3 = ks
     cut = 220
-    cut_m = 1500
-    n2 = np.arange(1.0, cut + 1.0)
-    n3 = np.arange(1.0, cut + 1.0)
-    g2, g3 = np.meshgrid(n2, n3, indexing="ij")
-    c2 = (g2**2 + g3**2).ravel()
-    inner = _inner_quadratic(c2, (k1,), cut_m)[k1]
-    weights = (c2 ** float(-k2)) * (g3.ravel() ** float(-2 * k3))
-    head = float(np.sum(inner * weights))
-    estimate = 20.0 / cut ** (2 * min(k2 + k3, k1 + k3) + 1) + 2.0 / cut_m**3
+    big_k = k1 + k2
+    estimate = (2 * big_k - 1) / (4.0 * cut ** (2 * big_k))
     if estimate > tol:
         raise SummationBudgetError(
             f"depth-3 q_sum accuracy {estimate:.2e} > tol {tol:.1e}"
         )
-    return head
+    n = np.arange(1.0, cut + 1.0)
+    g2, g3 = np.meshgrid(n, n, indexing="ij")
+    c2 = (g2**2 + g3**2).ravel()
+    weights = (c2 ** float(-k2)) * (g3.ravel() ** float(-2 * k3))
+    head = float(np.sum(_coth_sum(c2, k1) * weights))
+    amp = math.sqrt(PI) * math.gamma(k1 - 0.5) / (2 * math.gamma(k1))
+    a = cut + 0.5
+    side = _inv_quad_integral(a, n * n, big_k - 0.5) * amp - _inv_quad_integral(a, n * n, big_k) / 2
+    top = amp * _outer_tail(a, big_k - 0.5, k3) - _outer_tail(a, big_k, k3) / 2
+    return head + float(np.dot(n ** float(-2 * k3), side)) + top
 
 
 def reduce_d_to_q(ls: Sequence[int]) -> dict[tuple[int, ...], int]:
@@ -331,7 +336,7 @@ def binding_lemma_defect(p: int, m: int, n: int, s: complex) -> float:
     s = complex(s)
     if s.real <= 0:
         raise ValueError("needs Re(s) > 0")
-    xs, ws = leggauss(96)
+    xs, ws = gauss_legendre(96)
     x = 0.5 * (xs + 1.0)
     integrand = x ** (p - 1) * (m * x + n) ** (-(p + s))
     left = complex_gamma(s + p) / math.factorial(p - 1) * complex(np.dot(ws, integrand)) / 2.0
@@ -371,11 +376,6 @@ def _values(expr, points, params: EvalParams | None) -> list[complex]:
             raise result
         out.append(result[0])
     return out
-
-
-def xi_value(s: complex, params: EvalParams | None = None) -> complex:
-    """Completed zeta value from the length-1 engine."""
-    return _values(_xi_expression(), [(s,)], params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +520,7 @@ def xi_via_eisenstein(
     sigma = s1 + s2
     if sigma.real <= 1.0:
         raise ValueError("needs Re(s1+s2) > 1 for the lattice sum")
-    xs, ws = leggauss(params.quad_order)
+    xs, ws = gauss_legendre(params.quad_order)
     xi_a, xi_b = _values(_xi_expression(), [(2 * sigma,), (2 * sigma - 1,)], params)
     intervals = ((1.0, 2.0), (2.0, 4.0), (4.0, 8.0))
     ys = [0.5 * (xs + 1.0) * (hi - lo) + lo for lo, hi in intervals]

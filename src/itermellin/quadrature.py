@@ -55,9 +55,9 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
+from numpy.polynomial.legendre import legvander
 
-from .theta import TruncationError
+from .theta import TruncationError, gauss_legendre
 from .words import Word
 
 REF_TOL = 1e-15  # theta accuracy at mesh nodes; below every engine tolerance
@@ -99,7 +99,7 @@ class EvalParams:
 
 @lru_cache(maxsize=None)
 def _gl_data(order: int):
-    x, w = leggauss(order)
+    x, w = gauss_legendre(order)
     v = legvander(x, order - 1)
     pext = legvander(x, order)
     integrals = np.empty((order, order))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import engine, oracles
 from .arith import divisor_sigma
-from .oracles import expression as _expr
+from .oracles import _values, expression as _expr
 from .quadrature import EvalParams
 from .ratfun import AffineForm
 from .theta import ThetaFunction, make_builtin_theta
@@ -54,12 +54,14 @@ def _sample(rng, nslots: int, forms):
     raise RuntimeError("could not sample a point away from the hyperplanes")
 
 
-def _fe_defect(thetas, pt, params) -> float:
-    expr = _expr(thetas)
-    lhs, _ = engine.lambda_eval(expr, pt, params)
-    dual = engine.reversed_dual_tuple(thetas)
-    rhs, _ = engine.lambda_eval(_expr(dual), engine.reflected_point(thetas, pt), params)
-    return abs(lhs - engine.functional_sign(thetas) * rhs)
+def _fe_defect(thetas, pts, params) -> float:
+    """The largest functional-equation defect over the points; each side
+    is evaluated at all of them in one batch."""
+    lhs = _values(_expr(thetas), pts, params)
+    dual = _expr(engine.reversed_dual_tuple(thetas))
+    rhs = _values(dual, [engine.reflected_point(thetas, pt) for pt in pts], params)
+    sign = engine.functional_sign(thetas)
+    return max(abs(a - sign * b) for a, b in zip(lhs, rhs))
 
 
 def _fe_constraints(thetas):
@@ -89,48 +91,33 @@ def suite_functional(seed: int, trials: int, params: EvalParams) -> list[CaseRes
     for r in (1, 2, 3):
         thetas = (rie,) * r
         forms = _fe_constraints(thetas)
-        worst = 0.0
-        for _ in range(trials):
-            pt = _sample(rng, r, forms)
-            worst = max(worst, _fe_defect(thetas, pt, params))
+        pts = [_sample(rng, r, forms) for _ in range(trials)]
+        worst = _fe_defect(thetas, pts, params)
         out.append(_case("functional", f"xi r={r} reflection, {trials} points", worst, 1e-8))
     mixed = (make_builtin_theta("eisenstein", 4), make_builtin_theta("delta"))
     forms = _fe_constraints(mixed)
-    worst = 0.0
-    for _ in range(trials):
-        pt = _sample(rng, 2, forms)
-        worst = max(worst, _fe_defect(mixed, pt, params))
+    worst = _fe_defect(mixed, [_sample(rng, 2, forms) for _ in range(trials)], params)
     out.append(_case("functional", f"mixed (G4, delta) reflection, {trials} points", worst, 1e-8))
 
-    j3 = make_builtin_theta("jacobi3")
-    e1 = _expr((rie,))
-    ej3 = _expr((j3,))
-    worst = 0.0
-    for _ in range(5):
-        s = complex(rng.uniform(0.7, 3.0), rng.uniform(-2.0, 2.0))
-        a, _ = engine.lambda_eval(ej3, (s,), params)
-        b, _ = engine.lambda_eval(e1, (2 * s,), params)
-        worst = max(worst, abs(a - 2 * b))
+    ss = [complex(rng.uniform(0.7, 3.0), rng.uniform(-2.0, 2.0)) for _ in range(5)]
+    a = _values(_expr((make_builtin_theta("jacobi3"),)), [(s,) for s in ss], params)
+    b = _values(_expr((rie,)), [(2 * s,) for s in ss], params)
+    worst = max(abs(x - 2 * y) for x, y in zip(a, b))
     out.append(_case("functional", "Lambda(jacobi3;s) = 2 xi(2s), 5 points", worst, 1e-9))
 
     j2, j4 = make_builtin_theta("jacobi2"), make_builtin_theta("jacobi4")
-    worst = 0.0
-    for _ in range(5):
-        s = complex(rng.uniform(0.8, 3.0), rng.uniform(-2.0, 2.0))
-        a, _ = engine.lambda_eval(_expr((j2,)), (s,), params)
-        b, _ = engine.lambda_eval(_expr((j4,)), (0.5 - s,), params)
-        worst = max(worst, abs(a - b))
+    ss = [complex(rng.uniform(0.8, 3.0), rng.uniform(-2.0, 2.0)) for _ in range(5)]
+    a = _values(_expr((j2,)), [(s,) for s in ss], params)
+    b = _values(_expr((j4,)), [(0.5 - s,) for s in ss], params)
+    worst = max(abs(x - y) for x, y in zip(a, b))
     out.append(_case("functional", "Lambda(jacobi2;s) = Lambda(jacobi4;1/2-s), 5 points", worst, 1e-8))
 
     delta = make_builtin_theta("delta")
     ed = _expr((delta,))
     out.append(_case("functional", "delta pole set empty", float(len(ed.pole_forms)), 0.0))
-    worst = 0.0
-    for _ in range(10):
-        s = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-        a, _ = engine.lambda_eval(ed, (s,), params)
-        b, _ = engine.lambda_eval(ed, (12.0 - s,), params)
-        worst = max(worst, abs(a - b))
+    ss = [complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(10)]
+    values = _values(ed, [(s,) for s in ss] + [(12.0 - s,) for s in ss], params)
+    worst = max(abs(x - y) for x, y in zip(values[:10], values[10:]))
     out.append(_case("functional", "Lambda(delta;s) = Lambda(delta;12-s), 10 points", worst, 1e-9))
 
     pool = [
@@ -148,7 +135,7 @@ def suite_functional(seed: int, trials: int, params: EvalParams) -> list[CaseRes
         r = int(rng.integers(2, 4))
         tup = tuple(pool[int(i)] for i in rng.integers(0, len(pool), r))
         pt = _sample(rng, r, _fe_constraints(tup))
-        worst = max(worst, _fe_defect(tup, pt, params))
+        worst = max(worst, _fe_defect(tup, [pt], params))
     out.append(
         _case("functional", "random mixed tuples from the builtin pool, r in {2,3}", worst, 1e-8)
     )
@@ -215,12 +202,9 @@ def suite_residues(seed: int, trials: int, params: EvalParams) -> list[CaseResul
     e1, e2, e3 = _expr((rie,)), _expr((rie,) * 2), _expr((rie,) * 3)
 
     h = AffineForm.make(0, (0, 1))  # s2 = 0
-    worst = 0.0
-    for _ in range(4):
-        s1 = complex(rng.uniform(2.2, 3.0), rng.uniform(-1.0, 1.0))
-        res = engine.residue(e2, h, (s1, 0.0), params)
-        ref, _ = engine.lambda_eval(e1, (s1,), params)
-        worst = max(worst, abs(res + ref))
+    s1s = [complex(rng.uniform(2.2, 3.0), rng.uniform(-1.0, 1.0)) for _ in range(4)]
+    refs = _values(e1, [(s1,) for s1 in s1s], params)
+    worst = max(abs(engine.residue(e2, h, (s1, 0.0), params) + ref) for s1, ref in zip(s1s, refs))
     out.append(_case("residues", "r=2 Res_{s2=0} = -xi(s1)", worst, 1e-8))
 
     h = AffineForm.make(0, (1, 1))  # s1 + s2 = 0
@@ -282,20 +266,20 @@ def suite_eisenstein_id(seed: int, trials: int, params: EvalParams) -> list[Case
         g = make_builtin_theta("eisenstein", w)
         eg = _expr((g,))
         crit = [0.0, 1.0, float(w - 1), float(w)]
+        ss = []
+        while len(ss) < 10:
+            s = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            if min(abs(s - c) for c in crit) >= 0.2:
+                ss.append(s)
+        lhs = _values(eg, [(s,) for s in ss], params)
+        xi = _values(e1, [(s,) for s in ss] + [(s - w + 1,) for s in ss], params)
         worst = 0.0
-        for _ in range(10):
-            while True:
-                s = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-                if min(abs(s - c) for c in crit) >= 0.2:
-                    break
-            lhs, _ = engine.lambda_eval(eg, (s,), params)
+        for s, value, xa, xb in zip(ss, lhs, xi[:10], xi[10:]):
             pref = 1.0 + 0.0j
             for j in range(1, w, 2):
                 pref *= s - j
             pref /= 2 * (2 * PI) ** k
-            xa, _ = engine.lambda_eval(e1, (s,), params)
-            xb, _ = engine.lambda_eval(e1, (s - w + 1,), params)
-            worst = max(worst, abs(lhs - pref * xa * xb))
+            worst = max(worst, abs(value - pref * xa * xb))
         out.append(
             _case("eisenstein-id", f"Lambda(G{w};s) = prefactor*xi(s)xi(s-{w - 1})", worst, 1e-8)
         )
@@ -323,7 +307,8 @@ def suite_eisenstein_id(seed: int, trials: int, params: EvalParams) -> list[Case
             5e-7,
         )
     )
-    einf_direct = oracles.xi_value(3.0, params) * 2**1.5 + oracles.xi_value(2.0, params) * 2**-0.5
+    xi3, xi2 = _values(e1, [(3.0,), (2.0,)], params)
+    einf_direct = xi3 * 2**1.5 + xi2 * 2**-0.5
     _, _, einf = oracles.real_eisenstein(2j, 1.5, params)
     out.append(_case("eisenstein-id", "Einf(2i,1.5) assembly", abs(einf - einf_direct), 1e-10))
     return out
@@ -364,17 +349,15 @@ def suite_qsums(seed: int, trials: int, params: EvalParams) -> list[CaseResult]:
 
     # each distinct sum once; Q(1,1) and Q(2,1) serve two cases each
     q = oracles.q_sums(((1, 1), (1, 2), (2, 1), (3, 1)), 1e-8)
-    d22, _ = engine.lambda_eval(td, (2.0, 2.0), params)
+    d22, d24, d42, d34 = _values(td, [(2.0, 2.0), (2.0, 4.0), (4.0, 2.0), (3.0, 4.0)], params)
     out.append(_case("qsums", "pi^2 D(2,2) = Q(1,1)", abs(PI**2 * d22 - q[1, 1]), 1e-7))
-    d24, _ = engine.lambda_eval(td, (2.0, 4.0), params)
     out.append(
         _case("qsums", "pi^3 D(2,4) = Q(1,2)+Q(2,1)", abs(PI**3 * d24 - q[1, 2] - q[2, 1]), 1e-7)
     )
-    d42, _ = engine.lambda_eval(td, (4.0, 2.0), params)
     out.append(_case("qsums", "pi^3 D(4,2) = Q(2,1)", abs(PI**3 * d42 - q[2, 1]), 1e-7))
 
-    for ell in (1, 2, 3):
-        lhs, _ = engine.lambda_eval(e2, (2.0 * ell, 2.0), params)
+    *xi_l2, v34 = _values(e2, [(2.0, 2.0), (4.0, 2.0), (6.0, 2.0), (3.0, 4.0)], params)
+    for ell, lhs in zip((1, 2, 3), xi_l2):
         lhs = PI ** (ell + 1) / math.factorial(ell - 1) * lhs
         rhs = q[ell, 1] + (1 - ell) / 2.0 * oracles.q_sum((ell + 1,), 1e-10)
         out.append(_case("qsums", f"xi(2l,2) identity, l={ell}", abs(lhs - rhs), 1e-7))
@@ -393,8 +376,6 @@ def suite_qsums(seed: int, trials: int, params: EvalParams) -> list[CaseResult]:
             sym_ok = sym_ok and red == want
     out.append(_case("qsums", "reduction coefficients, l <= 4", 0.0 if sym_ok else 1.0, 0.0))
 
-    v34, _ = engine.lambda_eval(e2, (3.0, 4.0), params)
-    d34, _ = engine.lambda_eval(td, (3.0, 4.0), params)
     xi7, _ = engine.lambda_eval(e1, (7.0,), params)
     out.append(
         _case(
@@ -414,7 +395,13 @@ def suite_eichler(seed: int, trials: int, params: EvalParams) -> list[CaseResult
     e2 = _expr((rie,) * 2)
     target = PI**2 / 72
 
-    via_engine, _ = engine.lambda_eval(e2, (2.0, 2.0), params)
+    pairs = ((2, 4), (4, 2), (6, 2))
+    via_engine, *refs, ref, ref_sym = _values(
+        e2,
+        [(2.0, 2.0)] + [(float(a), float(b)) for a, b in pairs]
+        + [(2.6, 1.8), (1 - 2 * 1.2, 1 - 2 * 1.1)],
+        params,
+    )
     via_eichler = oracles.eichler_xi((2, 2), params)
     via_eis = oracles.xi_via_eisenstein(1.0, 1.0, params)
     out.append(_case("eichler", "engine xi(2,2) = pi^2/72", abs(via_engine - target), 1e-9))
@@ -430,22 +417,19 @@ def suite_eichler(seed: int, trials: int, params: EvalParams) -> list[CaseResult
         _case("eichler", "pipelines pairwise (eichler/eisenstein)", abs(via_eichler - via_eis), 1e-7)
     )
 
-    for pair in ((2, 4), (4, 2), (6, 2)):
-        ref, _ = engine.lambda_eval(e2, (float(pair[0]), float(pair[1])), params)
+    for pair, pair_ref in zip(pairs, refs):
         out.append(
             _case(
                 "eichler",
                 f"eichler xi{pair} vs engine",
-                abs(oracles.eichler_xi(pair, params) - ref),
+                abs(oracles.eichler_xi(pair, params) - pair_ref),
                 1e-7,
             )
         )
 
     cross = oracles.xi_via_eisenstein(1.3, 0.9, params)
-    ref, _ = engine.lambda_eval(e2, (2.6, 1.8), params)
     out.append(_case("eichler", "eisenstein route (1.3,0.9) vs engine", abs(cross - ref), 1e-6))
     sym = oracles.xi_via_eisenstein(1.1, 1.2, params)
-    ref_sym, _ = engine.lambda_eval(e2, (1 - 2 * 1.2, 1 - 2 * 1.1), params)
     out.append(
         _case("eichler", "xi(2s1,2s2) = xi(1-2s2,1-2s1) across routes", abs(sym - ref_sym), 1e-6)
     )
@@ -470,12 +454,12 @@ def suite_binding(seed: int, trials: int, params: EvalParams) -> list[CaseResult
     def sigma3(i: int) -> float:
         return float(divisor_sigma(3, i))
 
-    for p_, s in ((2, 9.0), (1, 10.0)):
-        lhs, _ = engine.lambda_eval(_expr((g4, g4)), (float(p_), s), params)
-        term = engine.lambda_eval(_expr((g4,)), (float(p_),), params)[0] * engine.lambda_eval(
-            _expr((g4,)), (s,), params
-        )[0]
-        shifted = engine.lambda_eval(_expr((g4,)), (s + p_,), params)[0]
+    bridges = ((2, 9.0), (1, 10.0))
+    lhss = _values(_expr((g4, g4)), [(float(p_), s) for p_, s in bridges], params)
+    g4s = _values(_expr((g4,)), [(x,) for p_, s in bridges for x in (float(p_), s, s + p_)], params)
+    for i, ((p_, s), lhs) in enumerate(zip(bridges, lhss)):
+        at_p, at_s, shifted = g4s[3 * i : 3 * i + 3]
+        term = at_p * at_s
         term += a0 / p_ * shifted
         term -= a0 / s * shifted
         for r_ in range(p_):

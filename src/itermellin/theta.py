@@ -39,6 +39,15 @@ VALIDATION_TOL = 1e-8
 MAX_TAIL_GROUPS = 4000
 
 
+@lru_cache(maxsize=None)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre nodes and weights of one order on [-1, 1], formed
+    once per order and shared read-only by every rule of the package."""
+    nodes, weights = leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 class TruncationError(Exception):
     """The tail bound cannot reach the requested tolerance within its cap
     of groups (MAX_TAIL_GROUPS for values)."""
@@ -823,7 +832,7 @@ class TailConvolution:
 
     def __init__(self, t1: ThetaFunction, t2: ThetaFunction, tol: float = 1e-10):
         self.t1, self.t2, self.tol = t1, t2, tol
-        self._nodes, self._weights = leggauss(32)
+        self._nodes, self._weights = gauss_legendre(32)
 
     def _panel_quad(self, f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
         """32-point Gauss-Legendre sum of f over panels of [lo, hi] of

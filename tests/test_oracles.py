@@ -18,7 +18,19 @@ P = EvalParams()
 
 class TestQSums:
     def test_q11_closed_form(self):
-        assert abs(oracles.q_sum((1, 1), 1e-8) - PI**4 / 72) < 1e-9
+        assert abs(oracles.q_sum((1, 1), 1e-8) - PI**4 / 72) < 1e-13
+
+    def test_q111_closed_form(self):
+        # the six orderings of 1/((a+b+c)(b+c)c) add up to 1/(abc), so
+        # Q(1,1,1) = zeta(2)^3 / 6; the budget estimate is 3.2e-10
+        assert abs(oracles.q_sum((1, 1, 1), 1e-8) - PI**6 / 1296) < 2e-10
+
+    def test_depth3_against_engine(self):
+        # pi^4 D(2,2,4) = Q(1,1,2) + Q(1,2,1) + Q(2,1,1)
+        rie = make_builtin_theta("riemann")
+        d, _ = engine.lambda_eval(engine.build_tail_expression((rie,) * 3), (2.0, 2.0, 4.0), P)
+        q = sum(c * oracles.q_sum(a) for a, c in oracles.reduce_d_to_q((1, 1, 2)).items())
+        assert abs(PI**4 * d - q) < 1e-9
 
     def test_depth_one_is_zeta(self):
         assert abs(oracles.q_sum((2,), 1e-10) - PI**4 / 90) < 1e-12
@@ -37,7 +49,9 @@ class TestQSums:
         v = oracles.q_sum((1, 1, 1), 1e-4)
         assert 0 < v < 2
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
+        # raised before any inner sum is formed
+        monkeypatch.setattr(oracles, "_coth_sum", None)
         with pytest.raises(oracles.SummationBudgetError):
             oracles.q_sum((1, 1, 1), 1e-12)
 
@@ -45,24 +59,32 @@ class TestQSums:
         with pytest.raises(ValueError):
             oracles.q_sum((0, 1))
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_inner_kernel_against_plain_sum(self, k):
-        """The reciprocal-power kernel, asked for the powers 1, 2 and 3 in
-        one call, against a term-by-term Python sum plus the closed-form
-        tail from cut + 1/2, and that tail against an mpmath quadrature,
-        also from q_sum's inner cut, 4000 + 1/2, where a reduction formula
-        in k cancels at small c2 (84 times the tail at c2 = 1, k = 3)."""
+        """The closed-form inner sums against the first 50 terms summed one
+        by one and mpmath's Euler-Maclaurin sum of the rest, at 30 digits,
+        from c = 1 to q_sum's largest inner c, 4000^2."""
         mpmath = pytest.importorskip("mpmath")
         cut = 50
-        c2 = np.array([1.0, 2.0, 5.0, 37.0, 1e4])
-        sums = oracles._inner_quadratic(c2, (1, 2, 3), cut)
-        assert list(sums) == [1, 2, 3]
-        got = sums[k]
-        tails = oracles._inv_quad_integral(cut + 0.5, c2, k)
-        for c, value, tail in zip(c2.tolist(), got.tolist(), tails.tolist()):
-            total = sum((m * m + c) ** -k for m in range(1, cut + 1)) + tail
-            assert abs(value - total) <= 1e-15 * total
-        for a, cs in [(cut + 0.5, c2), (4000.5, np.array([1.0, 37.0]))]:
+        cs = [1.0, 2.0, 5.0, 37.0, 1e4, 1.6e7]
+        got = oracles._coth_sum(np.array(cs), k)
+        for c, value in zip(cs, got.tolist()):
+            with mpmath.workdps(30):
+                c = mpmath.mpf(c)
+                head = mpmath.fsum((m * m + c) ** -k for m in range(1, cut + 1))
+                # the summand scaled by c^k, of order 1 where the sum is made
+                rest = mpmath.nsum(lambda m: (1 + m * m / c) ** -k, [cut + 1, mpmath.inf],
+                                   method="euler-maclaurin")
+                exact = head + rest * c**-k
+            assert abs(value - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 1.5, 2.5])
+    def test_inv_quad_integral_against_mpmath(self, k):
+        """The closed-form integral of the outer tails against an mpmath
+        quadrature, from the depth-3 and depth-2 cuts, 220 + 1/2 and
+        4000 + 1/2, where a reduction formula in k cancels at small c2."""
+        mpmath = pytest.importorskip("mpmath")
+        for a, cs in [(220.5, np.array([1.0, 37.0, 1e4])), (4000.5, np.array([1.0, 37.0]))]:
             tails = oracles._inv_quad_integral(a, cs, k)
             for c, tail in zip(cs.tolist(), tails.tolist()):
                 with mpmath.workdps(30):
@@ -70,30 +92,15 @@ class TestQSums:
                 assert abs(tail - exact) <= 1e-14 * exact
 
     @pytest.mark.parametrize("ks,pinned", [
-        ((1, 1), 1.3529040421410172),
-        ((1, 2), 1.1260088410682145),
-        ((2, 1), 0.32717075870299045),
-        ((3, 1), 0.13717770299257204),
+        ((1, 1), 1.352904042138877),
+        ((1, 2), 1.126008841066805),
+        ((2, 1), 0.3271707587029905),
+        ((3, 1), 0.13717770299257195),
     ])
     def test_pinned_values(self, ks, pinned):
-        # recorded when (m^2 + c^2)^-k was formed by pow and the tails by a
-        # scalar loop
+        # recorded with the closed-form inner sums; each is at least as
+        # close to a 30-digit mpmath value as the pins of the cut inner sums
         assert abs(oracles.q_sum(ks, 1e-8) - pinned) <= 1e-14 * pinned
-
-
-def _inner_one_power(c2, k, cut):
-    """The inner sums of one power k, one block of 16 rows at a time, as
-    they were formed before several powers shared a pass."""
-    ms2 = np.arange(1.0, cut + 1.0) ** 2
-    out = np.empty_like(c2)
-    for lo in range(0, c2.size, 16):
-        hi = min(lo + 16, c2.size)
-        inv = 1.0 / (ms2[None, :] + c2[lo:hi, None])
-        power = inv.copy() if k > 1 else inv
-        for _ in range(k - 1):
-            power *= inv
-        out[lo:hi] = power.sum(axis=1)
-    return out + oracles._inv_quad_integral(cut + 0.5, c2, k)
 
 
 def _q_sum_alone(ks):
@@ -103,7 +110,7 @@ def _q_sum_alone(ks):
         return float(np.sum(ns ** -float(2 * ks[0]))) + 20000.5 ** (1 - 2 * ks[0]) / (2 * ks[0] - 1)
     k1, k2 = ks
     n = np.arange(1.0, 4001.0)
-    head = float(np.sum(_inner_one_power(n**2, k1, 4000) * n ** float(-2 * k2)))
+    head = float(np.sum(oracles._coth_sum(n * n, k1) * n ** float(-2 * k2)))
     xs, ws = np.polynomial.legendre.leggauss(64)
     a = 4000.5
     tail = 0.0
@@ -115,8 +122,8 @@ def _q_sum_alone(ks):
 
 
 class TestSharedSums:
-    """q_sums shares one pass of reciprocals among its depth-2 sums, and
-    dirichlet_double reads (m+n)^-s from one table; neither moves a bit."""
+    """q_sums gives each sum the value it has alone, and dirichlet_double
+    reads (m+n)^-s from one table without moving a bit."""
 
     def test_q_sums_equal_each_sum_alone(self):
         kss = ((1, 1), (1, 2), (2, 1), (3, 1), (2,), (3,), (4,))
@@ -283,7 +290,8 @@ class TestRealEisenstein:
 
     def test_einf_assembly(self):
         _, _, einf = oracles.real_eisenstein(2j, 1.5, P)
-        direct = oracles.xi_value(3.0, P) * 2**1.5 + oracles.xi_value(2.0, P) * 2**-0.5
+        xi3, xi2 = oracles._values(oracles._xi_expression(), [(3.0,), (2.0,)], P)
+        direct = xi3 * 2**1.5 + xi2 * 2**-0.5
         assert abs(einf - direct) < 1e-10
 
     def test_decomposition_consistency(self):

@@ -26,6 +26,7 @@ from itermellin.theta import (
     TailSeries,
     ThetaFunction,
     TruncationError,
+    gauss_legendre,
     make_builtin_theta,
 )
 from itermellin.words import Letter
@@ -33,6 +34,18 @@ from itermellin.words import Letter
 
 def slot(i, n):
     return AffineForm.slot(i, n)
+
+
+@pytest.mark.parametrize("order", [32, 64, 96])
+def test_one_gauss_legendre_rule_per_order(order):
+    """Panels, oracles and tail convolutions read one rule per order: the
+    numpy rule, formed once and read-only."""
+    nodes, weights = gauss_legendre(order)
+    assert gauss_legendre(order)[0] is nodes and quadrature._gl_data(order)[0] is nodes
+    want = np.polynomial.legendre.leggauss(order)
+    assert np.array_equal(nodes, want[0]) and np.array_equal(weights, want[1])
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
 
 
 # single-term tails cannot satisfy an inversion law, so build with the

@@ -82,3 +82,17 @@ def test_eichler_suite_repeats_through_the_kept_plan(monkeypatch):
     second = run_suite("eichler", seed=0, trials=1)
     assert lowered.count(3 * EvalParams().quad_order) == 1
     assert first == second and all(c.passed for c in first)
+
+
+def test_suites_do_not_depend_on_batching(monkeypatch):
+    """The suites evaluate each expression's points in one batch; with
+    every batch split into one-point calls the cases are the same."""
+    batched = [run_suite("all", seed=7, trials=2), run_suite("functional", seed=3, trials=5)]
+    many = engine.lambda_eval_many
+
+    def one_at_a_time(expr, points, params=None):
+        return [result for point in points for result in many(expr, [point], params)]
+
+    monkeypatch.setattr(engine, "lambda_eval_many", one_at_a_time)
+    one_by_one = [run_suite("all", seed=7, trials=2), run_suite("functional", seed=3, trials=5)]
+    assert one_by_one == batched
