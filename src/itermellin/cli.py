@@ -247,15 +247,17 @@ def cmd_residue(args) -> int:
     params = _params_from_args(args)
     expr = engine.build_expression(thetas)
     try:
-        value = engine.residue(expr, h, point, params)
+        value, err = engine.residue(expr, h, point, params)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if args.format == "json":
-        _emit(_json_dumps({"re": value.real, "im": value.imag, "hyperplane": str(h)}), args.out)
+        payload = {"re": value.real, "im": value.imag, "err": err, "hyperplane": str(h)}
+        _emit(_json_dumps(payload), args.out)
     else:
         _emit(
             f"Res_{{{h} = 0}} Lambda({','.join(t.name for t in thetas)}) "
-            f"at ({', '.join(_fmt_complex(x) for x in point)}) = {_fmt_complex(value)}",
+            f"at ({', '.join(_fmt_complex(x) for x in point)}) = {_fmt_complex(value)}"
+            f"  (error estimate {err:.3e})",
             args.out,
         )
     return EXIT_OK

@@ -495,28 +495,27 @@ def lstar_eval(
 
 def residue(
     expr: LambdaExpression, h: AffineForm, s, params: EvalParams | None = None
-) -> complex:
-    """Residue along h = 0 at a generic point of that hyperplane.
+) -> tuple[complex, float]:
+    """Residue along h = 0 at a generic point of that hyperplane, and its
+    error estimate, normalized as lim h(s) * Lambda(s) for h as written.
 
-    Normalized as lim h(s) * Lambda(s): matching denominators are detected
-    up to proportionality and rescaled, so the result follows the
-    normalization of the form as the caller wrote it.
+    Each distinct tangent is restricted to h = 0 once (MultiplePoleError
+    where h divides a denominator twice), and lambda_eval evaluates the
+    terms whose restriction is not zero: a point on a second pole
+    hyperplane raises that form's PoleSignal.
     """
-    params = params or EvalParams()
     point = _as_point(s, expr.nslots)
     if h.distance(point) > 1e-8:
         raise ValueError(f"point does not lie on the hyperplane {h} = 0")
-    hits = [(term, res) for term in expr.terms if (res := term.tangent.residue(h, point)) != 0]
-    # the distinct words, integrated together as lambda_eval integrates a
-    # plan's; each value is that of the word on its own
-    words = (w for term, _ in hits for w in (term.left, term.right))
-    letters = _Letters(tuple(dict.fromkeys(words)))
-    values = integrate_words(letters, letters.exponents_at(point), params)[0][0].tolist()
-    by_word = dict(zip(letters.words, values))
-    total = 0.0 + 0.0j
-    for term, res in hits:
-        total += float(term.coeff) * by_word[term.left] * by_word[term.right] * res
-    return total
+    tangents = {id(term.tangent): term.tangent for term in expr.terms}
+    restricted = {key: rc.residue(h) for key, rc in tangents.items()}
+    hits = tuple(
+        LambdaTerm(term.coeff, term.left, term.right, restricted[id(term.tangent)])
+        for term in expr.terms if not restricted[id(term.tangent)].is_zero()
+    )
+    if not hits:
+        return 0j, 0.0
+    return lambda_eval(LambdaExpression(expr.thetas, hits, _collect_poles(hits)), point, params)
 
 
 def reversed_dual_tuple(thetas: Sequence[ThetaFunction]) -> tuple[ThetaFunction, ...]:

@@ -3,7 +3,9 @@
 Tangent-space integrals over the unit simplex of monomial one-forms evaluate
 to products of inverse affine forms; this module keeps those exactly, as
 lists of (rational coefficient, affine-form denominators), evaluates them at
-numeric points, and computes residues along simple pole hyperplanes.
+numeric points, and restricts them to simple pole hyperplanes: the residue
+along a hyperplane is again such a combination, which the engine evaluates
+on the hyperplane as it evaluates any tangent factor.
 
 All coefficients are fractions.Fraction; floating conversion happens only in
 the final step of an evaluation at a complex point.
@@ -25,9 +27,9 @@ class PoleSignal(Exception):
     Carries the offending form; callers decide whether this is an error.
     """
 
-    def __init__(self, form: "AffineForm", message: str = ""):
+    def __init__(self, form: "AffineForm"):
         self.form = form
-        super().__init__(message or f"pole on hyperplane {form} = 0")
+        super().__init__(f"pole on hyperplane {form} = 0")
 
 
 class MultiplePoleError(Exception):
@@ -249,33 +251,26 @@ class RationalCombination:
             total = total + (c / den if exact else complex(c) / den)
         return total
 
-    def residue(self, h: AffineForm, point: Sequence) -> complex:
-        """Residue along h = 0 at a generic point of the hyperplane.
+    def residue(self, h: AffineForm) -> "RationalCombination":
+        """Residue along h = 0, as a combination to evaluate on the hyperplane.
 
         Normalization: the coefficient of 1/h in the partial-fraction
         expansion, i.e. lim h(s) * f(s); rescaling h rescales the result.
+        A part whose denominator holds one form f = c * h gives the part
+        coeff / c over its other forms; one with two raises MultiplePoleError.
         """
-        total = 0j
-        for c, forms in self.terms:
+        out = []
+        for coeff, forms in self.terms:
             factors = [f.proportional_factor(h) for f in forms]
             hits = [i for i, fac in enumerate(factors) if fac is not None]
-            if not hits:
-                continue
             if len(hits) > 1:
                 raise MultiplePoleError(
                     f"hyperplane {h} appears {len(hits)} times in a denominator"
                 )
-            i = hits[0]
-            den = complex(factors[i])
-            for j, f in enumerate(forms):
-                if j == i:
-                    continue
-                v = complex(f(point))
-                if abs(v) < POLE_EPS:
-                    raise PoleSignal(f, "point lies on an intersection of hyperplanes")
-                den *= v
-            total += complex(c) / den
-        return total
+            if hits:
+                i = hits[0]
+                out.append((coeff / factors[i], forms[:i] + forms[i + 1 :]))
+        return RationalCombination(tuple(out)).merged()
 
     def __str__(self) -> str:
         if not self.terms:

@@ -204,14 +204,15 @@ def suite_residues(seed: int, trials: int, params: EvalParams) -> list[CaseResul
     h = AffineForm.make(0, (0, 1))  # s2 = 0
     s1s = [complex(rng.uniform(2.2, 3.0), rng.uniform(-1.0, 1.0)) for _ in range(4)]
     refs = _values(e1, [(s1,) for s1 in s1s], params)
-    worst = max(abs(engine.residue(e2, h, (s1, 0.0), params) + ref) for s1, ref in zip(s1s, refs))
+    res = [engine.residue(e2, h, (s1, 0.0), params)[0] for s1 in s1s]
+    worst = max(abs(r + ref) for r, ref in zip(res, refs))
     out.append(_case("residues", "r=2 Res_{s2=0} = -xi(s1)", worst, 1e-8))
 
     h = AffineForm.make(0, (1, 1))  # s1 + s2 = 0
     worst = 0.0
     for _ in range(4):
         a = complex(rng.uniform(2.2, 3.0), rng.uniform(-1.0, 1.0))
-        res = engine.residue(e2, h, (a, -a), params)
+        res = engine.residue(e2, h, (a, -a), params)[0]
         worst = max(worst, abs(res - 1.0 / (-a)))
     out.append(_case("residues", "r=2 Res_{s1+s2=0} = 1/s2", worst, 1e-8))
 
@@ -220,7 +221,7 @@ def suite_residues(seed: int, trials: int, params: EvalParams) -> list[CaseResul
         (AffineForm.make(0, (0, 1)), (2.5 + 0.3j, 0.0)),
         (AffineForm.make(0, (1, 1)), (2.7, -2.7)),
     ):
-        res = engine.residue(e2, h, pt, params)
+        res = engine.residue(e2, h, pt, params)[0]
         num = oracles.residue_numeric(e2, h, pt, params)
         worst = max(worst, abs(res - num))
     out.append(_case("residues", "r=2 residues vs Richardson limits", worst, 1e-7))
@@ -228,7 +229,7 @@ def suite_residues(seed: int, trials: int, params: EvalParams) -> list[CaseResul
     # r=3, hyperplane s2+s3=0 (k=2): xi(s1)/s3
     h = AffineForm.make(0, (0, 1, 1))
     pt = (2.5, 1.5, -1.5)
-    res = engine.residue(e3, h, pt, params)
+    res = engine.residue(e3, h, pt, params)[0]
     ref, _ = engine.lambda_eval(e1, (2.5,), params)
     closed = ref / -1.5
     num = oracles.residue_numeric(e3, h, pt, params)
@@ -238,7 +239,7 @@ def suite_residues(seed: int, trials: int, params: EvalParams) -> list[CaseResul
     # r=3, hyperplane s3=0 (k=3): -xi(s1,s2)
     h = AffineForm.make(0, (0, 0, 1))
     pt = (2.2, 1.7, 0.0)
-    res = engine.residue(e3, h, pt, params)
+    res = engine.residue(e3, h, pt, params)[0]
     ref2, _ = engine.lambda_eval(e2, (2.2, 1.7), params)
     out.append(_case("residues", "r=3 Res_{s3=0} = -xi(s1,s2)", abs(res + ref2), 1e-7))
     num = oracles.residue_numeric(e3, h, pt, params)
@@ -247,7 +248,7 @@ def suite_residues(seed: int, trials: int, params: EvalParams) -> list[CaseResul
     # r=3, hyperplane s1+s2+s3=0 (k=1): -1/((s2+s3) s3)
     h = AffineForm.make(0, (1, 1, 1))
     pt = (4.4, -1.3, -3.1)
-    res = engine.residue(e3, h, pt, params)
+    res = engine.residue(e3, h, pt, params)[0]
     closed = -1.0 / ((pt[1] + pt[2]) * pt[2])
     out.append(
         _case("residues", "r=3 Res_{s1+s2+s3=0} = -1/((s2+s3)s3)", abs(res - closed), 1e-7)

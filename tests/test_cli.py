@@ -156,7 +156,8 @@ class TestResidue:
         code, out, _ = run(capsys, "residue", "--theta", "riemann,riemann",
                            "--hyperplane", "1,1:0", "--at", "3,-3")
         assert code == 0
-        assert out == "Res_{s1+s2 = 0} Lambda(riemann,riemann) at (3, -3) = -0.333333333333\n"
+        assert out == ("Res_{s1+s2 = 0} Lambda(riemann,riemann) at (3, -3) = -0.333333333333"
+                       "  (error estimate 0.000e+00)\n")
 
     def test_malformed_hyperplane(self, capsys):
         code, _, _ = run(
@@ -171,21 +172,24 @@ class TestResidue:
         )
         assert code == 2
 
-    def test_multiplicity_exit(self, capsys):
-        # xi(s1,s2) has only simple poles; engineer a double pole by the
-        # tail expression of a rank-2 tuple is not exposed via CLI, so
-        # check the malformed-point path instead: point off the hyperplane
-        code, _, _ = run(
-            capsys,
-            "residue",
-            "--theta",
-            "riemann,riemann",
-            "--hyperplane",
-            "0,1:0",
-            "--at",
-            "3,1",
-        )
+    def test_point_off_hyperplane_exits_2(self, capsys):
+        code, _, err = run(capsys, "residue", "--theta", "riemann,riemann",
+                           "--hyperplane", "0,1:0", "--at", "3,1")
         assert code == 2
+        assert "does not lie on the hyperplane" in err
+
+    def test_intersection_of_hyperplanes_exits_3(self, capsys):
+        code, _, err = run(capsys, "residue", "--theta", "riemann,riemann",
+                           "--hyperplane", "0,1:0", "--at", "0,0")
+        assert code == 3
+        assert err.startswith("pole: ")
+
+    def test_json_carries_the_error_estimate(self, capsys):
+        code, out, _ = run(capsys, "residue", "--theta", "riemann,riemann,riemann",
+                           "--hyperplane", "0,1,1:0", "--at", "2.5,1.5,-1.5", "--format", "json")
+        assert code == 0
+        err = json.loads(out)["err"]
+        assert math.isfinite(err) and err >= 0.0
 
 
 class TestPoles:

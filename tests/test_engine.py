@@ -20,9 +20,15 @@ from itermellin.engine import (
     poles,
     residue,
 )
-from itermellin.quadrature import EvalParams, tail_word_integral
+from itermellin.quadrature import EvalParams
 from itermellin.cli import parse_theta_token
-from itermellin.ratfun import AffineForm, PoleSignal, tangent_word_integral
+from itermellin.ratfun import (
+    AffineForm,
+    MultiplePoleError,
+    PoleSignal,
+    RationalCombination,
+    tangent_word_integral,
+)
 from itermellin.theta import make_builtin_theta, parse_theta_text, rescale
 from itermellin.words import Letter
 
@@ -251,52 +257,90 @@ class TestResidues:
         e2 = build_expression((theta("riemann"),) * 2)
         e1 = build_expression((theta("riemann"),))
         h = AffineForm.make(0, (0, 1))
-        res = residue(e2, h, (3.0, 0.0), P)
+        res, _ = residue(e2, h, (3.0, 0.0), P)
         assert abs(res + lambda_eval(e1, (3.0,), P)[0]) < 1e-11
 
     def test_res_diagonal(self):
         e2 = build_expression((theta("riemann"),) * 2)
         h = AffineForm.make(0, (1, 1))
-        assert abs(residue(e2, h, (3.0, -3.0), P) + 1.0 / 3) < 1e-13
+        assert abs(residue(e2, h, (3.0, -3.0), P)[0] + 1.0 / 3) < 1e-13
 
     def test_r3_recursion_vs_limit(self):
         e3 = build_expression((theta("riemann"),) * 3)
         e1 = build_expression((theta("riemann"),))
         h = AffineForm.make(0, (0, 1, 1))
         pt = (2.5, 1.5, -1.5)
-        res = residue(e3, h, pt, P)
+        res, _ = residue(e3, h, pt, P)
         closed = lambda_eval(e1, (2.5,), P)[0] / (-1.5)
         assert abs(res - closed) < 1e-11
         num = oracles.residue_numeric(e3, h, pt, P)
         assert abs(res - num) < 1e-7
 
-    def test_words_integrated_together_as_one_by_one(self):
-        """The words with a residue are integrated in one batch, each to
-        its one-word value, and each term adds the product of its two
-        words' values, in order."""
+    def test_values_within_their_bars(self):
+        """At 40 seeded points on each of four hyperplanes the residue is
+        within its error bar, plus roundoff, of its closed form: -xi(s1) on
+        s2 = 0 and 1/s2 on s1 + s2 = 0 for riemann^2, xi(s1)/s3 on
+        s2 + s3 = 0 and -1/((s2+s3)s3) on s1 + s2 + s3 = 0 for riemann^3."""
+        mpmath = pytest.importorskip("mpmath")
+
+        def xi(s):
+            s = mpmath.mpc(s.real, s.imag)
+            return complex(mpmath.pi ** (-s / 2) * mpmath.gamma(s / 2) * mpmath.zeta(s))
+
+        rng = np.random.default_rng(21)
+
+        def z():
+            return complex(rng.uniform(-3.0, 4.0), rng.uniform(-3.0, 3.0))
+
+        e2 = build_expression((theta("riemann"),) * 2)
         e3 = build_expression((theta("riemann"),) * 3)
-        h = AffineForm.make(0, (0, 1, 1))
-        pt = (0.5 + 1.5j, 1.5 - 0.5j, -1.5 + 0.5j)
-        total = 0j
-        for term in e3.terms:
-            res = term.tangent.residue(h, pt)
-            if res != 0:
-                left, right = (tail_word_integral(w, pt, P)[0] for w in (term.left, term.right))
-                total += float(term.coeff) * left * right * res
-        assert residue(e3, h, pt, P) == total
+        # (expression, hyperplane, point on it from two draws, closed form)
+        cases = (
+            (e2, (0, 1), lambda a, b: (a, 0j), lambda p: -xi(p[0])),
+            (e2, (1, 1), lambda a, b: (a, -a), lambda p: 1 / p[1]),
+            (e3, (0, 1, 1), lambda a, b: (a, b, -b), lambda p: xi(p[0]) / p[2]),
+            (e3, (1, 1, 1), lambda a, b: (-a - b, a, b), lambda p: -1 / ((p[1] + p[2]) * p[2])),
+        )
+        eps = np.finfo(float).eps
+        for expr, coeffs, on_h, truth in cases:
+            h = AffineForm.make(0, coeffs)
+            others = [f for f in expr.pole_forms if f != h]
+            for _ in range(40):
+                pt = on_h(z(), z())
+                while min(f.distance(pt) for f in others) < 0.25:
+                    pt = on_h(z(), z())
+                value, err = residue(expr, h, pt, P)
+                want = truth(pt)
+                assert err >= 0.0
+                assert abs(value - want) <= err + 8 * eps * abs(want), (h, pt)
 
     def test_no_hit_words_give_zero(self):
-        """A hyperplane that is no pole leaves no word to integrate."""
+        """A hyperplane that is no pole leaves no term to evaluate."""
         e2 = build_expression((theta("riemann"),) * 2)
         h = AffineForm.make(-7, (1, 0))
-        assert all(t.tangent.residue(h, (7.0, 0.5 + 1j)) == 0 for t in e2.terms)
-        assert residue(e2, h, (7.0, 0.5 + 1j), P) == 0j
+        assert all(t.tangent.residue(h).is_zero() for t in e2.terms)
+        assert residue(e2, h, (7.0, 0.5 + 1j), P) == (0j, 0.0)
+
+    def test_double_pole_raises(self):
+        """A one-term expression with tangent 1/s1^2 has no simple residue."""
+        s1 = AffineForm.slot(0, 1)
+        term = engine.LambdaTerm(Fraction(1), (), (), RationalCombination.of(1, (s1, s1)))
+        expr = engine.LambdaExpression((theta("riemann"),), (term,), (s1,))
+        with pytest.raises(MultiplePoleError):
+            residue(expr, s1, (0.0,), P)
 
     def test_point_off_hyperplane_rejected(self):
         e2 = build_expression((theta("riemann"),) * 2)
         h = AffineForm.make(0, (0, 1))
         with pytest.raises(ValueError):
             residue(e2, h, (3.0, 0.5), P)
+
+    def test_point_on_a_second_hyperplane_is_a_pole(self):
+        e2 = build_expression((theta("riemann"),) * 2)
+        h = AffineForm.make(0, (0, 1))
+        with pytest.raises(PoleSignal) as exc:
+            residue(e2, h, (1.0, 0.0), P)
+        assert str(exc.value.form) == "s1-1"
 
 
 class TestDirect:

@@ -177,23 +177,24 @@ class TestEvalAndPoles:
     def test_residues(self):
         rc = simplex_monomial([s(1, 2), s(0, 2)])  # 1/(s2(s1+s2))
         h = AffineForm.make(0, (1, 1))
-        assert abs(rc.residue(h, (3.0, -3.0)) - (1 / -3.0)) < 1e-15
+        assert rc.residue(h).terms == ((1, (s(1, 2),)),)  # 1/s2 on s1+s2 = 0
+        assert abs(rc.residue(h)((3.0, -3.0)) - (1 / -3.0)) < 1e-15
         h2 = AffineForm.make(0, (0, 1))
-        assert abs(rc.residue(h2, (5.0, 0.0)) - 1 / 5.0) < 1e-15
+        assert abs(rc.residue(h2)((5.0, 0.0)) - 1 / 5.0) < 1e-15
         one_over_s = simplex_monomial([s(0, 1)])
-        assert one_over_s.residue(AffineForm.make(0, (1,)), (0.0,)) == 1.0
+        assert one_over_s.residue(AffineForm.make(0, (1,)))((0.0,)) == 1.0
 
     def test_residue_scaling_with_normalization(self):
         # residue is the coefficient of 1/h: writing the hyperplane as
         # 2*(s1+s2) = 0 doubles it relative to s1+s2 = 0
         rc = simplex_monomial([s(1, 2), s(0, 2)])
         h = AffineForm.make(0, (2, 2))
-        assert abs(rc.residue(h, (3.0, -3.0)) - (2 / -3.0)) < 1e-15
+        assert abs(rc.residue(h)((3.0, -3.0)) - (2 / -3.0)) < 1e-15
 
     def test_residue_vs_numeric_limit(self):
         rc = simplex_monomial([s(1, 2), s(0, 2)])
         h = AffineForm.make(0, (1, 1))
-        target = rc.residue(h, (3.0, -3.0))
+        target = rc.residue(h)((3.0, -3.0))
         eps_vals = [1e-3, 5e-4, 2.5e-4]
         nums = []
         for eps in eps_vals:
@@ -207,13 +208,13 @@ class TestEvalAndPoles:
         f = s(0, 1)
         rc = RationalCombination.of(1, (f, f))
         with pytest.raises(MultiplePoleError):
-            rc.residue(f, (0.0,))
+            rc.residue(f)
 
     def test_intersection_rejected(self):
         rc = simplex_monomial([s(1, 2), s(0, 2)])
         h = AffineForm.make(0, (0, 1))
         with pytest.raises(PoleSignal):
-            rc.residue(h, (0.0, 0.0))  # also on s1+s2 = 0
+            rc.residue(h)((0.0, 0.0))  # also on s1+s2 = 0
 
 
 class TestShuffleCompatibility:
