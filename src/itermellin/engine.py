@@ -16,6 +16,9 @@ boundary word is one term: both words are integrals along the same path
 [1, infinity), so their product is the integral of their shuffle (Ree,
 Ann. Math. 68, 1958; Chen, Bull. AMS 83, 1977), and integrating the two
 halves apart and multiplying gives the same value from far fewer words.
+The algebra is in integers (ratfun), each side is regularized in one pass,
+and every word, letter and tangent is one object wherever it recurs, so
+that lowering numbers them by identity.
 
 Evaluation lowers expressions into a NumericPlan of float arrays and runs
 batches of points through it: lambda_eval_many (lambda_eval at one point)
@@ -32,7 +35,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,11 +47,12 @@ from .ratfun import (
     tangent_word_integral,
 )
 from .theta import ThetaFunction
-from .words import Letter, Word, regularize, shuffle
+from .words import Letter, Word, regularize, regularize_subwords, shuffle
 from .quadrature import (
     HORIZON_SAFETY,
     EvalParams,
     _Letters,
+    _number,
     doubling_edges,
     integrate_words,
     refinement_failure,
@@ -67,12 +71,11 @@ class DirectConvergenceError(Exception):
     """The direct-definition integral does not converge at this point."""
 
 
-@dataclass(frozen=True)
-class LambdaTerm:
+class LambdaTerm(NamedTuple):
     """coeff * I(left) * I(right) * tangent, where I is the iterated
     integral of a word over [1, infinity) and I of the empty word is 1."""
 
-    coeff: Fraction
+    coeff: int | Fraction
     left: Word
     right: Word
     tangent: RationalCombination
@@ -80,11 +83,14 @@ class LambdaTerm:
 
 @dataclass(frozen=True)
 class LambdaExpression:
-    """Compiled multiple L-function for one theta tuple."""
+    """Compiled multiple L-function for one theta tuple.  by_identity marks
+    the compile's expressions, whose equal words, letters, exponents and
+    tangents are one object each, so that lowering numbers them by id."""
 
     thetas: tuple[ThetaFunction, ...]
     terms: tuple[LambdaTerm, ...]
     pole_forms: tuple[AffineForm, ...]
+    by_identity: bool = False
 
     @property
     def nslots(self) -> int:
@@ -145,31 +151,25 @@ class NumericPlan:
         if len(nslots) != 1:
             raise ValueError(f"expressions of different slot counts {nslots} share no plan")
         terms = [term for expr in exprs for term in expr.terms]
+        # equal words and tangents are numbered once, by value unless by id
+        identity = len(exprs) == 1 and exprs[0].by_identity
+        key = id if identity else None
+        word_ids, words = _number((w for t in terms for w in (t.left, t.right)), key)
+        tangent_ids, tangents = _number((t.tangent for t in terms), key)
         ends = np.cumsum([0] + [len(expr.terms) for expr in exprs]).tolist()
-        word_ids: dict[Word, int] = {}
-        # equal tangents are evaluated once, whichever objects hold them;
-        # terms share few objects, so each object's terms are hashed once
-        tangent_ids: dict[tuple, int] = {}
-        term_tangent: dict[int, int] = {}  # id of a tangent object -> tangent id
-        for term in terms:
-            word_ids.setdefault(term.left, len(word_ids))
-            word_ids.setdefault(term.right, len(word_ids))
-            if id(term.tangent) not in term_tangent:
-                term_tangent[id(term.tangent)] = tangent_ids.setdefault(
-                    term.tangent.terms, len(tangent_ids))
         guard = tuple(dict.fromkeys(
             h for expr in exprs for h in expr.pole_forms if not h.is_constant()))
         form_ids: dict[AffineForm, int] = {}
         parts = [
-            (complex(c), [len(guard) + form_ids.setdefault(f, len(form_ids)) for f in forms], t)
-            for t, terms in enumerate(tangent_ids)
-            for c, forms in terms
+            (c / rc.den, [len(guard) + form_ids.setdefault(f, len(form_ids)) for f in forms], t)
+            for t, rc in enumerate(tangents)
+            for c, forms in rc.terms
         ]
         one = len(guard) + len(form_ids)
-        letters = _Letters(tuple(word_ids))
+        letters = _Letters(tuple(words), identity)
         width = max((len(cols) for _, cols, _ in parts), default=0)
         part_cols = np.full((len(parts), width), one, dtype=int)
-        part_tangent = np.zeros((len(parts), len(tangent_ids)))
+        part_tangent = np.zeros((len(parts), len(tangents)))
         for i, (_, cols, t) in enumerate(parts):
             part_cols[i, : len(cols)] = cols
             part_tangent[i, t] = 1.0
@@ -177,12 +177,12 @@ class NumericPlan:
         affine = blockers + (AffineForm.constant(1, nslots[0]),) + letters.exponents
         return NumericPlan(
             letters=letters,
-            rows=np.array([(float(f.const), *f.coeffs) for f in affine], dtype=float),
+            rows=np.array([(f.num / f.den, *f.coeffs) for f in affine], dtype=float),
             blockers=blockers,
             guard_norms=np.array([h.grad_norm() for h in guard]),
-            term_left=np.array([word_ids[t.left] for t in terms], dtype=int),
-            term_right=np.array([word_ids[t.right] for t in terms], dtype=int),
-            term_tangent=np.array([term_tangent[id(t.tangent)] for t in terms], dtype=int),
+            term_left=np.array(word_ids[0::2], dtype=int),
+            term_right=np.array(word_ids[1::2], dtype=int),
+            term_tangent=np.array(tangent_ids, dtype=int),
             coeffs=np.array([float(t.coeff) for t in terms]),
             part_coeffs=np.array([c for c, _, _ in parts], dtype=complex),
             part_cols=part_cols,
@@ -203,39 +203,35 @@ def _check_tuple(thetas: Sequence[ThetaFunction]) -> tuple[ThetaFunction, ...]:
     return thetas
 
 
-def _expand_boundary(
-    letters: tuple[Letter, ...], tangents: dict[Word, RationalCombination]
-):
-    """Expand an R-factor into (sign, numeric word, tangent rc) triples.
-
-    For each cut i, the first i letters are regularized into numeric words
-    and the remaining letters contribute the reversed polynomial word
-    integrated over the tangent space at infinity.  The same reversed
-    suffixes recur across cuts and halves, so `tangents` memoizes their
-    integrals over one compile.
+def _boundary_halves(side: Word):
+    """half(a), the (sign * coefficient, word, j) triples of the boundary
+    half that reads side[a:], and T.  Its cut at j regularizes side[a:j]
+    and integrates the reversed polynomial word of side[j:] over the
+    tangent space at infinity, T[j] (None where zero), with the sign
+    (-1)^(r - j): every half of a side reads its suffixes and subwords, so
+    each T[j] is formed once, and reg of every subword by one pass.
     """
-    m = len(letters)
-    poly = [l.with_part("poly") for l in letters]
-    out = []
-    for i in range(m, -1, -1):
-        tangent_word = tuple(reversed(poly[i:]))
-        if any(not l.theta.poly_part for l in tangent_word):
-            continue
-        rc = tangents.get(tangent_word)
-        if rc is None:
-            rc = tangents[tangent_word] = tangent_word_integral(tangent_word)
-        if rc.is_zero():
-            continue
-        sign = (-1) ** (m - i)
-        for word, c in regularize(letters[:i]).items():
-            out.append((sign * c, word, rc))
-    return out
+    r = len(side)
+    reg = regularize_subwords(side)
+    poly = [l.with_part("poly") for l in side]
+    T: list[RationalCombination | None] = [None] * (r + 1)
+    for j in range(r, -1, -1):
+        if j < r and not side[j].theta.poly_part:
+            break  # zero at and below a letter without a polynomial part
+        rc = tangent_word_integral(tuple(reversed(poly[j:])))
+        T[j] = None if rc.is_zero() else rc
+
+    def half(a: int) -> list[tuple[int, Word, int]]:
+        return [(-c if (r - j) % 2 else c, word, j)
+                for j in range(r, a - 1, -1) if T[j] is not None
+                for word, c in reg[j - a][a]]
+
+    return half, T
 
 
-def _collect_poles(terms) -> tuple[AffineForm, ...]:
-    """Canonical pole forms of the terms' tangents, each distinct form once."""
-    tangents = {id(term.tangent): term.tangent for term in terms}
-    forms = {f for rc in tangents.values() for _, fs in rc.terms for f in fs}
+def _collect_poles(tangents) -> tuple[AffineForm, ...]:
+    """Canonical pole forms of the tangents, each distinct form once."""
+    forms = {f for rc in tangents for _, fs in rc.terms for f in fs}
     return tuple(sorted({f.canonical() for f in forms}, key=str))
 
 
@@ -244,34 +240,31 @@ def build_expression(thetas: Sequence[ThetaFunction]) -> LambdaExpression:
 
     One term per cut k and pair of a left (dualized) and a right boundary
     word, holding both words: their integrals multiply, so neither the
-    pair's shuffle nor its words are ever formed.
+    pair's shuffle nor its words are ever formed.  The left halves read
+    dual_j(t) t^(w_j - s_j - 1) dt from j = k - 1 down to 0, the right ones
+    theta_j(t) t^(s_j - 1) dt from j = k up, each a suffix of one of two
+    sides, whose words, letters and tangent products are one object each.
     """
     thetas = _check_tuple(thetas)
     r = len(thetas)
     slots = [AffineForm.slot(i, r) for i in range(r)]
-    tangents: dict[Word, RationalCombination] = {}
-    # keyed by the ids of factors that `tangents` keeps alive
-    products: dict[tuple[int, int], RationalCombination] = {}
+    left_half, left_t = _boundary_halves(tuple(
+        Letter(thetas[j].dual, "full", AffineForm.constant(thetas[j].weight, r) - slots[j])
+        for j in range(r - 1, -1, -1)))
+    right_half, right_t = _boundary_halves(
+        tuple(Letter(th, "full", slots[j]) for j, th in enumerate(thetas)))
+    products: dict[tuple[int, int], RationalCombination] = {}  # by the cuts of its factors
     terms: list[LambdaTerm] = []
     for k in range(r + 1):
         eps = functional_sign(thetas[:k])
-        left = tuple(
-            Letter(
-                thetas[j].dual,
-                "full",
-                AffineForm.constant(thetas[j].weight, r) - slots[j],
-            )
-            for j in range(k - 1, -1, -1)
-        )
-        right = tuple(Letter(thetas[j], "full", slots[j]) for j in range(k, r))
-        rights = _expand_boundary(right, tangents)
-        for c1, w1, rc1 in _expand_boundary(left, tangents):
-            for c2, w2, rc2 in rights:
-                key = (id(rc1), id(rc2))
-                if key not in products:
-                    products[key] = rc1 * rc2
-                terms.append(LambdaTerm(Fraction(eps * c1 * c2), w1, w2, products[key]))
-    return LambdaExpression(thetas, tuple(terms), _collect_poles(terms))
+        rights = right_half(k)
+        for c1, w1, a in left_half(r - k):
+            for c2, w2, b in rights:
+                rc = products.get((a, b))
+                if rc is None:
+                    rc = products[a, b] = left_t[a] * right_t[b]
+                terms.append(LambdaTerm(eps * c1 * c2, w1, w2, rc))
+    return LambdaExpression(thetas, tuple(terms), _collect_poles(products.values()), True)
 
 
 def poles(expr: LambdaExpression) -> list[AffineForm]:
@@ -515,7 +508,8 @@ def residue(
     )
     if not hits:
         return 0j, 0.0
-    return lambda_eval(LambdaExpression(expr.thetas, hits, _collect_poles(hits)), point, params)
+    pole_forms = _collect_poles(restricted.values())
+    return lambda_eval(LambdaExpression(expr.thetas, hits, pole_forms), point, params)
 
 
 def reversed_dual_tuple(thetas: Sequence[ThetaFunction]) -> tuple[ThetaFunction, ...]:
@@ -736,5 +730,5 @@ def build_tail_expression(thetas: Sequence[ThetaFunction]) -> LambdaExpression:
             for merged, mult in shuffle(w, right).items():
                 for rc, ending in _normalize_ending(merged):
                     terms.append(LambdaTerm(c * mult, ending, (), rc))
-    return LambdaExpression(thetas, tuple(terms), _collect_poles(terms))
+    return LambdaExpression(thetas, tuple(terms), _collect_poles(t.tangent for t in terms))
 

@@ -28,7 +28,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gamma as complex_gamma, hyp2f1
 
 from .ratfun import AffineForm, PoleSignal
 from .theta import GrowthBound, TailSeries, ThetaFunction, gauss_legendre, make_builtin_theta
@@ -118,6 +117,8 @@ def _inv_quad_integral(a: float, c2: np.ndarray, k: float) -> np.ndarray:
     a^(1-2k) / (2k-1) * 2F1(k, k - 1/2; k + 1/2; -c2/a^2), termwise the
     integral of the binomial series of (1 + c2/x^2)^-k.  The reduction
     formula in k cancels where c2 is small against a^2."""
+    from scipy.special import hyp2f1  # on first use: importing scipy doubles a CLI start
+
     return a ** (1 - 2 * k) / (2 * k - 1) * hyp2f1(k, k - 0.5, k + 0.5, -c2 / (a * a))
 
 
@@ -325,9 +326,9 @@ def dirichlet_double(
     bound = abs(tail_n) + abs(tail_m)
     if bound > tol:
         raise SummationBudgetError(f"double series tail {bound:.2e} above {tol:.1e}")
-    completed = (
-        (2 * PI) ** (-k - s) * complex_gamma(k) * complex_gamma(s) * total
-    )
+    from scipy.special import gamma as complex_gamma
+
+    completed = (2 * PI) ** (-k - s) * complex_gamma(k) * complex_gamma(s) * total
     return total, completed
 
 
@@ -343,6 +344,8 @@ def binding_lemma_defect(p: int, m: int, n: int, s: complex) -> float:
     s = complex(s)
     if s.real <= 0:
         raise ValueError("needs Re(s) > 0")
+    from scipy.special import gamma as complex_gamma
+
     xs, ws = gauss_legendre(96)
     x = 0.5 * (xs + 1.0)
     integrand = x ** (p - 1) * (m * x + n) ** (-(p + s))

@@ -328,35 +328,13 @@ class _Letters:
     prefix of a _Prefixes trie.
     """
 
-    def __init__(self, words: Sequence[Word]):
+    def __init__(self, words: Sequence[Word], by_identity: bool = False):
+        """by_identity: see _letter_table."""
         self.words = tuple(words)
-        by_id: dict = {}  # id(letter) -> pair: letters recur as objects
-        by_value: dict = {}  # letter -> pair
-        exponent_ids: dict = {}
-        kind_ids: dict = {}
-        self.pair_kind: list[int] = []
-        self.pair_col: list[int] = []
-        self.pairs: list[tuple[int, ...]] = []
-        for word in self.words:
-            path = []
-            for letter in word:
-                q = by_id.get(id(letter))
-                if q is None:
-                    q = by_value.get(letter)
-                    if q is None:
-                        q = by_value[letter] = len(self.pair_col)
-                        key = ((None, float(letter.coeff)) if letter.part == "mono"
-                               else (letter.theta, letter.part))
-                        self.pair_kind.append(kind_ids.setdefault(key, len(kind_ids)))
-                        self.pair_col.append(
-                            exponent_ids.setdefault(letter.exponent, len(exponent_ids)))
-                    by_id[id(letter)] = q
-                path.append(q)
-            self.pairs.append(tuple(path))
+        self.pairs, self.pair_kind, self.pair_col, self.kinds, self.exponents = _letter_table(
+            self.words, by_identity)
         if len(set(self.pairs)) < len(self.pairs):
             raise ValueError("a letter table takes distinct words")
-        self.exponents = tuple(exponent_ids)
-        self.kinds = list(kind_ids)
         nk = len(self.kinds)
         # per kind, then the pad: log B and d of its growth bound B * t^d, and
         # for a tail whose decay K * t^d * exp(-mu1 * t^p) bounds the horizon,
@@ -409,6 +387,33 @@ class _Letters:
     def exponents_at(self, s: Sequence[complex]) -> np.ndarray:
         """The exponent columns at one point s, as a (1, columns) row."""
         return np.array([[complex(f(s)) for f in self.exponents]], dtype=complex)
+
+
+def _number(items, key=None) -> tuple[list[int], list]:
+    """The id of each item, items of one key (by default the item itself)
+    numbered once, in order of first use, and the distinct items."""
+    ids, first, distinct = [], {}, []
+    for x in items:
+        i = first.setdefault(x if key is None else key(x), len(distinct))
+        if i == len(distinct):
+            distinct.append(x)
+        ids.append(i)
+    return ids, distinct
+
+
+def _letter_table(words: Sequence[Word], by_identity: bool = False) -> tuple:
+    """(pairs, pair_kind, pair_col, kinds, exponents) of _Letters, numbered
+    in the order the words first use them.  by_identity: equal letters and
+    exponents are one object each, as a compile makes them, so they are
+    numbered by id, and none is hashed."""
+    key = id if by_identity else None
+    ids, letters = _number((l for word in words for l in word), key)
+    pair_col, exponents = _number((l.exponent for l in letters), key)
+    pair_kind, kinds = _number([(None, float(l.coeff)) if l.part == "mono" else (l.theta, l.part)
+                                for l in letters])
+    ends = list(itertools.accumulate(map(len, words)))
+    pairs = [tuple(ids[a:b]) for a, b in zip([0] + ends, ends)]
+    return pairs, pair_kind, pair_col, kinds, tuple(exponents)
 
 
 class _Prefixes:

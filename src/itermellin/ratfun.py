@@ -7,16 +7,19 @@ numeric points, and restricts them to simple pole hyperplanes: the residue
 along a hyperplane is again such a combination, which the engine evaluates
 on the hyperplane as it evaluates any tangent factor.
 
-All coefficients are fractions.Fraction; floating conversion happens only in
-the final step of an evaluation at a complex point.
+All arithmetic is on integers: a form's constant is a numerator over a
+denominator, a combination's coefficients share one, both in lowest terms,
+so equal values are equal tuples.  A float arises only at a complex point,
+from one int true division, which rounds as float(Fraction) does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 POLE_EPS = 1e-13  # |form(s)| below this on floating input counts as a pole
 
@@ -40,75 +43,78 @@ class DegenerateFormError(Exception):
     """An identically-zero denominator form arose in a tangent integral."""
 
 
-@dataclass(frozen=True)
-class AffineForm:
-    """const + sum_i coeffs[i] * s_{i+1}, with integer slot coefficients."""
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction, else of Fraction(x)."""
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return x.numerator, x.denominator
 
-    const: Fraction
+
+class AffineForm(NamedTuple):
+    """num/den + sum_i coeffs[i] * s_{i+1}, with integer slot coefficients
+    and the constant num/den in lowest terms, den > 0; a tuple, so equal
+    forms compare and hash alike."""
+
+    num: int
+    den: int
     coeffs: tuple[int, ...]
 
-    def __hash__(self) -> int:
-        # forms key many dicts during compilation; hashing the Fraction
-        # each time dominated compile time, so the hash is kept per instance
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.const, self.coeffs))
-            object.__setattr__(self, "_hash", h)
-            return h
+    @property
+    def const(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     @staticmethod
     def make(const, coeffs: Sequence[int]) -> "AffineForm":
-        return AffineForm(Fraction(const), tuple(int(c) for c in coeffs))
+        return AffineForm(*_ratio(const), tuple(int(c) for c in coeffs))
 
     @staticmethod
     def constant(value, nslots: int) -> "AffineForm":
-        return AffineForm(Fraction(value), (0,) * nslots)
+        return AffineForm(*_ratio(value), (0,) * nslots)
 
     @staticmethod
     def slot(i: int, nslots: int) -> "AffineForm":
         """The variable s_{i+1} as a form on nslots slots."""
         coeffs = [0] * nslots
         coeffs[i] = 1
-        return AffineForm(Fraction(0), tuple(coeffs))
+        return AffineForm(0, 1, tuple(coeffs))
 
     @property
     def nslots(self) -> int:
         return len(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, AffineForm):
-            if other.nslots != self.nslots:
-                raise ValueError("slot count mismatch")
-            return AffineForm(
-                self.const + other.const,
-                tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            )
-        return AffineForm(self.const + Fraction(other), self.coeffs)
+        if not isinstance(other, AffineForm):
+            return self.shift(other)
+        if len(other.coeffs) != len(self.coeffs):
+            raise ValueError("slot count mismatch")
+        coeffs = tuple([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        if self.den == other.den:
+            return _form(self.num + other.num, self.den, coeffs)
+        return _form(self.num * other.den + other.num * self.den, self.den * other.den, coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AffineForm(-self.const, tuple(-c for c in self.coeffs))
+        return AffineForm(-self.num, self.den, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, AffineForm) else -Fraction(other))
 
     def shift(self, delta) -> "AffineForm":
-        return AffineForm(self.const + Fraction(delta), self.coeffs)
+        n, d = _ratio(delta)
+        if d == self.den:
+            return _form(self.num + n, d, self.coeffs)
+        return _form(self.num * d + n * self.den, self.den * d, self.coeffs)
 
     def is_constant(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_zero(self) -> bool:
-        return self.const == 0 and self.is_constant()
+        return self.num == 0 and self.is_constant()
 
     def __call__(self, point: Sequence):
         """Evaluate at a point; exact when the point is rational."""
-        acc = self.const
         exact = all(isinstance(x, Rational) for x in point)
-        if not exact:
-            acc = complex(acc)
+        acc = Fraction(self.num, self.den) if exact else complex(self.num / self.den)
         for c, x in zip(self.coeffs, point):
             if c:
                 acc = acc + c * x
@@ -118,18 +124,12 @@ class AffineForm:
         """Return c with self == c * other, or None."""
         if self.nslots != other.nslots or other.is_zero():
             return None
-        ratio: Fraction | None = None
-        for a, b in zip((self.const, *self.coeffs), (other.const, *other.coeffs)):
-            if b == 0:
-                if a != 0:
-                    return None
-            else:
-                r = Fraction(a, 1) / Fraction(b, 1)
-                if ratio is None:
-                    ratio = r
-                elif ratio != r:
-                    return None
-        return ratio
+        a = (self.num * other.den, *(c * self.den * other.den for c in self.coeffs))
+        b = (other.num * self.den, *(c * self.den * other.den for c in other.coeffs))
+        p = next(i for i, x in enumerate(b) if x)
+        if any(x * b[p] != y * a[p] for x, y in zip(a, b)):
+            return None
+        return Fraction(a[p], b[p])
 
     def canonical(self) -> "AffineForm":
         """Primitive integer representative with positive leading slot coefficient.
@@ -137,22 +137,17 @@ class AffineForm:
         Used for pole-set deduplication; the as-written form is kept on
         denominators so that residues follow the written normalization.
         """
-        from math import gcd
-
-        den = self.const.denominator
-        entries = [int(self.const * den)] + [c * den for c in self.coeffs]
-        g = 0
-        for e in entries:
-            g = gcd(g, e)
+        entries = [self.num] + [c * self.den for c in self.coeffs]
+        g = gcd(*entries)
         if g == 0:
-            return AffineForm(Fraction(0), self.coeffs)
+            return AffineForm(0, 1, self.coeffs)
         sign = 1
         for e in entries[1:] + entries[:1]:
             if e != 0:
                 sign = 1 if e > 0 else -1
                 break
         scaled = [sign * e // g for e in entries]
-        return AffineForm(Fraction(scaled[0]), tuple(scaled[1:]))
+        return AffineForm(scaled[0], 1, tuple(scaled[1:]))
 
     def grad_norm(self) -> float:
         return sum(c * c for c in self.coeffs) ** 0.5
@@ -172,17 +167,25 @@ class AffineForm:
             sign = "-" if c < 0 else ("+" if parts else "")
             mag = "" if abs(c) == 1 else str(abs(c)) + "*"
             parts.append(f"{sign}{mag}s{i + 1}")
-        if self.const != 0 or not parts:
-            sign = "-" if self.const < 0 else ("+" if parts else "")
+        if self.num != 0 or not parts:
+            sign = "-" if self.num < 0 else ("+" if parts else "")
             parts.append(f"{sign}{abs(self.const)}")
         return "".join(parts)
 
 
+def _form(num: int, den: int, coeffs: tuple[int, ...]) -> AffineForm:
+    """The form with constant num/den, brought to lowest terms."""
+    g = gcd(num, den)
+    return AffineForm(num // g, den // g, coeffs)
+
+
 @dataclass(frozen=True)
 class RationalCombination:
-    """Finite sum of coeff / prod(forms), all exact."""
+    """Finite sum of (coeff / den) / prod(forms): integer coefficients over
+    one positive denominator, in lowest terms, so all exact."""
 
-    terms: tuple[tuple[Fraction, tuple[AffineForm, ...]], ...]
+    terms: tuple[tuple[int, tuple[AffineForm, ...]], ...]
+    den: int = 1
 
     @staticmethod
     def zero() -> "RationalCombination":
@@ -190,45 +193,44 @@ class RationalCombination:
 
     @staticmethod
     def one() -> "RationalCombination":
-        return RationalCombination(((Fraction(1), ()),))
+        return RationalCombination(((1, ()),))
 
     @staticmethod
     def of(coeff, forms: Iterable[AffineForm] = ()) -> "RationalCombination":
-        c = Fraction(coeff)
-        if c == 0:
-            return RationalCombination(())
-        return RationalCombination(((c, tuple(forms)),))
+        n, d = _ratio(coeff)
+        return RationalCombination(((n, tuple(forms)),), d).merged()
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other: "RationalCombination") -> "RationalCombination":
-        return RationalCombination(self.terms + other.terms).merged()
+        den = lcm(self.den, other.den)
+        terms = [(c * (den // x.den), fs) for x in (self, other) for c, fs in x.terms]
+        return RationalCombination(tuple(terms), den).merged()
 
     def scale(self, c) -> "RationalCombination":
-        c = Fraction(c)
-        if c == 0:
-            return RationalCombination(())
-        return RationalCombination(tuple((a * c, fs) for a, fs in self.terms))
+        n, d = _ratio(c)
+        terms = tuple((a * n, fs) for a, fs in self.terms)
+        return RationalCombination(terms, self.den * d).merged()
 
     def __mul__(self, other: "RationalCombination") -> "RationalCombination":
         out = []
         for a, fa in self.terms:
             for b, fb in other.terms:
                 out.append((a * b, fa + fb))
-        return RationalCombination(tuple(out)).merged()
+        return RationalCombination(tuple(out), self.den * other.den).merged()
 
     def merged(self) -> "RationalCombination":
-        """Merge terms with identical denominator multisets."""
-        acc: dict[tuple, Fraction] = {}
-        keys: dict[tuple, tuple[AffineForm, ...]] = {}
-        for c, forms in self.terms:
-            key = tuple(sorted(((f.const, f.coeffs) for f in forms)))
-            acc[key] = acc.get(key, Fraction(0)) + c
-            keys.setdefault(key, forms)
-        return RationalCombination(
-            tuple((c, keys[k]) for k, c in acc.items() if c != 0)
-        )
+        """Merge terms with identical denominator multisets, in lowest terms."""
+        terms = self.terms
+        if len(terms) > 1:
+            acc: dict[tuple, list] = {}  # sorted forms -> [coefficient, forms]
+            for c, forms in terms:
+                acc.setdefault(tuple(sorted(forms)), [0, forms])[0] += c
+            terms = acc.values()
+        terms = [(c, fs) for c, fs in terms if c]
+        g = gcd(self.den, *(c for c, _ in terms))
+        return RationalCombination(tuple((c // g, fs) for c, fs in terms), self.den // g)
 
     def __call__(self, point: Sequence):
         """Evaluate exactly, casting to complex only at the end.
@@ -248,7 +250,8 @@ class RationalCombination:
                 elif abs(v) < POLE_EPS:
                     raise PoleSignal(f)
                 den = den * v
-            total = total + (c / den if exact else complex(c) / den)
+            total = total + (Fraction(c, self.den) / den if exact
+                             else complex(c / self.den) / den)
         return total
 
     def residue(self, h: AffineForm) -> "RationalCombination":
@@ -269,17 +272,9 @@ class RationalCombination:
                 )
             if hits:
                 i = hits[0]
-                out.append((coeff / factors[i], forms[:i] + forms[i + 1 :]))
-        return RationalCombination(tuple(out)).merged()
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for c, forms in self.terms:
-            den = "*".join(f"({f})" for f in forms)
-            bits.append(f"{c}" + (f"/[{den}]" if den else ""))
-        return " + ".join(bits)
+                out.append(RationalCombination.of(Fraction(coeff, self.den) / factors[i],
+                                                  forms[:i] + forms[i + 1 :]))
+        return sum(out, RationalCombination.zero())
 
 
 def simplex_monomial(forms: Sequence[AffineForm]) -> RationalCombination:
@@ -288,6 +283,10 @@ def simplex_monomial(forms: Sequence[AffineForm]) -> RationalCombination:
     Equals 1 / (b_1 (b_1+b_2) ... (b_1+...+b_k)); the empty product is 1.
     Poles are data, not errors.
     """
+    return RationalCombination.of(1, _partial_sums(forms))
+
+
+def _partial_sums(forms: Sequence[AffineForm]) -> tuple[AffineForm, ...]:
     denoms = []
     acc = None
     for f in forms:
@@ -295,7 +294,7 @@ def simplex_monomial(forms: Sequence[AffineForm]) -> RationalCombination:
         if acc.is_zero():
             raise DegenerateFormError(f"partial sum {acc} is identically zero")
         denoms.append(acc)
-    return RationalCombination.of(1, denoms)
+    return tuple(denoms)
 
 
 def tangent_word_integral(word) -> RationalCombination:
@@ -304,29 +303,32 @@ def tangent_word_integral(word) -> RationalCombination:
     Letters must have part 'poly' or 'mono'; each polynomial is expanded
     into monomials and the simplex integral is summed over the grid of
     monomial choices, with each letter's exponent form shifted by the
-    monomial exponent.
+    monomial exponent; coefficients are integers over the product of each
+    letter's lcm of denominators.
     """
-    choices: list[list[tuple[Fraction, AffineForm]]] = []
+    choices: list[list[tuple[int, AffineForm]]] = []
+    den = 1
     for letter in word:
         if letter.part == "mono":
             opts = [(letter.coeff, letter.exponent)]
         elif letter.part == "poly":
-            opts = [
-                (c, letter.exponent.shift(e)) for (c, e) in letter.theta.poly_part
-            ]
+            opts = [(c, letter.exponent.shift(e)) for (c, e) in letter.theta.poly_part]
         else:
             raise ValueError(f"tangent integral over non-polynomial letter {letter}")
         if not opts:
             return RationalCombination.zero()
-        choices.append(opts)
+        nums = [_ratio(c) for c, _ in opts]
+        scale = lcm(*(d for _, d in nums))
+        den *= scale
+        choices.append([(n * (scale // d), f) for (n, d), (_, f) in zip(nums, opts)])
 
-    terms: list[tuple[Fraction, tuple[AffineForm, ...]]] = []
-    stack: list[tuple[int, Fraction, list[AffineForm]]] = [(0, Fraction(1), [])]
+    terms: list[tuple[int, tuple[AffineForm, ...]]] = []
+    stack: list[tuple[int, int, list[AffineForm]]] = [(0, 1, [])]
     while stack:
         depth, coeff, forms = stack.pop()
         if depth == len(choices):
-            terms.extend(simplex_monomial(forms).scale(coeff).terms)
+            terms.append((coeff, _partial_sums(forms)))
             continue
         for c, f in choices[depth]:
             stack.append((depth + 1, coeff * c, forms + [f]))
-    return RationalCombination(tuple(terms)).merged()
+    return RationalCombination(tuple(terms), den).merged()

@@ -95,6 +95,7 @@ class TailSeries:
         self.growth = growth
         self.power_range = power_range
         self._groups: list[Group] = []
+        self._counts = [0]  # _counts[n]: terms in the first n groups
         self._finite = False
         self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._lock = threading.Lock()
@@ -112,7 +113,10 @@ class TailSeries:
                 mu = float(g[0])
                 if self._groups and mu <= self._groups[-1][0]:
                     raise ValueError("tail frequencies must be strictly increasing")
-                self._groups.append((mu, tuple((float(a), float(nu)) for a, nu in g[1])))
+                terms = tuple((float(a), float(nu)) for a, nu in g[1])
+                # counted first: a reader never sees a group without its count
+                self._counts.append(self._counts[-1] + len(terms))
+                self._groups.append((mu, terms))
             self._flat = None
         return len(self._groups)
 
@@ -127,18 +131,17 @@ class TailSeries:
         return self._groups[0][0]
 
     def _flat_arrays(self, ngroups: int):
-        if self._flat is None or self._flat[0].shape[0] < sum(
-            len(g[1]) for g in self._groups[:ngroups]
-        ):
+        count = self._counts[min(ngroups, len(self._groups))]
+        flat = self._flat  # read once: an extension may reset it meanwhile
+        if flat is None or flat[0].shape[0] < count:
             mus, amps, nus = [], [], []
             for mu, terms in self._groups:
                 for a, nu in terms:
                     mus.append(mu)
                     amps.append(a)
                     nus.append(nu)
-            self._flat = (np.array(mus), np.array(amps), np.array(nus))
-        count = sum(len(g[1]) for g in self._groups[:ngroups])
-        mu, a, nu = self._flat
+            flat = self._flat = (np.array(mus), np.array(amps), np.array(nus))
+        mu, a, nu = flat
         return mu[:count], a[:count], nu[:count]
 
     def remainder_bound(self, t: float, n: int, kernel_power: int) -> float:

@@ -11,7 +11,7 @@ consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -33,7 +33,7 @@ class Letter:
     theta: ThetaFunction
     part: str
     exponent: AffineForm
-    coeff: Fraction = field(default=Fraction(1))
+    coeff: int | Fraction = 1
 
     def __post_init__(self):
         if self.part not in PARTS:
@@ -88,26 +88,30 @@ def shuffle(u: Word, v: Word) -> dict[Word, int]:
 
 
 def regularize(word: Word) -> dict[Word, int]:
-    """Regularization of a word of full letters.
+    """Regularization of a word of full letters (see regularize_subwords)."""
+    word = tuple(word)
+    return dict(regularize_subwords(word)[len(word)][0])
+
+
+def regularize_subwords(word: Word) -> list[list[list[tuple[Word, int]]]]:
+    """reg of every contiguous subword: out[n][i] lists the (word,
+    coefficient) pairs of reg(word[i : i + n]).
 
     reg(L1..Ln) = L1 . reg(L2..Ln) - Ln_poly . reg(L1..L(n-1)), with
     reg(L) = L_tail and reg of the empty word the empty word.  Every
     output word ends in a tail letter; non-final letters are full or poly.
     The two halves start with a full and a poly letter, so no words merge;
-    each contiguous subword is regularized once, shortest first.
+    each subword is regularized once, shortest first, and each output word
+    is one tuple object wherever it is read.
     """
-    word = tuple(word)
     if any(l.part != "full" for l in word):
         raise ValueError("regularize expects full letters")
-    if not word:
-        return {(): 1}
     poly = [l.with_part("poly") for l in word]
-    # level[i]: (word, coeff) pairs of reg(word[i : i + length])
-    level = [[((l.with_part("tail"),), 1)] for l in word]
-    for length in range(2, len(word) + 1):
-        level = [
-            [((word[i],) + w, c) for w, c in level[i + 1]]
-            + [((poly[i + length - 1],) + w, -c) for w, c in level[i]]
-            for i in range(len(word) - length + 1)
-        ]
-    return dict(level[0])
+    out = [[[((), 1)]] * (len(word) + 1), [[((l.with_part("tail"),), 1)] for l in word]]
+    for n in range(2, len(word) + 1):
+        out.append([
+            [((word[i],) + w, c) for w, c in out[-1][i + 1]]
+            + [((poly[i + n - 1],) + w, -c) for w, c in out[-1][i]]
+            for i in range(len(word) - n + 1)
+        ])
+    return out

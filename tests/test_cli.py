@@ -542,3 +542,15 @@ class TestParserReuse:
         # --out, --format, --tol and --order of one call stay with it
         assert shared[1][1].startswith("Lambda(delta; 6)") and not shared[1][3]
         assert json.loads(shared[4][1])["err"] != json.loads(shared[0][3]["a.json"])["err"]
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        """scipy loads on first use, in the oracles that need it, not with
+        the command line: a one-off eval does not pay for it."""
+        src = str(Path(itermellin.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
+             "import itermellin.cli; assert 'scipy' not in sys.modules, 'scipy'"],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -29,7 +29,7 @@ from itermellin.ratfun import (
     RationalCombination,
     tangent_word_integral,
 )
-from itermellin.theta import make_builtin_theta, parse_theta_text, rescale
+from itermellin.theta import make_builtin_theta, mul_monomial, parse_theta_text, rescale
 from itermellin.words import Letter
 
 PI = math.pi
@@ -643,6 +643,10 @@ def compile_cases():
     cases += [(a, b) for a in pool for b in pool]
     for r, count in ((3, 20), (4, 5)):
         cases += [tuple(pool[i] for i in rng.integers(0, len(pool), r)) for _ in range(count)]
+    # constants in halves and thirds: forms over the denominator 6
+    r3 = mul_monomial(theta("riemann"), Fraction(1, 3))
+    j3 = mul_monomial(theta("jacobi3"), Fraction(1, 2))
+    cases += [(r3,), (j3,), (r3, theta("riemann")), (j3, r3), (r3, theta("delta"), j3)]
     return cases
 
 
@@ -910,6 +914,22 @@ class TestHalfIntegerExponents:
             assert abs(a - 2 * b) < 1e-9
         # poles line up with those of 2 xi(2s+1): s = -1/2 and s = 0
         assert {str(h.canonical()) for h in expr.pole_forms} == {"2*s1+1", "s1"}
+
+    @pytest.mark.parametrize("names", [("r3",), ("r3", "riemann"), ("riemann", "r3"),
+                                       ("r3", "delta", "riemann")])
+    def test_monomial_shift_by_a_third(self, names):
+        """t^(1/3) * riemann has weight 1/3 and a t^(1/3) polynomial part, so
+        its forms' constants are thirds: Lambda with it in slot j equals
+        Lambda with riemann there at s_j + 1/3, within the summed bars."""
+        r3 = mul_monomial(theta("riemann"), Fraction(1, 3))
+        assert r3.weight == Fraction(1, 3) and r3.poly_part == ((1, Fraction(1, 3)),)
+        shifted = build_expression(tuple(r3 if n == "r3" else theta(n) for n in names))
+        plain = build_expression(tuple(theta("riemann" if n == "r3" else n) for n in names))
+        for s in ((0.8 + 0.3j, 1.7 - 0.4j, 2.2 + 0.6j), (2.4 - 1.1j, -0.6 + 0.9j, 1.3 + 1.2j)):
+            s = s[: len(names)]
+            a, erra = lambda_eval(shifted, s, P)
+            b, errb = lambda_eval(plain, [x + (n == "r3") / 3 for x, n in zip(s, names)], P)
+            assert abs(a - b) <= erra + errb
 
 
 class TestJacobi:

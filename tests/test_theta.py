@@ -11,7 +11,9 @@ from itermellin.cli import _builtin_registry
 from itermellin.engine import _zero_envelope
 from itermellin.ratfun import AffineForm
 from itermellin.theta import (
+    GrowthBound,
     KernelMismatchError,
+    TailSeries,
     ThetaFunction,
     TruncationError,
     ValidationError,
@@ -135,6 +137,23 @@ class TestEval:
     def test_rejects_nonpositive_argument(self):
         with pytest.raises(ValueError):
             theta("riemann").eval(0.0)
+
+    def test_flat_terms_of_the_first_groups(self):
+        """_flat_arrays(n) holds the terms of the first n groups, in order,
+        as the stream grows, and rebuilds only when it has grown."""
+        sizes = [1, 3, 2, 4, 1]
+        series = TailSeries(
+            lambda n: (float(n), tuple((float(n), 0.1 * j) for j in range(sizes[n - 1])))
+            if n <= len(sizes) else None,
+            GrowthBound(1.0, 0.0, 1.0))
+        for n in (2, 1, 5, 4, 9):
+            series.ensure(n)
+            mu, a, nu = series._flat_arrays(n)
+            want = [(float(g), 0.1 * j) for g in range(1, min(n, 5) + 1) for j in range(sizes[g - 1])]
+            assert list(zip(mu, nu)) == want and list(a) == list(mu)
+        flat = series._flat
+        series._flat_arrays(3)
+        assert series._flat is flat
 
 
 class TestInversion:
