@@ -17,8 +17,7 @@ boundary word is one term: both words are integrals along the same path
 Ann. Math. 68, 1958; Chen, Bull. AMS 83, 1977), and integrating the two
 halves apart and multiplying gives the same value from far fewer words.
 The algebra is in integers (ratfun), each side is regularized in one pass,
-and every word, letter and tangent is one object wherever it recurs, so
-that lowering numbers them by identity.
+and every word, letter and tangent is formed once wherever it recurs.
 
 Evaluation lowers expressions into a NumericPlan of float arrays and runs
 batches of points through it: lambda_eval_many (lambda_eval at one point)
@@ -34,7 +33,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -81,16 +80,14 @@ class LambdaTerm(NamedTuple):
     tangent: RationalCombination
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LambdaExpression:
-    """Compiled multiple L-function for one theta tuple.  by_identity marks
-    the compile's expressions, whose equal words, letters, exponents and
-    tangents are one object each, so that lowering numbers them by id."""
+    """Compiled multiple L-function for one theta tuple.  Expressions, like
+    thetas, compare and hash by identity."""
 
     thetas: tuple[ThetaFunction, ...]
     terms: tuple[LambdaTerm, ...]
     pole_forms: tuple[AffineForm, ...]
-    by_identity: bool = False
 
     @property
     def nslots(self) -> int:
@@ -151,11 +148,9 @@ class NumericPlan:
         if len(nslots) != 1:
             raise ValueError(f"expressions of different slot counts {nslots} share no plan")
         terms = [term for expr in exprs for term in expr.terms]
-        # equal words and tangents are numbered once, by value unless by id
-        identity = len(exprs) == 1 and exprs[0].by_identity
-        key = id if identity else None
-        word_ids, words = _number((w for t in terms for w in (t.left, t.right)), key)
-        tangent_ids, tangents = _number((t.tangent for t in terms), key)
+        # equal words and tangents are numbered once, by value
+        word_ids, words = _number(w for t in terms for w in (t.left, t.right))
+        tangent_ids, tangents = _number(t.tangent for t in terms)
         ends = np.cumsum([0] + [len(expr.terms) for expr in exprs]).tolist()
         guard = tuple(dict.fromkeys(
             h for expr in exprs for h in expr.pole_forms if not h.is_constant()))
@@ -166,7 +161,7 @@ class NumericPlan:
             for c, forms in rc.terms
         ]
         one = len(guard) + len(form_ids)
-        letters = _Letters(tuple(words), identity)
+        letters = _Letters(tuple(words))
         width = max((len(cols) for _, cols, _ in parts), default=0)
         part_cols = np.full((len(parts), width), one, dtype=int)
         part_tangent = np.zeros((len(parts), len(tangents)))
@@ -264,7 +259,7 @@ def build_expression(thetas: Sequence[ThetaFunction]) -> LambdaExpression:
                 if rc is None:
                     rc = products[a, b] = left_t[a] * right_t[b]
                 terms.append(LambdaTerm(eps * c1 * c2, w1, w2, rc))
-    return LambdaExpression(thetas, tuple(terms), _collect_poles(products.values()), True)
+    return LambdaExpression(thetas, tuple(terms), _collect_poles(products.values()))
 
 
 def poles(expr: LambdaExpression) -> list[AffineForm]:
@@ -436,10 +431,10 @@ def lambda_eval(
     return result
 
 
-# the last (expressions, plan) pair of lambda_eval_several; holding the
-# expressions keeps their ids from being reused while the pair lives, and
-# comparing by identity spares hashing them, which walks every term
-_several_plan: tuple[tuple[LambdaExpression, ...], NumericPlan | None] = ((), None)
+@lru_cache(maxsize=1)
+def _several_plan(exprs: tuple[LambdaExpression, ...]) -> NumericPlan:
+    """The plan of lambda_eval_several's last expressions."""
+    return NumericPlan.lower(exprs)
 
 
 def lambda_eval_several(
@@ -459,15 +454,10 @@ def lambda_eval_several(
     QuadratureError of the first expression with a word whose refinement
     ran out and which does not serve.
     """
-    global _several_plan
     if not exprs:
         return []
     exprs = tuple(exprs)
-    # one read of the kept pair: threads that race at worst lower twice
-    kept, plan = _several_plan
-    if len(kept) != len(exprs) or any(a is not b for a, b in zip(kept, exprs)):
-        plan = NumericPlan.lower(exprs)
-        _several_plan = (exprs, plan)
+    plan = _several_plan(exprs)
     (result,) = _eval_chunk(plan, [_as_point(s, exprs[0].nslots)], params or EvalParams())
     if isinstance(result, PoleSignal):
         raise result
@@ -500,11 +490,10 @@ def residue(
     point = _as_point(s, expr.nslots)
     if h.distance(point) > 1e-8:
         raise ValueError(f"point does not lie on the hyperplane {h} = 0")
-    tangents = {id(term.tangent): term.tangent for term in expr.terms}
-    restricted = {key: rc.residue(h) for key, rc in tangents.items()}
+    restricted = {rc: rc.residue(h) for rc in dict.fromkeys(t.tangent for t in expr.terms)}
     hits = tuple(
-        LambdaTerm(term.coeff, term.left, term.right, restricted[id(term.tangent)])
-        for term in expr.terms if not restricted[id(term.tangent)].is_zero()
+        LambdaTerm(term.coeff, term.left, term.right, restricted[term.tangent])
+        for term in expr.terms if not restricted[term.tangent].is_zero()
     )
     if not hits:
         return 0j, 0.0

@@ -328,11 +328,10 @@ class _Letters:
     prefix of a _Prefixes trie.
     """
 
-    def __init__(self, words: Sequence[Word], by_identity: bool = False):
-        """by_identity: see _letter_table."""
+    def __init__(self, words: Sequence[Word]):
         self.words = tuple(words)
         self.pairs, self.pair_kind, self.pair_col, self.kinds, self.exponents = _letter_table(
-            self.words, by_identity)
+            self.words)
         if len(set(self.pairs)) < len(self.pairs):
             raise ValueError("a letter table takes distinct words")
         nk = len(self.kinds)
@@ -389,26 +388,23 @@ class _Letters:
         return np.array([[complex(f(s)) for f in self.exponents]], dtype=complex)
 
 
-def _number(items, key=None) -> tuple[list[int], list]:
-    """The id of each item, items of one key (by default the item itself)
-    numbered once, in order of first use, and the distinct items."""
+def _number(items) -> tuple[list[int], list]:
+    """The id of each item, equal items numbered once, in order of first
+    use, and the distinct items."""
     ids, first, distinct = [], {}, []
     for x in items:
-        i = first.setdefault(x if key is None else key(x), len(distinct))
+        i = first.setdefault(x, len(distinct))
         if i == len(distinct):
             distinct.append(x)
         ids.append(i)
     return ids, distinct
 
 
-def _letter_table(words: Sequence[Word], by_identity: bool = False) -> tuple:
+def _letter_table(words: Sequence[Word]) -> tuple:
     """(pairs, pair_kind, pair_col, kinds, exponents) of _Letters, numbered
-    in the order the words first use them.  by_identity: equal letters and
-    exponents are one object each, as a compile makes them, so they are
-    numbered by id, and none is hashed."""
-    key = id if by_identity else None
-    ids, letters = _number((l for word in words for l in word), key)
-    pair_col, exponents = _number((l.exponent for l in letters), key)
+    in the order the words first use them."""
+    ids, letters = _number(l for word in words for l in word)
+    pair_col, exponents = _number(l.exponent for l in letters)
     pair_kind, kinds = _number([(None, float(l.coeff)) if l.part == "mono" else (l.theta, l.part)
                                 for l in letters])
     ends = list(itertools.accumulate(map(len, words)))

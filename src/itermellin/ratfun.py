@@ -261,10 +261,13 @@ class RationalCombination:
         expansion, i.e. lim h(s) * f(s); rescaling h rescales the result.
         A part whose denominator holds one form f = c * h gives the part
         coeff / c over its other forms; one with two raises MultiplePoleError.
+        Only a form with h's zero slots can be a multiple of h.
         """
+        zeros = [c == 0 for c in h.coeffs]
         out = []
         for coeff, forms in self.terms:
-            factors = [f.proportional_factor(h) for f in forms]
+            factors = [f.proportional_factor(h) if [c == 0 for c in f.coeffs] == zeros else None
+                       for f in forms]
             hits = [i for i, fac in enumerate(factors) if fac is not None]
             if len(hits) > 1:
                 raise MultiplePoleError(

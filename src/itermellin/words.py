@@ -40,7 +40,7 @@ class Letter:
             raise ValueError(f"unknown part {self.part!r}")
 
     def __hash__(self) -> int:
-        # words are dict keys throughout compilation; see AffineForm.__hash__
+        # words are dict keys in compiling and lowering: hashed once per letter
         try:
             return self._hash
         except AttributeError:

@@ -737,7 +737,7 @@ class TestNumericPlan:
         init = quadrature._Letters.__init__
         monkeypatch.setattr(quadrature._Letters, "__init__",
                             lambda self, *args: built.append(args) or init(self, *args))
-        monkeypatch.setattr(engine, "_several_plan", ((), None))
+        engine._several_plan.cache_clear()
         first = [build_expression((theta("riemann"),) * 2),
                  build_expression((theta("eisenstein", 4), theta("delta")))]
         other = [first[1], build_expression((theta("jacobi4"), theta("riemann")))]
@@ -747,8 +747,44 @@ class TestNumericPlan:
         for exprs, want_built in ((first, 1), (list(first), 1), (other, 2), (first, 3)):
             got = lambda_eval_several(exprs, point, P)
             assert len(built) == want_built
-            assert engine._several_plan[0] == tuple(exprs)
             assert got == [want[id(e)] for e in exprs]
+
+    def test_plans_number_by_value(self):
+        """Compiled expressions compare by identity, and lowering numbers
+        words, letters, exponents and tangents by value.  Two compiles of
+        one tuple are unequal, and lowered together their letter table holds
+        each distinct word once; a copy of riemann r = 3 made of equal but
+        distinct objects lowers to the compile's tables and values."""
+        thetas = (theta("riemann"),) * 3
+        a, b = build_expression(thetas), build_expression(thetas)
+        assert a != b
+        point = (2.5 + 0.3j, 1.5, 3.0 - 0.7j)
+        assert lambda_eval_several([a, b], point, P) == [lambda_eval(a, point, P),
+                                                         lambda_eval(b, point, P)]
+        words = {w for t in a.terms for w in (t.left, t.right)}
+        letters = engine._several_plan((a, b)).letters
+        assert len(letters.words) == len(words) and set(letters.words) == words
+
+        def form(f):
+            return AffineForm(f.num, f.den, tuple(list(f.coeffs)))
+
+        def word(w):
+            return tuple(Letter(l.theta, l.part, form(l.exponent), l.coeff) for l in w)
+
+        copy = engine.LambdaExpression(thetas, tuple(
+            engine.LambdaTerm(t.coeff, word(t.left), word(t.right), RationalCombination(
+                tuple((c, tuple(map(form, fs))) for c, fs in t.tangent.terms), t.tangent.den))
+            for t in a.terms), a.pole_forms)
+
+        def ids(expr):
+            return {id(l) for t in expr.terms for l in t.left + t.right}
+
+        assert ids(a) and not ids(copy) & ids(a)
+        for field in ("term_left", "term_right", "term_tangent", "rows"):
+            assert np.array_equal(getattr(copy.plan, field), getattr(a.plan, field)), field
+        points = [point, (0.5 + 1j, 2.5, 1.25), (3.0, -0.5 + 0.2j, 2.0)]
+        assert ([result_bits(r) for r in lambda_eval_many(copy, points, P)]
+                == [result_bits(r) for r in lambda_eval_many(a, points, P)])
 
     def test_several_slot_counts_raise(self):
         exprs = [build_expression((theta("riemann"),)),

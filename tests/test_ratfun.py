@@ -210,6 +210,16 @@ class TestEvalAndPoles:
         with pytest.raises(MultiplePoleError):
             rc.residue(f)
 
+    def test_scaled_multiples_of_h(self):
+        """Forms that are multiples of h other than h itself: one gives
+        coeff / c over the other forms, two raise MultiplePoleError."""
+        f = AffineForm.make(-1, (1, 1))
+        g, h = -(f + f), AffineForm.make(-3, (3, 3))
+        rc = RationalCombination.of(1, (s(0, 2), g))
+        assert rc.residue(h) == RationalCombination.of(Fraction(-3, 2), (s(0, 2),))
+        with pytest.raises(MultiplePoleError):
+            RationalCombination.of(1, (s(0, 2), f, g)).residue(h)
+
     def test_intersection_rejected(self):
         rc = simplex_monomial([s(1, 2), s(0, 2)])
         h = AffineForm.make(0, (0, 1))

@@ -72,7 +72,7 @@ def test_eichler_suite_repeats_through_the_kept_plan(monkeypatch):
     """The eichler suite's three Eisenstein-route calls share one
     several-expression plan: the first run lowers it, the second reuses
     it, and both give the same cases."""
-    monkeypatch.setattr(engine, "_several_plan", ((), None))
+    engine._several_plan.cache_clear()
     lowered = []
     lower = engine.NumericPlan.lower
     monkeypatch.setattr(engine.NumericPlan, "lower",
