@@ -397,9 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, theta=True):
         if theta:
             p.add_argument("--theta", required=True, help="comma-separated theta tuple")
-        p.add_argument("--tol", type=float, default=1e-10, help="absolute tolerance")
-        p.add_argument("--order", type=int, default=32, help="Gauss nodes per panel")
-        p.add_argument("--max-refine", type=int, default=8, dest="max_refine")
+        p.add_argument("--tol", type=float, default=EvalParams.abs_tol, help="absolute tolerance")
+        p.add_argument("--order", type=int, default=EvalParams.quad_order,
+                       help="Gauss nodes per panel")
+        p.add_argument("--max-refine", type=int, default=EvalParams.max_refine, dest="max_refine")
         p.add_argument("--format", choices=("human", "json", "csv"), default="human")
         p.add_argument("--out", default=None, help="write output to this file")
 

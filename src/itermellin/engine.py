@@ -38,13 +38,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ratfun import (
-    POLE_EPS,
-    AffineForm,
-    PoleSignal,
-    RationalCombination,
-    tangent_word_integral,
-)
+from .ratfun import AffineForm, PoleSignal, RationalCombination, tangent_word_integral
 from .theta import ThetaFunction
 from .words import Letter, Word, regularize, regularize_subwords, shuffle
 from .quadrature import (
@@ -120,19 +114,24 @@ class NumericPlan:
 
     Every affine quantity of the expressions is one float row (const,
     coeffs...) of `rows`, so a single array operation per slot evaluates
-    all of them at every point: first the pole forms the guard checks, in
-    order of first appearance, then the tangent denominator forms, then the
-    constant 1, then the exponent columns of `letters`, the distinct words'
-    letter table, built once with the plan.  Tangent factors are sums of
-    parts coeff / prod(forms); each part lists the columns of its forms,
-    padded with the column of the constant 1.  Each term reads two words of
-    the table, its left and its right one, the empty word integrating to 1.
+    all of them at every point: first the canonical pole forms, the guard,
+    in order of first appearance, then the tangent denominator forms as
+    written, then the constant 1, then, from row `first_exponent` on, the
+    exponent columns of `letters`, the distinct words' letter table, built
+    once with the plan.  The guard is the only pole test: a denominator f
+    has integer slot coefficients and is a multiple of its guard form, so
+    |f(s)| is at least the point's distance to f = 0.  Tangent factors are
+    sums of parts coeff / prod(forms); each part lists the columns of its
+    forms, padded with the column of the constant 1.  Each term reads two
+    words of the table, its left and its right one, the empty word
+    integrating to 1.
     """
 
     letters: _Letters  # the distinct words' letter table
     rows: np.ndarray
-    blockers: tuple[AffineForm, ...]  # the forms of the leading rows
+    guard: tuple[AffineForm, ...]  # the forms of the leading rows
     guard_norms: np.ndarray  # gradient norm of each guard form
+    first_exponent: int  # the row of the first exponent column
     term_left: np.ndarray  # left word id of each term
     term_right: np.ndarray  # right word id of each term
     term_tangent: np.ndarray  # tangent id of each term
@@ -168,13 +167,14 @@ class NumericPlan:
         for i, (_, cols, t) in enumerate(parts):
             part_cols[i, : len(cols)] = cols
             part_tangent[i, t] = 1.0
-        blockers = guard + tuple(form_ids)
-        affine = blockers + (AffineForm.constant(1, nslots[0]),) + letters.exponents
+        affine = guard + tuple(form_ids) + (AffineForm.constant(1, nslots[0]),)
         return NumericPlan(
             letters=letters,
-            rows=np.array([(f.num / f.den, *f.coeffs) for f in affine], dtype=float),
-            blockers=blockers,
+            rows=np.array([(f.num / f.den, *f.coeffs) for f in affine + letters.exponents],
+                          dtype=float),
+            guard=guard,
             guard_norms=np.array([h.grad_norm() for h in guard]),
+            first_exponent=len(affine),
             term_left=np.array(word_ids[0::2], dtype=int),
             term_right=np.array(word_ids[1::2], dtype=int),
             term_tangent=np.array(tangent_ids, dtype=int),
@@ -327,26 +327,19 @@ def _guard_and_tangents(
     plan: NumericPlan, points: list[tuple[complex, ...]]
 ) -> tuple[list, list[int], np.ndarray, np.ndarray]:
     """(out, live, exps, tangents) of a plan at points: out[i] is the
-    PoleSignal of point i if a guard blocks it, else None; live lists the
-    other points, exps their letter exponent columns and tangents their
-    tangent factors."""
+    PoleSignal of the first guard form that point i lies within POLE_GUARD
+    of, else None; live lists the other points, exps their letter exponent
+    columns and tangents their tangent factors."""
     n = len(points)
-    g, b = plan.guard_norms.size, len(plan.blockers)
     # a huge slot value overflows the affine rows and the tangent products
     # to inf or nan, which no guard flags, and its word integrals then fail
     # by name (no truncation horizon): no warning of numpy's own
     with np.errstate(over="ignore", invalid="ignore"):
         vals = _affine(np.array(points, dtype=complex), plan.rows)
-        # guard columns come first, so a guard hit is reported before a tangent form
-        blocked = np.hstack(
-            (
-                np.abs(vals[:, :g]) / plan.guard_norms < POLE_GUARD,
-                np.abs(vals[:, g:b]) < POLE_EPS,
-            )
-        )
+        blocked = np.abs(vals[:, : len(plan.guard)]) / plan.guard_norms < POLE_GUARD
         out: list = [None] * n
         for i in np.flatnonzero(blocked.any(axis=1)):
-            out[i] = PoleSignal(plan.blockers[blocked[i].argmax()])
+            out[i] = PoleSignal(plan.guard[blocked[i].argmax()])
         live = [i for i in range(n) if out[i] is None]
         vals = vals[live]
         # each part's product column by column, from column 0 (1 where no
@@ -358,7 +351,7 @@ def _guard_and_tangents(
         for col in cols[1:]:
             prods *= vals[:, col]
         tangents = (plan.part_coeffs / prods) @ plan.part_tangent
-    return out, live, vals[:, b + 1 :], tangents
+    return out, live, vals[:, plan.first_exponent :], tangents
 
 
 def _sum_terms(
@@ -628,7 +621,7 @@ def lambda_direct(
         lower.append(e)
         e *= 2.0
     edges = tuple(lower) + doubling_edges(1.0, float(horizons.max()))
-    values, _ = integrate_words(letters, exps, params, edges, params.abs_tol * HORIZON_SAFETY)
+    values, _ = integrate_words(letters, exps, params, edges)
     total = 0.0 + 0.0j
     for c, val in zip(terms.values(), values[0].tolist()):
         total += c * val

@@ -11,12 +11,14 @@ one table over m + n.
 
 The Eisenstein routes use the length-1 engine on other thetas than the
 ones they check: the real-analytic Eisenstein series is half the completed
-Mellin transform of a lattice theta, single completed zeta values come
-from the riemann theta, and the double completed-zeta values follow by a
-partial Mellin transform of that series along the imaginary axis, whose
-abscissae run through one plan of all their lattice expressions, each
-summed on its own (xi_via_eisenstein), or by Eichler integrals of
-holomorphic Eisenstein series, whose tails the quadrature integrates.
+Mellin transform of a lattice theta, whose frequencies, like the raw
+lattice sum's terms, come from one rectangle of lattice points
+(_lattice_grid), single completed zeta values come from the riemann theta,
+and the double completed-zeta values follow by a partial Mellin transform
+of that series along the imaginary axis, whose abscissae run through one
+plan of all their lattice expressions, each summed on its own
+(xi_via_eisenstein), or by Eichler integrals of holomorphic Eisenstein
+series, whose tails the quadrature integrates.
 """
 
 from __future__ import annotations
@@ -393,27 +395,26 @@ def _values(expr, points, params: EvalParams | None) -> list[complex]:
 # ---------------------------------------------------------------------------
 
 
+def _lattice_grid(z: complex, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """(m, n) float arrays over a rectangle of Z + Zz holding every lattice
+    point m + n z with |m + n z| <= radius."""
+    x, y = z.real, z.imag
+    nmax = int(radius / y) + 1
+    mmax = int(radius + abs(x) * nmax) + 1
+    return np.meshgrid(
+        np.arange(-mmax, mmax + 1, dtype=float),
+        np.arange(-nmax, nmax + 1, dtype=float),
+        indexing="ij",
+    )
+
+
 def _lattice_points(z: complex, lam_max: float) -> np.ndarray:
     """Frequencies pi |m + n z|^2 / y over nonzero lattice points, sorted."""
     x, y = z.real, z.imag
-    r2max = lam_max * y / PI
-    nmax = int(math.floor(math.sqrt(r2max) / y)) + 1
-    lams = []
-    for n in range(-nmax, nmax + 1):
-        rem = r2max - n * n * y * y
-        if rem < 0:
-            continue
-        half = math.sqrt(rem)
-        mlo = int(math.ceil(-n * x - half))
-        mhi = int(math.floor(-n * x + half))
-        for m in range(mlo, mhi + 1):
-            if m == 0 and n == 0:
-                continue
-            q = (m + n * x) ** 2 + n * n * y * y
-            lam = PI * q / y
-            if lam <= lam_max:
-                lams.append(lam)
-    return np.sort(np.array(lams))
+    ms, ns = _lattice_grid(z, math.sqrt(lam_max * y / PI))
+    u = ms + ns * x
+    lams = PI * (u * u + ns * ns * y * y) / y
+    return np.sort(lams[(lams > 0) & (lams <= lam_max)])
 
 
 def lattice_theta(z: complex) -> ThetaFunction:
@@ -466,13 +467,7 @@ def eisenstein_lattice_sum(z: complex, s: complex, radius: float) -> complex:
     convergent, kept as a definitional cross-check for Re(s) > 1."""
     z, s = complex(z), complex(s)
     x, y = z.real, z.imag
-    nmax = int(radius / y) + 1
-    mmax = int(radius + abs(x) * nmax) + 1
-    ms, ns = np.meshgrid(
-        np.arange(-mmax, mmax + 1, dtype=float),
-        np.arange(-nmax, nmax + 1, dtype=float),
-        indexing="ij",
-    )
+    ms, ns = _lattice_grid(z, radius)
     q = (ms + ns * x) ** 2 + ns**2 * y**2
     mask = (q > 0) & (q <= radius**2)
     return 0.5 * complex(np.sum(y**s * q[mask] ** (-s)))

@@ -724,7 +724,6 @@ def integrate_words(
     exps: np.ndarray,
     params: EvalParams,
     edges: tuple[float, ...] | None = None,
-    slack: float = 0.0,
     unresolved: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Iterated integrals of many words at many points, refined to tolerance.
@@ -732,11 +731,11 @@ def integrate_words(
     exps[i, c] is exponent column c of the table letters at point i;
     returns values and error estimates of shape (points, words).  Without
     edges every word runs over [1, inf), cut at its truncation horizon at
-    each point, and the certified truncation bound abs_tol * HORIZON_SAFETY
-    is its slack; with edges every word runs over that mesh with the given
-    slack.  Each (word, mesh) job is refined
-    until each point's estimate |v1 - v0| + slack meets abs_tol; a point
-    leaves at the first level where its own estimate does.
+    each point; with edges every word runs over that mesh.  Each (word,
+    mesh) job is refined until each point's estimate |v1 - v0| + slack
+    meets abs_tol, the slack abs_tol * HORIZON_SAFETY being the certified
+    truncation bound; a point leaves at the first level where its own
+    estimate does.
 
     Jobs run mesh by mesh, by horizon and then refinement level, so that all
     words on one mesh share their node powers and prefixes
@@ -759,11 +758,11 @@ def integrate_words(
     errs = np.zeros((len(words), n))
     # mesh edges -> (words, (words, points) mask of the points they run at)
     meshes: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
+    slack = params.abs_tol * HORIZON_SAFETY
     ks = np.array([k for k, word in enumerate(words) if word], dtype=int)
     if ks.size and edges is not None:
         meshes[edges] = ks, np.ones((ks.size, n), dtype=bool)
     elif ks.size:
-        slack = params.abs_tol * HORIZON_SAFETY
         horizons, failures = word_horizons(letters, exps, params)
         if failures:
             exc = failures[min(failures)]

@@ -15,7 +15,6 @@ from one int true division, which rounds as float(Fraction) does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
@@ -179,10 +178,10 @@ def _form(num: int, den: int, coeffs: tuple[int, ...]) -> AffineForm:
     return AffineForm(num // g, den // g, coeffs)
 
 
-@dataclass(frozen=True)
-class RationalCombination:
+class RationalCombination(NamedTuple):
     """Finite sum of (coeff / den) / prod(forms): integer coefficients over
-    one positive denominator, in lowest terms, so all exact."""
+    one positive denominator, in lowest terms, so all exact; a tuple, as
+    AffineForm is, so equal combinations compare and hash alike."""
 
     terms: tuple[tuple[int, tuple[AffineForm, ...]], ...]
     den: int = 1

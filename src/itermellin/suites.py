@@ -3,7 +3,9 @@
 Each suite returns a list of CaseResult records (suite, case, defect,
 tolerance, passed).  Randomized suites draw points from a seeded generator
 and reject points closer than a margin to any pole hyperplane of every
-expression involved, so a run is reproducible from its seed.
+expression involved, so a run is reproducible from its seed.  The
+functional equation's reflection maps an expression's hyperplanes onto
+its partner's, so a reflection point keeps off the expression's own.
 """
 
 from __future__ import annotations
@@ -64,38 +66,18 @@ def _fe_defect(thetas, pts, params) -> float:
     return max(abs(a - sign * b) for a, b in zip(lhs, rhs))
 
 
-def _fe_constraints(thetas):
-    """Forms whose distance must be respected by the sampled point: the
-    expression's own poles plus the duals' poles pulled back through the
-    reflection."""
-    expr = _expr(thetas)
-    forms = list(expr.pole_forms)
-    dual = engine.reversed_dual_tuple(thetas)
-    r = len(thetas)
-    for h in _expr(dual).pole_forms:
-        # h(w_r - s_r, ..., w_1 - s_1) as a form in s
-        const = h.const
-        coeffs = [0] * r
-        for i, c in enumerate(h.coeffs):
-            j = r - 1 - i
-            const += c * thetas[j].weight
-            coeffs[j] = -c
-        forms.append(AffineForm.make(const, coeffs))
-    return forms
-
-
 def suite_functional(seed: int, trials: int, params: EvalParams) -> list[CaseResult]:
     rng = np.random.default_rng(seed)
     out = []
     rie = make_builtin_theta("riemann")
     for r in (1, 2, 3):
         thetas = (rie,) * r
-        forms = _fe_constraints(thetas)
+        forms = _expr(thetas).pole_forms
         pts = [_sample(rng, r, forms) for _ in range(trials)]
         worst = _fe_defect(thetas, pts, params)
         out.append(_case("functional", f"xi r={r} reflection, {trials} points", worst, 1e-8))
     mixed = (make_builtin_theta("eisenstein", 4), make_builtin_theta("delta"))
-    forms = _fe_constraints(mixed)
+    forms = _expr(mixed).pole_forms
     worst = _fe_defect(mixed, [_sample(rng, 2, forms) for _ in range(trials)], params)
     out.append(_case("functional", f"mixed (G4, delta) reflection, {trials} points", worst, 1e-8))
 
@@ -134,7 +116,7 @@ def suite_functional(seed: int, trials: int, params: EvalParams) -> list[CaseRes
     for _ in range(max(trials // 2, 5)):
         r = int(rng.integers(2, 4))
         tup = tuple(pool[int(i)] for i in rng.integers(0, len(pool), r))
-        pt = _sample(rng, r, _fe_constraints(tup))
+        pt = _sample(rng, r, _expr(tup).pole_forms)
         worst = max(worst, _fe_defect(tup, [pt], params))
     out.append(
         _case("functional", "random mixed tuples from the builtin pool, r in {2,3}", worst, 1e-8)

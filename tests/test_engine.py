@@ -1,5 +1,6 @@
 """Compiled multiple L-functions: values, poles, residues, identities."""
 
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -187,6 +188,26 @@ class TestFunctionalEquation:
         """Up to cli.MAX_TUPLE slots: at r = 8, 2,304 pair terms over 1,005
         words."""
         self.riemann_within_error_bars(r, np.random.default_rng(50 + r), 1)
+
+    def test_reflection_maps_the_pole_set_onto_itself(self):
+        """The reversed dual tuple's pole hyperplanes, pulled back through
+        s -> (w_r - s_r, ..., w_1 - s_1), are the tuple's own, for all 584
+        tuples of r <= 3 over the functional suite's pool: a point off the
+        one set is as far off the other."""
+        pool = [theta(*name) for name in (("riemann",), ("eisenstein", 4), ("delta",),
+                                           ("theta_plus",), ("theta_minus",), ("jacobi2",),
+                                           ("jacobi3",), ("jacobi4",))]
+        for r in (1, 2, 3):
+            for thetas in itertools.product(pool, repeat=r):
+                pulled = set()
+                for h in build_expression(engine.reversed_dual_tuple(thetas)).pole_forms:
+                    # h(w_r - s_r, ..., w_1 - s_1) as a form in s
+                    const, coeffs = h.const, [0] * r
+                    for i, c in enumerate(h.coeffs):
+                        const += c * thetas[r - 1 - i].weight
+                        coeffs[r - 1 - i] = -c
+                    pulled.add(AffineForm.make(const, coeffs).canonical())
+                assert pulled == set(build_expression(thetas).pole_forms), thetas
 
     def test_mixed_tuple(self):
         g4, delta = theta("eisenstein", 4), theta("delta")
@@ -685,6 +706,36 @@ class TestCompileOnce:
         want = build_tail_expression(thetas)
         assert term_rows(expr.terms) == term_rows(want.terms)
         assert expr.pole_forms == ref_poles(want.terms)
+
+
+class TestPoleGuard:
+    @pytest.mark.parametrize("thetas", [
+        (theta("riemann"),) * 3,
+        (theta("eisenstein", 4), theta("delta")),
+        (theta("jacobi3"), theta("riemann")),
+        (mul_monomial(theta("riemann"), Fraction(1, 3)), theta("riemann")),
+    ], ids=["riemann3", "g4-delta", "jacobi3-riemann", "riemann-t13-riemann"])
+    def test_guard_blocks_every_small_denominator(self, thetas):
+        """A tangent denominator f has integer slot coefficients and is a
+        multiple of its guard form, so |f(s)| >= dist(s, {f = 0}): where
+        |f(s)| = 1e-14 the guard, the only pole test, reports f's
+        hyperplane."""
+        expr = build_expression(thetas)
+        plan = expr.plan
+        forms = list(dict.fromkeys(
+            f for t in expr.terms for _, fs in t.tangent.terms for f in fs))
+        # the plan's tangent denominator rows are these forms
+        rows = plan.rows[len(plan.guard) : plan.first_exponent - 1].tolist()
+        assert sorted(map(tuple, rows)) == sorted((f.num / f.den, *f.coeffs) for f in forms)
+        rng = np.random.default_rng(14)
+        for f in forms:
+            grad = np.array(f.coeffs, dtype=float)
+            p = rng.uniform(-1, 1, len(thetas)) + 1j * rng.uniform(-1, 1, len(thetas))
+            # p moved along the gradient to where f = 1e-14
+            s = tuple(p + (1e-14 - f(p)) * grad / (grad @ grad))
+            assert abs(abs(f(s)) - 1e-14) < 2e-15
+            (result,) = lambda_eval_many(expr, [s], P)
+            assert isinstance(result, PoleSignal) and result.form == f.canonical(), f
 
 
 class TestNumericPlan:

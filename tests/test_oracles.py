@@ -316,6 +316,47 @@ class TestRealEisenstein:
         assert oracles.real_eisenstein(z, 1.5, P) == first
         assert len(compiled) == 1
 
+    def test_lattice_points_match_a_point_by_point_loop(self):
+        """The one lattice rectangle gives the disk's frequencies: for 40 z
+        of the fresh-theta box, those of a loop over each lattice point,
+        within 4 ulp (the loop squares by pow, the grid by multiplying),
+        and lattice_theta's first 200 groups have the loop's multiplicities."""
+
+        def loop(z, lam_max):
+            x, y = z.real, z.imag
+            r2max = lam_max * y / PI
+            nmax = int(math.floor(math.sqrt(r2max) / y)) + 1
+            lams = []
+            for n in range(-nmax, nmax + 1):
+                rem = r2max - n * n * y * y
+                if rem < 0:
+                    continue
+                half = math.sqrt(rem)
+                for m in range(math.ceil(-n * x - half), math.floor(-n * x + half) + 1):
+                    lam = PI * ((m + n * x) ** 2 + n * n * y * y) / y
+                    if (m, n) != (0, 0) and lam <= lam_max:
+                        lams.append(lam)
+            return np.sort(np.array(lams))
+
+        rng = np.random.default_rng(24)
+        for _ in range(40):
+            z = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.75, 1.6))
+            for lam_max in (64.0, 256.0, 1024.0):
+                want, got = loop(z, lam_max), oracles._lattice_points(z, lam_max)
+                assert len(got) == len(want)
+                np.testing.assert_array_max_ulp(got, want, maxulp=4)
+            # lattice_theta's grouping, applied to the loop's frequencies
+            counts: list[list] = []
+            for lam in loop(z, 2048.0):
+                if counts and lam - counts[-1][0] <= 1e-9 * lam:
+                    counts[-1][1] += 1.0
+                else:
+                    counts.append([lam, 1.0])
+            assert counts[199][0] < 1024.0  # far below the loop's cut
+            tail = oracles.lattice_theta(z).tail
+            want = [((count, 0.0),) for _, count in counts[:200]]
+            assert [tail.group(n)[1] for n in range(1, 201)] == want
+
     def test_lattice_theta_freed_after_cache_turnover(self):
         """The expression cache holds the only reference to a lattice
         theta, so 256 other z free it, and its node values with it."""
