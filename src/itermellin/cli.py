@@ -23,9 +23,8 @@ from .theta import (
     ThetaFunction,
     TruncationError,
     ValidationError,
-    builtin_names,
-    load_theta_from_file,
-    make_builtin_theta,
+    builtin_registry,
+    parse_theta_token,
 )
 
 EXIT_OK = 0
@@ -40,51 +39,6 @@ class CliError(Exception):
     """A bad request: the CLI prints the message and exits EXIT_PARSE."""
 
 
-def _builtin_registry() -> dict[str, ThetaFunction]:
-    """Every builtin theta by name, in builtin_names() order, eisenstein at
-    the weights 4, 6 and 8."""
-    thetas = []
-    for name in builtin_names():
-        if name == "eisenstein":
-            thetas.extend(make_builtin_theta(name, w) for w in (4, 6, 8))
-        else:
-            thetas.append(make_builtin_theta(name))
-    return {th.name: th for th in thetas}
-
-
-def parse_theta_token(token: str) -> ThetaFunction:
-    token = token.strip()
-    if token == "theta+":
-        return make_builtin_theta("theta_plus")
-    if token == "theta-":
-        return make_builtin_theta("theta_minus")
-    if token.startswith("file:"):
-        try:
-            return load_theta_from_file(token[5:], _builtin_registry())
-        except (OSError, ValueError, ValidationError) as exc:
-            raise CliError(f"cannot load theta from {token[5:]!r}: {exc}") from exc
-    if ":" in token:
-        head, arg = token.split(":", 1)
-        try:
-            value = int(arg)
-        except ValueError:
-            raise CliError(f"bad theta parameter in {token!r}") from None
-        if head == "eisenstein":
-            try:
-                return make_builtin_theta("eisenstein", value)
-            except ValueError as exc:
-                raise CliError(str(exc)) from exc
-        if head == "jacobi":
-            if value not in (2, 3, 4):
-                raise CliError("jacobi kind must be 2, 3 or 4")
-            return make_builtin_theta(f"jacobi{value}")
-        raise CliError(f"unknown theta family {head!r}")
-    try:
-        return make_builtin_theta(token)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 # longest theta tuple accepted (riemann at r = 8 integrates 1005 distinct words)
 MAX_TUPLE = 8
 
@@ -97,7 +51,10 @@ def parse_theta_tuple(text: str) -> tuple[ThetaFunction, ...]:
         raise CliError(
             f"theta tuple of length {len(tokens)}: at most {MAX_TUPLE} thetas are supported"
         )
-    return tuple(parse_theta_token(t) for t in tokens)
+    try:
+        return tuple(parse_theta_token(t) for t in tokens)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def parse_point(text: str, nslots: int) -> tuple[complex, ...]:
@@ -365,7 +322,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_list_thetas(args) -> int:
-    entries = [th.describe() for th in _builtin_registry().values()]
+    entries = [th.describe() for th in builtin_registry().values()]
     if args.format == "json":
         _emit(_json_dumps({"thetas": entries}), args.out)
     else:
@@ -394,24 +351,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, theta=True):
+    def common(p, theta=True, numeric=True, formats=("human", "json")):
+        """The options a command shares: the first format is the default."""
         if theta:
             p.add_argument("--theta", required=True, help="comma-separated theta tuple")
-        p.add_argument("--tol", type=float, default=EvalParams.abs_tol, help="absolute tolerance")
-        p.add_argument("--order", type=int, default=EvalParams.quad_order,
-                       help="Gauss nodes per panel")
-        p.add_argument("--max-refine", type=int, default=EvalParams.max_refine, dest="max_refine")
-        p.add_argument("--format", choices=("human", "json", "csv"), default="human")
+        if numeric:
+            p.add_argument("--tol", type=float, default=EvalParams.abs_tol,
+                           help="absolute tolerance")
+            p.add_argument("--order", type=int, default=EvalParams.quad_order,
+                           help="Gauss nodes per panel")
+            p.add_argument("--max-refine", type=int, default=EvalParams.max_refine,
+                           dest="max_refine")
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="write output to this file")
 
     p = sub.add_parser("eval", help="evaluate at a point")
-    common(p)
+    common(p, formats=("human", "json", "csv"))
     p.add_argument("--s", required=True, help="slot values, e.g. 2,2 or 1+0.5i,2")
     p.add_argument("--lstar", action="store_true", help="apply the conductor rescaling")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("poles", help="list pole hyperplanes")
-    common(p)
+    common(p, numeric=False)
     p.set_defaults(fn=cmd_poles)
 
     p = sub.add_parser("residue", help="residue along a hyperplane")
@@ -432,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("table", help="evaluate over a grid, emit CSV/JSON")
-    common(p)
+    common(p, formats=("csv", "json"))
     p.add_argument(
         "--grid",
         required=True,
@@ -441,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("list-thetas", help="list registered theta functions")
-    common(p, theta=False)
+    common(p, theta=False, numeric=False)
     p.set_defaults(fn=cmd_list_thetas)
     return ap
 

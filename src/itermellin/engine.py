@@ -523,8 +523,6 @@ def _zero_envelope(letter: Letter) -> tuple[float, float, bool]:
     """(C, gamma, exp_small): |phi(t)| <= C t^(Re e - 1 - gamma) for t <= 1/2,
     with exp_small marking additional superpolynomial decay at 0."""
     th = letter.theta
-    if letter.part == "mono":
-        return abs(float(letter.coeff)), 0.0, False
     height = th.growth("poly")[0]
     if letter.part == "poly":
         emin = min((float(e) for _, e in th.poly_part), default=0.0)
@@ -654,7 +652,9 @@ def _normalize_ending(word: Word) -> list[tuple[RationalCombination, Word]]:
 
     A trailing monomial letter integrates in closed form, contributing a
     1/(affine form) factor and shifting the previous letter's exponent; a
-    trailing full or poly letter splits into tail + monomials.
+    trailing full letter splits into tail + monomials.  The words come from
+    build_tail_expression: inverted letters are full or mono, the others
+    tail, so no word ends in a poly letter.
     """
     if not word:
         return [(RationalCombination.one(), word)]
@@ -673,15 +673,13 @@ def _normalize_ending(word: Word) -> list[tuple[RationalCombination, Word]]:
         return [
             (factor * rc, w) for rc, w in _normalize_ending(word[:-2] + (merged,))
         ]
-    out: list[tuple[RationalCombination, Word]] = []
-    if last.part in ("full", "poly"):
-        if last.part == "full":
-            out.extend(_normalize_ending(word[:-1] + (last.with_part("tail"),)))
-        for c, e in last.theta.poly_part:
-            mono = Letter(last.theta, "mono", last.exponent.shift(e), c)
-            out.extend(_normalize_ending(word[:-1] + (mono,)))
-        return out
-    raise ValueError(f"unexpected part {last.part!r}")
+    if last.part != "full":
+        raise ValueError(f"unexpected part {last.part!r}")
+    out = _normalize_ending(word[:-1] + (last.with_part("tail"),))
+    for c, e in last.theta.poly_part:
+        mono = Letter(last.theta, "mono", last.exponent.shift(e), c)
+        out.extend(_normalize_ending(word[:-1] + (mono,)))
+    return out
 
 
 def build_tail_expression(thetas: Sequence[ThetaFunction]) -> LambdaExpression:

@@ -59,49 +59,41 @@ def _zeta_direct(k: float) -> float:
 
 
 def mzv_sum(ns: Sequence[int], tol: float = 1e-8) -> float:
-    """Multiple zeta value sum_{k1<...<kr} prod k_i^(-n_i); needs n_r >= 2.
+    """Multiple zeta value sum_{k1<...<kr} prod k_i^(-n_i) of depth r <= 2;
+    needs n_r >= 2.
 
-    Direct cumulative summation; the final sum gets an integral-comparison
-    tail using the inner sums' limits (depth <= 2 exactly, depth 3 with a
-    cruder tail whose size is checked against tol).
+    Direct cumulative summation; at depth 2 the final sum gets an
+    integral-comparison tail from the inner sum's asymptotics.
     """
     ns = tuple(int(n) for n in ns)
     if not ns or ns[-1] < 2:
         raise ValueError("multiple zeta values require a final exponent >= 2")
     if any(n < 1 for n in ns):
         raise ValueError("exponents must be positive")
-    r = len(ns)
-    if r == 1:
+    if len(ns) > 2:
+        raise ValueError("mzv_sum supports depth <= 2")
+    if len(ns) == 1:
         return _zeta_direct(ns[0])
-    cut = 200000 if r == 2 else 4000
+    a, b = ns
+    cut = 200000
     ks = np.arange(1, cut + 1, dtype=float)
-    inner = np.ones(cut)
-    for n_i in ns[:-1]:
-        # cumulative sum over k < next index
-        layer = inner * ks ** float(-n_i)
-        inner = np.concatenate(([0.0], np.cumsum(layer)[:-1]))
-    b = ns[-1]
+    # inner(k): the sum of j^-a over j < k
+    inner = np.concatenate(([0.0], np.cumsum(ks ** float(-a))[:-1]))
     head = float(np.sum(inner * ks ** float(-b)))
     c = cut + 0.5
-    if r == 2:
-        a = ns[0]
-        if a >= 2:
-            za = _zeta_direct(a)
-            # inner(k) = zeta(a) - tail, tail ~ k^(1-a)/(a-1)
-            tail = za * c ** (1 - b) / (b - 1) - c ** (2 - a - b) / ((a - 1) * (a + b - 2))
-        else:
-            g = 0.5772156649015329
-            # inner(k) = ln k + g - 1/(2k) + O(k^-2)
-            tail = (
-                c ** (1 - b) * (math.log(c) / (b - 1) + 1.0 / (b - 1) ** 2)
-                + g * c ** (1 - b) / (b - 1)
-                - 0.5 * c**-b / b
-            )
-        estimate = 10.0 * c ** (-b - 1) * (1 + math.log(c))
+    if a >= 2:
+        za = _zeta_direct(a)
+        # inner(k) = zeta(a) - tail, tail ~ k^(1-a)/(a-1)
+        tail = za * c ** (1 - b) / (b - 1) - c ** (2 - a - b) / ((a - 1) * (a + b - 2))
     else:
-        # inner sums converge (if their exponents allow); crude geometric tail
-        tail = inner[-1] * c ** (1 - b) / (b - 1)
-        estimate = abs(tail) * 5.0 / c + c ** (1 - b) / (b - 1) * 0.1
+        g = 0.5772156649015329
+        # inner(k) = ln k + g - 1/(2k) + O(k^-2)
+        tail = (
+            c ** (1 - b) * (math.log(c) / (b - 1) + 1.0 / (b - 1) ** 2)
+            + g * c ** (1 - b) / (b - 1)
+            - 0.5 * c**-b / b
+        )
+    estimate = 10.0 * c ** (-b - 1) * (1 + math.log(c))
     if estimate > tol:
         raise SummationBudgetError(
             f"mzv tail estimate {estimate:.2e} above tol {tol:.1e}"

@@ -302,21 +302,18 @@ def _partial_sums(forms: Sequence[AffineForm]) -> tuple[AffineForm, ...]:
 def tangent_word_integral(word) -> RationalCombination:
     """Tangent-space integral of a word of polynomial letters over [0, 1].
 
-    Letters must have part 'poly' or 'mono'; each polynomial is expanded
-    into monomials and the simplex integral is summed over the grid of
-    monomial choices, with each letter's exponent form shifted by the
-    monomial exponent; coefficients are integers over the product of each
-    letter's lcm of denominators.
+    Letters must have part 'poly'; each polynomial is expanded into
+    monomials and the simplex integral is summed over the grid of monomial
+    choices, with each letter's exponent form shifted by the monomial
+    exponent; coefficients are integers over the product of each letter's
+    lcm of denominators.
     """
     choices: list[list[tuple[int, AffineForm]]] = []
     den = 1
     for letter in word:
-        if letter.part == "mono":
-            opts = [(letter.coeff, letter.exponent)]
-        elif letter.part == "poly":
-            opts = [(c, letter.exponent.shift(e)) for (c, e) in letter.theta.poly_part]
-        else:
+        if letter.part != "poly":
             raise ValueError(f"tangent integral over non-polynomial letter {letter}")
+        opts = [(c, letter.exponent.shift(e)) for (c, e) in letter.theta.poly_part]
         if not opts:
             return RationalCombination.zero()
         nums = [_ratio(c) for c, _ in opts]

@@ -21,10 +21,15 @@ from .arith import divisor_sigma
 from .oracles import _values, expression as _expr
 from .quadrature import EvalParams
 from .ratfun import AffineForm
-from .theta import ThetaFunction, make_builtin_theta
+from .theta import make_builtin_theta, parse_theta_token
 from .words import shuffle
 
 PI = math.pi
+
+# the builtin thetas that random tuples draw from, in draw order; the
+# shuffle suite draws from the first five
+_POOL = ("riemann", "eisenstein:4", "delta", "theta+", "theta-",
+         "jacobi:2", "jacobi:3", "jacobi:4")
 
 
 @dataclass
@@ -102,16 +107,7 @@ def suite_functional(seed: int, trials: int, params: EvalParams) -> list[CaseRes
     worst = max(abs(x - y) for x, y in zip(values[:10], values[10:]))
     out.append(_case("functional", "Lambda(delta;s) = Lambda(delta;12-s), 10 points", worst, 1e-9))
 
-    pool = [
-        rie,
-        make_builtin_theta("eisenstein", 4),
-        delta,
-        make_builtin_theta("theta_plus"),
-        make_builtin_theta("theta_minus"),
-        make_builtin_theta("jacobi2"),
-        make_builtin_theta("jacobi3"),
-        make_builtin_theta("jacobi4"),
-    ]
+    pool = [parse_theta_token(t) for t in _POOL]
     worst = 0.0
     for _ in range(max(trials // 2, 5)):
         r = int(rng.integers(2, 4))
@@ -124,26 +120,14 @@ def suite_functional(seed: int, trials: int, params: EvalParams) -> list[CaseRes
     return out
 
 
-_SHUFFLE_POOL = ("riemann", "eisenstein:4", "delta", "theta_plus", "theta_minus")
-
-
-def _pool_theta(tag: str) -> ThetaFunction:
-    if tag == "eisenstein:4":
-        return make_builtin_theta("eisenstein", 4)
-    return make_builtin_theta(tag)
-
-
 def suite_shuffle(seed: int, trials: int, params: EvalParams) -> list[CaseResult]:
     rng = np.random.default_rng(seed)
     out = []
+    pool = [parse_theta_token(t) for t in _POOL[:5]]
     for p_len, q_len in ((1, 1), (1, 2)):
         worst = 0.0
         for _ in range(trials):
-            tags = [
-                _SHUFFLE_POOL[int(i)]
-                for i in rng.integers(0, len(_SHUFFLE_POOL), p_len + q_len)
-            ]
-            thetas = tuple(_pool_theta(t) for t in tags)
+            thetas = tuple(pool[int(i)] for i in rng.integers(0, len(pool), p_len + q_len))
             u = tuple(range(p_len))
             v = tuple(range(p_len, p_len + q_len))
             merged = list(shuffle(u, v))  # distinct indices: each once

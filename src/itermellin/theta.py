@@ -508,8 +508,12 @@ def _make_jacobi3() -> ThetaFunction:
     )
 
 
+# every builtin theta by name, in the order list-thetas prints them
 _BUILTIN_FACTORIES: dict[str, Callable[[], ThetaFunction]] = {
     "riemann": _make_riemann,
+    "eisenstein4": lambda: make_builtin_theta("eisenstein", 4),
+    "eisenstein6": lambda: make_builtin_theta("eisenstein", 6),
+    "eisenstein8": lambda: make_builtin_theta("eisenstein", 8),
     "delta": _make_delta,
     "theta_plus": lambda: _make_theta_pm(+1),
     "theta_minus": lambda: _make_theta_pm(-1),
@@ -521,10 +525,8 @@ _BUILTIN_FACTORIES: dict[str, Callable[[], ThetaFunction]] = {
 
 @lru_cache(maxsize=None)
 def make_builtin_theta(name: str, weight: int | None = None) -> ThetaFunction:
-    """Construct (and cache) a registered theta function.
-
-    Names: riemann, eisenstein (with even weight >= 4), delta, theta_plus,
-    theta_minus, jacobi2, jacobi3, jacobi4.
+    """Construct (and cache) a builtin theta function: a name that
+    builtin_registry lists, or eisenstein with an even weight >= 4.
     """
     if name == "eisenstein":
         if weight is None:
@@ -539,9 +541,9 @@ def make_builtin_theta(name: str, weight: int | None = None) -> ThetaFunction:
     return factory()
 
 
-def builtin_names() -> list[str]:
-    return ["riemann", "eisenstein", "delta", "theta_plus", "theta_minus",
-            "jacobi2", "jacobi3", "jacobi4"]
+def builtin_registry() -> dict[str, ThetaFunction]:
+    """Every builtin theta by its name, which is also its token."""
+    return {name: make_builtin_theta(name) for name in _BUILTIN_FACTORIES}
 
 
 # ---------------------------------------------------------------------------
@@ -985,3 +987,41 @@ def load_theta_from_file(
 ) -> ThetaFunction:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_theta_text(fh.read(), registry)
+
+
+# tokens that stand for a builtin's name
+_ALIASES = {"theta+": "theta_plus", "theta-": "theta_minus"}
+
+
+def parse_theta_token(
+    token: str, registry: dict[str, ThetaFunction] | None = None
+) -> ThetaFunction:
+    """The theta one token of a theta tuple names.
+
+    Tokens: a name builtin_registry lists, theta+ and theta-, eisenstein:K
+    for an even weight K >= 4, jacobi:K for K = 2, 3 or 4, and file:<path>,
+    a theta file whose dual is looked up in registry (by default the
+    builtin registry, built only for such a token).  A builtin token
+    constructs that theta alone; a bad token raises ValueError.
+    """
+    token = token.strip()
+    if token.startswith("file:"):
+        path = token[5:]
+        try:
+            return load_theta_from_file(path, builtin_registry() if registry is None else registry)
+        except (OSError, ValueError, ValidationError) as exc:
+            raise ValueError(f"cannot load theta from {path!r}: {exc}") from exc
+    if ":" in token:
+        head, arg = token.split(":", 1)
+        try:
+            value = int(arg)
+        except ValueError:
+            raise ValueError(f"bad theta parameter in {token!r}") from None
+        if head == "eisenstein":
+            return make_builtin_theta("eisenstein", value)
+        if head != "jacobi":
+            raise ValueError(f"unknown theta family {head!r}")
+        if value not in (2, 3, 4):
+            raise ValueError("jacobi kind must be 2, 3 or 4")
+        token = f"jacobi{value}"
+    return make_builtin_theta(_ALIASES.get(token, token))

@@ -11,42 +11,28 @@ consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .ratfun import AffineForm
 from .theta import ThetaFunction
 
-PARTS = ("full", "tail", "poly", "mono")
 
-
-@dataclass(frozen=True)
-class Letter:
-    """One-form letter: a theta reference, a part selector, and an exponent.
+class Letter(NamedTuple):
+    """One-form letter: a theta reference, a part selector ('full', 'tail',
+    'poly' or 'mono'), and an exponent.
 
     part 'mono' denotes the constant function coeff (monomial factors are
     folded into the exponent form); it appears only in internal expansions.
+    A tuple, so equal letters, and words of them, compare and hash alike.
     """
 
     theta: ThetaFunction
     part: str
     exponent: AffineForm
     coeff: int | Fraction = 1
-
-    def __post_init__(self):
-        if self.part not in PARTS:
-            raise ValueError(f"unknown part {self.part!r}")
-
-    def __hash__(self) -> int:
-        # words are dict keys in compiling and lowering: hashed once per letter
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.theta, self.part, self.exponent, self.coeff))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def with_part(self, part: str) -> "Letter":
         return Letter(self.theta, part, self.exponent)

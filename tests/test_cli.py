@@ -97,6 +97,16 @@ class TestEval:
             code, _, _ = run(capsys, "eval", "--theta", tok, "--s", "1.25", "--format", "json")
             assert code == 0
 
+    def test_human_output_of_a_complex_value(self, capsys):
+        code, out, _ = run(capsys, "eval", "--theta", "riemann", "--s", "2+1i")
+        assert code == 0
+        lines = out.splitlines()
+        # mpmath: pi^(-s/2) Gamma(s/2) zeta(s) = 0.123330275125913 - 0.29924564421218i
+        assert lines[:2] == ["Lambda(riemann; 2 + 1i)",
+                             "  value          = 0.123330275126 - 0.299245644212i"]
+        assert lines[2].startswith("  error estimate = ")
+        assert lines[3:] == ["  nearest pole   : s1-1 = 0  (distance 1.41421)"]
+
     def test_human_output_near_a_pole(self, capsys):
         code, out, _ = run(capsys, "eval", "--theta", "riemann", "--s", "1.0005")
         assert code == 0
@@ -446,6 +456,55 @@ class TestListThetas:
             "riemann", "eisenstein4", "eisenstein6", "eisenstein8", "delta",
             "theta_plus", "theta_minus", "jacobi2", "jacobi3", "jacobi4"]
 
+    def test_every_listed_name_is_a_token(self, capsys):
+        code, out, _ = run(capsys, "list-thetas", "--format", "json")
+        assert code == 0
+        for name in (e["name"] for e in json.loads(out)["thetas"]):
+            code, out, err = run(capsys, "eval", "--theta", name, "--s", "1.25", "--format", "json")
+            assert code == 0 and err == "", name
+            assert math.isfinite(json.loads(out)["re"]), name
+
+
+class TestThetaTokens:
+    @pytest.mark.parametrize("theta,message", [
+        ("foo:3", "unknown theta family 'foo'"),
+        ("jacobi:5", "jacobi kind must be 2, 3 or 4"),
+        ("eisenstein:5", "eisenstein weight must be an even integer >= 4"),
+        ("eisenstein:x", "bad theta parameter in 'eisenstein:x'"),
+        ("nope", "unknown builtin theta 'nope'"),
+        ("eisenstein", "eisenstein requires a weight parameter"),
+        (" , ", "empty theta tuple"),
+    ], ids=["unknown-family", "jacobi-5", "eisenstein-5", "eisenstein-x", "unknown-name",
+            "eisenstein-no-weight", "empty-tuple"])
+    def test_bad_token_exits_2(self, capsys, theta, message):
+        code, out, err = run(capsys, "eval", f"--theta={theta}", "--s", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
+class TestCommandOptions:
+    """A command accepts only the options it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["poles", "--theta", "riemann", "--tol", "nan"],
+        ["poles", "--theta", "riemann", "--order", "2"],
+        ["list-thetas", "--max-refine", "3"],
+        ["poles", "--theta", "riemann", "--format", "csv"],
+        ["residue", "--theta", "riemann,riemann", "--hyperplane", "0,1:0", "--at", "3,0",
+         "--format", "csv"],
+        ["verify", "--suite", "mzv", "--format", "csv"],
+        ["list-thetas", "--format", "csv"],
+        ["table", "--theta", "riemann", "--grid=2:3:0.5", "--format", "human"],
+    ])
+    def test_unread_option_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "error: " in err
+
+    def test_table_defaults_to_csv(self, capsys):
+        grid = ("table", "--theta", "riemann", "--grid=2:3:0.5")
+        assert run(capsys, *grid) == run(capsys, *grid, "--format", "csv")
+
 
 class TestFileTheta:
     def test_eval_from_file(self, tmp_path, capsys):
@@ -462,8 +521,9 @@ class TestFileTheta:
         assert abs(json.loads(out)["re"] - math.pi / 6) < 1e-9
 
     def test_missing_file(self, capsys):
-        code, _, _ = run(capsys, "eval", "--theta", "file:/nonexistent.theta", "--s", "2")
+        code, _, err = run(capsys, "eval", "--theta", "file:/nonexistent.theta", "--s", "2")
         assert code == 2
+        assert err.startswith("error: cannot load theta from '/nonexistent.theta': ")
 
 
 class TestVerifyAll:

@@ -22,7 +22,6 @@ from itermellin.engine import (
     residue,
 )
 from itermellin.quadrature import EvalParams
-from itermellin.cli import parse_theta_token
 from itermellin.ratfun import (
     AffineForm,
     MultiplePoleError,
@@ -30,7 +29,13 @@ from itermellin.ratfun import (
     RationalCombination,
     tangent_word_integral,
 )
-from itermellin.theta import make_builtin_theta, mul_monomial, parse_theta_text, rescale
+from itermellin.theta import (
+    make_builtin_theta,
+    mul_monomial,
+    parse_theta_text,
+    parse_theta_token,
+    rescale,
+)
 from itermellin.words import Letter
 
 PI = math.pi

@@ -192,6 +192,12 @@ class TestMzv:
         with pytest.raises(ValueError):
             oracles.mzv_sum((2, 1))
 
+    def test_depth_three_rejected(self):
+        """Depth 3 summed with a crude tail was 2.5e-3 off zeta(2,1,1) =
+        zeta(4) under an estimate of 3.7e-5; it now fails loudly."""
+        with pytest.raises(ValueError, match="depth <= 2"):
+            oracles.mzv_sum((1, 1, 2), 1e-4)
+
     def test_depth2_convergent_head(self):
         # zeta(2,3) against a plain double loop
         k = np.arange(1.0, 4001.0)

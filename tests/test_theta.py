@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from itermellin.cli import _builtin_registry
+import itermellin.theta as theta_module
 from itermellin.engine import _zero_envelope
 from itermellin.ratfun import AffineForm
 from itermellin.theta import (
@@ -17,6 +17,7 @@ from itermellin.theta import (
     ThetaFunction,
     TruncationError,
     ValidationError,
+    builtin_registry,
     convolve,
     d_w,
     differentiate,
@@ -24,6 +25,7 @@ from itermellin.theta import (
     make_builtin_theta,
     mul_monomial,
     parse_theta_text,
+    parse_theta_token,
     pointwise_product,
     rescale,
     validate_inversion,
@@ -429,6 +431,33 @@ class TestThetaFiles:
             parse_theta_text(text, {})
 
 
+class TestTokens:
+    def test_builtin_tokens_build_that_theta_alone(self, monkeypatch):
+        """Every registry name is a token for the registry's own theta, as
+        are the family and alias spellings; none of them builds the
+        registry."""
+        registry = builtin_registry()
+
+        def unbuilt():
+            raise AssertionError("a builtin token built the whole registry")
+
+        monkeypatch.setattr(theta_module, "builtin_registry", unbuilt)
+        for name, th in registry.items():
+            assert th.name == name and parse_theta_token(name) is th
+        for token, name in (("eisenstein:4", "eisenstein4"), ("eisenstein:8", "eisenstein8"),
+                            (" theta+ ", "theta_plus"), ("theta-", "theta_minus"),
+                            ("jacobi:2", "jacobi2"), ("jacobi:4", "jacobi4")):
+            assert parse_theta_token(token) is registry[name], token
+        assert parse_theta_token("eisenstein:10") is make_builtin_theta("eisenstein", 10)
+
+    def test_file_token_resolves_its_dual_in_the_registry(self, tmp_path):
+        path = tmp_path / "j2.theta"
+        path.write_text(J2_CLONE_FILE)
+        assert parse_theta_token(f"file:{path}").dual is make_builtin_theta("jacobi4")
+        with pytest.raises(ValueError, match="dual theta 'jacobi4' not found in registry"):
+            parse_theta_token(f"file:{path}", {})
+
+
 class TestEnvelopes:
     """Truncation envelopes must be real bounds: growth(part) for t >= 1,
     and the engine's bound through the inversion law for t <= 1/2."""
@@ -436,7 +465,7 @@ class TestEnvelopes:
     @staticmethod
     def thetas():
         e4, j2, j4 = theta("eisenstein", 4), theta("jacobi2"), theta("jacobi4")
-        return list(_builtin_registry().values()) + [
+        return list(builtin_registry().values()) + [
             mul_monomial(theta("riemann"), Fraction(3, 2)), d_w(e4),
             pointwise_product(e4, theta("jacobi3")),
             mul_monomial(j4, 1), d_w(j2), pointwise_product(j2, j4)]
