@@ -527,6 +527,8 @@ def _zero_envelope(letter: Letter) -> tuple[float, float, bool]:
     if letter.part == "poly":
         emin = min((float(e) for _, e in th.poly_part), default=0.0)
         return height, -emin, False
+    if letter.part not in ("full", "tail"):
+        raise ValueError(f"no envelope at 0 for part {letter.part!r}")
     dual = th.dual
     dual_height, dual_degree = dual.growth("full")
     gamma = float(th.weight) + dual_degree

@@ -21,15 +21,15 @@ from .arith import divisor_sigma
 from .oracles import _values, expression as _expr
 from .quadrature import EvalParams
 from .ratfun import AffineForm
-from .theta import make_builtin_theta, parse_theta_token
+from .theta import make_builtin_theta
 from .words import shuffle
 
 PI = math.pi
 
 # the builtin thetas that random tuples draw from, in draw order; the
 # shuffle suite draws from the first five
-_POOL = ("riemann", "eisenstein:4", "delta", "theta+", "theta-",
-         "jacobi:2", "jacobi:3", "jacobi:4")
+_POOL = ("riemann", "eisenstein4", "delta", "theta_plus", "theta_minus",
+         "jacobi2", "jacobi3", "jacobi4")
 
 
 @dataclass
@@ -107,7 +107,7 @@ def suite_functional(seed: int, trials: int, params: EvalParams) -> list[CaseRes
     worst = max(abs(x - y) for x, y in zip(values[:10], values[10:]))
     out.append(_case("functional", "Lambda(delta;s) = Lambda(delta;12-s), 10 points", worst, 1e-9))
 
-    pool = [parse_theta_token(t) for t in _POOL]
+    pool = [make_builtin_theta(name) for name in _POOL]
     worst = 0.0
     for _ in range(max(trials // 2, 5)):
         r = int(rng.integers(2, 4))
@@ -123,7 +123,7 @@ def suite_functional(seed: int, trials: int, params: EvalParams) -> list[CaseRes
 def suite_shuffle(seed: int, trials: int, params: EvalParams) -> list[CaseResult]:
     rng = np.random.default_rng(seed)
     out = []
-    pool = [parse_theta_token(t) for t in _POOL[:5]]
+    pool = [make_builtin_theta(name) for name in _POOL[:5]]
     for p_len, q_len in ((1, 1), (1, 2)):
         worst = 0.0
         for _ in range(trials):

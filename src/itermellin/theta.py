@@ -993,22 +993,20 @@ def load_theta_from_file(
 _ALIASES = {"theta+": "theta_plus", "theta-": "theta_minus"}
 
 
-def parse_theta_token(
-    token: str, registry: dict[str, ThetaFunction] | None = None
-) -> ThetaFunction:
+def parse_theta_token(token: str) -> ThetaFunction:
     """The theta one token of a theta tuple names.
 
     Tokens: a name builtin_registry lists, theta+ and theta-, eisenstein:K
     for an even weight K >= 4, jacobi:K for K = 2, 3 or 4, and file:<path>,
-    a theta file whose dual is looked up in registry (by default the
-    builtin registry, built only for such a token).  A builtin token
-    constructs that theta alone; a bad token raises ValueError.
+    a theta file whose dual is looked up in the builtin registry, built
+    only for such a token.  A builtin token constructs that theta alone;
+    a bad token raises ValueError.
     """
     token = token.strip()
     if token.startswith("file:"):
         path = token[5:]
         try:
-            return load_theta_from_file(path, builtin_registry() if registry is None else registry)
+            return load_theta_from_file(path, builtin_registry())
         except (OSError, ValueError, ValidationError) as exc:
             raise ValueError(f"cannot load theta from {path!r}: {exc}") from exc
     if ":" in token:

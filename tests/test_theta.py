@@ -454,8 +454,6 @@ class TestTokens:
         path = tmp_path / "j2.theta"
         path.write_text(J2_CLONE_FILE)
         assert parse_theta_token(f"file:{path}").dual is make_builtin_theta("jacobi4")
-        with pytest.raises(ValueError, match="dual theta 'jacobi4' not found in registry"):
-            parse_theta_token(f"file:{path}", {})
 
 
 class TestEnvelopes:
@@ -479,3 +477,7 @@ class TestEnvelopes:
             c, gamma, _ = _zero_envelope(Letter(th, part, AffineForm.slot(0, 1)))
             assert np.all(
                 np.abs(th.eval_array(small, part)) <= c * small**-gamma * (1 + 1e-12) + 1e-12)
+
+    def test_envelope_of_a_mono_letter_raises(self):
+        with pytest.raises(ValueError, match="no envelope at 0 for part 'mono'"):
+            _zero_envelope(Letter(theta("riemann"), "mono", AffineForm.slot(0, 1)))
