@@ -8,7 +8,6 @@ from .theta import (
     ThetaFunction,
     TruncationError,
     ValidationError,
-    convolve,
     d_w,
     differentiate,
     inversion_defect,
@@ -19,7 +18,6 @@ from .theta import (
     rescale,
 )
 from .engine import (
-    BrokenInversionError,
     LambdaExpression,
     build_expression,
     build_tail_expression,
@@ -34,7 +32,6 @@ from .engine import (
 
 __all__ = [
     "AffineForm",
-    "BrokenInversionError",
     "EvalParams",
     "LambdaExpression",
     "MultiplePoleError",
@@ -46,7 +43,6 @@ __all__ = [
     "ValidationError",
     "build_expression",
     "build_tail_expression",
-    "convolve",
     "d_w",
     "differentiate",
     "inversion_defect",

@@ -427,7 +427,7 @@ def main(argv=None) -> int:
     except (QuadratureError, TruncationError, engine.DirectConvergenceError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValidationError, engine.BrokenInversionError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

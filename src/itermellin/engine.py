@@ -56,10 +56,6 @@ from .quadrature import (
 )
 
 
-class BrokenInversionError(Exception):
-    """A theta with a twisted (broken) inversion law cannot be evaluated."""
-
-
 class DirectConvergenceError(Exception):
     """The direct-definition integral does not converge at this point."""
 
@@ -190,11 +186,6 @@ def _check_tuple(thetas: Sequence[ThetaFunction]) -> tuple[ThetaFunction, ...]:
     thetas = tuple(thetas)
     if not thetas:
         raise ValueError("theta tuple must be nonempty")
-    for th in thetas:
-        if not th.inversion_ok:
-            raise BrokenInversionError(
-                f"theta {th.name!r} carries a broken inversion flag"
-            )
     return thetas
 
 

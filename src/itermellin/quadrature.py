@@ -69,6 +69,7 @@ class QuadratureError(Exception):
 
 
 MAX_ORDER = 256  # the largest quad_order: the integration matrix holds order^2 floats
+MAX_REFINE = 12  # the largest max_refine: each level doubles every mesh
 HORIZON_SAFETY = 0.1  # share of abs_tol left to the certified truncation bound
 
 
@@ -80,8 +81,9 @@ class EvalParams:
     abs_tol: absolute tolerance target per integral, finite and > 0 (a
     truncation horizon is cut at abs_tol * HORIZON_SAFETY); quad_order:
     Gauss nodes per panel, 4 to MAX_ORDER; max_refine: mesh refinement
-    limit, >= 1, as an error estimate takes one refinement.  None of them
-    reaches theta node values, which meshes key by (theta, part) alone.
+    limit, 1 to MAX_REFINE, as an error estimate takes one refinement.
+    None of them reaches theta node values, which meshes key by (theta,
+    part) alone.
     """
 
     abs_tol: float = 1e-10
@@ -93,6 +95,8 @@ class EvalParams:
             raise ValueError("abs_tol must be finite and positive")
         if self.max_refine < 1:
             raise ValueError("max_refine must be at least 1")
+        if self.max_refine > MAX_REFINE:
+            raise ValueError(f"max_refine must be at most {MAX_REFINE}")
         if not 4 <= self.quad_order <= MAX_ORDER:
             raise ValueError(f"quad_order must be between 4 and {MAX_ORDER}")
 

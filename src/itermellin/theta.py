@@ -38,6 +38,10 @@ VALIDATION_TOL = 1e-8
 # needs more raises TruncationError
 MAX_TAIL_GROUPS = 4000
 
+# the largest eisenstein weight: from 24 on, the roundoff of values growing like
+# t^-K exceeds VALIDATION_TOL, and by K = 1000 sigma_(K-1)(n) overflows a float
+MAX_EISENSTEIN_WEIGHT = 22
+
 
 @lru_cache(maxsize=None)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +227,6 @@ class ThetaFunction:
         poly_part: Sequence[tuple[Fraction, Fraction]],
         tail: TailSeries,
         conductor: float = 1.0,
-        inversion_ok: bool = True,
         critical_range: tuple[int, int] | None = None,
         validate: bool = True,
     ):
@@ -245,12 +248,11 @@ class ThetaFunction:
             raise ValueError("polynomial part must have nonnegative exponents")
         self.tail = tail
         self.conductor = float(conductor)
-        self.inversion_ok = bool(inversion_ok)
         self.critical_range = critical_range
         self._dual: "ThetaFunction" = self
         self._tail_envelope: float | None = None
         self._poly_bounds: tuple[float, float] | None = None
-        if validate and self.inversion_ok:
+        if validate:
             validate_inversion(self)
 
     # -- identity ---------------------------------------------------------
@@ -288,9 +290,9 @@ class ThetaFunction:
     def eval_array(self, ts, part: str = "full", tol: float = 1e-12) -> np.ndarray:
         """Pointwise values of the chosen part; |result - exact| <= tol.
 
-        Values with t < 1/2 go through the inversion law when it is valid,
-        so small arguments cost a dual evaluation at 1/t instead of a long
-        direct sum.  full is always computed as poly + tail, term for term.
+        Values with t < 1/2 go through the inversion law, so small
+        arguments cost a dual evaluation at 1/t instead of a long direct
+        sum.  full is always computed as poly + tail, term for term.
         """
         ts = np.asarray(ts, dtype=float)
         scalar = ts.ndim == 0
@@ -309,7 +311,7 @@ class ThetaFunction:
 
     def _tail_values(self, ts: np.ndarray, tol: float) -> np.ndarray:
         small = ts < 0.5
-        if not self.inversion_ok or not np.any(small):
+        if not np.any(small):
             return self.tail.values(ts, self.kernel_power, tol)
         out = np.empty(ts.shape, dtype=float)
         if np.any(~small):
@@ -371,7 +373,6 @@ class ThetaFunction:
             "kernel_power": self.kernel_power,
             "poly": [[str(c), str(e)] for c, e in self.poly_part],
             "conductor": self.conductor,
-            "inversion_ok": self.inversion_ok,
             "critical_range": list(self.critical_range) if self.critical_range else None,
         }
 
@@ -419,6 +420,8 @@ def _make_riemann() -> ThetaFunction:
 def _make_eisenstein(weight: int) -> ThetaFunction:
     if weight < 4 or weight % 2:
         raise ValueError("eisenstein weight must be an even integer >= 4")
+    if weight > MAX_EISENSTEIN_WEIGHT:
+        raise ValueError(f"eisenstein weight must be at most {MAX_EISENSTEIN_WEIGHT}")
     k = weight // 2
     const = -bernoulli(weight) / (2 * weight)
     tail = TailSeries(
@@ -526,7 +529,8 @@ _BUILTIN_FACTORIES: dict[str, Callable[[], ThetaFunction]] = {
 @lru_cache(maxsize=None)
 def make_builtin_theta(name: str, weight: int | None = None) -> ThetaFunction:
     """Construct (and cache) a builtin theta function: a name that
-    builtin_registry lists, or eisenstein with an even weight >= 4.
+    builtin_registry lists, or eisenstein with an even weight from 4 to
+    MAX_EISENSTEIN_WEIGHT.
     """
     if name == "eisenstein":
         if weight is None:
@@ -559,7 +563,6 @@ def _mapped(
     group_map: Callable[[Group], Group],
     growth: GrowthBound,
     power_range: tuple[float, float],
-    inversion_ok: bool,
 ) -> ThetaFunction:
     """A theta whose tail maps theta's group by group, with theta's sign,
     kernel power and conductor; unvalidated (see _paired)."""
@@ -572,21 +575,21 @@ def _mapped(
     return ThetaFunction(
         name, weight, theta.sign, theta.kernel_power, poly,
         TailSeries(fn, growth, power_range),
-        conductor=theta.conductor, inversion_ok=inversion_ok, validate=False,
+        conductor=theta.conductor, validate=False,
     )
 
 
-def _paired(make: Callable[..., ThetaFunction], *thetas: ThetaFunction) -> ThetaFunction:
-    """make(*thetas), a transform that carries the inversion law: unless every
-    input is self-dual, its dual is make applied to the inputs' duals, linked
-    both ways.  The result is validated once, when its law holds."""
+def _paired(make: Callable[..., ThetaFunction], *thetas: ThetaFunction,
+            dual_make: Callable[..., ThetaFunction] | None = None) -> ThetaFunction:
+    """make(*thetas), a transform that carries the inversion law, validated.
+    Its dual is dual_make (make by default) applied to the inputs' duals,
+    linked both ways; make of self-dual inputs is self-dual."""
     result = make(*thetas)
-    if not all(th.self_dual for th in thetas):
-        partner = make(*(th.dual for th in thetas))
+    if dual_make is not None or not all(th.self_dual for th in thetas):
+        partner = (dual_make or make)(*(th.dual for th in thetas))
         result._set_dual(partner)
         partner._set_dual(result)
-    if result.inversion_ok:
-        validate_inversion(result)
+    validate_inversion(result)
     return result
 
 
@@ -607,107 +610,105 @@ def mul_monomial(theta: ThetaFunction, exponent: Fraction | int) -> ThetaFunctio
         return _mapped(
             th, f"({th.name}*t^{a})", th.weight - 2 * a, poly,
             lambda g: (g[0], tuple((c, nu + af) for c, nu in g[1])),
-            th.tail.growth, (lo + af, hi + af), th.inversion_ok,
+            th.tail.growth, (lo + af, hi + af),
         )
 
     return _paired(shifted, theta)
 
 
-def rescale(theta: ThetaFunction, n: float) -> ThetaFunction:
-    """theta(n t).  The inversion law becomes twisted, so the result is
-    flagged inversion-broken (and rejected by the evaluation engine) unless
-    n == 1."""
-    if n <= 0:
+def rescale(theta: ThetaFunction, c: float) -> ThetaFunction:
+    """theta(c t), paired with c^-w * dual(t / c), since
+    theta(c / t) = sign * t^w * c^-w * dual(t / c).  Both keep theta's
+    weight and sign; c == 1 returns theta."""
+    if c <= 0:
         raise ValueError("rescale factor must be positive")
-    if n == 1:
+    if c == 1:
         return theta
-    npf = float(n) ** theta.kernel_power
-    poly = [(c * Fraction(n) ** int(e) if e.denominator == 1 else c * Fraction(float(n) ** float(e)), e)
-            for c, e in theta.poly_part]
-    lo, hi = theta.tail.power_range
-    g = theta.tail.growth
-    growth = GrowthBound(g.coeff * max(n**hi, n**lo, 1.0), g.power, g.mu_slope * npf, g.mu_power)
-    return _mapped(
-        theta, f"({theta.name}@{n})", theta.weight, poly,
-        lambda group: (group[0] * npf, tuple((c * float(n) ** nu, nu) for c, nu in group[1])),
-        growth, (lo, hi), False,
+    w = theta.weight
+
+    def scaled(th: ThetaFunction, x: float, v: Fraction, name: str) -> ThetaFunction:
+        """x^v * th(x t), group by group."""
+        xp, k = x**th.kernel_power, float(v)
+        lo, hi = th.tail.power_range
+        g = th.tail.growth
+        return _mapped(
+            th, name, w, [(a * Fraction(x ** float(v + e)), e) for a, e in th.poly_part],
+            lambda group: (group[0] * xp, tuple((a * x ** (k + nu), nu) for a, nu in group[1])),
+            GrowthBound(g.coeff * max(x ** (k + hi), x ** (k + lo), 1.0), g.power,
+                        g.mu_slope * xp, g.mu_power),
+            (lo, hi),
+        )
+
+    return _paired(
+        lambda th: scaled(th, float(c), Fraction(0), f"({th.name}@{c})"), theta,
+        dual_make=lambda th: scaled(th, 1 / float(c), w, f"({c}^({-w})*{th.name}@1/{c})"),
     )
 
 
 def differentiate(theta: ThetaFunction) -> ThetaFunction:
-    """-t * theta'(t).  Does not preserve the inversion law on its own;
-    the result is flagged inversion-broken (combine via d_w instead)."""
-    return _differentiate_raw(theta, inversion_ok=False)
-
-
-def _derivative(group: Group, p: int) -> Group:
-    """-t d/dt of one group: a t^nu exp(-mu t^p) -> -a nu t^nu + a mu p t^(nu+p)."""
-    mu, terms = group
-    out = []
-    for a, nu in terms:
-        if nu != 0:
-            out.append((-a * nu, nu))
-        out.append((a * mu * p, nu + p))
-    return (mu, tuple(out))
-
-
-def _differentiate_raw(theta: ThetaFunction, inversion_ok: bool) -> ThetaFunction:
-    poly = [(-c * e, e) for c, e in theta.poly_part if e != 0]
-    p = theta.kernel_power
-    lo, hi = theta.tail.power_range
-    g = theta.tail.growth
-    # new coefficients -a*nu and a*mu*p; estimate mu_n <= mu_up * n^mu_power
-    # from a probe of the stream (exact for the builtin frequency laws)
-    probe = theta.tail.ensure(64)
-    if probe == 0:
-        mu_up = 1.0
-    else:
-        mu_up = 1.25 * max(
-            theta.tail.group(n)[0] / n**g.mu_power for n in range(1, probe + 1)
-        )
-    growth = GrowthBound(
-        g.coeff * (abs(hi) + abs(lo) + p * mu_up),
-        g.power + g.mu_power,
-        g.mu_slope,
-        g.mu_power,
-    )
-    return _mapped(
-        theta, f"A({theta.name})", theta.weight, poly, lambda group: _derivative(group, p),
-        growth, (lo, hi + p), inversion_ok,
-    )
-
-
-def _d_w_raw(theta: ThetaFunction) -> ThetaFunction:
-    """w A(theta) - A(A(theta)) with A = -t d/dt, combined group by group:
-    both keep theta's kernel power and frequencies.  A(A(theta))'s bounds
-    dominate A(theta)'s except in the growth coefficient, which adds."""
-    w, p = float(theta.weight), theta.kernel_power
-    a1 = _differentiate_raw(theta, inversion_ok=True)
-    a2 = _differentiate_raw(a1, inversion_ok=True)
-    g1, g2 = a1.tail.growth, a2.tail.growth
-
-    def combine(group: Group) -> Group:
-        d1 = _derivative(group, p)
-        terms: dict[float, float] = {}
-        for c, g in ((w, d1), (-1.0, _derivative(d1, p))):
-            for a, nu in g[1]:
-                terms[nu] = terms.get(nu, 0.0) + c * a
-        return (group[0], tuple((a, nu) for nu, a in sorted(terms.items()) if a != 0.0))
-
-    return _mapped(
-        theta, f"Dw({theta.name})", theta.weight,
-        [(-c * e * (theta.weight + e), e) for c, e in theta.poly_part], combine,
-        GrowthBound(abs(w) * g1.coeff + g2.coeff, g2.power, g2.mu_slope, g2.mu_power),
-        a2.tail.power_range, theta.inversion_ok,
-    )
+    """A theta = -t theta'(t), which multiplies Mellin transforms by s.
+    (A theta)(1/t) = sign * t^w * ((w - A) dual)(t), so it pairs with
+    (w - A) applied to the dual."""
+    return _a_polynomial(theta, (0, 1), "A", f"({theta.weight}-A)")
 
 
 def d_w(theta: ThetaFunction) -> ThetaFunction:
-    """-(w+1) t theta' - t^2 theta'': preserves the inversion law in degree w.
+    """(wA - A^2) theta = -(w+1) t theta' - t^2 theta'', which multiplies
+    Mellin transforms by s(w-s).  P(x) = wx - x^2 equals P(w - x), so it
+    pairs with d_w of the dual."""
+    return _a_polynomial(theta, (0, theta.weight, -1), "Dw", "Dw")
 
-    Acts on Mellin transforms as multiplication by s(w-s).
-    """
-    return _paired(_d_w_raw, theta)
+
+def _a_polynomial(theta: ThetaFunction, coeffs: Sequence, prefix: str,
+                  dual_prefix: str) -> ThetaFunction:
+    """P(A) theta for P(x) = sum_k coeffs[k] x^k and A = -t d/dt, paired
+    with P(w - A) applied to the dual.  Every power of A keeps theta's
+    kernel power and frequencies, so the groups combine one by one; A^k's
+    growth bound follows from A^(k-1)'s, and the bounds of P's terms add."""
+    w, p = theta.weight, theta.kernel_power
+    reflected = tuple(sum(c * math.comb(k, j) * w ** (k - j) * (-1) ** j
+                          for k, c in enumerate(coeffs) if k >= j) for j in range(len(coeffs)))
+
+    def make(th: ThetaFunction, poly_coeffs: Sequence, name: str) -> ThetaFunction:
+        lo, hi = th.tail.power_range
+        g = th.tail.growth
+        fcoeffs = [float(c) for c in poly_coeffs]
+        # A's new coefficients are -a*nu and a*mu*p; estimate mu_n <= mu_up *
+        # n^mu_power from a probe of the stream (exact for the builtin laws)
+        probe = th.tail.ensure(64)
+        mu_up = 1.0 if probe == 0 else 1.25 * max(
+            th.tail.group(n)[0] / n**g.mu_power for n in range(1, probe + 1))
+        coeff, power, top, bound = g.coeff, g.power, hi, 0.0
+        for k, c in enumerate(fcoeffs):
+            if k:
+                coeff *= abs(top) + abs(lo) + p * mu_up
+                power += g.mu_power
+                top += p
+            if c:
+                bound += abs(c) * coeff
+
+        def combine(group: Group) -> Group:
+            mu, terms_k = group  # terms_k: the terms of A^k of the group
+            merged: dict[float, float] = {}
+            for k, c in enumerate(fcoeffs):
+                if k:  # a t^nu exp(-mu t^p) -> -a nu t^nu + a mu p t^(nu+p)
+                    terms_k = [term for a, nu in terms_k
+                               for term in ((-a * nu, nu), (a * mu * p, nu + p))]
+                if c:
+                    for a, nu in terms_k:
+                        merged[nu] = merged.get(nu, 0.0) + c * a
+            return (mu, tuple((a, nu) for nu, a in sorted(merged.items()) if a != 0.0))
+
+        poly = [(c * sum(ck * (-e) ** k for k, ck in enumerate(poly_coeffs)), e)
+                for c, e in th.poly_part]
+        return _mapped(th, name, w, poly, combine,
+                       GrowthBound(bound, power, g.mu_slope, g.mu_power), (lo, top))
+
+    return _paired(
+        lambda th: make(th, coeffs, f"{prefix}({th.name})"), theta,
+        dual_make=None if reflected == tuple(coeffs)
+        else lambda th: make(th, reflected, f"{dual_prefix}({th.name})"),
+    )
 
 
 def _lattice_index(series: TailSeries, delta: float) -> None:
@@ -818,83 +819,8 @@ def _product(t1: ThetaFunction, t2: ThetaFunction) -> ThetaFunction:
         [(c, e) for e, c in poly.items()],
         TailSeries(fn, growth, (lo, hi)),
         conductor=t1.conductor * t2.conductor,
-        inversion_ok=t1.inversion_ok and t2.inversion_ok,
         validate=False,
     )
-
-
-# ---------------------------------------------------------------------------
-# tail convolution
-# ---------------------------------------------------------------------------
-
-
-class TailConvolution:
-    """Evaluator for (theta1_0 * theta2_0)(t) = int_0^inf th1(t/x) th2(x) dx/x.
-
-    Only the exponentially decaying tails enter; no polynomial part is
-    synthesized for the result.
-    """
-
-    def __init__(self, t1: ThetaFunction, t2: ThetaFunction, tol: float = 1e-10):
-        self.t1, self.t2, self.tol = t1, t2, tol
-        self._nodes, self._weights = gauss_legendre(32)
-
-    def _panel_quad(self, f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
-        """32-point Gauss-Legendre sum of f over panels of [lo, hi] of
-        length at most 1."""
-        total = 0.0
-        edges = np.linspace(lo, hi, max(2, int(math.ceil(hi - lo)) + 1))
-        for a, b in zip(edges[:-1], edges[1:]):
-            xs = 0.5 * (self._nodes + 1.0) * (b - a) + a
-            total += np.dot(self._weights, f(xs)) * (b - a) / 2.0
-        return total
-
-    def _cut(self, theta: ThetaFunction, floor: float) -> float:
-        """u with |theta0(x)| <= floor for all x >= u (u >= 1)."""
-        mu1 = theta.tail.min_mu()
-        k = max(theta.tail_envelope(), 1e-300)
-        u = 1.0
-        while k * math.exp(-mu1 * u**theta.kernel_power) > floor and u < 1e6:
-            u *= 1.25
-        return u
-
-    def __call__(self, t: float) -> float:
-        tol = self.tol
-        floor = tol / 10.0
-        hi = math.log(self._cut(self.t2, floor))
-        lo = math.log(t) - math.log(self._cut(self.t1, floor))
-        if lo >= hi:
-            return 0.0
-
-        def integrand(us: np.ndarray) -> np.ndarray:
-            x = np.exp(us)
-            inner = tol / (40.0 * max(1.0, hi - lo))
-            return self.t1.eval_array(t / x, "tail", inner) * self.t2.eval_array(
-                x, "tail", inner
-            )
-
-        return self._panel_quad(integrand, lo, hi)
-
-    def mellin(self, s: complex) -> complex:
-        """Mellin transform of the convolution by outer log-grid quadrature."""
-        tol = self.tol
-        w1 = float(self.t1.weight + self.t1.growth("poly")[1])
-        w2 = float(self.t2.weight + self.t2.growth("poly")[1])
-        drop = s.real - (w1 + w2)
-        if drop <= 0.2:
-            raise ValueError("Mellin transform of the convolution needs larger Re(s)")
-        v_lo = min(math.log(self._cut(self.t1, tol)) + math.log(self._cut(self.t2, tol)), 20.0)
-        v0 = -(math.log(1.0 / tol) + 5.0) / drop
-
-        def f(vs: np.ndarray) -> np.ndarray:
-            vals = np.array([self(math.exp(v)) for v in vs])
-            return vals * np.exp(vs * s)
-
-        return complex(self._panel_quad(f, v0, v_lo))
-
-
-def convolve(t1: ThetaFunction, t2: ThetaFunction, tol: float = 1e-10) -> TailConvolution:
-    return TailConvolution(t1, t2, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -997,9 +923,9 @@ def parse_theta_token(token: str) -> ThetaFunction:
     """The theta one token of a theta tuple names.
 
     Tokens: a name builtin_registry lists, theta+ and theta-, eisenstein:K
-    for an even weight K >= 4, jacobi:K for K = 2, 3 or 4, and file:<path>,
-    a theta file whose dual is looked up in the builtin registry, built
-    only for such a token.  A builtin token constructs that theta alone;
+    for an even weight 4 <= K <= MAX_EISENSTEIN_WEIGHT, jacobi:K for
+    K = 2, 3 or 4, and file:<path>, a theta file whose dual is looked up
+    in the builtin registry, built only for such a token.  A builtin token constructs that theta alone;
     a bad token raises ValueError.
     """
     token = token.strip()

@@ -406,7 +406,8 @@ class TestNumericFailure:
             assert done.stderr == f"numeric failure: {failure}\n"
 
     def test_bad_tolerance_is_parse_error(self, capsys):
-        for bad in (["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--max-refine", "0"]):
+        for bad in (["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--max-refine", "0"],
+                    ["--max-refine", "13"]):
             code, _, err = run(capsys, "eval", "--theta", "riemann", "--s", "2", *bad)
             assert code == 2, bad
             assert "must be" in err
@@ -470,11 +471,14 @@ class TestThetaTokens:
         ("foo:3", "unknown theta family 'foo'"),
         ("jacobi:5", "jacobi kind must be 2, 3 or 4"),
         ("eisenstein:5", "eisenstein weight must be an even integer >= 4"),
+        ("eisenstein:24", "eisenstein weight must be at most 22"),
+        ("eisenstein:1000", "eisenstein weight must be at most 22"),
         ("eisenstein:x", "bad theta parameter in 'eisenstein:x'"),
         ("nope", "unknown builtin theta 'nope'"),
         ("eisenstein", "eisenstein requires a weight parameter"),
         (" , ", "empty theta tuple"),
-    ], ids=["unknown-family", "jacobi-5", "eisenstein-5", "eisenstein-x", "unknown-name",
+    ], ids=["unknown-family", "jacobi-5", "eisenstein-5", "eisenstein-24", "eisenstein-1000",
+            "eisenstein-x", "unknown-name",
             "eisenstein-no-weight", "empty-tuple"])
     def test_bad_token_exits_2(self, capsys, theta, message):
         code, out, err = run(capsys, "eval", f"--theta={theta}", "--s", "2")

@@ -10,7 +10,6 @@ import pytest
 
 from itermellin import engine, oracles, quadrature
 from itermellin.engine import (
-    BrokenInversionError,
     build_expression,
     build_tail_expression,
     lambda_direct,
@@ -30,6 +29,8 @@ from itermellin.ratfun import (
     tangent_word_integral,
 )
 from itermellin.theta import (
+    builtin_registry,
+    differentiate,
     make_builtin_theta,
     mul_monomial,
     parse_theta_text,
@@ -85,11 +86,6 @@ class TestBuildExpression:
         for s0, h in ((1e-4, "s1"), (4 + 1e-4, "s1-4")):
             val, _ = lambda_eval(expr, (s0,), P)
             assert abs(val * s0 * (s0 - 4)) < 1.0
-
-    def test_broken_inversion_rejected(self):
-        broken = rescale(theta("riemann"), 2)
-        with pytest.raises(BrokenInversionError):
-            build_expression((broken,))
 
 
 class TestValues:
@@ -1057,6 +1053,40 @@ class TestJacobi:
             a, _ = lambda_eval(ej2, (s,), P)
             b, _ = lambda_eval(ej4, (0.5 - s,), P)
             assert abs(a - b) < 1e-9
+
+
+class TestTransforms:
+    """Rescaled and differentiated thetas carry their inversion law, so the
+    engine evaluates them; their values follow from the Mellin transform."""
+
+    @pytest.mark.parametrize("names,point", [
+        (("riemann",), (2.3 + 0.4j,)),
+        (("jacobi2",), (0.9 - 1.1j,)),
+        (("riemann", "riemann"), (2.3 + 0.4j, 1.6 - 0.3j)),
+        (("delta", "theta_plus"), (0.9 - 1.1j, 2.2 + 0.5j)),
+        (("jacobi2", "jacobi4"), (1.4, 2.1 + 0.7j)),
+        (("theta_plus", "riemann", "jacobi3"), (2.3 + 0.4j, 1.6 - 0.3j, 0.8 + 0.2j)),
+    ], ids=["riemann", "jacobi2", "riemann2", "delta,theta_plus", "jacobi2,jacobi4",
+            "theta_plus,riemann,jacobi3"])
+    def test_rescale_scales_the_value(self, names, point):
+        """Lambda(theta_1(c.), ..., theta_r(c.); s) = c^-(s_1+...+s_r)
+        Lambda(theta; s), within the summed bars: the rescaled words
+        integrate theta over [c, inf), so no mesh node is shared."""
+        thetas = [theta(n) for n in names]
+        v, err = lambda_eval(build_expression(thetas), point, P)
+        for c in (0.7, 1.3):
+            b, errb = lambda_eval(build_expression([rescale(th, c) for th in thetas]), point, P)
+            factor = c ** -sum(point)
+            assert abs(b - factor * v) <= errb + abs(factor) * err, c
+
+    @pytest.mark.parametrize("name", list(builtin_registry()))
+    def test_differentiate_multiplies_by_s(self, name):
+        """Lambda(-t theta'; s) = s Lambda(theta; s), within the summed bars."""
+        e0, e1 = build_expression((theta(name),)), build_expression((differentiate(theta(name)),))
+        for s in (2.3 + 0.4j, 0.9 - 1.1j):
+            v, err = lambda_eval(e0, (s,), P)
+            a, erra = lambda_eval(e1, (s,), P)
+            assert abs(a - s * v) <= erra + abs(s) * err, s
 
 
 class TestEvalSeveral:

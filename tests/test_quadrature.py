@@ -48,8 +48,9 @@ def test_one_gauss_legendre_rule_per_order(order):
         nodes[0] = 0.0
 
 
-# single-term tails cannot satisfy an inversion law, so build with the
-# broken-inversion flag instead of the validated file path
+# single-term tails cannot satisfy an inversion law, so build unvalidated
+# instead of through the file path: the tests read these on [1, inf) only,
+# where no value goes through the law
 def make_single_exp(rate: float):
     from fractions import Fraction
 
@@ -59,7 +60,7 @@ def make_single_exp(rate: float):
         lambda n: (rate, ((1.0, 0.0),)) if n == 1 else None, GrowthBound(1.0, 0.0, rate)
     )
     return ThetaFunction(
-        f"exp{rate}", Fraction(1), +1, 1, [], tail, inversion_ok=False, validate=False
+        f"exp{rate}", Fraction(1), +1, 1, [], tail, validate=False
     )
 
 
@@ -1010,12 +1011,14 @@ class TestParams:
             EvalParams(quad_order=2)
         for bad in [dict(abs_tol=math.inf), dict(abs_tol=math.nan), dict(abs_tol=-1e-10),
                     dict(max_refine=0), dict(max_refine=-1),
+                    dict(max_refine=quadrature.MAX_REFINE + 1), dict(max_refine=1000),
                     dict(quad_order=quadrature.MAX_ORDER + 1), dict(quad_order=100000)]:
             with pytest.raises(ValueError):
                 EvalParams(**bad)
         # constructed only: the largest order, and the order tests take as truth
         assert EvalParams(quad_order=quadrature.MAX_ORDER).quad_order == 256
         assert EvalParams(quad_order=64, max_refine=1).max_refine == 1
+        assert EvalParams(max_refine=quadrature.MAX_REFINE).max_refine == 12
         p = EvalParams()
         assert p.abs_tol == 1e-10
         assert p.quad_order == 32 and p.max_refine == 8

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 import itermellin.theta as theta_module
 from itermellin.engine import _zero_envelope
@@ -18,7 +17,6 @@ from itermellin.theta import (
     TruncationError,
     ValidationError,
     builtin_registry,
-    convolve,
     d_w,
     differentiate,
     inversion_defect,
@@ -244,7 +242,7 @@ class TestTransforms:
             assert r2.eval(t, "full", 1e-13) == pytest.approx(
                 rie.eval(2 * t, "full", 1e-13), abs=1e-12
             )
-        assert not r2.inversion_ok
+        validate_inversion(r2)
         assert rescale(rie, 1) is rie
 
     def test_d_w_preserves_inversion(self):
@@ -258,7 +256,7 @@ class TestTransforms:
         h = 1e-5
         fd = -1.3 * (rie.eval(1.3 + h) - rie.eval(1.3 - h)) / (2 * h)
         assert a.eval(1.3) == pytest.approx(fd, abs=1e-9)
-        assert not a.inversion_ok
+        validate_inversion(a)
 
     def test_mul_monomial(self):
         rie = theta("riemann")
@@ -283,7 +281,13 @@ class TestTransforms:
         for r, dual_name in ((mul_monomial(j4, 1), "(jacobi2*t^1)"),
                              (d_w(j2), "Dw(jacobi4)"),
                              (pointwise_product(j2, j4), "(jacobi4.jacobi2)"),
-                             (mul_monomial(clone, 1), "(jacobi4*t^1)")):
+                             (mul_monomial(clone, 1), "(jacobi4*t^1)"),
+                             (rescale(j2, 0.7), "(0.7^(-1/2)*jacobi4@1/0.7)"),
+                             (rescale(j4, 1.3), "(1.3^(-1/2)*jacobi2@1/1.3)"),
+                             (rescale(clone, 1.3), "(1.3^(-1/2)*jacobi4@1/1.3)"),
+                             (differentiate(j2), "(1/2-A)(jacobi4)"),
+                             (differentiate(j4), "(1/2-A)(jacobi2)"),
+                             (differentiate(clone), "(1/2-A)(jacobi4)")):
             assert r.dual.name == dual_name and r.dual.dual is r
             validate_inversion(r)
         assert j4.dual is j2 and j2.dual is j4
@@ -291,43 +295,6 @@ class TestTransforms:
     def test_product_kernel_mismatch(self):
         with pytest.raises(KernelMismatchError):
             pointwise_product(theta("riemann"), theta("eisenstein", 4))
-
-
-class TestConvolution:
-    def test_mellin_multiplicativity(self):
-        rie = theta("riemann")
-        conv = convolve(rie, rie, 1e-10)
-        xs, ws = leggauss(64)
-
-        def mellin_tail(s):
-            total = 0.0
-            edges = np.linspace(-12.0, 3.0, 31)
-            for a, b in zip(edges[:-1], edges[1:]):
-                v = 0.5 * (xs + 1) * (b - a) + a
-                total += np.dot(
-                    ws, rie.eval_array(np.exp(v), "tail", 1e-15) * np.exp(v * s)
-                ) * (b - a) / 2
-            return total
-
-        lhs = conv.mellin(6.0)
-        rhs = mellin_tail(6.0) ** 2
-        assert abs(lhs - rhs) < 1e-8
-
-    def test_zero_series_convolution(self):
-        rie = theta("riemann")
-        zero = parse_theta_text(
-            "name zero\nweight 1\nsign +1\nkernel gauss scale 3.14159265358979\n"
-            "poly 0 0\ncoeffs 0 0 0\ngrowth 1 0\ndual self"
-        )
-        conv = convolve(rie, zero, 1e-10)
-        assert conv(1.0) == 0.0
-
-    def test_symmetry(self):
-        rie = theta("riemann")
-        e4 = theta("eisenstein", 4)
-        c1 = convolve(rie, e4, 1e-10)
-        c2 = convolve(e4, rie, 1e-10)
-        assert abs(c1(2.0) - c2(2.0)) < 1e-9
 
 
 RIEMANN_FILE = """
@@ -448,7 +415,8 @@ class TestTokens:
                             (" theta+ ", "theta_plus"), ("theta-", "theta_minus"),
                             ("jacobi:2", "jacobi2"), ("jacobi:4", "jacobi4")):
             assert parse_theta_token(token) is registry[name], token
-        assert parse_theta_token("eisenstein:10") is make_builtin_theta("eisenstein", 10)
+        for k in (10, theta_module.MAX_EISENSTEIN_WEIGHT):
+            assert parse_theta_token(f"eisenstein:{k}") is make_builtin_theta("eisenstein", k)
 
     def test_file_token_resolves_its_dual_in_the_registry(self, tmp_path):
         path = tmp_path / "j2.theta"
@@ -466,7 +434,9 @@ class TestEnvelopes:
         return list(builtin_registry().values()) + [
             mul_monomial(theta("riemann"), Fraction(3, 2)), d_w(e4),
             pointwise_product(e4, theta("jacobi3")),
-            mul_monomial(j4, 1), d_w(j2), pointwise_product(j2, j4)]
+            mul_monomial(j4, 1), d_w(j2), pointwise_product(j2, j4),
+            rescale(theta("delta"), 0.7), rescale(j2, 1.3),
+            differentiate(theta("riemann")), differentiate(j4)]
 
     @pytest.mark.parametrize("part", ["poly", "tail", "full"])
     def test_envelopes_bound_the_part(self, part):
