@@ -424,7 +424,7 @@ def main(argv=None) -> int:
     except MultiplePoleError as exc:
         print(f"unsupported pole multiplicity: {exc}", file=sys.stderr)
         return EXIT_MULTIPLICITY
-    except (QuadratureError, TruncationError, engine.DirectConvergenceError) as exc:
+    except (QuadratureError, TruncationError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValidationError as exc:

@@ -324,7 +324,7 @@ class _Letters:
     Column c is the distinct letter exponent exponents[c].  Letters are ids
     of pairs, pairs[k][j] being letter j of word k; the letters of one pair
     have one integrand at the nodes: kinds[pair_kind[q]] is (theta, part),
-    or (None, coefficient) for a monomial letter, and pair_col[q] the
+    or (None, 1.0) for a monomial letter, and pair_col[q] the
     column.  failures[k] is the error of word k at every point, if any;
     for the words bounded, whose last letter's decay bounds a horizon (the
     others keep 2), the constants of word_horizons are formed here.  The
@@ -409,7 +409,7 @@ def _letter_table(words: Sequence[Word]) -> tuple:
     in the order the words first use them."""
     ids, letters = _number(l for word in words for l in word)
     pair_col, exponents = _number(l.exponent for l in letters)
-    pair_kind, kinds = _number([(None, float(l.coeff)) if l.part == "mono" else (l.theta, l.part)
+    pair_kind, kinds = _number([(None, 1.0) if l.part == "mono" else (l.theta, l.part)
                                 for l in letters])
     ends = list(itertools.accumulate(map(len, words)))
     pairs = [tuple(ids[a:b]) for a, b in zip([0] + ends, ends)]

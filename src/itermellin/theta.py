@@ -251,7 +251,9 @@ class ThetaFunction:
         self.critical_range = critical_range
         self._dual: "ThetaFunction" = self
         self._tail_envelope: float | None = None
-        self._poly_bounds: tuple[float, float] | None = None
+        # (height, degree): |poly(t)| <= height * t^degree for t >= 1
+        self._poly_bounds = (float(sum(abs(c) for c, _ in self.poly_part)),
+                             float(max((e for _, e in self.poly_part), default=0)))
         if validate:
             validate_inversion(self)
 
@@ -347,15 +349,9 @@ class ThetaFunction:
     def growth(self, part: str) -> tuple[float, float]:
         """(B, d) with |part(t)| <= B * t^d for t >= 1: the tail's
         tail_envelope(), the polynomial part's height and degree, or their
-        sum.  The polynomial part's are formed on first use, as the tail's
-        are: every truncation horizon reads them."""
+        sum."""
         if part == "tail":
             return self.tail_envelope(), max(self.tail.power_range[1], 0.0)
-        if self._poly_bounds is None:
-            self._poly_bounds = (
-                float(sum(abs(c) for c, _ in self.poly_part)),
-                float(max((e for _, e in self.poly_part), default=0)),
-            )
         height, degree = self._poly_bounds
         if part == "poly":
             return height, degree
@@ -711,19 +707,6 @@ def _a_polynomial(theta: ThetaFunction, coeffs: Sequence, prefix: str,
     )
 
 
-def _lattice_index(series: TailSeries, delta: float) -> None:
-    """Check that the first 32 frequencies lie on the lattice delta * Z."""
-    for n in range(1, 33):
-        g = series.group(n)
-        if g is None:
-            return
-        k = g[0] / delta
-        if abs(k - round(k)) > 1e-6 * max(1.0, k):
-            raise KernelMismatchError(
-                f"frequency {g[0]} not on lattice of spacing {delta}"
-            )
-
-
 def pointwise_product(t1: ThetaFunction, t2: ThetaFunction) -> ThetaFunction:
     """theta1(t) * theta2(t) with tails combined by Cauchy product.
 
@@ -734,71 +717,61 @@ def pointwise_product(t1: ThetaFunction, t2: ThetaFunction) -> ThetaFunction:
 
 
 def _product(t1: ThetaFunction, t2: ThetaFunction) -> ThetaFunction:
+    """theta1 * theta2, unvalidated.  Both tails are indexed on the lattice
+    delta * Z: each factor's table maps an index k to the terms of its
+    groups there, and grows only as far as the product's group k asks.
+    The product's group k pairs the entries i and k - i of the two tables,
+    then each polynomial part with the other factor's entry k."""
     if t1.kernel_power != t2.kernel_power:
         raise KernelMismatchError("pointwise product requires equal kernel powers")
-    p = t1.kernel_power
-    mu1, mu2 = t1.tail.min_mu(), t2.tail.min_mu()
-    delta = min(mu1, mu2)
-    for probe in (1, 2, 4):
-        try:
-            _lattice_index(t1.tail, delta / probe)
-            _lattice_index(t2.tail, delta / probe)
-            delta = delta / probe
-            break
-        except KernelMismatchError:
-            if probe == 4:
-                raise
 
-    def lattice_groups(theta: ThetaFunction, kmax: int) -> dict[int, list[tuple[float, float]]]:
-        table: dict[int, list[tuple[float, float]]] = {}
-        n = 1
-        while True:
-            g = theta.tail.group(n)
-            if g is None or g[0] > delta * kmax * (1 + 1e-12):
-                break
-            k = round(g[0] / delta)
-            table.setdefault(k, []).extend(g[1])
-            n += 1
-        return table
+    def on_lattice(step: float) -> bool:
+        """Whether the first 32 frequencies of both tails lie on step * Z."""
+        for theta in (t1, t2):
+            for n in range(1, 33):
+                g = theta.tail.group(n)
+                if g is None:
+                    break
+                k = g[0] / step
+                if abs(k - round(k)) > 1e-6 * max(1.0, k):
+                    return False
+        return True
 
-    tables: dict = {"kmax": -1, "a": {}, "b": {}}
+    mu = min(t1.tail.min_mu(), t2.tail.min_mu())
+    delta = next((mu / q for q in (1, 2, 4) if on_lattice(mu / q)), None)
+    if delta is None:
+        raise KernelMismatchError(
+            f"tail frequencies share no lattice of spacing {mu}/q for q = 1, 2 or 4")
 
-    def product_group(k: int) -> tuple[tuple[float, float], ...]:
-        if k > tables["kmax"]:
-            tables["kmax"] = 2 * k
-            tables["a"] = lattice_groups(t1, tables["kmax"])
-            tables["b"] = lattice_groups(t2, tables["kmax"])
-        g1, g2 = tables["a"], tables["b"]
-        terms: dict[float, float] = {}
+    tables: tuple[dict[int, list[tuple[float, float]]], ...] = ({}, {})
+    indexed = [0, 0]  # per factor: how many of its groups its table holds
 
-        def add(a: float, nu: float):
-            terms[nu] = terms.get(nu, 0.0) + a
+    def table(j: int, k: int) -> dict[int, list[tuple[float, float]]]:
+        """Factor j's table, extended through index k."""
+        tail = (t1, t2)[j].tail
+        while (g := tail.group(indexed[j] + 1)) is not None and round(g[0] / delta) <= k:
+            tables[j].setdefault(round(g[0] / delta), []).extend(g[1])
+            indexed[j] += 1
+        return tables[j]
 
-        for i, ts1 in g1.items():
-            for a1, nu1 in ts1:
-                for a2, nu2 in g2.get(k - i, []):
-                    add(a1 * a2, nu1 + nu2)
-        for c, e in t1.poly_part:
-            for a2, nu2 in g2.get(k, []):
-                add(float(c) * a2, float(e) + nu2)
-        for c, e in t2.poly_part:
-            for a1, nu1 in g1.get(k, []):
-                add(float(c) * a1, float(e) + nu1)
-        return tuple((a, nu) for nu, a in sorted(terms.items()) if a != 0.0)
-
-    nonempty: list[Group] = []
+    poly1, poly2 = ([(float(c), float(e)) for c, e in th.poly_part] for th in (t1, t2))
+    last = 0  # the lattice index of the last group returned
 
     def fn(n: int) -> Group | None:
-        k = 1 if not nonempty else round(nonempty[-1][0] / delta) + 1
-        budget = 4096
-        while budget > 0:
-            terms = product_group(k)
-            if terms:
-                g = (delta * k, terms)
-                nonempty.append(g)
-                return g
-            k += 1
-            budget -= 1
+        nonlocal last
+        for k in range(last + 1, last + 4097):  # 4096 empty indices end the stream
+            g1, g2 = table(0, k), table(1, k)
+            pairs = [(ts1, g2[k - i]) for i, ts1 in g1.items() if k - i in g2]
+            pairs += [(poly1, g2.get(k, ())), (poly2, g1.get(k, ()))]
+            terms: dict[float, float] = {}
+            for left, right in pairs:
+                for a1, nu1 in left:
+                    for a2, nu2 in right:
+                        terms[nu1 + nu2] = terms.get(nu1 + nu2, 0.0) + a1 * a2
+            group = tuple((a, nu) for nu, a in sorted(terms.items()) if a != 0.0)
+            if group:
+                last = k
+                return (delta * k, group)
         return None
 
     g1b, g2b = t1.tail.growth, t2.tail.growth
@@ -815,7 +788,7 @@ def _product(t1: ThetaFunction, t2: ThetaFunction) -> ThetaFunction:
         f"({t1.name}.{t2.name})",
         t1.weight + t2.weight,
         t1.sign * t2.sign,
-        p,
+        t1.kernel_power,
         [(c, e) for e, c in poly.items()],
         TailSeries(fn, growth, (lo, hi)),
         conductor=t1.conductor * t2.conductor,

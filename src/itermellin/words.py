@@ -11,7 +11,6 @@ consume.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
@@ -24,15 +23,15 @@ class Letter(NamedTuple):
     """One-form letter: a theta reference, a part selector ('full', 'tail',
     'poly' or 'mono'), and an exponent.
 
-    part 'mono' denotes the constant function coeff (monomial factors are
-    folded into the exponent form); it appears only in internal expansions.
-    A tuple, so equal letters, and words of them, compare and hash alike.
+    part 'mono' denotes the constant function 1 (monomial factors are
+    folded into the exponent form, their coefficients into the word's); it
+    appears only in internal expansions.  A tuple, so equal letters, and
+    words of them, compare and hash alike.
     """
 
     theta: ThetaFunction
     part: str
     exponent: AffineForm
-    coeff: int | Fraction = 1
 
     def with_part(self, part: str) -> "Letter":
         return Letter(self.theta, part, self.exponent)

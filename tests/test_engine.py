@@ -821,7 +821,7 @@ class TestNumericPlan:
             return AffineForm(f.num, f.den, tuple(list(f.coeffs)))
 
         def word(w):
-            return tuple(Letter(l.theta, l.part, form(l.exponent), l.coeff) for l in w)
+            return tuple(Letter(l.theta, l.part, form(l.exponent)) for l in w)
 
         copy = engine.LambdaExpression(thetas, tuple(
             engine.LambdaTerm(t.coeff, word(t.left), word(t.right), RationalCombination(

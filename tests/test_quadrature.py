@@ -495,8 +495,8 @@ def ref_node_powers(m, exps, exact, rows, c):
 
 
 def ref_phi(letter, power, nodal, out):
-    if letter.part == "mono":
-        return np.multiply(float(letter.coeff), power, out=out)
+    if letter.part == "mono":  # the constant function 1
+        return np.multiply(1.0, power, out=out)
     return np.multiply(nodal[letter.theta, letter.part], power, out=out)
 
 
@@ -877,7 +877,7 @@ def reference_horizons(word, exps, params):
     log_prefac = 0.0
     growth_exp = np.zeros(n)
     for j, letter in enumerate(word[:-1]):
-        b, deg = ((abs(float(letter.coeff)), 0.0) if letter.part == "mono"
+        b, deg = ((1.0, 0.0) if letter.part == "mono"
                   else letter.theta.growth(letter.part))
         log_prefac += math.log(max(b, 1e-300))
         growth_exp += np.maximum(e_re[:, j] - 1.0 + deg + 1.0, 0.0)

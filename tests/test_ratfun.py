@@ -118,7 +118,7 @@ def incremental_tangent_word_integral(word) -> RationalCombination:
     choices = []
     for letter in word:
         if letter.part == "mono":
-            choices.append([(letter.coeff, letter.exponent)])
+            choices.append([(1, letter.exponent)])
         else:
             choices.append([(c, letter.exponent.shift(e)) for c, e in letter.theta.poly_part])
     total = RationalCombination.zero()
@@ -159,6 +159,29 @@ class TestTangentMergedOnce:
             got = tangent_word_integral(word)
             assert as_pairs(got) == as_pairs(incremental_tangent_word_integral(word))
             assert len(got.terms) == len(as_pairs(got))
+
+
+class TestMerged:
+    """Parts whose denominators hold the same forms merge, in any order."""
+
+    def test_same_forms_in_another_order_merge_in_lowest_terms(self):
+        f, g = s(0, 2), AffineForm.make(1, (1, 1))
+        rc = RationalCombination.of(Fraction(1, 6), (f, g)) + RationalCombination.of(
+            Fraction(1, 3), (g, f))
+        assert rc == RationalCombination(((1, (f, g)),), 2)
+
+    def test_cancelling_part_is_dropped(self):
+        f, g = s(0, 2), s(1, 2)
+        rc = (RationalCombination.of(Fraction(2, 3), (f,)) + RationalCombination.of(1, (f, g))
+              + RationalCombination.of(-1, (g, f)))
+        assert rc == RationalCombination(((2, (f,)),), 3)
+
+    def test_residue_sums_the_parts_on_h(self):
+        """1/(h f) and 1/(2h f) leave 1/f and (1/2)/f on h = 0."""
+        h, f = AffineForm.make(-1, (1, 1)), s(1, 2)
+        rc = RationalCombination.of(1, (h, f)) + RationalCombination.of(1, (h + h, f))
+        assert len(rc.terms) == 2
+        assert rc.residue(h) == RationalCombination.of(Fraction(3, 2), (f,))
 
 
 class TestEvalAndPoles:

@@ -296,6 +296,25 @@ class TestTransforms:
         with pytest.raises(KernelMismatchError):
             pointwise_product(theta("riemann"), theta("eisenstein", 4))
 
+    def test_pointwise_product_jacobi3_counts_sums_of_two_squares(self):
+        """jacobi3(t)^2 = sum_k r2(k) exp(-pi k t), r2(k) the number of ways
+        to write k as a sum of two squares of integers: its first 60 groups
+        are those of the k with r2(k) != 0, exactly."""
+
+        def r2(k):
+            m = math.isqrt(k)
+            return sum(a * a + b * b == k for a in range(-m, m + 1) for b in range(-m, m + 1))
+
+        prod = pointwise_product(theta("jacobi3"), theta("jacobi3"))
+        expected = [(math.pi * k, ((float(r2(k)), 0.0),)) for k in range(1, 200) if r2(k)]
+        assert [prod.tail.group(n) for n in range(1, 61)] == expected[:60]
+
+    def test_product_lattice_mismatch(self):
+        """The frequencies pi n^2 of jacobi3 and sqrt(2) pi n^2 of
+        jacobi3(sqrt(2) t) lie on no common lattice."""
+        with pytest.raises(KernelMismatchError):
+            pointwise_product(theta("jacobi3"), rescale(theta("jacobi3"), math.sqrt(2)))
+
 
 RIEMANN_FILE = """
 name riemann_file
