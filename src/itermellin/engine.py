@@ -284,10 +284,11 @@ POLE_GUARD = 1e-10
 
 
 def _check_unresolved(
-    plan: NumericPlan, size: np.ndarray, wvals: np.ndarray, werrs: np.ndarray,
+    plan: NumericPlan, tangents: np.ndarray, wvals: np.ndarray, werrs: np.ndarray,
     unresolved: list, params: EvalParams,
 ) -> None:
-    """Raise unless every word whose refinement ran out still serves.
+    """Raise unless every word whose refinement stalled or ran out, as the
+    entries (words, points, level) of unresolved name them, still serves.
 
     A half word's error enters the bar times what multiplies it,
     sum |coeff * tangent| * (|I(other)| + e(other)) over its terms; a large
@@ -295,9 +296,10 @@ def _check_unresolved(
     word serves when its error times that weight meets abs_tol, the share
     of the bar that a word of weight 1 at abs_tol would add.  Expressions
     are judged in order, each over its own terms and words: the first word
-    that does not serve, in the order in which integrate_words names
-    failures, raises its QuadratureError.
+    that does not serve, in the order of the entries, raises its
+    QuadratureError.
     """
+    size = np.abs(plan.coeffs * tangents[:, plan.term_tangent])
     reach = np.abs(wvals) + werrs
     for lo, hi in plan.ranges:
         left, right = plan.term_left[lo:hi], plan.term_right[lo:hi]
@@ -306,12 +308,12 @@ def _check_unresolved(
         np.add.at(weight.T, right, (size[:, lo:hi] * reach[:, left]).T)
         mine = np.zeros(werrs.shape[1], dtype=bool)
         mine[left] = mine[right] = True
-        for ks, rows in unresolved:
+        for ks, rows, level in unresolved:
             est = werrs[rows, ks]
             # nan fails the comparison, so it fails here too
             bad = np.flatnonzero(mine[ks] & ~(weight[rows, ks] * est <= params.abs_tol))
             if bad.size:
-                raise refinement_failure(est[bad[0]], params)
+                raise refinement_failure(est[bad[0]], level, params)
 
 
 def _guard_and_tangents(
@@ -347,10 +349,9 @@ def _guard_and_tangents(
 
 def _sum_terms(
     plan: NumericPlan, tangents: np.ndarray, wvals: np.ndarray, werrs: np.ndarray,
-    unresolved: list, params: EvalParams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values and bars, (live points, expressions), from the values and
-    errors of the plan's words, once every unresolved word is judged."""
+    errors of the plan's words."""
     # coeff * tangent * I(left) * I(right), and the bar of that product:
     # |coeff * tangent| * (|I1| * e2 + |I2| * e1 + e1 * e2)
     scaled = plan.coeffs * tangents[:, plan.term_tangent]
@@ -363,8 +364,6 @@ def _sum_terms(
     values = np.stack([np.cumsum(terms[:, lo:hi], axis=1)[:, -1] for lo, hi in plan.ranges],
                       axis=1)
     errs = np.stack([np.cumsum(bars[:, lo:hi], axis=1)[:, -1] for lo, hi in plan.ranges], axis=1)
-    if unresolved:
-        _check_unresolved(plan, np.abs(scaled), wvals, werrs, unresolved, params)
     return values, errs
 
 
@@ -376,9 +375,19 @@ def _eval_chunk(
     out, live, exps, tangents = _guard_and_tangents(plan, points)
     if not live:
         return out
-    unresolved: list = []  # words whose refinements run out, judged below
+    unresolved: list = []  # words whose refinement stalls or runs out
     wvals, werrs = integrate_words(plan.letters, exps, params, unresolved=unresolved)
-    values, errs = _sum_terms(plan, tangents, wvals, werrs, unresolved, params)
+    if unresolved:
+        _check_unresolved(plan, tangents, wvals, werrs, unresolved, params)
+    if any(level < params.max_refine for _, _, level in unresolved):
+        # every stalled word serves, but the levels it skipped would move its
+        # value and estimate: integrate again with no stall and judge again
+        unresolved = []
+        wvals, werrs = integrate_words(plan.letters, exps, params, unresolved=unresolved,
+                                       stall=False)
+        if unresolved:
+            _check_unresolved(plan, tangents, wvals, werrs, unresolved, params)
+    values, errs = _sum_terms(plan, tangents, wvals, werrs)
     for i, vs, es in zip(live, values.tolist(), errs.tolist()):
         out[i] = list(zip(vs, es))
     return out
@@ -436,7 +445,7 @@ def lambda_eval_several(
     of the first expression that has a pole at s, else the numeric failure
     that integrate_words names first among all the words, else the
     QuadratureError of the first expression with a word whose refinement
-    ran out and which does not serve.
+    stalled or ran out and which does not serve.
     """
     if not exprs:
         return []

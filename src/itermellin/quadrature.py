@@ -40,8 +40,8 @@ horizon), so every word keeps, at every point, its own horizon,
 refinement depth and error estimate, bit for bit as in a one-word,
 one-point call.  A batch fails if any of its jobs fails, and raises the
 first failure met, where it is met, without integrating further meshes;
-only a job whose refinement runs out may instead be handed back to the
-caller (`unresolved`).
+only a job whose refinement stalls or runs out may instead be handed back
+to the caller (`unresolved`).
 """
 
 from __future__ import annotations
@@ -71,6 +71,11 @@ class QuadratureError(Exception):
 MAX_ORDER = 256  # the largest quad_order: the integration matrix holds order^2 floats
 MAX_REFINE = 12  # the largest max_refine: each level doubles every mesh
 HORIZON_SAFETY = 0.1  # share of abs_tol left to the certified truncation bound
+# A job stalls, and leaves refinement before max_refine, when its estimate
+# is above STALL_FLOOR * abs_tol and has not fallen by STALL_SHRINK over
+# two levels: it sits at its roundoff floor, where more nodes do not help.
+STALL_FLOOR = 100.0
+STALL_SHRINK = 4.0
 
 
 @dataclass
@@ -81,9 +86,10 @@ class EvalParams:
     abs_tol: absolute tolerance target per integral, finite and > 0 (a
     truncation horizon is cut at abs_tol * HORIZON_SAFETY); quad_order:
     Gauss nodes per panel, 4 to MAX_ORDER; max_refine: mesh refinement
-    limit, 1 to MAX_REFINE, as an error estimate takes one refinement.
-    None of them reaches theta node values, which meshes key by (theta,
-    part) alone.
+    limit, 1 to MAX_REFINE, as an error estimate takes one refinement; a
+    job whose estimate stalls far above abs_tol (STALL_FLOOR,
+    STALL_SHRINK) stops before it.  None of them reaches theta node values,
+    which meshes key by (theta, part) alone.
     """
 
     abs_tol: float = 1e-10
@@ -729,6 +735,7 @@ def integrate_words(
     params: EvalParams,
     edges: tuple[float, ...] | None = None,
     unresolved: list | None = None,
+    stall: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Iterated integrals of many words at many points, refined to tolerance.
 
@@ -739,7 +746,12 @@ def integrate_words(
     mesh) job is refined until each point's estimate |v1 - v0| + slack
     meets abs_tol, the slack abs_tol * HORIZON_SAFETY being the certified
     truncation bound; a point leaves at the first level where its own
-    estimate does.
+    estimate does.  A job stalls at a level below max_refine, and leaves
+    there with its value and estimate, when its estimate is still above
+    STALL_FLOOR * abs_tol and times STALL_SHRINK above its estimate two
+    levels before (so from level 3 on, and never at nan): it sits at its
+    roundoff floor, where finer meshes do not help.  With stall false no
+    job stalls.
 
     Jobs run mesh by mesh, by horizon and then refinement level, so that all
     words on one mesh share their node powers and prefixes
@@ -748,13 +760,15 @@ def integrate_words(
     has one, else, on the first mesh where one is met, the TruncationError
     of the first node values that fail, the QuadratureError naming the
     overflow of a word integral that is not finite at one of its own
-    points, or, once its refinement runs out, the QuadratureError of its
-    lowest-index word still unresolved.  Given a list `unresolved`,
-    a mesh whose refinement runs out raises nothing: its unresolved jobs
-    keep their last values and estimates (above abs_tol, or nan), and their
-    (word, point) indices are appended to the list as two arrays, in the
-    order in which the failure would have named them, for the caller to
-    judge.
+    points, the QuadratureError of the first job that stalls (by word,
+    then point), or, once its refinement runs out, that of its
+    lowest-index word still unresolved (refinement_failure).  Given a list
+    `unresolved`, a stalled job or a mesh whose refinement runs out raises
+    nothing: the jobs keep their last values and estimates (above abs_tol,
+    or nan), and their (word, point) indices are appended to the list as
+    two arrays, with the level where they stopped, in the order in which
+    the failure would have named them, so on one mesh the jobs that stall
+    come before those that run out, for the caller to judge.
     """
     n, words = exps.shape[0], letters.words
     # one row per word, returned transposed
@@ -777,6 +791,17 @@ def integrate_words(
             some = at.any(axis=1)
             meshes[doubling_edges(1.0, t_max)] = ks[some], at[some]
     real = bool((exps.imag == 0.0).any())  # else no exponent is a repeated product
+
+    def settle(jobs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Keep the current values and estimates of the jobs marked in a
+        (words, points) mask of the current mesh; their (word, point)
+        indices, by word, then point."""
+        jj, ii = jobs.nonzero()
+        at = ks[jj], rows[ii]
+        values[at] = v1[jj, ii]
+        errs[at] = est[jj, ii]
+        return at
+
     for key in sorted(meshes):
         # the jobs' words, the points some job still runs at, and whether
         # each job runs at each of them
@@ -790,6 +815,8 @@ def integrate_words(
         pre = _Prefixes(letters, ks)
         maps = _ValueMaps.at_points(pre, exps, rows, real)
         v0 = None  # the last level's values
+        # the estimates of the last level and the one before, inf before level 1
+        last = older = np.full(member.shape, math.inf)
         for level in range(params.max_refine + 1):
             if level:
                 m = m.refined()
@@ -803,37 +830,47 @@ def integrate_words(
                 est += slack
                 done = est <= params.abs_tol
                 done &= member
-                jj, ii = done.nonzero()
-                at = ks[jj], rows[ii]
-                values[at] = v1[jj, ii]
-                errs[at] = est[jj, ii]
+                settle(done)
                 member &= ~done
+                if stall and level < params.max_refine and member.any():
+                    # far above abs_tol and not shrinking: no level will meet it
+                    stalled = est > STALL_FLOOR * params.abs_tol
+                    stalled &= est * STALL_SHRINK > older
+                    stalled &= member
+                    if stalled.any():
+                        at = settle(stalled)
+                        if unresolved is None:
+                            raise refinement_failure(errs[at][0], level, params)
+                        unresolved.append((*at, level))
+                        member &= ~stalled
                 if not member.any():
                     break
                 words_left, points_left = member.any(axis=1), member.any(axis=0)
                 if not words_left.all():
-                    ks, member, est, v1 = (a[words_left] for a in (ks, member, est, v1))
+                    ks, member, est, last, v1 = (
+                        a[words_left] for a in (ks, member, est, last, v1))
                     pre = _Prefixes(letters, ks)
                 if not points_left.all():
                     rows = rows[points_left]
-                    member, est, v1 = (a[:, points_left] for a in (member, est, v1))
+                    member, est, last, v1 = (a[:, points_left] for a in (member, est, last, v1))
                 if not (words_left.all() and points_left.all()):
                     maps = _ValueMaps.at_points(pre, exps, rows, real)
+                older, last = last, est
             v0 = v1
         else:
+            at = settle(member)
             if unresolved is None:
-                raise refinement_failure(est[0][member[0]][0], params)
-            jj, ii = member.nonzero()
-            at = ks[jj], rows[ii]
-            values[at] = v1[jj, ii]
-            errs[at] = est[jj, ii]
-            unresolved.append(at)
+                raise refinement_failure(errs[at][0], params.max_refine, params)
+            unresolved.append((*at, params.max_refine))
     return values.T, errs.T
 
 
-def refinement_failure(est: float, params: EvalParams) -> QuadratureError:
+def refinement_failure(est: float, level: int, params: EvalParams) -> QuadratureError:
     """The failure of a job whose estimate est is still above abs_tol when
-    its refinement runs out."""
+    its refinement stops at level: stalled before max_refine, else run out."""
+    if level < params.max_refine:
+        return QuadratureError(
+            f"estimate {est:.3e} above {params.abs_tol:.1e}, stalled at level {level}")
     return QuadratureError(
         f"estimate {est:.3e} above {params.abs_tol:.1e} after {params.max_refine} refinements"
     )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc, gamma as gamma_fn
 
-from itermellin import oracles, quadrature
+from itermellin import engine, oracles, quadrature
 from itermellin.cli import main
 from itermellin.engine import build_expression, build_tail_expression
 from itermellin.quadrature import (
@@ -377,9 +377,9 @@ class TestMeshMajor:
             integrate_words(letters, exps, params)
         unresolved = []
         _, errs = integrate_words(letters, exps, params, unresolved=unresolved)
-        (ks, rows), = unresolved
-        assert (errs[rows, ks] > params.abs_tol).all()
-        first = quadrature.refinement_failure(errs[rows[0], ks[0]], params)
+        (ks, rows, level), = unresolved
+        assert level == params.max_refine and (errs[rows, ks] > params.abs_tol).all()
+        first = quadrature.refinement_failure(errs[rows[0], ks[0]], level, params)
         assert str(first) == str(failure.value)
 
     def test_stops_at_the_first_failure(self, monkeypatch):
@@ -456,6 +456,119 @@ class TestMeshMajor:
         assert capsys.readouterr().err == (
             "numeric failure: estimate 9.413e-10 above 1.0e-10 after 8 refinements\n"
         )
+
+
+def mesh_level(m):
+    """The refinement level of a mesh over [1, T]: its panels over those of
+    doubling_edges(1, T), as a power of 2."""
+    return round(math.log2((len(m.edges) - 1) / (len(doubling_edges(1.0, m.edges[-1])) - 1)))
+
+
+class TestStall:
+    """A job whose estimate is above STALL_FLOOR * abs_tol and has not
+    fallen by STALL_SHRINK over two levels leaves refinement at once; a
+    request whose words pass only at late levels, below the floor, and one
+    whose run-out word still serves, print what they printed before."""
+
+    # the point of seed-1 oneshot request 380 of perfbench, where a word of
+    # theta-, eisenstein:6, jacobi:4 stalls at level 4
+    POINT = (-2.975505 + 0.930716j, -2.140780 + 2.319131j, -2.899532 - 1.117404j)
+
+    def test_stalled_request_fails_at_its_stall(self, monkeypatch, capsys):
+        meshes = []
+        on_mesh = quadrature.integrate_word_on_mesh
+        monkeypatch.setattr(quadrature, "integrate_word_on_mesh",
+                            lambda *a: meshes.append(a[2]) or on_mesh(*a))
+        code = main(["eval", "--theta", "theta-,eisenstein:6,jacobi:4",
+                     "--s=-2.975505+0.930716i,-2.140780+2.319131i,-2.899532-1.117404i"])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "numeric failure: estimate 5.898e-06 above 1.0e-10, stalled at level 4\n")
+        assert max(map(mesh_level, meshes)) == 4
+
+    def test_integrate_words_raises_at_the_stall(self):
+        words = plan_words("theta_minus", "eisenstein:6", "jacobi4")
+        letters, exps = exponent_columns(words, [self.POINT])
+        params = EvalParams()
+        failure = assert_as_reference(words, [self.POINT], params)
+        assert str(failure) == "estimate 5.898e-06 above 1.0e-10, stalled at level 4"
+        unresolved = []
+        _, errs = integrate_words(letters, exps, params, unresolved=unresolved)
+        (ks, rows, level), = unresolved
+        assert level == 4 and errs[rows, ks] > quadrature.STALL_FLOOR * params.abs_tol
+        # with no stall, the word runs out of refinements
+        unresolved = []
+        integrate_words(letters, exps, params, unresolved=unresolved, stall=False)
+        (ks, rows, level), = unresolved
+        assert level == params.max_refine
+
+    def test_stalled_jobs_named_before_jobs_that_ran_out(self, monkeypatch):
+        """One word at points a, b and c, on one mesh, its values shifted
+        per level: a's estimate stays at 1e-6 and stalls at level 3; b's
+        falls by 5 over two levels and c's stays below the floor, so both
+        run out at level 4.  A level's values have a column per point still
+        running."""
+        rie = make_builtin_theta("riemann")
+        letters, exps = exponent_columns(((Letter(rie, "tail", slot(0, 1)),),),
+                                         [(2.0,), (2.25,), (2.5,)])
+        params = EvalParams(max_refine=4)
+        assert len(set(quadrature.word_horizons(letters, exps, params)[0].ravel())) == 1
+        shift = {0: (0, 0, 0), 1: (1e-6, 1e-6, 1e-9), 2: (0, 0, 0), 3: (1e-6, 2e-7, 1e-9),
+                 4: (0, 0)}
+        on_mesh = quadrature.integrate_word_on_mesh
+        monkeypatch.setattr(quadrature, "integrate_word_on_mesh",
+                            lambda *a: on_mesh(*a) + shift[mesh_level(a[2])])
+        with pytest.raises(QuadratureError,
+                           match=r"^estimate 1\.000e-06 above 1\.0e-10, stalled at level 3$"):
+            integrate_words(letters, exps, params)
+        unresolved = []
+        _, errs = integrate_words(letters, exps, params, unresolved=unresolved)
+        assert [(ks.tolist(), rows.tolist(), level) for ks, rows, level in unresolved] == [
+            ([0], [0], 3), ([0, 0], [1, 2], 4)]
+        assert [str(quadrature.refinement_failure(errs[rows[0], ks[0]], level, params))
+                for ks, rows, level in unresolved] == [
+            "estimate 1.000e-06 above 1.0e-10, stalled at level 3",
+            "estimate 2.000e-07 above 1.0e-10 after 4 refinements"]
+
+    @pytest.mark.parametrize("names,point,stdout", [
+        # passes only at a late level, where its estimate dips under abs_tol
+        ("jacobi:2,jacobi:4,theta+,eisenstein:6",
+         "1.912653+1.206025i,-1.080021+0.032658i,-2.087905+2.058803i,-1.854091+2.465069i",
+         '{"err": 1.2571320651408994e-09, "im": 376.78788150663604, '
+         '"re": -4977.489195179311, "warnings": []}\n'),
+        # a word runs out of refinements and still serves
+        ("eisenstein:4,jacobi:2,jacobi:4",
+         "3.041766+5.756679i,-3.069335+7.979984i,-7.227824+6.327266i",
+         '{"err": 1.6975380865029304e-10, "im": -0.29937653310529405, '
+         '"re": 0.21713627355104806, "warnings": []}\n'),
+    ])
+    def test_late_passing_requests_print_as_before(self, capsys, names, point, stdout):
+        assert main(["eval", "--theta", names, f"--s={point}", "--format", "json"]) == 0
+        assert capsys.readouterr().out == stdout
+
+    @pytest.mark.parametrize("names,point,code,out", [
+        # a word stalls at level 3 and serves; with no stall it runs out and serves
+        ("jacobi:4,riemann,theta-,eisenstein:6",
+         "-7.246938-7.060591i,-1.120719-2.876547i,-0.266732-4.556617i,6.332690+7.623130i",
+         0, '{"err": 6.874984330149946e-07, "im": -1210.0909394482821, '
+            '"re": 1703.726441970072, "warnings": []}\n'),
+        # a word stalls at level 3 and serves; with no stall it runs out and does not
+        ("eisenstein:4,riemann,jacobi:2",
+         "-6.586925-6.845102i,4.316782+2.958056i,7.826238+4.149409i",
+         4, "numeric failure: estimate 2.608e-07 above 1.0e-10 after 8 refinements\n"),
+    ])
+    def test_stalled_word_that_serves_runs_to_its_last_level(self, monkeypatch, capsys,
+                                                              names, point, code, out):
+        """When every stalled word serves, the engine integrates again with
+        no stall, so the request prints what the full refinement gives."""
+        stalls = []
+        integrate = engine.integrate_words
+        monkeypatch.setattr(engine, "integrate_words",
+                            lambda *a, stall=True, **k: stalls.append(stall)
+                            or integrate(*a, stall=stall, **k))
+        assert main(["eval", "--theta", names, f"--s={point}", "--format", "json"]) == code
+        assert stalls == [True, False]
+        assert "".join(capsys.readouterr()) == out
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +692,8 @@ def ref_integrate_word_on_mesh(words, cols, exps, rows, m, exact):
 class RefJob:
     def __init__(self, k, rows):
         self.k, self.rows, self.v0 = k, rows, None
-        self.est = np.full(rows.size, math.inf)
+        # the estimates of the last level and of the one before
+        self.est = self.older = np.full(rows.size, math.inf)
 
 
 def ref_integrate_words(letters, exps, params):
@@ -619,7 +733,14 @@ def ref_integrate_words(letters, exps, params):
                     done = est <= params.abs_tol
                     values[job.k][job.rows[done]] = v1[done]
                     errs[job.k][job.rows[done]] = est[done]
-                    job.rows, v1, job.est = job.rows[~done], v1[~done], est[~done]
+                    stalled = ((est > quadrature.STALL_FLOOR * params.abs_tol)
+                               & (est * quadrature.STALL_SHRINK > job.older) & ~done)
+                    if level < params.max_refine and stalled.any():
+                        raise QuadratureError(
+                            f"estimate {est[stalled][0]:.3e} above {params.abs_tol:.1e}, "
+                            f"stalled at level {level}")
+                    job.rows, v1 = job.rows[~done], v1[~done]
+                    job.older, job.est = job.est[~done], est[~done]
                 job.v0 = v1
                 if job.rows.size:
                     kept.append(job)
