@@ -43,6 +43,7 @@ from .theta import ThetaFunction
 from .words import Letter, Word, regularize, regularize_subwords, shuffle
 from .quadrature import (
     HORIZON_SAFETY,
+    STALL_FLOOR,
     EvalParams,
     _Letters,
     _number,
@@ -284,23 +285,23 @@ POLE_GUARD = 1e-10
 
 
 def _check_unresolved(
-    plan: NumericPlan, tangents: np.ndarray, wvals: np.ndarray, werrs: np.ndarray,
+    plan: NumericPlan, size: np.ndarray, reach: np.ndarray, werrs: np.ndarray,
     unresolved: list, params: EvalParams,
 ) -> None:
     """Raise unless every word whose refinement stalled or ran out, as the
     entries (words, points, level) of unresolved name them, still serves.
 
     A half word's error enters the bar times what multiplies it,
-    sum |coeff * tangent| * (|I(other)| + e(other)) over its terms; a large
-    half word can stop above abs_tol yet weigh little in the value.  Such a
-    word serves when its error times that weight meets abs_tol, the share
-    of the bar that a word of weight 1 at abs_tol would add.  Expressions
-    are judged in order, each over its own terms and words: the first word
-    that does not serve, in the order of the entries, raises its
-    QuadratureError.
+    sum |coeff * tangent| * (|I(other)| + e(other)) over its terms, with
+    reach[i, k] = |I| + e of each word; a large half word can stop above
+    abs_tol yet weigh little in the value.  Such a word serves when its
+    error times that weight meets abs_tol, the share of the bar that a word
+    of weight 1 at abs_tol would add.  A word that stalled is judged
+    against STALL_FLOOR * abs_tol: the levels it skipped may still lower
+    its error.  Expressions are judged in order, each over its own terms
+    and words: the first word that does not serve, in the order of the
+    entries, raises its QuadratureError.
     """
-    size = np.abs(plan.coeffs * tangents[:, plan.term_tangent])
-    reach = np.abs(wvals) + werrs
     for lo, hi in plan.ranges:
         left, right = plan.term_left[lo:hi], plan.term_right[lo:hi]
         weight = np.zeros_like(werrs)
@@ -310,8 +311,9 @@ def _check_unresolved(
         mine[left] = mine[right] = True
         for ks, rows, level in unresolved:
             est = werrs[rows, ks]
+            limit = params.abs_tol * (STALL_FLOOR if level < params.max_refine else 1.0)
             # nan fails the comparison, so it fails here too
-            bad = np.flatnonzero(mine[ks] & ~(weight[rows, ks] * est <= params.abs_tol))
+            bad = np.flatnonzero(mine[ks] & ~(weight[rows, ks] * est <= limit))
             if bad.size:
                 raise refinement_failure(est[bad[0]], level, params)
 
@@ -348,13 +350,12 @@ def _guard_and_tangents(
 
 
 def _sum_terms(
-    plan: NumericPlan, tangents: np.ndarray, wvals: np.ndarray, werrs: np.ndarray,
+    plan: NumericPlan, scaled: np.ndarray, wvals: np.ndarray, werrs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values and bars, (live points, expressions), from the values and
-    errors of the plan's words."""
+    errors of the plan's words and the terms' coeff * tangent, scaled."""
     # coeff * tangent * I(left) * I(right), and the bar of that product:
     # |coeff * tangent| * (|I1| * e2 + |I2| * e1 + e1 * e2)
-    scaled = plan.coeffs * tangents[:, plan.term_tangent]
     v1, v2 = wvals[:, plan.term_left], wvals[:, plan.term_right]
     e1, e2 = werrs[:, plan.term_left], werrs[:, plan.term_right]
     terms = scaled * v1 * v2
@@ -367,6 +368,37 @@ def _sum_terms(
     return values, errs
 
 
+def _judge_unresolved(
+    plan: NumericPlan, exps: np.ndarray, size: np.ndarray, wvals: np.ndarray,
+    werrs: np.ndarray, unresolved: list, params: EvalParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The word values and errors of the plan at the points of exps, once
+    the words whose refinement stalled or ran out (unresolved, as
+    integrate_words hands them back) are judged by _check_unresolved and
+    the stalled ones are refined to the end."""
+    # the (word, point) jobs that stalled, whose skipped levels would move
+    # their values and may lower their errors
+    again = np.zeros(werrs.shape[::-1], dtype=bool)
+    for ks, rows, level in unresolved:
+        if level < params.max_refine:
+            again[ks, rows] = True
+    # until then each counts as 0, the least it can reach, in the weights of
+    # the others: a word that fails even so, a stalled one by STALL_FLOOR,
+    # fails the chunk now
+    reach = np.abs(wvals) + werrs
+    reach[again.T] = 0.0
+    _check_unresolved(plan, size, reach, werrs, unresolved, params)
+    if again.any():
+        # refine the stalled jobs to the end and judge again
+        unresolved = [entry for entry in unresolved if entry[2] == params.max_refine]
+        redone = integrate_words(plan.letters, exps, params, unresolved=unresolved,
+                                 rerun=again)
+        wvals, werrs = (np.where(again.T, new, old) for new, old in zip(redone, (wvals, werrs)))
+        if unresolved:
+            _check_unresolved(plan, size, np.abs(wvals) + werrs, werrs, unresolved, params)
+    return wvals, werrs
+
+
 def _eval_chunk(
     plan: NumericPlan, points: list[tuple[complex, ...]], params: EvalParams
 ) -> list[list[tuple[complex, float]] | PoleSignal]:
@@ -375,19 +407,13 @@ def _eval_chunk(
     out, live, exps, tangents = _guard_and_tangents(plan, points)
     if not live:
         return out
+    scaled = plan.coeffs * tangents[:, plan.term_tangent]
     unresolved: list = []  # words whose refinement stalls or runs out
     wvals, werrs = integrate_words(plan.letters, exps, params, unresolved=unresolved)
     if unresolved:
-        _check_unresolved(plan, tangents, wvals, werrs, unresolved, params)
-    if any(level < params.max_refine for _, _, level in unresolved):
-        # every stalled word serves, but the levels it skipped would move its
-        # value and estimate: integrate again with no stall and judge again
-        unresolved = []
-        wvals, werrs = integrate_words(plan.letters, exps, params, unresolved=unresolved,
-                                       stall=False)
-        if unresolved:
-            _check_unresolved(plan, tangents, wvals, werrs, unresolved, params)
-    values, errs = _sum_terms(plan, tangents, wvals, werrs)
+        wvals, werrs = _judge_unresolved(plan, exps, np.abs(scaled), wvals, werrs,
+                                         unresolved, params)
+    values, errs = _sum_terms(plan, scaled, wvals, werrs)
     for i, vs, es in zip(live, values.tolist(), errs.tolist()):
         out[i] = list(zip(vs, es))
     return out
@@ -445,7 +471,8 @@ def lambda_eval_several(
     of the first expression that has a pole at s, else the numeric failure
     that integrate_words names first among all the words, else the
     QuadratureError of the first expression with a word whose refinement
-    stalled or ran out and which does not serve.
+    stalled or ran out and which does not serve (a stalled word first by
+    far, then at the end of its refinement: _judge_unresolved).
     """
     if not exprs:
         return []

@@ -74,8 +74,12 @@ HORIZON_SAFETY = 0.1  # share of abs_tol left to the certified truncation bound
 # A job stalls, and leaves refinement before max_refine, when its estimate
 # is above STALL_FLOOR * abs_tol and has not fallen by STALL_SHRINK over
 # two levels: it sits at its roundoff floor, where more nodes do not help.
+# An estimate within STALL_ROUNDING * |value| (a few units of the value's
+# rounding) never stalls: two levels can still round to the same double
+# and so meet abs_tol.
 STALL_FLOOR = 100.0
 STALL_SHRINK = 4.0
+STALL_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -87,9 +91,10 @@ class EvalParams:
     truncation horizon is cut at abs_tol * HORIZON_SAFETY); quad_order:
     Gauss nodes per panel, 4 to MAX_ORDER; max_refine: mesh refinement
     limit, 1 to MAX_REFINE, as an error estimate takes one refinement; a
-    job whose estimate stalls far above abs_tol (STALL_FLOOR,
-    STALL_SHRINK) stops before it.  None of them reaches theta node values,
-    which meshes key by (theta, part) alone.
+    job whose estimate stalls far above abs_tol and above its value's
+    rounding (STALL_FLOOR, STALL_SHRINK, STALL_ROUNDING) stops before it.
+    None of them reaches theta node values, which meshes key by (theta,
+    part) alone.
     """
 
     abs_tol: float = 1e-10
@@ -735,7 +740,7 @@ def integrate_words(
     params: EvalParams,
     edges: tuple[float, ...] | None = None,
     unresolved: list | None = None,
-    stall: bool = True,
+    rerun: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Iterated integrals of many words at many points, refined to tolerance.
 
@@ -748,10 +753,13 @@ def integrate_words(
     truncation bound; a point leaves at the first level where its own
     estimate does.  A job stalls at a level below max_refine, and leaves
     there with its value and estimate, when its estimate is still above
-    STALL_FLOOR * abs_tol and times STALL_SHRINK above its estimate two
-    levels before (so from level 3 on, and never at nan): it sits at its
-    roundoff floor, where finer meshes do not help.  With stall false no
-    job stalls.
+    STALL_FLOOR * abs_tol, times STALL_SHRINK above its estimate two levels
+    before (so from level 3 on, and never at nan), and above STALL_ROUNDING
+    * |value|: it sits at its roundoff floor, where finer meshes do not
+    help, and too far above its value's rounding for two levels to round
+    to the same double.  Given a (words, points) mask `rerun`, only the
+    marked jobs run, none of them stalls, and the others keep value 1 and
+    estimate 0: so the engine refines to the end the jobs that stalled.
 
     Jobs run mesh by mesh, by horizon and then refinement level, so that all
     words on one mesh share their node powers and prefixes
@@ -778,15 +786,19 @@ def integrate_words(
     meshes: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
     slack = params.abs_tol * HORIZON_SAFETY
     ks = np.array([k for k, word in enumerate(words) if word], dtype=int)
+    if rerun is not None:
+        ks = ks[rerun[ks].any(axis=1)]
     if ks.size and edges is not None:
-        meshes[edges] = ks, np.ones((ks.size, n), dtype=bool)
+        meshes[edges] = ks, np.ones((ks.size, n), dtype=bool) if rerun is None else rerun[ks]
     elif ks.size:
         horizons, failures = word_horizons(letters, exps, params)
         if failures:
             exc = failures[min(failures)]
             raise type(exc)(*exc.args)
         horizons = horizons[ks]
-        for t_max in sorted(set(horizons.ravel().tolist())):
+        if rerun is not None:
+            horizons = np.where(rerun[ks], horizons, 0.0)  # 0: a job that does not run
+        for t_max in sorted(set(horizons.ravel().tolist()) - {0.0}):
             at = horizons == t_max
             some = at.any(axis=1)
             meshes[doubling_edges(1.0, t_max)] = ks[some], at[some]
@@ -832,11 +844,14 @@ def integrate_words(
                 done &= member
                 settle(done)
                 member &= ~done
-                if stall and level < params.max_refine and member.any():
-                    # far above abs_tol and not shrinking: no level will meet it
+                if rerun is None and 3 <= level < params.max_refine:
+                    # far above abs_tol, not shrinking over two levels and not
+                    # at the mercy of rounding: no level will meet it
                     stalled = est > STALL_FLOOR * params.abs_tol
-                    stalled &= est * STALL_SHRINK > older
                     stalled &= member
+                    if stalled.any():
+                        stalled &= est * STALL_SHRINK > older
+                        stalled &= est > STALL_ROUNDING * np.abs(v1)
                     if stalled.any():
                         at = settle(stalled)
                         if unresolved is None:
