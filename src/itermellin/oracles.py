@@ -409,6 +409,24 @@ def _lattice_points(z: complex, lam_max: float) -> np.ndarray:
     return np.sort(lams[(lams > 0) & (lams <= lam_max)])
 
 
+def _lattice_groups(z: complex, lam_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """The frequencies of _lattice_points up to lam_max, grouped: a
+    frequency within 1e-9 (relative) of the first of its group joins it.
+    Returns each group's first frequency and its multiplicity."""
+    lams = _lattice_points(z, lam_max)
+    starts = np.ones(lams.size, dtype=bool)
+    starts[1:] = lams[1:] - lams[:-1] > 1e-9 * lams[1:]
+    while True:
+        first = lams[np.maximum.accumulate(np.where(starts, np.arange(lams.size), 0))]
+        # near its neighbour but too far from its group's first: the first
+        # such frequency starts a group, and the later ones are judged again
+        late = lams - first > 1e-9 * lams
+        if not late.any():
+            heads = np.flatnonzero(starts)
+            return lams[heads], np.diff(np.append(heads, lams.size)).astype(float)
+        starts[np.argmax(late)] = True
+
+
 def lattice_theta(z: complex) -> ThetaFunction:
     """Theta function of the unimodular lattice form |m + n z|^2 / Im(z).
 
@@ -419,30 +437,19 @@ def lattice_theta(z: complex) -> ThetaFunction:
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("z must lie in the upper half plane")
-    state = {"lam_max": 64.0, "groups": None}
+    # about lam_max / 2 groups: 192 covers the 64 that validation asks for,
+    # so most thetas enumerate their points once
+    state = {"lam_max": 192.0}
+    state["groups"] = _lattice_groups(z, state["lam_max"])
 
-    def build():
-        lams = _lattice_points(z, state["lam_max"])
-        groups: list[tuple[float, float]] = []
-        for lam in lams:
-            if groups and lam - groups[-1][0] <= 1e-9 * lam:
-                groups[-1] = (groups[-1][0], groups[-1][1] + 1.0)
-            else:
-                groups.append((lam, 1.0))
-        state["groups"] = groups
-
-    build()
-
-    def fn(n: int):
-        while n > len(state["groups"]):
-            if state["lam_max"] > 1e9:
-                return None
+    def blocks(start: int, stop: int):
+        while stop > state["groups"][0].size and state["lam_max"] <= 1e9:
             state["lam_max"] *= 2.0
-            build()
-        lam, mult = state["groups"][n - 1]
-        return (lam, ((mult, 0.0),))
+            state["groups"] = _lattice_groups(z, state["lam_max"])
+        freqs, mults = (g[start:stop] for g in state["groups"])
+        return freqs, np.ones(freqs.size, dtype=np.intp), mults, np.zeros(freqs.size)
 
-    lam1 = state["groups"][0][0]
+    lam1 = float(state["groups"][0][0])
     growth = GrowthBound(16.0, 1.0, min(1.0, 0.9 * lam1))
     return ThetaFunction(
         f"lattice({z.real:.6g}+{z.imag:.6g}i)",
@@ -450,7 +457,7 @@ def lattice_theta(z: complex) -> ThetaFunction:
         +1,
         1,
         [(Fraction(1), Fraction(0))],
-        TailSeries(fn, growth),
+        TailSeries(blocks, growth),
     )
 
 

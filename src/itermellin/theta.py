@@ -30,6 +30,8 @@ PI = math.pi
 
 # (mu, ((a, nu), ...)): sum of a * t^nu * exp(-mu t^p) sharing one frequency
 Group = tuple[float, tuple[tuple[float, float], ...]]
+Block = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+_EMPTY = np.zeros(0)
 
 VALIDATION_POINTS = (0.7, 1.0, 1.6)
 VALIDATION_TOL = 1e-8
@@ -84,68 +86,67 @@ class GrowthBound:
 class TailSeries:
     """Lazy stream of exponential groups with a certified remainder bound.
 
-    term_fn(n) for n = 1, 2, ... returns a Group or None once the stream is
-    exhausted (finite series).  Groups are memoized; extension is locked so
-    concurrent readers are safe.
+    blocks(start, stop) returns groups start + 1 .. stop as a Block, the
+    arrays (frequencies, term counts) per group and (coefficients, powers)
+    per term; a shorter block ends the stream (a finite series).  The groups are kept
+    as flat arrays grown block by block: the frequency of each group, the
+    cumulative term counts (entry n: the terms of the first n groups), and
+    per term its frequency, coefficient and power.
+    Extension is locked and publishes all the arrays at once, so a
+    concurrent reader sees whole groups only.
     """
 
     def __init__(
         self,
-        term_fn: Callable[[int], Group | None],
+        blocks: Callable[[int, int], Block],
         growth: GrowthBound,
         power_range: tuple[float, float] = (0.0, 0.0),
     ):
-        self._fn = term_fn
+        self._blocks = blocks
         self.growth = growth
         self.power_range = power_range
-        self._groups: list[Group] = []
-        self._counts = [0]  # _counts[n]: terms in the first n groups
+        # (group frequencies, cumulative term counts, term frequencies, coefficients, powers)
+        self._arrays = (_EMPTY, np.zeros(1, dtype=np.intp), _EMPTY, _EMPTY, _EMPTY)
         self._finite = False
-        self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._lock = threading.Lock()
 
     def ensure(self, n: int) -> int:
         """Materialize at least n groups; returns the available count."""
-        if len(self._groups) >= n or self._finite:
-            return len(self._groups)
+        have = self._arrays[0].size
+        if have >= n or self._finite:
+            return have
         with self._lock:
-            while len(self._groups) < n and not self._finite:
-                g = self._fn(len(self._groups) + 1)
-                if g is None:
-                    self._finite = True
-                    break
-                mu = float(g[0])
-                if self._groups and mu <= self._groups[-1][0]:
+            freqs, counts, mu, a, nu = self._arrays
+            if freqs.size < n and not self._finite:
+                bfreqs, sizes, ba, bnu = self._blocks(freqs.size, n)
+                joined = np.concatenate((freqs[-1:], bfreqs))
+                if np.any(joined[1:] <= joined[:-1]):
                     raise ValueError("tail frequencies must be strictly increasing")
-                terms = tuple((float(a), float(nu)) for a, nu in g[1])
-                # counted first: a reader never sees a group without its count
-                self._counts.append(self._counts[-1] + len(terms))
-                self._groups.append((mu, terms))
-            self._flat = None
-        return len(self._groups)
+                self._arrays = (
+                    np.concatenate((freqs, bfreqs)),
+                    np.concatenate((counts, counts[-1] + np.cumsum(sizes))),
+                    np.concatenate((mu, np.repeat(bfreqs, sizes))),
+                    np.concatenate((a, ba)),
+                    np.concatenate((nu, bnu)),
+                )
+                self._finite = bfreqs.size < n - freqs.size
+        return self._arrays[0].size
 
     def group(self, n: int) -> Group | None:
         if self.ensure(n) < n:
             return None
-        return self._groups[n - 1]
+        freqs, counts, _, a, nu = self._arrays
+        lo, hi = counts[n - 1], counts[n]
+        return float(freqs[n - 1]), tuple(zip(a[lo:hi].tolist(), nu[lo:hi].tolist()))
 
     def min_mu(self) -> float:
         if self.ensure(1) < 1:
             return math.inf
-        return self._groups[0][0]
+        return float(self._arrays[0][0])
 
     def _flat_arrays(self, ngroups: int):
-        count = self._counts[min(ngroups, len(self._groups))]
-        flat = self._flat  # read once: an extension may reset it meanwhile
-        if flat is None or flat[0].shape[0] < count:
-            mus, amps, nus = [], [], []
-            for mu, terms in self._groups:
-                for a, nu in terms:
-                    mus.append(mu)
-                    amps.append(a)
-                    nus.append(nu)
-            flat = self._flat = (np.array(mus), np.array(amps), np.array(nus))
-        mu, a, nu = flat
+        freqs, counts, mu, a, nu = self._arrays
+        count = counts[min(ngroups, freqs.size)]
         return mu[:count], a[:count], nu[:count]
 
     def remainder_bound(self, t: float, n: int, kernel_power: int) -> float:
@@ -155,7 +156,7 @@ class TailSeries:
         for m > n, and sums the resulting geometric-with-polynomial majorant.
         Returns inf while that majorant does not yet contract.
         """
-        if self._finite and len(self._groups) <= n:
+        if self._finite and self._arrays[0].size <= n:
             return 0.0
         g = self.growth
         if n < 1:
@@ -174,18 +175,20 @@ class TailSeries:
         return head * x ** (n + 1) * math.exp(g.power / n) / (1.0 - xe)
 
     def needed_groups(self, tmin: float, tol: float, kernel_power: int, max_terms: int) -> int:
+        """The groups whose remainder bound at tmin is within tol, found by
+        doubling from 8, and materialized by one ensure; a finite stream
+        that ends sooner needs its groups only."""
         n = min(8, max_terms)
-        while True:
-            avail = self.ensure(n)
-            if self._finite and avail <= n:
-                return avail
-            if self.remainder_bound(tmin, n, kernel_power) <= tol:
-                return n
-            if n >= max_terms:
-                raise TruncationError(
-                    f"tail bound above {tol:.1e} after {n} groups at t={tmin}"
-                )
+        while (bound := self.remainder_bound(tmin, n, kernel_power)) > tol and n < max_terms:
             n = min(2 * n, max_terms)
+        avail = self.ensure(n)
+        if self._finite and avail <= n:
+            return avail
+        if bound > tol:
+            raise TruncationError(
+                f"tail bound above {tol:.1e} after {n} groups at t={tmin}"
+            )
+        return n
 
     def values(self, ts: np.ndarray, kernel_power: int, tol: float) -> np.ndarray:
         """Vectorized tail values with truncation error <= tol pointwise."""
@@ -249,7 +252,9 @@ class ThetaFunction:
         self.tail = tail
         self.conductor = float(conductor)
         self.critical_range = critical_range
-        self._dual: "ThetaFunction" = self
+        # None stands for self: a self-dual theta holds no reference to
+        # itself, so reference counting frees it once its users drop it
+        self._dual: "ThetaFunction | None" = None
         self._tail_envelope: float | None = None
         # (height, degree): |poly(t)| <= height * t^degree for t >= 1
         self._poly_bounds = (float(sum(abs(c) for c, _ in self.poly_part)),
@@ -267,7 +272,7 @@ class ThetaFunction:
     # -- dual wiring ------------------------------------------------------
     @property
     def dual(self) -> "ThetaFunction":
-        return self._dual
+        return self if self._dual is None else self._dual
 
     def _set_dual(self, other: "ThetaFunction") -> None:
         """Point this function's inversion law at other, leaving other's own
@@ -275,11 +280,11 @@ class ThetaFunction:
         mutual link calls it on both."""
         if other.weight != self.weight or other.sign != self.sign:
             raise ValueError("dual partners must share weight and sign")
-        self._dual = other
+        self._dual = None if other is self else other
 
     @property
     def self_dual(self) -> bool:
-        return self._dual is self
+        return self._dual is None
 
     # -- evaluation -------------------------------------------------------
     def poly_eval(self, ts: np.ndarray) -> np.ndarray:
@@ -396,11 +401,20 @@ def validate_inversion(theta: ThetaFunction) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _const_stream(mu_of_n, a_of_n) -> Callable[[int], Group]:
-    def fn(n: int) -> Group:
-        return (float(mu_of_n(n)), ((float(a_of_n(n)), 0.0),))
+def _pack(groups: Sequence[Group]) -> Block:
+    """The Block of groups built in Python."""
+    terms = [term for _, ts in groups for term in ts]
+    return (np.array([float(mu) for mu, _ in groups]),
+            np.array([len(ts) for _, ts in groups], dtype=np.intp),
+            np.array([float(a) for a, _ in terms]), np.array([float(nu) for _, nu in terms]))
 
-    return fn
+
+def _const_stream(mu_of_n, a_of_n) -> Callable[[int, int], Block]:
+    """Groups mu_of_n(n) with the one term a_of_n(n) * t^0, unending."""
+    def blocks(start: int, stop: int) -> Block:
+        return _pack([(mu_of_n(n), ((a_of_n(n), 0.0),)) for n in range(start + 1, stop + 1)])
+
+    return blocks
 
 
 def _make_riemann() -> ThetaFunction:
@@ -564,13 +578,13 @@ def _mapped(
     kernel power and conductor; unvalidated (see _paired)."""
     base = theta.tail
 
-    def fn(n: int) -> Group | None:
-        g = base.group(n)
-        return None if g is None else group_map(g)
+    def blocks(start: int, stop: int) -> Block:
+        stop = min(stop, base.ensure(stop))
+        return _pack([group_map(base.group(n)) for n in range(start + 1, stop + 1)])
 
     return ThetaFunction(
         name, weight, theta.sign, theta.kernel_power, poly,
-        TailSeries(fn, growth, power_range),
+        TailSeries(blocks, growth, power_range),
         conductor=theta.conductor, validate=False,
     )
 
@@ -757,9 +771,11 @@ def _product(t1: ThetaFunction, t2: ThetaFunction) -> ThetaFunction:
     poly1, poly2 = ([(float(c), float(e)) for c, e in th.poly_part] for th in (t1, t2))
     last = 0  # the lattice index of the last group returned
 
-    def fn(n: int) -> Group | None:
+    def blocks(start: int, stop: int) -> Block:
         nonlocal last
-        for k in range(last + 1, last + 4097):  # 4096 empty indices end the stream
+        groups, k = [], last
+        while len(groups) < stop - start and k < last + 4096:  # 4096 empty indices end the stream
+            k += 1
             g1, g2 = table(0, k), table(1, k)
             pairs = [(ts1, g2[k - i]) for i, ts1 in g1.items() if k - i in g2]
             pairs += [(poly1, g2.get(k, ())), (poly2, g1.get(k, ()))]
@@ -771,8 +787,8 @@ def _product(t1: ThetaFunction, t2: ThetaFunction) -> ThetaFunction:
             group = tuple((a, nu) for nu, a in sorted(terms.items()) if a != 0.0)
             if group:
                 last = k
-                return (delta * k, group)
-        return None
+                groups.append((delta * k, group))
+        return _pack(groups)
 
     g1b, g2b = t1.tail.growth, t2.tail.growth
     (h1, d1), (h2, d2) = t1.growth("poly"), t2.growth("poly")
@@ -790,7 +806,7 @@ def _product(t1: ThetaFunction, t2: ThetaFunction) -> ThetaFunction:
         t1.sign * t2.sign,
         t1.kernel_power,
         [(c, e) for e, c in poly.items()],
-        TailSeries(fn, growth, (lo, hi)),
+        TailSeries(blocks, growth, (lo, hi)),
         conductor=t1.conductor * t2.conductor,
         validate=False,
     )
@@ -861,13 +877,9 @@ def parse_theta_text(
 
     mus = [scale * f for f in freqs[: len(coeffs)]]
     slope = min(mu / (i + 1) for i, mu in enumerate(mus)) if mus else scale
-
-    def fn(n: int) -> Group | None:
-        if n > len(coeffs):
-            return None
-        return (mus[n - 1], ((coeffs[n - 1], 0.0),))
-
-    tail = TailSeries(fn, GrowthBound(growth_m, growth_k, slope))
+    groups = [(mu, ((a, 0.0),)) for mu, a in zip(mus, coeffs)]
+    tail = TailSeries(lambda start, stop: _pack(groups[start:stop]),
+                      GrowthBound(growth_m, growth_k, slope))
     dual_name = one("dual", default=["self"])[0]
     theta = ThetaFunction(
         name, weight, sign, p, poly, tail, conductor=conductor, validate=False

@@ -984,6 +984,35 @@ class TestConcurrency:
             sys.setswitchinterval(switch)
         assert serial == parallel
 
+    def test_threads_grow_one_cold_lattice_stream(self, monkeypatch):
+        """8 threads evaluate one fresh lattice theta whose tail nobody has
+        grown (its validation is skipped), each at its own point; every
+        value equals the serial one, on a twin theta, bit for bit."""
+        import concurrent.futures
+        import sys
+
+        import itermellin.theta as theta_module
+
+        monkeypatch.setattr(theta_module, "validate_inversion", lambda th: None)
+        z = 0.271 + 1.183j
+        points = [(1.5 + 0.25 * k + 0.3j * (k - 4),) for k in range(8)]
+        twin = build_expression((oracles.lattice_theta(z),))
+        serial = [lambda_eval(twin, pt, P)[0] for pt in points]
+        cold = oracles.lattice_theta(z)
+        assert cold.tail._arrays[0].size == 0
+
+        def run(pt):
+            return lambda_eval(build_expression((cold,)), pt, P)[0]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                parallel = list(pool.map(run, points, timeout=60))
+        finally:
+            sys.setswitchinterval(switch)
+        assert serial == parallel
+
 
 class TestHalfIntegerExponents:
     def test_monomial_shift_of_jacobi3(self):

@@ -363,6 +363,16 @@ class TestRealEisenstein:
             want = [((count, 0.0),) for _, count in counts[:200]]
             assert [tail.group(n)[1] for n in range(1, 201)] == want
 
+    def test_a_group_is_judged_against_its_first_frequency(self, monkeypatch):
+        """As in a sequential scan: 1 + 1.2e-9 is within 1e-9 of its
+        neighbour but not of its group's first frequency, 1, so it starts
+        a group; a split between neighbours alone would merge all three."""
+        lams = np.array([1.0, 1.0 + 0.6e-9, 1.0 + 1.2e-9, 1.0 + 1.5e-9, 2.0])
+        monkeypatch.setattr(oracles, "_lattice_points", lambda z, lam_max: lams)
+        freqs, mults = oracles._lattice_groups(1j, 8.0)
+        assert freqs.tolist() == [1.0, 1.0 + 1.2e-9, 2.0]
+        assert mults.tolist() == [2.0, 2.0, 1.0]
+
     def test_lattice_theta_freed_after_cache_turnover(self):
         """The expression cache holds the only reference to a lattice
         theta, so 256 other z free it, and its node values with it."""
@@ -373,6 +383,24 @@ class TestRealEisenstein:
             oracles.real_eisenstein(complex(0.01 * k, 1.0 + 0.005 * k), 1.5, P)
         gc.collect()
         assert theta() is None
+
+    def test_lattice_theta_freed_at_once_without_the_cycle_collector(self):
+        """A self-dual theta holds no reference to itself: the 256th other
+        z frees it, and its node values with it, by reference counting."""
+        z = 0.123 + 1.456j
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            oracles.real_eisenstein(z, 1.5, P)
+            theta = weakref.ref(oracles._lattice_expression(z).thetas[0])
+            for k in range(255):
+                oracles.real_eisenstein(complex(0.01 * k - 0.3, 1.01 + 0.005 * k), 1.5, P)
+            assert theta() is not None
+            oracles.real_eisenstein(0.4 + 1.5j, 1.5, P)
+            assert theta() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestXiViaEisenstein:

@@ -54,10 +54,10 @@ def test_one_gauss_legendre_rule_per_order(order):
 def make_single_exp(rate: float):
     from fractions import Fraction
 
-    from itermellin.theta import GrowthBound, TailSeries, ThetaFunction
+    from itermellin.theta import GrowthBound, TailSeries, ThetaFunction, _pack
 
     tail = TailSeries(
-        lambda n: (rate, ((1.0, 0.0),)) if n == 1 else None, GrowthBound(1.0, 0.0, rate)
+        lambda start, stop: _pack([(rate, ((1.0, 0.0),))][start:stop]), GrowthBound(1.0, 0.0, rate)
     )
     return ThetaFunction(
         f"exp{rate}", Fraction(1), +1, 1, [], tail, validate=False
@@ -294,7 +294,7 @@ def failing_words():
     # eisenstein4's groups under a bound so loose that 4000 groups cannot
     # certify the tail at the first node, t = 1.069, of the horizon-8 mesh
     loose = ThetaFunction("eisenstein4-loose", e4.weight, e4.sign, e4.kernel_power, e4.poly_part,
-                          TailSeries(e4.tail.group, GrowthBound(2.0, 3.0, 2e-3)), validate=False)
+                          TailSeries(e4.tail._blocks, GrowthBound(2.0, 3.0, 2e-3)), validate=False)
     a = (Letter(rie, "full", slot(0, 2)), Letter(j3, "tail", slot(1, 2)))
     b = (Letter(loose, "tail", slot(1, 2)),)
     c = (Letter(j3, "tail", slot(1, 2)),)
@@ -1179,6 +1179,29 @@ class TestMesh:
         gc.collect()
         assert dropped() is None
         assert all(ref() is None for ref in cached)
+
+    def test_dropped_theta_frees_its_node_values_at_once(self, monkeypatch):
+        """Without the cycle collector: a self-dual theta holds no reference
+        to itself, so dropping the last one frees it and its node values."""
+        meshes = []
+        on_mesh = quadrature.integrate_word_on_mesh
+        monkeypatch.setattr(quadrature, "integrate_word_on_mesh",
+                            lambda *args: meshes.append(args[2]) or on_mesh(*args))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            theta = oracles.lattice_theta(0.2 + 1.3j)
+            word = (Letter(theta, "tail", slot(0, 1)),)
+            tail_word_integral(word, (1.5 + 0.5j,), EvalParams())
+            cached = [weakref.ref(m.theta_values(theta, "tail")) for m in meshes]
+            assert len(meshes) > 1
+            dropped = weakref.ref(theta)
+            del theta, word
+            assert dropped() is None
+            assert all(ref() is None for ref in cached)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestParams:

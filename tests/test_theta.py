@@ -1,5 +1,6 @@
 """Theta functions: builtins, evaluation, inversion, transforms, files."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from itermellin.theta import (
     ThetaFunction,
     TruncationError,
     ValidationError,
+    _pack,
     builtin_registry,
     d_w,
     differentiate,
@@ -140,20 +142,18 @@ class TestEval:
 
     def test_flat_terms_of_the_first_groups(self):
         """_flat_arrays(n) holds the terms of the first n groups, in order,
-        as the stream grows, and rebuilds only when it has grown."""
+        as the stream grows, as views of the stored arrays."""
         sizes = [1, 3, 2, 4, 1]
-        series = TailSeries(
-            lambda n: (float(n), tuple((float(n), 0.1 * j) for j in range(sizes[n - 1])))
-            if n <= len(sizes) else None,
-            GrowthBound(1.0, 0.0, 1.0))
+        groups = [(float(n), tuple((float(n), 0.1 * j) for j in range(size)))
+                  for n, size in enumerate(sizes, 1)]
+        series = TailSeries(list_stream(groups), GrowthBound(1.0, 0.0, 1.0))
         for n in (2, 1, 5, 4, 9):
             series.ensure(n)
             mu, a, nu = series._flat_arrays(n)
             want = [(float(g), 0.1 * j) for g in range(1, min(n, 5) + 1) for j in range(sizes[g - 1])]
             assert list(zip(mu, nu)) == want and list(a) == list(mu)
-        flat = series._flat
-        series._flat_arrays(3)
-        assert series._flat is flat
+        flat = series._flat_arrays(3)
+        assert all(np.shares_memory(view, whole) for view, whole in zip(flat, series._arrays[2:]))
 
 
 class TestInversion:
@@ -470,3 +470,108 @@ class TestEnvelopes:
     def test_envelope_of_a_mono_letter_raises(self):
         with pytest.raises(ValueError, match="no envelope at 0 for part 'mono'"):
             _zero_envelope(Letter(theta("riemann"), "mono", AffineForm.slot(0, 1)))
+
+
+# sha256 (first 32 hex digits) of repr([tail.group(n) for n in range(1, 201)]),
+# recorded with the per-group streams that the block streams replaced
+PARENT_GROUP_DIGESTS = {
+    "riemann": "007153ad660d6f4422d7c12fffd0b201",
+    "eisenstein4": "cd43128b3def33b3171d9a923868407b",
+    "eisenstein6": "6c3337281e699cc16b86e97ef256a3ec",
+    "eisenstein8": "b512b05e7802bb8758d8c851fbdd4255",
+    "delta": "23cea717afe78a1a0bb5bd964bdc687a",
+    "theta_plus": "63a02f511ac04ea6ae309f50176ecd89",
+    "theta_minus": "e8ce5a86ff0adbbfaa13c0a51b62f6d9",
+    "jacobi2": "4fb0bb19bcbce7fd6b957015eebbc483",
+    "jacobi3": "007153ad660d6f4422d7c12fffd0b201",
+    "jacobi4": "ab48ec2b65bd5c0b9772c88ca7be5106",
+    "eisenstein22": "f4a8dfc7fbd8713053f8b012cbf116fe",
+    "rescale(riemann, 1.7)": "d4143e32b35b5d4e2b6c9947febb1874",
+    "rescale(jacobi4, 0.6)": "48903f370e38de975b3cf2f8d148cb27",
+    "differentiate(eisenstein4)": "3a244673df32ee4a0b87881ba65216c2",
+    "differentiate(jacobi2)": "98c99b8a12b142b1e57bbf8a165e8000",
+    "mul_monomial(jacobi3, 1/2)": "fc56c66028d5d228b729eecf63d15444",
+    "mul_monomial(delta, 3)": "cfccf85028dbd683d5f41c338a91e740",
+    "pointwise_product(jacobi3, jacobi3)": "3311b1dbde43b4e7321266e8f574bb71",
+    "pointwise_product(eisenstein4, theta_plus)": "ce1bbe371bca25d822ecaf901efaa3d9",
+    "lattice_theta(0.123+1.234j)": "f96f8ac1c1161617a57911f222ad94ce",
+}
+
+
+def digest_thetas():
+    from itermellin import oracles
+
+    b = builtin_registry()
+    return {**b, "eisenstein22": theta("eisenstein", 22),
+            "rescale(riemann, 1.7)": rescale(b["riemann"], 1.7),
+            "rescale(jacobi4, 0.6)": rescale(b["jacobi4"], 0.6),
+            "differentiate(eisenstein4)": differentiate(b["eisenstein4"]),
+            "differentiate(jacobi2)": differentiate(b["jacobi2"]),
+            "mul_monomial(jacobi3, 1/2)": mul_monomial(b["jacobi3"], Fraction(1, 2)),
+            "mul_monomial(delta, 3)": mul_monomial(b["delta"], 3),
+            "pointwise_product(jacobi3, jacobi3)": pointwise_product(b["jacobi3"], b["jacobi3"]),
+            "pointwise_product(eisenstein4, theta_plus)":
+                pointwise_product(b["eisenstein4"], b["theta_plus"]),
+            "lattice_theta(0.123+1.234j)": oracles.lattice_theta(0.123 + 1.234j)}
+
+
+def list_stream(groups):
+    return lambda start, stop: _pack(groups[start:stop])
+
+
+class TestTailStream:
+    """The block protocol: blocks(start, stop) hands over groups start + 1
+    .. stop, and a shorter block ends the stream."""
+
+    def test_groups_equal_the_per_group_streams(self):
+        thetas = digest_thetas()
+        assert thetas.keys() == PARENT_GROUP_DIGESTS.keys()
+        for name, th in thetas.items():
+            groups = [th.tail.group(n) for n in range(1, 201)]
+            digest = hashlib.sha256(repr(groups).encode()).hexdigest()[:32]
+            assert digest == PARENT_GROUP_DIGESTS[name], name
+
+    def test_frequency_that_does_not_increase_raises(self):
+        groups = [(float(n), ((1.0, 0.0),)) for n in (1, 2, 3, 3, 4)]
+        inside = TailSeries(list_stream(groups), GrowthBound(1.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            inside.ensure(5)  # groups 3 and 4 in one block
+        assert inside.ensure(0) == 0  # nothing of that block was kept
+        across = TailSeries(list_stream(groups), GrowthBound(1.0, 0.0, 1.0))
+        assert across.ensure(3) == 3
+        with pytest.raises(ValueError, match="strictly increasing"):
+            across.ensure(5)  # group 4 repeats group 3, the last of the first block
+        assert across.ensure(0) == 3 and across.group(3) == (3.0, ((1.0, 0.0),))
+
+    def test_finite_stream_bound_is_zero_past_its_end(self):
+        groups = [(float(n), ((1.0, 0.0),)) for n in range(1, 6)]
+        series = TailSeries(list_stream(groups), GrowthBound(1.0, 0.0, 1.0))
+        assert series.remainder_bound(1.0, 5, 1) > 0  # its end is not known yet
+        assert series.ensure(9) == 5 and series.group(6) is None
+        assert [series.remainder_bound(1.0, n, 1) for n in (5, 6, 50)] == [0.0] * 3
+        assert series.remainder_bound(1.0, 4, 1) > 0
+        assert series.needed_groups(1.0, 1e-300, 1, 4000) == 5
+
+    def test_needed_groups_asks_the_stream_once(self):
+        asked = []
+
+        def blocks(start, stop):
+            asked.append((start, stop))
+            return _pack([(math.pi * n * n, ((2.0, 0.0),)) for n in range(start + 1, stop + 1)])
+
+        series = TailSeries(blocks, GrowthBound(2.0, 0.0, math.pi, 2.0))
+        n = series.needed_groups(0.05, 1e-14, 2, 4000)
+        assert n > 8 and asked == [(0, n)]
+
+    def test_dual_and_self_dual(self):
+        self_dual = [th for name, th in builtin_registry().items()
+                     if name not in ("jacobi2", "jacobi4")]
+        self_dual += [parse_theta_text(RIEMANN_FILE), mul_monomial(theta("jacobi3"), Fraction(1, 2))]
+        for th in self_dual:
+            assert th.self_dual and th.dual is th, th
+        j2, j4 = theta("jacobi2"), theta("jacobi4")
+        clone = parse_theta_text(J2_CLONE_FILE, {"jacobi4": j4})
+        shifted = mul_monomial(j4, 1)
+        for th, dual in ((j2, j4), (j4, j2), (clone, j4), (shifted, shifted.dual)):
+            assert not th.self_dual and th.dual is dual and dual is not th
+        assert shifted.dual.dual is shifted and shifted.dual.name == "(jacobi2*t^1)"
