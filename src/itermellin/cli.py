@@ -111,8 +111,11 @@ def _params_from_args(args) -> EvalParams:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
         print(text)
 

@@ -638,10 +638,7 @@ def lambda_direct(
     letters = _Letters(tuple(terms))
     delta = min(_choose_delta(word, point, params) for word in letters.words)
     exps = letters.exponents_at(point)
-    horizons, failures = word_horizons(letters, exps, params)
-    if failures:
-        exc = failures[min(failures)]
-        raise type(exc)(*exc.args)
+    horizons = word_horizons(letters, exps, params)
     edges = doubling_edges(delta, 1.0)[:-1] + doubling_edges(1.0, float(horizons.max()))
     values, _ = integrate_words(letters, exps, params, edges)
     total = 0.0 + 0.0j

@@ -20,9 +20,9 @@ mesh by mesh, a mesh being a truncation horizon at one refinement level,
 with the refinement state of every (word, point) pair on it held in
 arrays.  Every set of words, one word included, takes the same pass on a
 mesh (integrate_word_on_mesh): each letter exponent's node powers are
-formed once per distinct value among the pass's points, as
-exp(e * log t) from the cached logarithms (PanelMesh.powers), each
-letter kind's node values are one row of a complex table, and the words'
+formed once per distinct value among the pass's points by
+PanelMesh.powers, the one owner of numpy's nodes ** e rule, each letter
+kind's node values are one row of a complex table, and the words'
 distinct prefixes form a trie (_Prefixes) that is integrated one prefix
 length at a time.  The first letters are integrated once per distinct
 value of their exponent, and maps built once per mesh, word set and
@@ -39,9 +39,9 @@ matrix product, a word integrated alone at one point, the one-word
 horizon), so every word keeps, at every point, its own horizon,
 refinement depth and error estimate, bit for bit as in a one-word,
 one-point call.  A batch fails if any of its jobs fails, and raises the
-first failure met, where it is met, without integrating further meshes;
-only a job whose refinement stalls or runs out may instead be handed back
-to the caller (`unresolved`).
+first failure met (word_horizons' before any mesh), where it is met,
+without integrating further meshes; only a job whose refinement stalls
+or runs out may instead be handed back to the caller (`unresolved`).
 """
 
 from __future__ import annotations
@@ -176,19 +176,19 @@ class PanelMesh:
                     vals = parts[part] = theta.eval_array(self.nodes, part, REF_TOL)
         return vals
 
-    def powers(self, e: np.ndarray, exact: np.ndarray | None) -> np.ndarray:
+    def powers(self, e: np.ndarray) -> np.ndarray:
         """Node powers t^e, one row per entry of e, bit for bit as
-        nodes ** e[:, None] when exact is repeated_products(e), or None
-        where that has no entry set.
-
-        numpy raises to every other exponent as exp(e * log t), formed here
-        from the cached logarithms, which saves the logarithm of every node
-        for every exponent; the rows exact marks take nodes ** e.
+        nodes ** e[:, None]: numpy raises to most exponents as
+        exp(e * log t), formed here from the cached logarithms, which saves
+        the logarithm of every node for every exponent, and nodes ** e is
+        formed only for the rows, all real, that repeated_products(e) marks.
         """
         out = e[:, None] * self.log_nodes
         np.exp(out, out=out)
-        if exact is not None:
-            out[exact] = self.nodes ** e[exact, None]
+        if (e.imag == 0.0).any():
+            exact = repeated_products(e)
+            if exact.any():
+                out[exact] = self.nodes ** e[exact, None]
         return out
 
     def _panel_integrals(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,16 +257,16 @@ _LOG_HORIZONS = np.array([math.log(t) for t in _HORIZONS])
 # a huge exponent overflows a bound to inf (or inf - inf to nan), which no
 # candidate horizon fits: the word fails by name, not with numpy's warning
 @np.errstate(over="ignore", invalid="ignore")
-def word_horizons(letters: _Letters, exps: np.ndarray,
-                  params: EvalParams) -> tuple[np.ndarray, dict]:
-    """Truncation horizons of the words of a table at many points, as
-    (horizons, failures): horizons[k, i] is the smallest power-of-two
-    horizon whose certified tail bound for word k at point i is below
-    abs_tol * HORIZON_SAFETY, unless failures[k] holds the QuadratureError
-    or TruncationError of word k.  A table's failures are shared across
-    calls and threads, so each is raised as a fresh copy,
-    type(exc)(*exc.args): raising the object would grow its traceback.
-    exps[i, c] is exponent column c at point i.
+def word_horizons(letters: _Letters, exps: np.ndarray, params: EvalParams) -> np.ndarray:
+    """Truncation horizons of the words of a table at many points:
+    horizons[k, i] is the smallest power-of-two horizon whose certified
+    tail bound for word k at point i is below abs_tol * HORIZON_SAFETY.
+    exps[i, c] is exponent column c at point i.  The one raise site of
+    horizon failures: the QuadratureError or TruncationError of the
+    lowest-index word that fails (letters.failures, or no horizon fits at
+    some point).  Table failures are shared across calls and threads, so
+    it raises a fresh copy, type(exc)(*exc.args): raising the object
+    would grow its traceback.
 
     Blocks of bounded words read the table's constants through their
     prefix letters, padded with d = -inf, which adds exactly 0.0: every
@@ -300,16 +300,16 @@ def word_horizons(letters: _Letters, exps: np.ndarray,
         horizons[block] = _HORIZONS[fits.argmax(axis=2)].T
         for k in block[~fits.any(axis=2).all(axis=0)].tolist():
             failures[k] = QuadratureError("no horizon satisfies the truncation bound")
-    return horizons, failures
+    if failures:
+        exc = failures[min(failures)]
+        raise type(exc)(*exc.args)
+    return horizons
 
 
 def truncation_horizon(word: Word, s: Sequence[complex], params: EvalParams) -> float:
     """The truncation horizon of the word at one point s (see word_horizons)."""
     letters = _Letters((word,))
-    horizons, failures = word_horizons(letters, letters.exponents_at(s), params)
-    if failures:
-        raise type(failures[0])(*failures[0].args)
-    return float(horizons[0, 0])
+    return float(word_horizons(letters, letters.exponents_at(s), params)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +510,9 @@ class _ValueMaps:
     values of column j are values[start[j]:start[j + 1]], one per distinct
     bit pattern (so 0.0 and -0.0, or two nans, may stay apart): in the
     order of the points when no two points share one, else in numpy's
-    sort order.  exact is repeated_products(values), or None where no
-    entry is set.  Node powers are formed once per entry of values, and
-    at[p, i] is the entry of the letter of prefix p at point i.
+    sort order.  Node powers are formed once per entry of values
+    (PanelMesh.powers), and at[p, i] is the entry of the letter of prefix
+    p at point i.
 
     A first letter, prefix p < pre.bounds[1], is integrated once per
     distinct value of its column: it holds entries seg[p] to seg[p + 1] - 1
@@ -526,10 +526,9 @@ class _ValueMaps:
     points.
     """
 
-    def __init__(self, pre: _Prefixes, index: np.ndarray, start: np.ndarray,
-                 values: np.ndarray, exact: np.ndarray | None):
+    def __init__(self, pre: _Prefixes, index: np.ndarray, start: np.ndarray, values: np.ndarray):
         self.pre, self.size = pre, index.shape[1]
-        self.index, self.start, self.values, self.exact = index, start, values, exact
+        self.index, self.start, self.values = index, start, values
         self.at = index.take(pre.cp, axis=0)
         p1, n = pre.bounds[1], self.size
         first, cp = self.at[:p1], pre.cp[:p1]
@@ -549,10 +548,8 @@ class _ValueMaps:
         self.seg = seg.tolist()
 
     @classmethod
-    def at_points(cls, pre: _Prefixes, exps: np.ndarray, rows: np.ndarray,
-                  real: bool) -> "_ValueMaps":
-        """The maps of pre at the points rows of exps; real: whether any
-        entry of exps is real, else no value is a repeated product."""
+    def at_points(cls, pre: _Prefixes, exps: np.ndarray, rows: np.ndarray) -> "_ValueMaps":
+        """The maps of pre at the points rows of exps."""
         e = exps.T[pre.cols[:, None], rows] - 1.0
         ncols, n = e.shape
         # every value distinct, in the order of the points, unless sorting
@@ -575,8 +572,7 @@ class _ValueMaps:
                 index += start[:-1, None]
                 values = np.empty(start[-1], dtype=complex)
                 values[index] = e
-        exact = repeated_products(values) if real else None
-        return cls(pre, index, start, values, exact if real and exact.any() else None)
+        return cls(pre, index, start, values)
 
     def block(self, lo: int, hi: int) -> "_ValueMaps":
         """The maps of the points lo to hi - 1, over the values they use."""
@@ -586,9 +582,7 @@ class _ValueMaps:
         used = np.zeros(self.values.size, dtype=bool)
         used[index] = True
         before = np.concatenate(([0], np.cumsum(used)))  # used values before each value
-        exact = None if self.exact is None else self.exact[used]
-        return _ValueMaps(self.pre, before[index], before[self.start], self.values[used],
-                          exact if exact is not None and exact.any() else None)
+        return _ValueMaps(self.pre, before[index], before[self.start], self.values[used])
 
 
 def _segments(ps: np.ndarray, seg: np.ndarray, flat: np.ndarray):
@@ -727,7 +721,7 @@ def integrate_word_on_mesh(letters: _Letters, maps: _ValueMaps, m: PanelMesh) ->
     step = max(1, ROW_BUDGET // m.log_nodes.size)
     for lo in range(0, maps.size, step):
         blk = maps.block(lo, lo + step)
-        _PrefixPass(m, pre, table, m.powers(blk.values, blk.exact), blk, values[:, lo : lo + step])
+        _PrefixPass(m, pre, table, m.powers(blk.values), blk, values[:, lo : lo + step])
     return values
 
 
@@ -764,13 +758,13 @@ def integrate_words(
     Jobs run mesh by mesh, by horizon and then refinement level, so that all
     words on one mesh share their node powers and prefixes
     (integrate_word_on_mesh).  The call fails if any job fails, with the
-    first failure met: the horizon failure of the lowest-index word that
-    has one, else, on the first mesh where one is met, the TruncationError
-    of the first node values that fail, the QuadratureError naming the
-    overflow of a word integral that is not finite at one of its own
-    points, the QuadratureError of the first job that stalls (by word,
-    then point), or, once its refinement runs out, that of its
-    lowest-index word still unresolved (refinement_failure).  Given a list
+    first failure met: the horizon failure word_horizons raises, else, on
+    the first mesh where one is met, the TruncationError of the first node
+    values that fail, the QuadratureError naming the overflow of a word
+    integral that is not finite at one of its own points, the
+    QuadratureError of the first job that stalls (by word, then point),
+    or, once its refinement runs out, that of its lowest-index word still
+    unresolved (refinement_failure).  Given a list
     `unresolved`, a stalled job or a mesh whose refinement runs out raises
     nothing: the jobs keep their last values and estimates (above abs_tol,
     or nan), and their (word, point) indices are appended to the list as
@@ -791,18 +785,13 @@ def integrate_words(
     if ks.size and edges is not None:
         meshes[edges] = ks, np.ones((ks.size, n), dtype=bool) if rerun is None else rerun[ks]
     elif ks.size:
-        horizons, failures = word_horizons(letters, exps, params)
-        if failures:
-            exc = failures[min(failures)]
-            raise type(exc)(*exc.args)
-        horizons = horizons[ks]
+        horizons = word_horizons(letters, exps, params)[ks]
         if rerun is not None:
             horizons = np.where(rerun[ks], horizons, 0.0)  # 0: a job that does not run
         for t_max in sorted(set(horizons.ravel().tolist()) - {0.0}):
             at = horizons == t_max
             some = at.any(axis=1)
             meshes[doubling_edges(1.0, t_max)] = ks[some], at[some]
-    real = bool((exps.imag == 0.0).any())  # else no exponent is a repeated product
 
     def settle(jobs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Keep the current values and estimates of the jobs marked in a
@@ -825,7 +814,7 @@ def integrate_words(
         # the words' prefixes, formed again only when words leave the mesh,
         # and their value maps, formed again when words or points leave it
         pre = _Prefixes(letters, ks)
-        maps = _ValueMaps.at_points(pre, exps, rows, real)
+        maps = _ValueMaps.at_points(pre, exps, rows)
         v0 = None  # the last level's values
         # the estimates of the last level and the one before, inf before level 1
         last = older = np.full(member.shape, math.inf)
@@ -869,7 +858,7 @@ def integrate_words(
                     rows = rows[points_left]
                     member, est, last, v1 = (a[:, points_left] for a in (member, est, last, v1))
                 if not (words_left.all() and points_left.all()):
-                    maps = _ValueMaps.at_points(pre, exps, rows, real)
+                    maps = _ValueMaps.at_points(pre, exps, rows)
                 older, last = last, est
             v0 = v1
         else:

@@ -684,8 +684,9 @@ def _a_polynomial(theta: ThetaFunction, coeffs: Sequence, prefix: str,
         g = th.tail.growth
         fcoeffs = [float(c) for c in poly_coeffs]
         # A's new coefficients are -a*nu and a*mu*p; estimate mu_n <= mu_up *
-        # n^mu_power from a probe of the stream (exact for the builtin laws)
-        probe = th.tail.ensure(64)
+        # n^mu_power from a probe of the stream's first 64 groups (exact for
+        # the builtin laws), however far the stream has grown
+        probe = min(th.tail.ensure(64), 64)
         mu_up = 1.0 if probe == 0 else 1.25 * max(
             th.tail.group(n)[0] / n**g.mu_power for n in range(1, probe + 1))
         coeff, power, top, bound = g.coeff, g.power, hi, 0.0

@@ -618,3 +618,17 @@ class TestStartup:
              "import itermellin.cli; assert 'scipy' not in sys.modules, 'scipy'"],
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--theta", "riemann", "--s", "2"),
+    ("verify", "--suite", "mzv", "--seed", "0"),
+], ids=["eval", "verify"])
+def test_unwritable_out_exits_2_with_one_line(capsys, tmp_path, argv):
+    """An --out that cannot be written is a bad request: one stderr line and
+    exit 2, apart from exit 1, a verification that fails."""
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+    assert not path.parent.exists()

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import traceback
 import weakref
 
 import numpy as np
@@ -265,22 +266,13 @@ def letter_columns(letters, k):
     return np.array([letters.pair_col[q] for q in letters.pairs[k]], dtype=int)
 
 
-def word_horizons(letters, exps, params):
-    """quadrature.word_horizons of a letter table: each word's horizons at
-    the points, or its failure."""
-    horizons, failures = quadrature.word_horizons(letters, exps, params)
-    return [failures.get(k, h) for k, h in enumerate(horizons)]
-
-
 def one_word_horizons(word, exps, params):
     """word_horizons of one word alone, raising its failure; exps[i, j] is
     the exponent of letter j at point i."""
     letters = quadrature._Letters((word,))
     # the table's columns are the word's distinct exponents, by first use
     first = [[letter.exponent for letter in word].index(f) for f in letters.exponents]
-    (horizons,) = word_horizons(letters, exps[:, first], params)
-    if isinstance(horizons, Exception):
-        raise horizons
+    (horizons,) = quadrature.word_horizons(letters, exps[:, first], params)
     return horizons
 
 
@@ -355,7 +347,7 @@ class TestMeshMajor:
         messages = []
         for words, first in cases:
             letters, exps = exponent_columns(words, points)
-            horizons = word_horizons(letters, exps, params)
+            horizons = quadrature.word_horizons(letters, exps, params)
             assert [h.tolist() for h in horizons] == [
                 [8.0, 8.0] if w is b else [16.0, 16.0] for w in words]
             with pytest.raises((QuadratureError, TruncationError)) as one:
@@ -418,6 +410,35 @@ class TestMeshMajor:
             assert sorted(letters.failures) == [1, 2]
             with pytest.raises(TruncationError, match=f"^growth of {first} fails$"):
                 integrate_words(letters, exps, EvalParams())
+
+    def test_horizons_raise_the_lowest_index_failure(self):
+        """word_horizons raises the failure of the lowest-index word with
+        one, a letter table's (a prefix letter's growth bound fails) or a
+        word's with no horizon at some point, as a fresh copy: the table's
+        own error is never raised, so two calls give tracebacks of one
+        length."""
+        rie = make_builtin_theta("riemann")
+        bad = make_single_exp(1.0)
+
+        def growth(part):
+            raise TruncationError("growth fails")
+
+        bad.growth = growth
+        good = (Letter(rie, "tail", slot(0, 2)),)
+        huge = (Letter(rie, "tail", slot(1, 2)),)  # no horizon at s2 = 1e14
+        grows = (Letter(bad, "full", slot(0, 2)), Letter(rie, "tail", slot(1, 2)))
+        cases = [((good, huge, grows), QuadratureError, "no horizon satisfies"),
+                 ((good, grows, huge), TruncationError, "^growth fails$")]
+        for words, kind, message in cases:
+            letters, exps = exponent_columns(words, [(2.0, 3.0), (2.0, 1e14)])
+            assert list(letters.failures) == [words.index(grows)]
+            depths = []
+            for _ in range(2):
+                with pytest.raises(kind, match=message) as got:
+                    quadrature.word_horizons(letters, exps, EvalParams())
+                assert got.value is not letters.failures[words.index(grows)]
+                depths.append(len(traceback.extract_tb(got.value.__traceback__)))
+            assert depths[0] == depths[1]
 
     @pytest.mark.parametrize("at,fails", [((0, 0), True), ((1, 1), True),
                                           ((0, 1), False), ((1, 0), False)])
@@ -514,7 +535,7 @@ class TestStall:
         letters, exps = exponent_columns(((Letter(rie, "tail", slot(0, 1)),),),
                                          [(2.0,), (2.25,), (2.5,)])
         params = EvalParams(max_refine=4)
-        assert len(set(quadrature.word_horizons(letters, exps, params)[0].ravel())) == 1
+        assert len(set(quadrature.word_horizons(letters, exps, params).ravel())) == 1
         shift = {0: (0, 0, 0), 1: (1e-6, 1e-6, 1e-9), 2: (0, 0, 0), 3: (1e-6, 2e-7, 1e-9),
                  4: (0, 0)}
         on_mesh = quadrature.integrate_word_on_mesh
@@ -651,16 +672,8 @@ def ref_take(values, have, rows):
     return values[np.searchsorted(have, rows)]
 
 
-def ref_exact_columns(exps):
-    if not (exps.imag == 0.0).any():
-        return [None] * exps.shape[1]
-    mask = quadrature.repeated_products(exps - 1.0)
-    return [mask[:, c] if any_ else None for c, any_ in enumerate(mask.any(axis=0).tolist())]
-
-
-def ref_node_powers(m, exps, exact, rows, c):
-    mask = exact[c]
-    return m.powers(exps[rows, c] - 1.0, None if mask is None else mask[rows])
+def ref_node_powers(m, exps, rows, c):
+    return m.powers(exps[rows, c] - 1.0)
 
 
 def ref_phi(letter, power, nodal, out):
@@ -669,14 +682,14 @@ def ref_phi(letter, power, nodal, out):
     return np.multiply(nodal[letter.theta, letter.part], power, out=out)
 
 
-def ref_integrate_prefixes(m, exps, exact, nodal, jobs, pieces):
+def ref_integrate_prefixes(m, exps, nodal, jobs, pieces):
     if len(jobs) == 1:
         ((k, word, cols, rows),) = jobs
         f = 1.0
         for j, (letter, c) in enumerate(zip(word, cols.tolist())):
             if j:
                 f = m.cumulative(f)
-            power = ref_node_powers(m, exps, exact, rows, c)
+            power = ref_node_powers(m, exps, rows, c)
             f = np.multiply(ref_phi(letter, power, nodal, power), f, out=power)
         pieces[k].append(m.integral(f))
         return
@@ -703,7 +716,7 @@ def ref_integrate_prefixes(m, exps, exact, nodal, jobs, pieces):
         rows = ref_union(node.rows)
         if c not in powers:
             have = ref_union(col_rows[c])
-            powers[c] = (have, ref_node_powers(m, exps, exact, have, c))
+            powers[c] = (have, ref_node_powers(m, exps, have, c))
         have, power = powers[c]
         power = ref_take(power, have, rows)
         uses[c] -= len(node.rows)
@@ -720,7 +733,7 @@ def ref_integrate_prefixes(m, exps, exact, nodal, jobs, pieces):
         del f
 
 
-def ref_integrate_word_on_mesh(words, cols, exps, rows, m, exact):
+def ref_integrate_word_on_mesh(words, cols, exps, rows, m):
     nodal = {}
     for word in words:
         for letter in word:
@@ -741,7 +754,7 @@ def ref_integrate_word_on_mesh(words, cols, exps, rows, m, exact):
                 r = r[np.searchsorted(r, bound[0]) : np.searchsorted(r, bound[1], "right")]
             if r.size:
                 jobs.append((k, words[k], cols[k], r))
-        ref_integrate_prefixes(m, exps, exact, nodal, jobs, pieces)
+        ref_integrate_prefixes(m, exps, nodal, jobs, pieces)
     return [p[0] if len(p) == 1 else np.concatenate(p) for p in pieces.values()]
 
 
@@ -762,14 +775,11 @@ def ref_integrate_words(letters, exps, params):
     errs = np.zeros((len(words), n))
     meshes = {}
     slack = params.abs_tol * quadrature.HORIZON_SAFETY
-    every_horizon = word_horizons(letters, exps, params)
-    exact = ref_exact_columns(exps)
+    every_horizon = quadrature.word_horizons(letters, exps, params)
     for k, word in enumerate(words):
         if not word:
             continue
         horizons = every_horizon[k]
-        if isinstance(horizons, Exception):
-            raise horizons
         for t_max in sorted(set(horizons.tolist())):
             job = RefJob(k, np.flatnonzero(horizons == t_max))
             meshes.setdefault(doubling_edges(1.0, t_max), []).append(job)
@@ -781,7 +791,7 @@ def ref_integrate_words(letters, exps, params):
                 m = m.refined()
             results = ref_integrate_word_on_mesh(
                 [words[job.k] for job in jobs], [cols[job.k] for job in jobs], exps,
-                [job.rows for job in jobs], m, exact)
+                [job.rows for job in jobs], m)
             kept = []
             for job, v1 in zip(jobs, results):
                 if level:
@@ -865,7 +875,7 @@ class TestLengthPass:
                   for b in (-1.0, 2.0, 5.0, 8.0)]
         letters, exps = exponent_columns(words, points)
         by_mesh = {}
-        for h in word_horizons(letters, exps, EvalParams()):
+        for h in quadrature.word_horizons(letters, exps, EvalParams()):
             for t in set(h.tolist()):
                 by_mesh.setdefault(t, set()).add(tuple(np.flatnonzero(h == t)))
         assert any(len(rows) > 1 for rows in by_mesh.values())
@@ -936,31 +946,41 @@ class TestValueMaps:
 
     def test_real_integer_exponents(self, monkeypatch):
         """Real integer slots: exponents numpy raises by repeated products,
-        marked exact on the distinct values."""
+        among the distinct values whose powers a pass forms."""
         marks = []
         powers = quadrature.PanelMesh.powers
         monkeypatch.setattr(quadrature.PanelMesh, "powers",
-                            lambda m, e, exact: marks.append(exact is not None and exact.any())
-                            or powers(m, e, exact))
+                            lambda m, e: marks.append(quadrature.repeated_products(e).any())
+                            or powers(m, e))
         points = grid([2.0, 3.0, 2.5, 4.0], [2.0, 3.0, 1.5 + 0.5j])
         words = plan_words("riemann", "riemann")
         assert_as_reference(words, points, EvalParams())
         assert any(marks)
         assert_as_one_point_calls(words, points, EvalParams())
 
-    def test_exact_marks_per_row_block(self, monkeypatch):
+    def test_plain_powers_only_where_repeated_products(self, monkeypatch):
         """A row block whose points have no exponent numpy raises by
-        repeated products passes no exact mask, one whose points have some
-        passes the marks of its own values."""
+        repeated products forms no nodes ** e, so reads no nodes, even
+        where some are real; one whose points have some forms it."""
         monkeypatch.setattr(quadrature, "ROW_BUDGET", 1)
-        marks = []
+        reads, calls = [], []
+        nodes = quadrature.PanelMesh.nodes
+        monkeypatch.setattr(quadrature.PanelMesh, "nodes",
+                            property(lambda m: reads.append(m) or nodes.fget(m)))
         powers = quadrature.PanelMesh.powers
-        monkeypatch.setattr(quadrature.PanelMesh, "powers",
-                            lambda m, e, exact: marks.append(exact) or powers(m, e, exact))
-        words, points = plan_words("riemann", "riemann"), grid([2.0, 2.5 + 0.5j], [1.5 + 0.5j, 3.0])
+
+        def counted(m, e):
+            reads.clear()
+            out = powers(m, e)
+            calls.append((bool(quadrature.repeated_products(e).any()), len(reads)))
+            return out
+
+        monkeypatch.setattr(quadrature.PanelMesh, "powers", counted)
+        words = plan_words("riemann", "riemann")
+        points = grid([2.0, 2.5 + 0.5j, 2.5], [1.5 + 0.5j, 3.0, 1.25])
         integrate_words(*exponent_columns(words, points), EvalParams())
-        assert any(x is None for x in marks) and any(x is not None for x in marks)
-        assert all(x is None or x.any() for x in marks)
+        assert {marked for marked, _ in calls} == {False, True}
+        assert all((n > 0) == marked for marked, n in calls)
         assert_as_reference(words, points, EvalParams())
 
     def test_first_letter_layouts(self, monkeypatch):
@@ -1016,7 +1036,7 @@ class TestValueMaps:
         formed, per_cell = [], []
         powers = quadrature.PanelMesh.powers
         monkeypatch.setattr(quadrature.PanelMesh, "powers",
-                            lambda m, e, exact: formed.append(e.size) or powers(m, e, exact))
+                            lambda m, e: formed.append(e.size) or powers(m, e))
         on_mesh = quadrature.integrate_word_on_mesh
         monkeypatch.setattr(quadrature, "integrate_word_on_mesh",
                             lambda *a: per_cell.append(a[1].pre.cols.size * a[1].size)
@@ -1098,12 +1118,15 @@ class TestBitIdentity:
             rng.shuffle(e)
             exact = quadrature.repeated_products(e)
             assert sorted(e[exact].real) == [-99.0, -1.0, 0.0, 1.0, 2.0, 99.0]
-            got = m.powers(e, exact)
+            got = m.powers(e)
             assert got.shape == (e.size, m.nodes.size)
             assert np.array_equal(got, m.nodes ** e[:, None])
-            other = e[~exact]
-            assert np.array_equal(m.powers(other, None), m.nodes ** other[:, None])
-            assert np.array_equal(m.powers(other[:1], None), m.nodes ** other[:1, None])
+            # no repeated-product row; real non-integer rows and +-100 only;
+            # complex rows only; one row
+            real = e[~exact & (e.imag == 0.0)]
+            assert real.size and (np.abs(real.real) == 100.0).any()
+            for rows in (e[~exact], real, e[e.imag != 0.0], e[~exact][:1], e[exact][:1]):
+                assert np.array_equal(m.powers(rows), m.nodes ** rows[:, None])
 
     @pytest.mark.parametrize("rows", [None, 1, 3, 256])
     def test_cumulative_and_integral(self, rows):
@@ -1126,7 +1149,10 @@ class TestBitIdentity:
     def test_horizons(self, monkeypatch, names, row_budget):
         """All words of an expression at once, in one word block or one
         word per block, against each word on its own; the huge second
-        slot leaves some words with no valid horizon."""
+        slot leaves some words with no valid horizon.  The table raises
+        the failure of the lowest-index failing word, each failing word on
+        its own raises its reference message, and the table of the other
+        words gives each of them its one-word horizons."""
         monkeypatch.setattr(quadrature, "ROW_BUDGET", row_budget)
         r = len(names)
         words = list(build_expression(tuple(make_builtin_theta(n) for n in names)).plan.letters.words)
@@ -1138,21 +1164,26 @@ class TestBitIdentity:
         letters, exps = exponent_columns(words, points)
         cols = [letter_columns(letters, k) for k in range(len(words))]
         params = EvalParams()
-        batch = word_horizons(letters, exps, params)
-        failed = 0
+        failures, horizons = {}, {}
         for k, word in enumerate(words):
-            if isinstance(batch[k], QuadratureError):
-                failed += 1
-                for one_word in (reference_horizons, one_word_horizons):
-                    with pytest.raises(QuadratureError) as one:
-                        one_word(word, exps[:, cols[k]], params)
-                    assert str(one.value) == str(batch[k])
-            else:
-                assert np.array_equal(batch[k], reference_horizons(word, exps[:, cols[k]], params))
-                assert np.array_equal(
-                    batch[k], one_word_horizons(word, exps[:, cols[k]], params))
-        assert 1 < failed < len(words)
-        assert "final tail letter" in str(batch[3])
+            try:
+                horizons[k] = reference_horizons(word, exps[:, cols[k]], params)
+            except QuadratureError as exc:
+                failures[k] = str(exc)
+                with pytest.raises(QuadratureError) as one:
+                    one_word_horizons(word, exps[:, cols[k]], params)
+                assert str(one.value) == failures[k]
+        assert 1 < len(failures) < len(words)
+        assert "final tail letter" in failures[3]
+        with pytest.raises(QuadratureError) as first:
+            quadrature.word_horizons(letters, exps, params)
+        assert str(first.value) == failures[min(failures)]
+        ok = sorted(horizons)
+        batch = quadrature.word_horizons(
+            *exponent_columns([words[k] for k in ok], points), params)
+        for k, got in zip(ok, batch):
+            assert np.array_equal(got, horizons[k])
+            assert np.array_equal(got, one_word_horizons(words[k], exps[:, cols[k]], params))
 
 
 class TestMesh:

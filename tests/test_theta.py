@@ -258,6 +258,19 @@ class TestTransforms:
         assert a.eval(1.3) == pytest.approx(fd, abs=1e-9)
         validate_inversion(a)
 
+    def test_transform_growth_bounds_ignore_how_far_the_base_grew(self):
+        """differentiate and d_w bound their tails from the first 64 groups
+        of the base tails alone, so their growth bounds, and those of their
+        duals, are the same before and after the bases grow to 500 groups."""
+        j2, j4 = theta_module._jacobi_pair.__wrapped__()
+
+        def bounds():
+            return [(r.tail.growth, r.dual.tail.growth) for r in (differentiate(j2), d_w(j2))]
+
+        before = bounds()
+        assert j2.tail.ensure(500) >= 500 and j4.tail.ensure(500) >= 500
+        assert bounds() == before
+
     def test_mul_monomial(self):
         rie = theta("riemann")
         mm = mul_monomial(rie, 1)
